@@ -22,7 +22,7 @@ from .analysis import (Solution, build_solution, feasibility_report, h2_cost,
                        recover_gain, riccati_oracle, simulate_impulse,
                        solve_lyapunov, sparsity_report, stability_check)
 from .errors import (AssumptionViolated, DimensionMismatch,
-                     ForcedZeroOutOfRange, InfeasiblePoint, InvalidPqParams,
+                     ForcedZeroOutOfRange, InvalidPqParams,
                      K0NotStabilizing, MaxSweepsExceeded, NoConvergence,
                      NotConverged, NotHurwitz, ParseError, SingularW1,
                      SparseLQError, UnknownKey)
@@ -37,7 +37,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AssumptionViolated", "ContinuationOptions", "DimensionMismatch",
-    "ForcedZeroOutOfRange", "InfeasiblePoint", "InvalidPqParams",
+    "ForcedZeroOutOfRange", "InvalidPqParams",
     "K0NotStabilizing", "LiftedProblem", "MaxSweepsExceeded",
     "NoConvergence", "NotConverged", "NotHurwitz", "ParseError",
     "PenaltyConfig", "PlantData", "RegimeSpec", "SingularW1", "Solution",

@@ -198,7 +198,13 @@ def _run_one(lifted, relaxation, gamma, args):
     return outer.solve_relaxed(lifted, regime, options)
 
 
+def _check_gamma(gamma):
+    if not (np.isfinite(gamma) and gamma >= 0):
+        raise ParseError(f"gamma must be finite and >= 0, got {gamma:g}")
+
+
 def cmd_solve(args):
+    _check_gamma(args.gamma)
     lifted = load_problem(args.problem)
     try:
         sol = _run_one(lifted, args.relaxation, args.gamma, args)
@@ -240,6 +246,8 @@ def cmd_sweep(args):
     gammas = [float(tok) for tok in args.gammas.split(",") if tok.strip()]
     if not gammas:
         raise ParseError("empty gamma list")
+    for gamma in gammas:
+        _check_gamma(gamma)
     os.makedirs(args.out, exist_ok=True)
     rows_dir = os.path.join(args.out, "rows")
     os.makedirs(rows_dir, exist_ok=True)
@@ -251,14 +259,18 @@ def cmd_sweep(args):
                 for i, g in enumerate(gammas)]
     codes = None
     if not args.serial:
+        # Only a pool that cannot start falls back to serial runs; an
+        # error inside a worker surfaces from result() below.
         try:
             from concurrent.futures import ProcessPoolExecutor
             with ProcessPoolExecutor(max_workers=min(len(payloads),
                                                      os.cpu_count() or 1)) as ex:
-                codes = list(ex.map(_sweep_worker, payloads))
-        except (OSError, ValueError, ImportError) as exc:
+                futures = [ex.submit(_sweep_worker, p) for p in payloads]
+        except (OSError, ImportError) as exc:
             log.warning("parallel sweep unavailable (%s); running serially",
                         exc)
+        else:
+            codes = [f.result() for f in futures]
     if codes is None:
         codes = [_sweep_worker(p) for p in payloads]
 
@@ -326,6 +338,16 @@ def _subdifferential_check(doc, lifted, tol):
     return float(np.max(viol, initial=0.0)) <= tol
 
 
+def _agrees(stored, derived, rtol=1e-9):
+    """Stored field equals the derived value to rtol of its magnitude."""
+    stored = np.asarray(stored, dtype=float)
+    derived = np.asarray(derived, dtype=float)
+    if stored.shape != derived.shape:
+        return False
+    gap = float(np.max(np.abs(stored - derived), initial=0.0))
+    return gap <= rtol * float(np.max(np.abs(derived), initial=0.0))
+
+
 def cmd_verify(args):
     lifted = load_problem(args.problem)
     with open(args.solution, "r", encoding="utf-8") as fh:
@@ -333,24 +355,32 @@ def cmd_verify(args):
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ParseError(f"solution file is not valid JSON: {exc}") from exc
-    K = np.asarray(doc["K"], dtype=float)
     W = np.asarray(doc["W"], dtype=float)
     P = np.asarray(doc["P"], dtype=float)
+    # The certificate is re-derived from (W, P); stored K and J_upper
+    # only have to agree with it.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        K = P / np.diag(W[:lifted.n, :lifted.n])
+    J_upper = float(lifted.vec_R() @ W.reshape(-1, order="F"))
     res_scale = sum(float(doc.get(k) or 0.0)
                     for k in ("primal_res", "dual_res"))
     tol = max(1e-4, 5.0 * res_scale)
 
-    checks = {}
-    margins = np.array([analysis.stability_check(Av, Bv, K)
-                        for Av, Bv in lifted.plant.vertices])
-    checks["margins"] = bool(np.all(margins < 0))
-    try:
-        J_vertex = analysis.h2_cost(lifted.plant, K)
-        J_upper = float(doc["J_upper"])
-        slack = 1e-3 * max(1.0, abs(J_upper))
-        checks["cost_bound"] = bool(J_upper >= float(np.max(J_vertex)) - slack)
-    except SparseLQError:
-        checks["cost_bound"] = False
+    checks = {"J_upper": _agrees(doc["J_upper"], J_upper),
+              "K": _agrees(doc["K"], K)}
+    if np.all(np.isfinite(K)):
+        margins = np.array([analysis.stability_check(Av, Bv, K)
+                            for Av, Bv in lifted.plant.vertices])
+        checks["margins"] = bool(np.all(margins < 0))
+        try:
+            J_vertex = analysis.h2_cost(lifted.plant, K)
+            slack = 1e-3 * max(1.0, abs(J_upper))
+            checks["cost_bound"] = bool(
+                J_upper >= float(np.max(J_vertex)) - slack)
+        except SparseLQError:
+            checks["cost_bound"] = False
+    else:
+        checks["margins"] = checks["cost_bound"] = False
     rep = analysis.feasibility_report(lifted, W, P, tol=tol)
     checks["feasibility"] = bool(rep["feasible"])
     if doc["regime"] in ("l1", "pq") and doc.get("multiplier") is not None:
@@ -370,8 +400,6 @@ def build_parser():
     parser = argparse.ArgumentParser(
         prog="sparselq",
         description="Sparse static state feedback under quadratic cost.")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="seed numpy's global generator first")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
@@ -422,17 +450,9 @@ def run_command(argv):
                         format="%(levelname)s %(name)s: %(message)s")
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.seed is not None:
-        np.random.seed(args.seed)
     try:
         return args.func(args)
-    except (ParseError, UnknownKey) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except SparseLQError as exc:
+    except (SparseLQError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,41 +1,21 @@
 """Cone and linear-algebra kernels shared by the solvers."""
 
-from dataclasses import dataclass
-
 import numpy as np
-import scipy.linalg as sla
 
-from .errors import EigFailure, NotPositiveDefinite
-
-
-@dataclass(frozen=True)
-class SymmetricFactor:
-    """Eigendecomposition S = V diag(w) V^T of a symmetric matrix."""
-
-    order: int
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    def reconstruct(self):
-        V = self.eigenvectors
-        return (V * self.eigenvalues) @ V.T
+from .errors import EigFailure
 
 
-def factor_symmetric(S):
-    """Eigendecompose the symmetrized input."""
+def project_psd(S):
+    """Project a symmetric matrix onto the PSD cone (eigenvalue clamp).
+
+    The input is symmetrized first.
+    """
     S = 0.5 * (S + S.T)
     try:
         w, V = np.linalg.eigh(S)
     except np.linalg.LinAlgError as exc:
         raise EigFailure(str(exc)) from exc
-    return SymmetricFactor(order=S.shape[0], eigenvalues=w, eigenvectors=V)
-
-
-def project_psd(S):
-    """Project a symmetric matrix onto the PSD cone (eigenvalue clamp)."""
-    f = factor_symmetric(S)
-    w = np.maximum(f.eigenvalues, 0.0)
-    P = (f.eigenvectors * w) @ f.eigenvectors.T
+    P = (V * np.maximum(w, 0.0)) @ V.T
     return 0.5 * (P + P.T)
 
 
@@ -55,26 +35,3 @@ def min_eigenvalue(S):
         return float(np.linalg.eigvalsh(S)[0])
     except np.linalg.LinAlgError as exc:
         raise EigFailure(str(exc)) from exc
-
-
-class SpdFactor:
-    """Cholesky factorization of an SPD matrix, reusable across solves."""
-
-    def __init__(self, M):
-        M = 0.5 * (M + np.asarray(M).T)
-        try:
-            self._cho = sla.cho_factor(M, lower=True, check_finite=False)
-        except sla.LinAlgError as exc:
-            raise NotPositiveDefinite(str(exc)) from exc
-        self.order = M.shape[0]
-
-    def solve(self, q):
-        return sla.cho_solve(self._cho, q, check_finite=False)
-
-    def inverse(self):
-        return self.solve(np.eye(self.order))
-
-
-def solve_spd(M, q):
-    """Solve M x = q for symmetric positive definite M."""
-    return SpdFactor(M).solve(q)

@@ -52,15 +52,6 @@ class EigFailure(SparseLQError):
     """Symmetric eigendecomposition failed to converge."""
 
 
-class NotPositiveDefinite(SparseLQError):
-    """A matrix required to be positive definite is not."""
-
-
-class PsiNotNegativeSemidefinite(SparseLQError):
-    """The dual curvature matrix lost negative semidefiniteness
-    beyond tolerance; indicates corrupted subproblem data."""
-
-
 class SingularW1(SparseLQError):
     """The leading block of the recovered parameter matrix is singular."""
 
@@ -127,10 +118,6 @@ class K0NotStabilizing(SparseLQError):
 
 class NoConvergence(SparseLQError):
     """The Riccati iteration failed to converge within its cap."""
-
-
-class InfeasiblePoint(SparseLQError):
-    """A point violates the cone or equality constraints beyond tolerance."""
 
 
 # ----------------------------------------------------------------- cli

@@ -6,14 +6,18 @@ Each outer iteration needs the minimizer, over the cone-feasible set
     <d, vec(W)> + sigma1 ||A vec(W) + b||^2 + sigma2 ||vec(W) - vt||^2.
 
 In isometric half-vectorization coordinates s = svec(W) this reads
-<g0, s> + sigma1 ||AD1 s + b||^2 + sigma2 ||s - st||^2, and its Lagrange
-dual over the PSD multipliers X = (X0, X1, ..., XM) is a convex quadratic
-on a product of PSD cones,
+<g0, s> + sigma1 ||AD s + b||^2 + sigma2 ||s - st||^2, with D the
+duplication map, and its Lagrange dual over the PSD multipliers
+X = (X0, X1, ..., XM) is a convex quadratic on a product of PSD cones,
 
     minimize  Th(X) = (1/2) (q - L(X))' Minv (q - L(X)) - <kq, sum_i x_i> + c,
     with      L(X) = g0 - x0 + sum_i J_i' x_i,
-              M = 2 sigma1 (AD1)'(AD1) + 2 sigma2 I,
-              q = -2 sigma1 (AD1)' b + 2 sigma2 st.
+              M = 2 sigma1 (AD)'(AD) + 2 sigma2 I,
+              q = -2 sigma1 (AD)' b + 2 sigma2 st.
+
+Every row of A selects a single entry of W, so (AD)'(AD) is diagonal
+(lifted.gram_diag) and so is M: Minv is carried as the vector minv and
+applied entrywise, and AD is applied as the gather of A after D.
 
 Each block update below is a projected gradient step with step 1/rho_i
 (rho_i the largest eigenvalue of the block curvature), which is exactly
@@ -24,12 +28,12 @@ forward; the dual objective never increases.  The primal recovers as
 s = Minv (q - L(X)).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .cones import SpdFactor, max_eigenvalue, min_eigenvalue
-from .errors import MaxSweepsExceeded, PsiNotNegativeSemidefinite
+from .cones import max_eigenvalue
+from .errors import MaxSweepsExceeded
 from .vectorize import svec, unsvec
 
 
@@ -54,18 +58,17 @@ def zero_state(lifted):
 
 @dataclass
 class CurvatureCache:
-    """Sigma-dependent matrices, reusable while (sigma1, sigma2) repeat.
+    """Sigma-dependent data, reusable while (sigma1, sigma2) repeat.
 
-    With the default scalar schedule of the l1 regime the sigmas are
-    constant, so this cache removes nearly all assembly cost there.
+    minv is the diagonal of Minv; JM_list holds J_i Minv and rho_list the
+    largest eigenvalue of each J_i Minv J_i'.  With the default scalar
+    schedule of the l1 regime the sigmas are constant, so this cache
+    removes nearly all assembly cost there.
     """
 
     key: tuple
-    M_mat: np.ndarray
-    Minv: np.ndarray
-    Psi_mat: np.ndarray
+    minv: np.ndarray
     JM_list: list
-    L_list: list
     rho0: float
     rho_list: list
 
@@ -77,22 +80,14 @@ class DualData:
     lifted: object
     sigma1: float
     sigma2: float
-    M_mat: np.ndarray
-    Minv: np.ndarray
-    Psi_mat: np.ndarray
-    L0: np.ndarray
+    minv: np.ndarray
     JM_list: list
-    L_list: list
     rho0: float
     rho_list: list
     q_k: np.ndarray
     g0: np.ndarray
     s_tilde: np.ndarray
     b_tilde: np.ndarray
-    d_k: np.ndarray = field(repr=False, default=None)
-    xi1: np.ndarray = field(repr=False, default=None)
-    xi2: np.ndarray = field(repr=False, default=None)
-    omega_dual: np.ndarray = field(repr=False, default=None)
 
     def ell(self, state):
         out = self.g0 - state.x0
@@ -104,16 +99,14 @@ class DualData:
 def _sym_svec(vec_coords, maps):
     """Adjoint of the isometric duplication map: symmetrize then svec."""
     G = vec_coords.reshape(maps.dim, maps.dim, order="F")
-    return svec(0.5 * (G + G.T), maps, iso=True)
+    return svec(0.5 * (G + G.T), maps)
 
 
 def assemble_dual_data(lifted, d_k, w_k, v_tilde_k, alpha_k, theta_k, eta_f_k,
                        cache=None):
     """Build the dual problem data; reuses cache when the sigmas repeat.
 
-    Returns (data, cache).  Raises NotPositiveDefinite if the curvature
-    matrix fails to factor and PsiNotNegativeSemidefinite if the dual
-    curvature check fails beyond 1e-6.
+    Returns (data, cache).
     """
     if not (alpha_k > 0 and theta_k > 0 and eta_f_k > 0):
         raise ValueError("alpha, theta, eta_f must be positive")
@@ -122,46 +115,33 @@ def assemble_dual_data(lifted, d_k, w_k, v_tilde_k, alpha_k, theta_k, eta_f_k,
 
     key = (sigma1, sigma2)
     if cache is None or cache.key != key:
-        M = 2.0 * sigma1 * lifted.gram_AD1 + 2.0 * sigma2 * np.eye(lifted.svec_p.size)
-        Minv = SpdFactor(M).inverse()
-        Minv = 0.5 * (Minv + Minv.T)
-        Psi = -0.5 * Minv
-        if min_eigenvalue(-Psi) < -1e-6:
-            raise PsiNotNegativeSemidefinite(
-                "dual curvature lost semidefiniteness")
-        JM_list = [J @ Minv for J in lifted.J_list]
-        L_list = [JM @ J.T for JM, J in zip(JM_list, lifted.J_list)]
-        rho0 = max_eigenvalue(Minv)
-        rho_list = [max(max_eigenvalue(L), 1e-30) for L in L_list]
-        cache = CurvatureCache(key=key, M_mat=M, Minv=Minv, Psi_mat=Psi,
-                               JM_list=JM_list, L_list=L_list,
-                               rho0=rho0, rho_list=rho_list)
+        minv = 1.0 / (2.0 * sigma1 * lifted.gram_diag + 2.0 * sigma2)
+        JM_list = [J * minv for J in lifted.J_list]
+        rho_list = [max(max_eigenvalue(JM @ J.T), 1e-30)
+                    for JM, J in zip(JM_list, lifted.J_list)]
+        cache = CurvatureCache(key=key, minv=minv, JM_list=JM_list,
+                               rho0=float(minv.max()), rho_list=rho_list)
 
     g0 = _sym_svec(d_k, lifted.svec_p)
     s_tilde = _sym_svec(v_tilde_k, lifted.svec_p)
     b_tilde = lifted.op.apply_B(w_k)
-    q = -2.0 * sigma1 * (lifted.AD1.T @ b_tilde) + 2.0 * sigma2 * s_tilde
-
-    Minv_q = cache.Minv @ q
-    xi1 = -(lifted.AD1 @ Minv_q) - b_tilde
-    xi2 = v_tilde_k - unsvec(Minv_q, lifted.svec_p, iso=True).reshape(-1, order="F")
+    ADt_b = lifted.svec_p.D_iso.T @ lifted.op.apply_At(b_tilde)
+    q = -2.0 * sigma1 * ADt_b + 2.0 * sigma2 * s_tilde
 
     return DualData(lifted=lifted, sigma1=sigma1, sigma2=sigma2,
-                    M_mat=cache.M_mat, Minv=cache.Minv, Psi_mat=cache.Psi_mat,
-                    L0=cache.Minv, JM_list=cache.JM_list, L_list=cache.L_list,
+                    minv=cache.minv, JM_list=cache.JM_list,
                     rho0=cache.rho0, rho_list=cache.rho_list,
-                    q_k=q, g0=g0, s_tilde=s_tilde, b_tilde=b_tilde,
-                    d_k=d_k, xi1=xi1, xi2=xi2, omega_dual=Minv_q), cache
+                    q_k=q, g0=g0, s_tilde=s_tilde, b_tilde=b_tilde), cache
 
 
 def _project(x, maps):
     """PSD projection in isometric coordinates: unpack, clamp, repack."""
-    S = unsvec(x, maps, iso=True)
+    S = unsvec(x, maps)
     w, V = np.linalg.eigh(S)
     if w[0] >= 0.0:
         return x
     S = (V * np.maximum(w, 0.0)) @ V.T
-    return svec(S, maps, iso=True)
+    return svec(S, maps)
 
 
 def sgs_sweep(state, data):
@@ -180,7 +160,7 @@ def sgs_sweep(state, data):
         ell = ell + (new - xs[i]) @ lifted.J_list[i]
         xs[i] = new
 
-    step0 = data.Minv @ (q - ell)
+    step0 = data.minv * (q - ell)
     new0 = _project(x0 - step0 / data.rho0, maps_p)
     ell = ell - (new0 - x0)
     x0 = new0
@@ -197,8 +177,7 @@ def sgs_sweep(state, data):
 def block_gradients(state, data):
     """Gradients of the dual objective at the current state."""
     ell = data.ell(state)
-    r = data.Minv @ (data.q_k - ell)
-    grad0 = r
+    grad0 = data.minv * (data.q_k - ell)
     grads = [-(data.lifted.kappa_q + JM @ (data.q_k - ell))
              for JM in data.JM_list]
     return grad0, grads
@@ -224,7 +203,7 @@ def dual_objective(state, data):
     xsum = np.zeros(data.lifted.svec_n.size)
     for x in state.x_list:
         xsum = xsum + x
-    return float(0.5 * r @ (data.Minv @ r)
+    return float(0.5 * r @ (data.minv * r)
                  - data.lifted.kappa_q @ xsum
                  - data.sigma1 * (data.b_tilde @ data.b_tilde)
                  - data.sigma2 * (data.s_tilde @ data.s_tilde))
@@ -232,7 +211,8 @@ def dual_objective(state, data):
 
 def primal_objective(data, s):
     """Subproblem objective at isometric coordinates s."""
-    res = data.lifted.AD1 @ s + data.b_tilde
+    lifted = data.lifted
+    res = lifted.op.apply_A(lifted.svec_p.D_iso @ s) + data.b_tilde
     diff = s - data.s_tilde
     return float(data.g0 @ s + data.sigma1 * (res @ res)
                  + data.sigma2 * (diff @ diff))
@@ -240,7 +220,7 @@ def primal_objective(data, s):
 
 def recover_primal(data, state):
     """Primal solution in isometric coordinates: s = Minv (q - L(X))."""
-    return data.Minv @ (data.q_k - data.ell(state))
+    return data.minv * (data.q_k - data.ell(state))
 
 
 def solve_inner(lifted, d_k, w_k, v_tilde_k, alpha_k, theta_k, eta_f_k,
@@ -262,8 +242,8 @@ def solve_inner(lifted, d_k, w_k, v_tilde_k, alpha_k, theta_k, eta_f_k,
         err = dual_residual(state, data)
         if err < eps:
             s = recover_primal(data, state)
-            v = unsvec(s, lifted.svec_p, iso=True).reshape(-1, order="F")
+            v = unsvec(s, lifted.svec_p).reshape(-1, order="F")
             return v, sweeps, state, cache
     s = recover_primal(data, state)
-    v = unsvec(s, lifted.svec_p, iso=True).reshape(-1, order="F")
+    v = unsvec(s, lifted.svec_p).reshape(-1, order="F")
     raise MaxSweepsExceeded(v=v, residual=err, state=state, sweeps=sweeps)

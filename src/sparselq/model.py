@@ -105,9 +105,9 @@ def validate_plant(plant):
     """Check dimensions and the structural assumptions of the cost.
 
     Raises DimensionMismatch for inconsistent shapes and
-    AssumptionViolated for C^T D != 0, singular D^T D, or singular
-    B1 B1^T.  Stabilizability is not checked here; it is certified a
-    posteriori from the solved parameter matrix.
+    AssumptionViolated for a non-finite entry, C^T D != 0, singular
+    D^T D, or singular B1 B1^T.  Stabilizability is not checked here; it
+    is certified a posteriori from the solved parameter matrix.
     """
     A, B2, B1, C, D = plant.A, plant.B2, plant.B1, plant.C, plant.D
     n = A.shape[0]
@@ -126,6 +126,9 @@ def validate_plant(plant):
     for k, (Av, Bv) in enumerate(plant.vertices):
         if Av.shape != A.shape or Bv.shape != B2.shape:
             raise DimensionMismatch(f"vertex {k} shapes {Av.shape}, {Bv.shape}")
+    mats = [A, B2, B1, C, D] + [M for pair in plant.vertices for M in pair]
+    if not all(np.isfinite(M).all() for M in mats):
+        raise AssumptionViolated("finite", "plant entries must be finite")
 
     # Dimensionless tolerance: scale with the largest entry across inputs.
     scale = max(1.0, max(float(np.max(np.abs(M))) if M.size else 0.0
@@ -152,13 +155,14 @@ def validate_plant(plant):
 class LiftedProblem:
     """All derived operators of the convex parameterization.
 
-    Beyond the block matrices (F_list, Q, R) and selectors, this carries
-    the vectorization maps, the stacked equality operator, and the
-    isometric-coordinate coupling data used by the inner solver: AD1 is
-    the equality operator composed with the order-p duplication map,
-    gram_AD1 its Gram matrix, J_list the per-vertex maps sending
-    svec(W) to svec of the constraint block, and kappa_q the constant
-    block contribution of Q.
+    Beyond the block matrices (F_list, Q, R), this carries the
+    vectorization maps, the equality operator, and the
+    isometric-coordinate coupling data used by the inner solver:
+    gram_diag is the diagonal of (A D)^T (A D), A the equality operator
+    and D the order-p duplication map (the Gram matrix is diagonal, see
+    lift_plant), J_list the per-vertex maps sending svec(W) to svec of
+    the constraint block, and kappa_q the constant block contribution
+    of Q.
     """
 
     plant: ValidatedPlant
@@ -168,14 +172,10 @@ class LiftedProblem:
     F_list: tuple
     Q: np.ndarray
     R: np.ndarray
-    V1: np.ndarray
-    V2: np.ndarray
-    diag_pairs: tuple
     svec_p: vectorize.SvecMaps
     svec_n: vectorize.SvecMaps
     op: vectorize.ConstraintOperator
-    AD1: np.ndarray = field(repr=False)
-    gram_AD1: np.ndarray = field(repr=False)
+    gram_diag: np.ndarray = field(repr=False)
     J_list: tuple = field(repr=False)
     kappa_q: np.ndarray = field(repr=False)
 
@@ -195,7 +195,7 @@ class LiftedProblem:
         return self.R.reshape(-1, order="F")
 
     def gain_part(self, W_vec):
-        """(V2 (x) V1) applied to vec(W): the bottom-left block, vectorized."""
+        """The bottom-left m x n block of W, vectorized column-major."""
         off = self.op.n_diag
         return W_vec[self.op.A_cols[off:off + self.op.n_gain]]
 
@@ -231,19 +231,19 @@ def lift_plant(vplant, forced_zeros=()):
     R[:n, :n] = vplant.CtC
     R[n:, n:] = vplant.DtD
 
-    V1 = np.hstack([np.zeros((m, n)), np.eye(m)])
-    V2 = np.hstack([np.eye(n), np.zeros((n, m))])
-
-    diag_pairs = tuple(vectorize.build_diag_constraints(n, p))
     svec_p = vectorize.build_svec_maps(p)
     svec_n = vectorize.build_svec_maps(n)
     op = vectorize.assemble_constraint_operator(n, m, forced_zeros)
 
-    AD1 = np.asarray((op.A_op @ svec_p.D_iso).todense())
-    gram_AD1 = AD1.T @ AD1
+    # Row k of A D is row A_cols[k] of D: one entry, 1/sqrt(2), in the
+    # column of the coordinate it reads.  The Gram matrix is therefore
+    # diagonal, and its diagonal sums those squared entries per column.
+    AD = svec_p.D_iso[op.A_cols]
+    gram_diag = np.asarray(AD.multiply(AD).sum(axis=0)).ravel()
 
     # svec(W) -> svec of the symmetric block V2 (F_i W + W F_i^T) V2^T,
-    # both in isometric coordinates.
+    # both in isometric coordinates; V2 = [I 0] selects the leading block.
+    V2 = np.eye(n, p)
     J_list = []
     for F in F_list:
         V2F = V2 @ F
@@ -253,7 +253,7 @@ def lift_plant(vplant, forced_zeros=()):
     kappa_q = np.asarray(svec_n.D_iso.T @ np.kron(V2, V2) @ Q.reshape(-1, order="F")).ravel()
 
     return LiftedProblem(plant=vplant, n=n, m=m, p=p,
-                         F_list=tuple(F_list), Q=Q, R=R, V1=V1, V2=V2,
-                         diag_pairs=diag_pairs, svec_p=svec_p, svec_n=svec_n,
-                         op=op, AD1=AD1, gram_AD1=gram_AD1,
+                         F_list=tuple(F_list), Q=Q, R=R,
+                         svec_p=svec_p, svec_n=svec_n, op=op,
+                         gram_diag=gram_diag,
                          J_list=tuple(J_list), kappa_q=kappa_q)

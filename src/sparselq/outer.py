@@ -68,7 +68,6 @@ class SolverOptions:
     eps2: float = 1e-4
     max_outer: int = 50000
     max_sweeps: int = 10000
-    rho_scale: float = 1.0
     beta0: float = 1.0
     kappa0: float = 1.0
     inner_tol_cap: float = 1e-4
@@ -241,7 +240,7 @@ def restart_averages(state, options=SolverOptions()):
     return state
 
 
-def check_convergence(state, lifted, eps1, eps2, rho_scale=1.0):
+def check_convergence(state, lifted, eps1, eps2):
     """Stopping rule on the coupled feasibility and dual drift residuals.
 
     Returns (stop, primal_res, dual_res).
@@ -250,7 +249,7 @@ def check_convergence(state, lifted, eps1, eps2, rho_scale=1.0):
     AW = op.apply_A(state.W_tilde)
     BP = op.apply_B(state.P_tilde)
     r = AW + BP
-    s = rho_scale * op.apply_At(op.apply_B(state.P_tilde - state.P_prev))
+    s = op.apply_At(op.apply_B(state.P_tilde - state.P_prev))
     eps_pri = (np.sqrt(op.n_rows) * eps1
                + eps2 * max(np.linalg.norm(AW), np.linalg.norm(BP)))
     eps_dua = lifted.p * eps1 + eps2 * np.linalg.norm(op.apply_At(state.lam))
@@ -284,8 +283,7 @@ def solve_relaxed(lifted, regime, options=SolverOptions(), init=None):
     for _ in range(int(options.max_outer)):
         state = outer_iteration(state, lifted, regime, options)
         stop, pr, dr = check_convergence(state, lifted,
-                                         options.eps1, options.eps2,
-                                         options.rho_scale)
+                                         options.eps1, options.eps2)
         state.last_primal_res = pr
         if options.collect_trace:
             obj = float(lifted.vec_R() @ state.W_tilde) + penalties.penalty_value(

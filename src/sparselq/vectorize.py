@@ -1,17 +1,17 @@
 """Vectorization bookkeeping for symmetric matrices and the equality operator.
 
-Two half-vectorization conventions are carried side by side:
-
-* plain: ``svec`` holds the lower-triangle entries verbatim, so matrix
-  identities can be checked coordinate by coordinate;
-* isometric: off-diagonal coordinates are scaled by sqrt(2), so the
-  Euclidean norm of the coordinate vector equals the Frobenius norm of the
-  matrix.  All metric-sensitive computations (cone projections, proximal
-  terms) use this convention.
+Symmetric matrices are half-vectorized in one convention, the isometric
+one: off-diagonal coordinates are scaled by sqrt(2), so the Euclidean
+norm of the coordinate vector equals the Frobenius norm of the matrix
+and inner products carry over unchanged.  Cone projections and proximal
+terms rely on this.
 
 Coordinate ordering is lower-triangular column-major: coordinate r walks
 (i, j) with i >= j, j ascending, and i ascending within each column.  Full
 vectorization ``vec`` is always column-major.
+
+The equality operator of the lift only selects entries of vec(W), so it
+is stored as the column index each row reads and applied as a gather.
 """
 
 from dataclasses import dataclass, field
@@ -26,19 +26,16 @@ _SQRT2 = np.sqrt(2.0)
 
 @dataclass(frozen=True)
 class SvecMaps:
-    """Elimination and duplication maps for symmetric matrices of order d.
+    """Half-vectorization data for symmetric matrices of order d.
 
-    T_plain (t x d^2) extracts the lower triangle from vec(S); D_plain
-    (d^2 x t) rebuilds vec(S) from it.  T_iso and D_iso are the isometric
-    variants.  idx_i, idx_j give the (row, column) of each coordinate and
-    iso_scale holds 1 on diagonal coordinates and sqrt(2) off it, which
-    lets svec/unsvec run as fancy indexing instead of sparse products.
+    idx_i, idx_j give the (row, column) of each coordinate and iso_scale
+    holds 1 on diagonal coordinates and sqrt(2) off it, so svec/unsvec
+    run as fancy indexing.  D_iso (d^2 x t) is the duplication map:
+    D_iso @ svec(S) = vec(S), and D_iso^T vec(G) = svec of the
+    symmetric part of G.
     """
 
     dim: int
-    T_plain: sp.csr_matrix
-    D_plain: sp.csr_matrix
-    T_iso: sp.csr_matrix
     D_iso: sp.csr_matrix
     idx_i: np.ndarray = field(repr=False)
     idx_j: np.ndarray = field(repr=False)
@@ -50,7 +47,7 @@ class SvecMaps:
 
 
 def build_svec_maps(d):
-    """Build the four maps for symmetric matrices of order d >= 1."""
+    """Build the maps for symmetric matrices of order d >= 1."""
     if d < 1:
         raise ValueError("matrix order must be >= 1")
     t = d * (d + 1) // 2
@@ -65,35 +62,28 @@ def build_svec_maps(d):
     diag = idx_i == idx_j
     iso_scale = np.where(diag, 1.0, _SQRT2)
 
-    # T picks vec entry (i, j); column-major vec index of S[i, j] is i + j*d.
+    # Column-major vec index of S[i, j] is i + j*d.  D writes both
+    # triangles and splits 1/sqrt(2) per side off the diagonal.
     lower = idx_i + idx_j * d
     upper = idx_j + idx_i * d
     rows_t = np.arange(t)
-    T_plain = sp.csr_matrix((np.ones(t), (rows_t, lower)), shape=(t, d * d))
-    T_iso = sp.csr_matrix((iso_scale, (rows_t, lower)), shape=(t, d * d))
-
-    # D writes both triangles; the isometric variant splits 1/sqrt(2) per side.
     rows_d = np.concatenate([lower, upper[~diag]])
     cols_d = np.concatenate([rows_t, rows_t[~diag]])
-    vals_plain = np.ones(rows_d.size)
-    vals_iso = np.concatenate([1.0 / iso_scale, np.full((~diag).sum(), 1.0 / _SQRT2)])
-    D_plain = sp.csr_matrix((vals_plain, (rows_d, cols_d)), shape=(d * d, t))
-    D_iso = sp.csr_matrix((vals_iso, (rows_d, cols_d)), shape=(d * d, t))
+    vals = np.concatenate([1.0 / iso_scale, np.full((~diag).sum(), 1.0 / _SQRT2)])
+    D_iso = sp.csr_matrix((vals, (rows_d, cols_d)), shape=(d * d, t))
 
-    return SvecMaps(dim=d, T_plain=T_plain, D_plain=D_plain,
-                    T_iso=T_iso, D_iso=D_iso,
+    return SvecMaps(dim=d, D_iso=D_iso,
                     idx_i=idx_i, idx_j=idx_j, iso_scale=iso_scale)
 
 
-def svec(S, maps, iso=True):
-    """Half-vectorize a symmetric matrix."""
-    s = S[maps.idx_i, maps.idx_j]
-    return s * maps.iso_scale if iso else s.copy()
+def svec(S, maps):
+    """Half-vectorize a symmetric matrix in isometric coordinates."""
+    return S[maps.idx_i, maps.idx_j] * maps.iso_scale
 
 
-def unsvec(s, maps, iso=True):
-    """Rebuild the symmetric matrix from its half-vectorization."""
-    vals = s / maps.iso_scale if iso else s
+def unsvec(s, maps):
+    """Rebuild the symmetric matrix from its isometric half-vectorization."""
+    vals = s / maps.iso_scale
     d = maps.dim
     S = np.zeros((d, d))
     S[maps.idx_i, maps.idx_j] = vals
@@ -101,43 +91,21 @@ def unsvec(s, maps, iso=True):
     return S
 
 
-def build_diag_constraints(n, p):
-    """Selector pairs forcing the leading n x n block to be diagonal.
-
-    Returns N = n(n-1)/2 pairs (V_j1, V_j2) with V_j1 a 1 x p row selector
-    and V_j2 a length-p column selector, pair j picking the strict
-    upper-triangle entry W[i, j] (i < j, row-major order) of the leading
-    block of a p x p matrix W.
-    """
-    if not 1 <= n <= p:
-        raise ValueError("need 1 <= n <= p")
-    pairs = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            v1 = np.zeros((1, p))
-            v1[0, i] = 1.0
-            v2 = np.zeros(p)
-            v2[j] = 1.0
-            pairs.append((v1, v2))
-    return pairs
-
-
 @dataclass(frozen=True)
 class ConstraintOperator:
-    """The stacked equality operator (A_op, B_op) on (vec(W), P).
+    """The stacked equality operator A vec(W) + B P = 0 as a gather.
 
-    Row layout: N diagonal-constraint rows (strict upper triangle of the
-    leading block), then m*n gain-extraction rows equal to vec of the
-    bottom-left block, then one row per forced-zero entry.  Every A_op row
-    has a single unit entry; A_cols records its column so applications can
-    run as gather/scatter.  B_op is zero except for -I on the gain rows.
+    Row layout: N = n(n-1)/2 diagonal-constraint rows (the strict upper
+    triangle W[i, j], i < j, of the leading n x n block, row-major), then
+    m*n gain-extraction rows equal to vec of the bottom-left block, then
+    one row per forced-zero entry.  Every row of A has a single unit
+    entry, in column A_cols[row] of vec(W); B is zero except for -I on
+    the gain rows.
     """
 
     n: int
     m: int
     p: int
-    A_op: sp.csr_matrix
-    B_op: sp.csr_matrix
     A_cols: np.ndarray
     n_diag: int
     n_gain: int
@@ -149,8 +117,6 @@ class ConstraintOperator:
     def n_rows(self):
         return self.n_diag + self.n_gain + self.n_forced
 
-    # Single-entry rows make the operator a gather; keep the fast paths
-    # next to the matrices they mirror.
     def apply_A(self, x):
         return x[self.A_cols]
 
@@ -169,7 +135,7 @@ class ConstraintOperator:
 
 
 def assemble_constraint_operator(n, m, forced_zeros=()):
-    """Assemble (A_op, B_op) for gain shape m x n, parameter order p = n + m.
+    """Assemble the equality operator for gain shape m x n, order p = n + m.
 
     forced_zeros is an iterable of 0-based (i, j) pairs in the gain index
     set {0..m-1} x {0..n-1}; each adds a row pinning that gain entry to 0.
@@ -197,16 +163,7 @@ def assemble_constraint_operator(n, m, forced_zeros=()):
     for (i, j) in fz:
         cols.append((n + i) + j * p)
 
-    A_cols = np.asarray(cols, dtype=np.int64)
-    rows = np.arange(A_cols.size)
-    A_op = sp.csr_matrix((np.ones(A_cols.size), (rows, A_cols)),
-                         shape=(A_cols.size, p * p))
-
-    mn = m * n
-    gain_rows = n_diag + np.arange(mn)
-    B_op = sp.csr_matrix((-np.ones(mn), (gain_rows, np.arange(mn))),
-                         shape=(A_cols.size, mn))
-
-    return ConstraintOperator(n=n, m=m, p=p, A_op=A_op, B_op=B_op,
-                              A_cols=A_cols, n_diag=n_diag, n_gain=mn,
+    return ConstraintOperator(n=n, m=m, p=p,
+                              A_cols=np.asarray(cols, dtype=np.int64),
+                              n_diag=n_diag, n_gain=m * n,
                               n_forced=len(fz), forced_zeros=tuple(fz))

@@ -133,6 +133,21 @@ def make_inner_instance(rng, n=2, m=1):
     return lifted, d_k, w_k, v_tilde, alpha, theta, eta_f
 
 
+def dense_equality_operator(op):
+    """Dense A and B of the equality operator, built from its documented
+    row layout: strict upper triangle of the leading block (row-major),
+    then vec of the bottom-left block, then one row per forced zero."""
+    n, m, p = op.n, op.m, op.p
+    cols = [i + j * p for i in range(n) for j in range(i + 1, n)]
+    cols += [(n + i) + j * p for j in range(n) for i in range(m)]
+    cols += [(n + i) + j * p for (i, j) in op.forced_zeros]
+    A = np.zeros((len(cols), p * p))
+    A[np.arange(len(cols)), cols] = 1.0
+    B = np.zeros((len(cols), m * n))
+    B[op.n_diag + np.arange(m * n), np.arange(m * n)] = -1.0
+    return A, B
+
+
 def pg_dual_oracle(lifted, data, max_steps=10 ** 6, move_tol=1e-13):
     """Projected-gradient reference solver for the inner dual problem.
 
@@ -148,7 +163,7 @@ def pg_dual_oracle(lifted, data, max_steps=10 ** 6, move_tol=1e-13):
     sp, sn = lifted.svec_p, lifted.svec_n
     nv = len(lifted.J_list)
     T = np.hstack([-np.eye(sp.size)] + [J.T for J in lifted.J_list])
-    H = T.T @ data.Minv @ T
+    H = T.T @ (data.minv[:, None] * T)
     L = float(np.linalg.eigvalsh(H)[-1])
     c = np.concatenate([np.zeros(sp.size)] + [lifted.kappa_q] * nv)
     q0 = data.q_k - data.g0
@@ -165,7 +180,7 @@ def pg_dual_oracle(lifted, data, max_steps=10 ** 6, move_tol=1e-13):
 
     steps = 0
     for steps in range(1, max_steps + 1):
-        grad = -(T.T @ (data.Minv @ (q0 - T @ z))) - c
+        grad = -(T.T @ (data.minv * (q0 - T @ z))) - c
         z_new = project(z - grad / L)
         moved = np.linalg.norm(z_new - z)
         z = z_new

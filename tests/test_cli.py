@@ -137,6 +137,20 @@ class TestSolveRoundtrip:
         assert code == 4
         assert "FAILED" in capsys.readouterr().out
 
+    def test_verify_derives_J_upper(self, problem_file, tmp_path, capsys):
+        out = str(tmp_path / "run")
+        assert cli.run_command(["solve", "--problem", problem_file,
+                                "--gamma", "0.5", "--out", out]) == 0
+        sol_path = tmp_path / "run" / "solution.json"
+        doc = json.loads(sol_path.read_text())
+        doc["J_upper"] *= 10.0
+        sol_path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        code = cli.run_command(["verify", "--problem", problem_file,
+                                "--solution", str(sol_path)])
+        assert code == 4
+        assert "J_upper: FAILED" in capsys.readouterr().out
+
     def test_unconverged_exit_code_still_writes(self, problem_file,
                                                 tmp_path):
         out = str(tmp_path / "short")
@@ -202,6 +216,25 @@ class TestBadInputs:
         assert code == 2
 
 
+    def test_negative_gamma(self, problem_file, tmp_path, capsys):
+        code = cli.run_command(["solve", "--problem", problem_file,
+                                "--gamma", "-1", "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "gamma" in capsys.readouterr().err
+
+    def test_negative_gamma_in_sweep(self, problem_file, tmp_path, capsys):
+        code = cli.run_command(["sweep", "--problem", problem_file,
+                                "--gammas", "50,-1",
+                                "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "gamma" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "rows").exists()
+
+
+def _failing_run(*args):
+    raise ValueError("worker failure")
+
+
 class TestSweep:
     def test_serial_merge_keeps_input_order(self, problem_file, tmp_path):
         out = str(tmp_path / "sw")
@@ -224,6 +257,17 @@ class TestSweep:
         rows = json.loads((tmp_path / "swp" / "sweep.json").read_text())
         assert len(rows) == 2
         assert all(row["status"] == "converged" for row in rows)
+
+
+    def test_worker_error_is_not_rerun_serially(self, problem_file, tmp_path,
+                                                monkeypatch, caplog):
+        # Workers fork from this process and inherit the patched solver.
+        monkeypatch.setattr(cli, "_run_one", _failing_run)
+        with pytest.raises(ValueError, match="worker failure"):
+            cli.run_command(["sweep", "--problem", problem_file,
+                             "--gammas", "0.3,0.5",
+                             "--out", str(tmp_path / "swe")])
+        assert "running serially" not in caplog.text
 
 
 class TestSimulate:

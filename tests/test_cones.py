@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sparselq import cones
-from sparselq.errors import NotPositiveDefinite
 
 
 def random_sym(rng, d):
@@ -11,18 +10,15 @@ def random_sym(rng, d):
     return 0.5 * (S + S.T)
 
 
-def test_factor_reconstructs():
-    rng = np.random.default_rng(0)
-    S = random_sym(rng, 6)
-    f = cones.factor_symmetric(S)
-    np.testing.assert_allclose(f.reconstruct(), S, atol=1e-12)
-
-
 def test_factor_symmetrizes_input():
+    # project_psd factors the symmetric part of its input.
     G = np.array([[1.0, 4.0], [0.0, 2.0]])
-    f = cones.factor_symmetric(G)
-    np.testing.assert_allclose(f.reconstruct(), [[1.0, 2.0], [2.0, 2.0]],
-                               atol=1e-14)
+    np.testing.assert_allclose(cones.project_psd(G),
+                               cones.project_psd(0.5 * (G + G.T)), atol=1e-14)
+    # a nonsymmetric input whose symmetric part is PSD projects onto it
+    np.testing.assert_allclose(
+        cones.project_psd(np.array([[2.0, 2.0], [0.0, 2.0]])),
+        [[2.0, 1.0], [1.0, 2.0]], atol=1e-14)
 
 
 class TestProjectPsd:
@@ -76,24 +72,3 @@ def test_extreme_eigenvalues():
     assert cones.max_eigenvalue(S) == pytest.approx(5.0)
     assert cones.min_eigenvalue(S) == pytest.approx(-2.0)
 
-
-class TestSpdFactor:
-    def test_solve_matches_dense(self):
-        rng = np.random.default_rng(3)
-        G = rng.standard_normal((6, 6))
-        M = G @ G.T + 6 * np.eye(6)
-        q = rng.standard_normal(6)
-        f = cones.SpdFactor(M)
-        np.testing.assert_allclose(f.solve(q), np.linalg.solve(M, q),
-                                   atol=1e-10)
-        np.testing.assert_allclose(f.inverse() @ M, np.eye(6), atol=1e-10)
-
-    def test_solve_spd_helper(self):
-        M = np.array([[4.0, 1.0], [1.0, 3.0]])
-        q = np.array([1.0, 2.0])
-        np.testing.assert_allclose(cones.solve_spd(M, q),
-                                   np.linalg.solve(M, q), atol=1e-12)
-
-    def test_rejects_indefinite(self):
-        with pytest.raises(NotPositiveDefinite):
-            cones.SpdFactor(np.diag([1.0, -1.0]))

@@ -22,11 +22,13 @@ class TestDualData:
         assert data.sigma2 == pytest.approx(eta_f / (2 * alpha))
 
     def test_curvature_is_spd(self):
-        _, data, _, _ = assemble(1)
-        w = np.linalg.eigvalsh(data.M_mat)
-        assert w[0] > 0
-        np.testing.assert_allclose(data.Minv @ data.M_mat,
-                                   np.eye(data.M_mat.shape[0]), atol=1e-10)
+        # M = 2 sigma1 diag(gram) + 2 sigma2 I is positive and diagonal;
+        # minv is its inverse, entry by entry.
+        lifted, data, _, _ = assemble(1)
+        M = 2 * data.sigma1 * lifted.gram_diag + 2 * data.sigma2
+        assert np.all(data.minv > 0)
+        np.testing.assert_allclose(data.minv * M, 1.0, rtol=1e-14)
+        assert data.rho0 == data.minv.max()
 
     def test_rejects_nonpositive_parameters(self):
         rng = np.random.default_rng(2)
@@ -40,7 +42,7 @@ class TestDualData:
         data2, cache2 = inner.assemble_dual_data(lifted, d_k, w_k, v_tilde,
                                                  a, t, e, cache=cache)
         assert cache2 is cache
-        np.testing.assert_array_equal(data2.Minv, data.Minv)
+        np.testing.assert_array_equal(data2.minv, data.minv)
         # a different sigma pair rebuilds
         _, cache3 = inner.assemble_dual_data(lifted, d_k, w_k, v_tilde,
                                              2 * a, t, e, cache=cache)
@@ -72,10 +74,10 @@ class TestSweeps:
         state = inner.zero_state(lifted)
         for _ in range(10):
             state = inner.sgs_sweep(state, data)
-            S0 = inner.unsvec(state.x0, lifted.svec_p, iso=True)
+            S0 = inner.unsvec(state.x0, lifted.svec_p)
             assert np.linalg.eigvalsh(S0)[0] >= -1e-10
             for x in state.x_list:
-                S = inner.unsvec(x, lifted.svec_n, iso=True)
+                S = inner.unsvec(x, lifted.svec_n)
                 assert np.linalg.eigvalsh(S)[0] >= -1e-10
 
 

@@ -4,6 +4,8 @@ import pytest
 from sparselq import model, vectorize
 from sparselq.errors import AssumptionViolated, DimensionMismatch
 
+from conftest import dense_equality_operator, ex1_matrices, ex2_matrices, lift
+
 
 def unit_cost(n, m):
     C = np.vstack([np.eye(n), np.zeros((m, n))])
@@ -67,6 +69,21 @@ class TestValidatePlant:
                 A=np.eye(2), B2=np.ones((2, 1)), B1=B1, C=C, D=D))
         assert exc.value.which == "B1B1t"
 
+    def test_rejects_non_finite_entries(self):
+        C, D = unit_cost(2, 1)
+        A = np.eye(2)
+        A[0, 1] = np.nan
+        with pytest.raises(AssumptionViolated) as exc:
+            model.validate_plant(model.PlantData(
+                A=A, B2=np.ones((2, 1)), B1=np.eye(2), C=C, D=D))
+        assert exc.value.which == "finite"
+        vertex = (np.eye(2), np.array([[np.inf], [1.0]]))
+        with pytest.raises(AssumptionViolated) as exc:
+            model.validate_plant(model.PlantData(
+                A=np.eye(2), B2=np.ones((2, 1)), B1=np.eye(2), C=C, D=D,
+                vertices=((np.eye(2), np.ones((2, 1))), vertex)))
+        assert exc.value.which == "finite"
+
     def test_default_vertex_is_nominal(self):
         C, D = unit_cost(2, 1)
         vp = model.validate_plant(model.PlantData(
@@ -93,11 +110,18 @@ class TestLiftedStructure:
         np.testing.assert_array_equal(lp.R[:n, n:], 0.0)
 
     def test_selectors(self, ex1_lifted):
+        # The constraint block is the leading n x n block of
+        # F W + W F^T + Q; the gain part is the bottom-left m x n block.
         lp = ex1_lifted
+        n = lp.n
         rng = np.random.default_rng(0)
         W = rng.standard_normal((lp.p, lp.p))
-        np.testing.assert_array_equal(lp.V2 @ W @ lp.V1.T,
-                                      W[:lp.n, lp.n:])
+        F = lp.F_list[0]
+        np.testing.assert_array_equal(lp.theta_block(W, 0),
+                                      (F @ W + (F @ W).T + lp.Q)[:n, :n])
+        np.testing.assert_array_equal(
+            lp.gain_part(W.reshape(-1, order="F")),
+            W[n:, :n].reshape(-1, order="F"))
 
     def test_theta_block_matches_closed_loop(self, ex1_lifted):
         # For W built from a gain K and diagonal W1, the constraint block
@@ -125,15 +149,15 @@ class TestLiftedStructure:
         rng = np.random.default_rng(2)
         S = rng.standard_normal((lp.p, lp.p))
         W = 0.5 * (S + S.T)
-        s = vectorize.svec(W, lp.svec_p, iso=True)
+        s = vectorize.svec(W, lp.svec_p)
         for i, F in enumerate(lp.F_list):
             blk = (F @ W + W @ F.T)[:lp.n, :lp.n]
             np.testing.assert_allclose(
                 lp.J_list[i] @ s,
-                vectorize.svec(blk, lp.svec_n, iso=True), atol=1e-12)
+                vectorize.svec(blk, lp.svec_n), atol=1e-12)
         np.testing.assert_allclose(
             lp.kappa_q,
-            vectorize.svec(lp.Q[:lp.n, :lp.n], lp.svec_n, iso=True),
+            vectorize.svec(lp.Q[:lp.n, :lp.n], lp.svec_n),
             atol=1e-14)
 
     def test_two_vertex_lift(self, ex1_lifted):
@@ -170,10 +194,20 @@ class TestLiftedStructure:
             lp.gain_part(v),
             W[lp.n:, :lp.n].reshape(-1, order="F"))
 
-    def test_gram_consistency(self, ex1_lifted):
-        lp = ex1_lifted
-        np.testing.assert_allclose(lp.gram_AD1, lp.AD1.T @ lp.AD1,
-                                   atol=1e-12)
+    def test_gram_consistency(self):
+        # Each equality row reads one entry of W, so the Gram matrix of
+        # A D (D the isometric duplication map) is exactly diagonal, and
+        # gram_diag is its diagonal, with and without forced zeros.
+        cases = [(ex1_matrices(), ()), (ex1_matrices(), ((0, 1), (1, 2))),
+                 (ex2_matrices(), ((1, 3),))]
+        for mats, forced in cases:
+            lp = lift(mats, forced)
+            A, _ = dense_equality_operator(lp.op)
+            AD = A @ lp.svec_p.D_iso.toarray()
+            gram = AD.T @ AD
+            np.testing.assert_array_equal(gram - np.diag(np.diag(gram)), 0.0)
+            np.testing.assert_array_equal(np.diag(gram), lp.gram_diag)
+            assert set(np.round(lp.gram_diag, 12)) <= {0.0, 0.5, 1.0}
 
     def test_forced_zeros_threaded(self):
         C, D = unit_cost(2, 1)

@@ -5,6 +5,8 @@ from hypothesis import given, settings, strategies as st
 from sparselq import vectorize
 from sparselq.errors import ForcedZeroOutOfRange
 
+from conftest import dense_equality_operator
+
 
 def random_sym(rng, d):
     S = rng.standard_normal((d, d))
@@ -13,14 +15,16 @@ def random_sym(rng, d):
 
 @pytest.mark.parametrize("d", [1, 2, 3, 5, 8])
 def test_svec_roundtrip_both_conventions(d):
+    # svec is isometric; dividing out iso_scale gives the plain
+    # lower-triangle entries in the documented coordinate order.
     rng = np.random.default_rng(d)
     maps = vectorize.build_svec_maps(d)
     S = random_sym(rng, d)
-    for iso in (True, False):
-        s = vectorize.svec(S, maps, iso=iso)
-        assert s.shape == (d * (d + 1) // 2,)
-        back = vectorize.unsvec(s, maps, iso=iso)
-        np.testing.assert_allclose(back, S, atol=1e-14)
+    s = vectorize.svec(S, maps)
+    assert s.shape == (d * (d + 1) // 2,)
+    np.testing.assert_allclose(vectorize.unsvec(s, maps), S, atol=1e-14)
+    plain = [S[i, j] for j in range(d) for i in range(j, d)]
+    np.testing.assert_allclose(s / maps.iso_scale, plain, atol=1e-14)
 
 
 @pytest.mark.parametrize("d", [2, 3, 6])
@@ -29,24 +33,22 @@ def test_iso_coordinates_preserve_norms(d):
     maps = vectorize.build_svec_maps(d)
     S = random_sym(rng, d)
     T = random_sym(rng, d)
-    s, t = (vectorize.svec(M, maps, iso=True) for M in (S, T))
+    s, t = (vectorize.svec(M, maps) for M in (S, T))
     assert np.isclose(s @ t, np.sum(S * T), atol=1e-12)
     assert np.isclose(np.linalg.norm(s), np.linalg.norm(S, "fro"), atol=1e-12)
 
 
 def test_maps_match_fancy_indexing():
+    # The duplication map and the fancy-index svec/unsvec describe the
+    # same coordinates: D_iso svec(S) = vec(S) and D_iso^T vec(S) = svec(S).
     d = 4
     rng = np.random.default_rng(3)
     maps = vectorize.build_svec_maps(d)
     S = random_sym(rng, d)
     v = S.reshape(-1, order="F")
-    np.testing.assert_allclose(maps.T_iso @ v,
-                               vectorize.svec(S, maps, iso=True), atol=1e-14)
-    np.testing.assert_allclose(maps.T_plain @ v,
-                               vectorize.svec(S, maps, iso=False), atol=1e-14)
-    s = vectorize.svec(S, maps, iso=True)
-    np.testing.assert_allclose((maps.D_iso @ s).reshape(d, d, order="F"),
-                               S, atol=1e-14)
+    s = vectorize.svec(S, maps)
+    np.testing.assert_allclose(maps.D_iso @ s, v, atol=1e-14)
+    np.testing.assert_allclose(maps.D_iso.T @ v, s, atol=1e-14)
 
 
 def test_duplication_is_isometry_adjoint():
@@ -57,21 +59,22 @@ def test_duplication_is_isometry_adjoint():
     maps = vectorize.build_svec_maps(d)
     G = rng.standard_normal((d, d))
     lhs = maps.D_iso.T @ G.reshape(-1, order="F")
-    rhs = vectorize.svec(0.5 * (G + G.T), maps, iso=True)
+    rhs = vectorize.svec(0.5 * (G + G.T), maps)
     np.testing.assert_allclose(np.asarray(lhs).ravel(), rhs, atol=1e-14)
 
 
 def test_diag_constraint_pairs_pick_strict_upper():
-    n, p = 3, 5
-    pairs = vectorize.build_diag_constraints(n, p)
-    assert len(pairs) == n * (n - 1) // 2
+    # The diagonal-constraint rows of apply_A read the strict upper
+    # triangle of the leading block, row-major.
+    n, m = 3, 2
+    p = n + m
+    op = vectorize.assemble_constraint_operator(n, m)
+    assert op.n_diag == n * (n - 1) // 2
     rng = np.random.default_rng(5)
     W = rng.standard_normal((p, p))
-    seen = []
-    for v1, v2 in pairs:
-        seen.append((v1 @ W @ v2).item())
+    seen = op.apply_A(W.reshape(-1, order="F"))[:op.n_diag]
     expected = [W[i, j] for i in range(n) for j in range(i + 1, n)]
-    np.testing.assert_allclose(seen, expected)
+    np.testing.assert_array_equal(seen, expected)
 
 
 class TestConstraintOperator:
@@ -87,14 +90,15 @@ class TestConstraintOperator:
 
     def test_fast_paths_match_matrices(self):
         op = self.op
+        A, B = dense_equality_operator(op)
         rng = np.random.default_rng(6)
         x = rng.standard_normal(25)
         lam = rng.standard_normal(op.n_rows)
         w = rng.standard_normal(6)
-        np.testing.assert_allclose(op.apply_A(x), op.A_op @ x)
-        np.testing.assert_allclose(op.apply_At(lam), op.A_op.T @ lam)
-        np.testing.assert_allclose(op.apply_B(w), op.B_op @ w)
-        np.testing.assert_allclose(op.apply_Bt(lam), op.B_op.T @ lam)
+        np.testing.assert_allclose(op.apply_A(x), A @ x)
+        np.testing.assert_allclose(op.apply_At(lam), A.T @ lam)
+        np.testing.assert_allclose(op.apply_B(w), B @ w)
+        np.testing.assert_allclose(op.apply_Bt(lam), B.T @ lam)
 
     def test_gain_rows_extract_lower_left_block(self):
         op = self.op
@@ -123,8 +127,9 @@ class TestConstraintOperator:
                           atol=1e-10)
 
     def test_norm_B_is_exact(self):
-        dense = np.asarray(self.op.B_op.todense())
-        assert np.isclose(np.linalg.norm(dense, 2), self.op.norm_B)
+        op = self.op
+        dense = np.column_stack([op.apply_B(e) for e in np.eye(op.n_gain)])
+        assert np.isclose(np.linalg.norm(dense, 2), op.norm_B)
 
 
 def test_forced_zero_out_of_range():
@@ -137,5 +142,3 @@ def test_forced_zero_out_of_range():
 def test_bad_order_rejected():
     with pytest.raises(ValueError):
         vectorize.build_svec_maps(0)
-    with pytest.raises(ValueError):
-        vectorize.build_diag_constraints(4, 3)
