@@ -1,8 +1,20 @@
 """Cone and linear-algebra kernels shared by the solvers."""
 
 import numpy as np
+from scipy.linalg.lapack import dsyevd
 
 from .errors import EigFailure
+
+
+def sym_eigh(S):
+    """np.linalg.eigh(S) without its per-call checks, which cost more than
+    LAPACK dsyevd on the small blocks of the inner solver.  Reads the
+    lower triangle; a failed decomposition goes to np.linalg.eigh, which
+    raises LinAlgError."""
+    w, V, info = dsyevd(S, lower=1)
+    if info != 0:
+        return np.linalg.eigh(S)
+    return w, V
 
 
 def project_psd(S):
@@ -19,19 +31,18 @@ def project_psd(S):
     return 0.5 * (P + P.T)
 
 
-def max_eigenvalue(S):
-    """Largest eigenvalue of a symmetric matrix."""
-    S = 0.5 * (S + S.T)
+def _eigvalsh(S):
     try:
-        return float(np.linalg.eigvalsh(S)[-1])
+        return np.linalg.eigvalsh(0.5 * (S + S.T))
     except np.linalg.LinAlgError as exc:
         raise EigFailure(str(exc)) from exc
+
+
+def max_eigenvalue(S):
+    """Largest eigenvalue of a symmetric matrix."""
+    return float(_eigvalsh(S)[-1])
 
 
 def min_eigenvalue(S):
     """Smallest eigenvalue of a symmetric matrix."""
-    S = 0.5 * (S + S.T)
-    try:
-        return float(np.linalg.eigvalsh(S)[0])
-    except np.linalg.LinAlgError as exc:
-        raise EigFailure(str(exc)) from exc
+    return float(_eigvalsh(S)[0])

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cones import max_eigenvalue
+from .cones import max_eigenvalue, sym_eigh
 from .errors import MaxSweepsExceeded
 from .vectorize import svec, unsvec
 
@@ -125,7 +125,7 @@ def assemble_dual_data(lifted, d_k, w_k, v_tilde_k, alpha_k, theta_k, eta_f_k,
     g0 = _sym_svec(d_k, lifted.svec_p)
     s_tilde = _sym_svec(v_tilde_k, lifted.svec_p)
     b_tilde = lifted.op.apply_B(w_k)
-    ADt_b = lifted.svec_p.D_iso.T @ lifted.op.apply_At(b_tilde)
+    ADt_b = _sym_svec(lifted.op.apply_At(b_tilde), lifted.svec_p)
     q = -2.0 * sigma1 * ADt_b + 2.0 * sigma2 * s_tilde
 
     return DualData(lifted=lifted, sigma1=sigma1, sigma2=sigma2,
@@ -137,7 +137,7 @@ def assemble_dual_data(lifted, d_k, w_k, v_tilde_k, alpha_k, theta_k, eta_f_k,
 def _project(x, maps):
     """PSD projection in isometric coordinates: unpack, clamp, repack."""
     S = unsvec(x, maps)
-    w, V = np.linalg.eigh(S)
+    w, V = sym_eigh(S)
     if w[0] >= 0.0:
         return x
     S = (V * np.maximum(w, 0.0)) @ V.T
@@ -187,14 +187,14 @@ def dual_residual(state, data):
     """Relative fixed-point error of the projected optimality map."""
     lifted = data.lifted
     grad0, grads = block_gradients(state, data)
-    moved = _project(state.x0 - grad0, lifted.svec_p)
-    err = np.linalg.norm(state.x0 - moved) / (
-        1.0 + np.linalg.norm(state.x0) + np.linalg.norm(grad0))
-    for x, g in zip(state.x_list, grads):
-        moved = _project(x - g, lifted.svec_n)
-        e = np.linalg.norm(x - moved) / (1.0 + np.linalg.norm(x) + np.linalg.norm(g))
-        err = max(err, e)
-    return float(err)
+    blocks = [(state.x0, grad0, lifted.svec_p)]
+    blocks += [(x, g, lifted.svec_n) for x, g in zip(state.x_list, grads)]
+    errs = []
+    for x, g, maps in blocks:
+        # norms as sqrt(v @ v), the value np.linalg.norm returns
+        r = x - _project(x - g, maps)
+        errs.append(np.sqrt(r @ r) / (1.0 + np.sqrt(x @ x) + np.sqrt(g @ g)))
+    return float(max(errs))
 
 
 def dual_objective(state, data):
@@ -241,9 +241,9 @@ def solve_inner(lifted, d_k, w_k, v_tilde_k, alpha_k, theta_k, eta_f_k,
         sweeps += 1
         err = dual_residual(state, data)
         if err < eps:
-            s = recover_primal(data, state)
-            v = unsvec(s, lifted.svec_p).reshape(-1, order="F")
-            return v, sweeps, state, cache
+            break
     s = recover_primal(data, state)
     v = unsvec(s, lifted.svec_p).reshape(-1, order="F")
+    if err < eps:
+        return v, sweeps, state, cache
     raise MaxSweepsExceeded(v=v, residual=err, state=state, sweeps=sweeps)

@@ -29,8 +29,9 @@ class SvecMaps:
     """Half-vectorization data for symmetric matrices of order d.
 
     idx_i, idx_j give the (row, column) of each coordinate and iso_scale
-    holds 1 on diagonal coordinates and sqrt(2) off it, so svec/unsvec
-    run as fancy indexing.  D_iso (d^2 x t) is the duplication map:
+    holds 1 on diagonal coordinates and sqrt(2) off it; coord[i, j] is
+    the coordinate that holds S[i, j] and S[j, i].  svec/unsvec run as
+    fancy indexing.  D_iso (d^2 x t) is the duplication map:
     D_iso @ svec(S) = vec(S), and D_iso^T vec(G) = svec of the
     symmetric part of G.
     """
@@ -40,6 +41,7 @@ class SvecMaps:
     idx_i: np.ndarray = field(repr=False)
     idx_j: np.ndarray = field(repr=False)
     iso_scale: np.ndarray = field(repr=False)
+    coord: np.ndarray = field(repr=False)
 
     @property
     def size(self):
@@ -51,29 +53,22 @@ def build_svec_maps(d):
     if d < 1:
         raise ValueError("matrix order must be >= 1")
     t = d * (d + 1) // 2
-    idx_i = np.empty(t, dtype=np.int64)
-    idx_j = np.empty(t, dtype=np.int64)
-    r = 0
-    for j in range(d):
-        for i in range(j, d):
-            idx_i[r] = i
-            idx_j[r] = j
-            r += 1
-    diag = idx_i == idx_j
-    iso_scale = np.where(diag, 1.0, _SQRT2)
+    # (row, column) of each coordinate, in the order of the module
+    # docstring: the upper-triangle pairs (j, i) come out row-major.
+    idx_j, idx_i = np.triu_indices(d)
+    iso_scale = np.where(idx_i == idx_j, 1.0, _SQRT2)
+    coord = np.empty((d, d), dtype=np.int64)
+    coord[idx_i, idx_j] = coord[idx_j, idx_i] = np.arange(t)
 
-    # Column-major vec index of S[i, j] is i + j*d.  D writes both
-    # triangles and splits 1/sqrt(2) per side off the diagonal.
-    lower = idx_i + idx_j * d
-    upper = idx_j + idx_i * d
-    rows_t = np.arange(t)
-    rows_d = np.concatenate([lower, upper[~diag]])
-    cols_d = np.concatenate([rows_t, rows_t[~diag]])
-    vals = np.concatenate([1.0 / iso_scale, np.full((~diag).sum(), 1.0 / _SQRT2)])
-    D_iso = sp.csr_matrix((vals, (rows_d, cols_d)), shape=(d * d, t))
+    # Row i + j*d of D (the vec entry S[i, j]) reads coordinate
+    # coord[i, j] and undoes its scale.
+    cols = coord.ravel(order="F")
+    D_iso = sp.csr_matrix((1.0 / iso_scale[cols], (np.arange(d * d), cols)),
+                          shape=(d * d, t))
 
     return SvecMaps(dim=d, D_iso=D_iso,
-                    idx_i=idx_i, idx_j=idx_j, iso_scale=iso_scale)
+                    idx_i=idx_i, idx_j=idx_j, iso_scale=iso_scale,
+                    coord=coord)
 
 
 def svec(S, maps):
@@ -83,12 +78,7 @@ def svec(S, maps):
 
 def unsvec(s, maps):
     """Rebuild the symmetric matrix from its isometric half-vectorization."""
-    vals = s / maps.iso_scale
-    d = maps.dim
-    S = np.zeros((d, d))
-    S[maps.idx_i, maps.idx_j] = vals
-    S[maps.idx_j, maps.idx_i] = vals
-    return S
+    return (s / maps.iso_scale)[maps.coord]
 
 
 @dataclass(frozen=True)

@@ -72,3 +72,30 @@ def test_extreme_eigenvalues():
     assert cones.max_eigenvalue(S) == pytest.approx(5.0)
     assert cones.min_eigenvalue(S) == pytest.approx(-2.0)
 
+
+
+class TestSymEigh:
+    @pytest.mark.parametrize("d", [1, 2, 3, 5, 6])
+    def test_matches_numpy(self, d):
+        rng = np.random.default_rng(d)
+        for _ in range(50):
+            S = random_sym(rng, d)
+            w, V = cones.sym_eigh(S)
+            np.testing.assert_allclose(w, np.linalg.eigvalsh(S),
+                                       rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose((V * w) @ V.T, S, atol=1e-12)
+            np.testing.assert_allclose(V.T @ V, np.eye(d), atol=1e-12)
+
+    def test_reads_lower_triangle(self):
+        S = np.array([[1.0, 9.0], [2.0, 3.0]])
+        np.testing.assert_array_equal(cones.sym_eigh(S)[0],
+                                      np.linalg.eigh(S)[0])
+
+    def test_non_finite_input_like_numpy(self):
+        # LAPACK fails on an all-NaN matrix: LinAlgError, as from numpy
+        with pytest.raises(np.linalg.LinAlgError):
+            cones.sym_eigh(np.full((3, 3), np.nan))
+        # it returns NaN factors for a single NaN pair, as numpy does
+        S = np.array([[1.0, np.nan], [np.nan, 2.0]])
+        assert np.isnan(cones.sym_eigh(S)[0]).all()
+        assert np.isnan(np.linalg.eigh(S)[0]).all()
