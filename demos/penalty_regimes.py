@@ -3,25 +3,20 @@
 Both regimes solve the same lifted problem; the piecewise quadratic
 penalty is strongly convex near the origin, which switches the scalar
 schedule from the 1/k decay to an accelerated 1/k^2 decay.  At the
-default settings (periodic restarts on) that shows up as a solid
-iteration-count gap; with restarts disabled on a long run the gap
-grows to two orders of magnitude.  The script solves a chain of
-integrators under both regimes and reports iteration counts and the
-log-log slope of the primal residual tail.
+default settings the periodic restart at iteration 2000 resets both
+averages, and both runs stop soon after it, so their iteration counts
+come out close; with restarts disabled on a long run the gap grows to
+two orders of magnitude (criterion 4 of tests/test_acceptance.py).  The
+script solves a chain of integrators under both regimes and reports
+iteration counts and the log-log slope of the primal residual tail.
 
 Run:  python3 demos/penalty_regimes.py
 """
-
-import logging
 
 import numpy as np
 
 from sparselq import (PlantData, lift_plant, regime_l1, regime_pq,
                       solve_relaxed, validate_plant)
-
-# the accelerated run logs a sweep-budget note on many late iterations;
-# keep the comparison table readable
-logging.getLogger("sparselq").setLevel(logging.ERROR)
 
 A = np.array([[0.0, 1.0, 0.0],
               [0.0, 0.0, 1.0],
@@ -52,7 +47,7 @@ for name, regime in [("l1", regime_l1(10.0)), ("pq", regime_pq(10.0))]:
           f"{tail_slope(sol.trace):+.2f}, certified {sol.certified}")
 
 ratio = results["l1"].iterations / results["pq"].iterations
-print(f"\nthe strongly convex regime needed {ratio:.0f}x fewer iterations")
-print("(the certificate is checked per run; the accelerated schedule "
-      "makes the\ninner subproblems harder late in the run, so its "
-      "certificate can come back\nlooser than the slow regime's)")
+print(f"\nthe strongly convex regime needed {ratio:.1f}x fewer iterations")
+print("(each run is certified on its own; the accelerated schedule makes "
+      "the late\ninner subproblems stiffer, and the extrapolated inner "
+      "sweeps still solve them\nto tolerance)")

@@ -17,7 +17,7 @@ from .errors import (K0NotStabilizing, NoConvergence, NotHurwitz,
 from .model import PlantData, ValidatedPlant, validate_plant
 
 TRACE_COLUMNS = ("iter", "theta", "alpha", "primal_res", "dual_res",
-                 "objective", "inner_sweeps", "wall_ms")
+                 "objective", "inner_sweeps", "wall_ms", "inner_capped")
 
 STAGE_TRACE_COLUMNS = ("sigma", "pass", "h_sigma", "nnz")
 

@@ -16,7 +16,8 @@ The problem file holds flat row-major matrices:
 
 B1 defaults to the identity; C and D default to [I; 0] and [0; I], the
 unit-weight quadratic cost.  Unknown keys are rejected rather than
-ignored.  Exit codes: 0 success, 2 bad input, 3 solver did not converge,
+ignored.  Exit codes: 0 success, 2 bad input, 3 solver did not converge
+(in a sweep: some gamma did not converge or failed with an error row),
 4 verification failed.
 """
 
@@ -38,8 +39,20 @@ _PROBLEM_KEYS = {"n", "m", "A", "B2", "B1", "C", "D", "vertices",
                  "forced_zeros"}
 
 
+def _converted(convert, value, name):
+    """convert(value), with a conversion error reported as bad input."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"{name}: {exc}") from exc
+
+
+def _array(flat, name):
+    return _converted(lambda v: np.asarray(v, dtype=float), flat, name)
+
+
 def _matrix(flat, rows, cols, name):
-    arr = np.asarray(flat, dtype=float)
+    arr = _array(flat, name)
     if arr.size != rows * cols:
         raise ParseError(f"{name}: expected {rows * cols} entries "
                          f"({rows}x{cols}), got {arr.size}")
@@ -60,13 +73,13 @@ def parse_problem(text):
     for key in ("n", "m", "A", "B2"):
         if key not in doc:
             raise ParseError(f"problem file is missing {key!r}")
-    n, m = int(doc["n"]), int(doc["m"])
+    n, m = _converted(int, doc["n"], "n"), _converted(int, doc["m"], "m")
     if n < 1 or m < 1:
         raise ParseError("need n >= 1 and m >= 1")
     A = _matrix(doc["A"], n, n, "A")
     B2 = _matrix(doc["B2"], n, m, "B2")
     if "B1" in doc:
-        arr = np.asarray(doc["B1"], dtype=float)
+        arr = _array(doc["B1"], "B1")
         if arr.size % n:
             raise ParseError(f"B1: length {arr.size} is not a multiple of n")
         B1 = arr.reshape(n, arr.size // n)
@@ -75,7 +88,7 @@ def parse_problem(text):
     if ("C" in doc) != ("D" in doc):
         raise ParseError("C and D must be given together")
     if "C" in doc:
-        arrC = np.asarray(doc["C"], dtype=float)
+        arrC = _array(doc["C"], "C")
         if arrC.size % n:
             raise ParseError(f"C: length {arrC.size} is not a multiple of n")
         q = arrC.size // n
@@ -98,7 +111,8 @@ def parse_problem(text):
                 raise ParseError(f"vertex {idx} needs both A and B2")
             vertices.append((_matrix(vert["A"], n, n, f"vertex {idx} A"),
                              _matrix(vert["B2"], n, m, f"vertex {idx} B2")))
-    forced = tuple((int(i), int(j)) for i, j in doc.get("forced_zeros", ()))
+    forced = _converted(lambda fz: tuple((int(i), int(j)) for i, j in fz),
+                        doc.get("forced_zeros", ()), "forced_zeros")
     plant = model.PlantData(A=A, B2=B2, B1=B1, C=C, D=D,
                             vertices=vertices)
     return plant, forced
@@ -231,10 +245,19 @@ def _sweep_worker(payload):
     except NotConverged as exc:
         sol = exc.solution
         code = 3
-    row = {"gamma": gamma, "status": sol.status, "J_upper": sol.J_upper,
-           "J_worst": float(np.max(sol.J_vertex)), "n_zeros": sol.n_zeros,
-           "iterations": sol.iterations, "certified": sol.certified,
-           "K": sol.K.tolist()}
+    except SparseLQError as exc:
+        # this gamma failed inside the solve; the other rows still merge
+        log.warning("gamma=%g: %s", gamma, exc)
+        sol, code, message = None, 3, str(exc)
+    if sol is None:
+        row = {"gamma": gamma, "status": "error", "message": message,
+               "J_upper": None, "J_worst": None, "n_zeros": None,
+               "iterations": None, "certified": False, "K": None}
+    else:
+        row = {"gamma": gamma, "status": sol.status, "J_upper": sol.J_upper,
+               "J_worst": float(np.max(sol.J_vertex)),
+               "n_zeros": sol.n_zeros, "iterations": sol.iterations,
+               "certified": sol.certified, "K": sol.K.tolist()}
     tmp = row_path + ".tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
         json.dump(_jsonable(row), fh)
@@ -291,8 +314,11 @@ def cmd_sweep(args):
                              row["n_zeros"], row["iterations"],
                              row["status"], row["certified"]))
     for row in rows:
-        print(f"gamma={row['gamma']:g}: J_upper={row['J_upper']:.6g} "
-              f"zeros={row['n_zeros']} status={row['status']}")
+        if row["status"] == "error":
+            print(f"gamma={row['gamma']:g}: status=error {row['message']}")
+        else:
+            print(f"gamma={row['gamma']:g}: J_upper={row['J_upper']:.6g} "
+                  f"zeros={row['n_zeros']} status={row['status']}")
     return max(codes)
 
 

@@ -69,14 +69,15 @@ class TooLarge(SparseLQError):
 class MaxSweepsExceeded(SparseLQError):
     """Inner solver hit its sweep cap.
 
-    Carries the best iterate so the caller may accept it with a warning.
+    Carries the last sweep output (never an extrapolated point, so it
+    lies in the cones) so the caller may accept it with a warning.
 
     Attributes
     ----------
     v : ndarray
-        Vectorized primal recovered from the best multiplier state.
+        Vectorized primal recovered from that multiplier state.
     residual : float
-        Dual residual at the best state.
+        Dual residual at that state.
     state : DualState
         The multiplier state itself (usable as a warm start).
     sweeps : int

@@ -291,7 +291,8 @@ def solve_relaxed(lifted, regime, options=SolverOptions(), init=None):
                 regime.penalty)
             trace.append((state.k, state.theta, state.alpha, pr, dr, obj,
                           state.last_sweeps,
-                          (time.perf_counter() - t0) * 1e3))
+                          (time.perf_counter() - t0) * 1e3,
+                          int(state.last_inner_capped)))
         if stop:
             # The residual pair only watches the equality rows; before
             # accepting, require the averaged iterate to satisfy the cone

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from sparselq import analysis, cli, model
-from sparselq.errors import ParseError, UnknownKey
+from sparselq.errors import EigFailure, ParseError, UnknownKey
 
 from conftest import feasible_instance
 
@@ -90,6 +90,24 @@ class TestParseProblem:
         del doc["B2"]
         with pytest.raises(ParseError):
             cli.parse_problem(json.dumps(doc))
+
+    def test_rejects_non_integer_size(self):
+        doc = small_problem_doc()
+        doc["n"] = "abc"
+        with pytest.raises(ParseError, match="n"):
+            cli.parse_problem(json.dumps(doc))
+
+    def test_rejects_non_numeric_entry(self, tmp_path, capsys):
+        doc = small_problem_doc()
+        doc["A"] = ["x"]
+        with pytest.raises(ParseError, match="A"):
+            cli.parse_problem(json.dumps(doc))
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code = cli.run_command(["solve", "--problem", str(path),
+                                "--gamma", "1.0", "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "A" in capsys.readouterr().err
 
     def test_forced_zeros_reach_the_lift(self, tmp_path):
         doc = small_problem_doc()
@@ -235,6 +253,15 @@ def _failing_run(*args):
     raise ValueError("worker failure")
 
 
+_solve_run = cli._run_one
+
+
+def _eig_failure_at_gamma_half(lifted, relaxation, gamma, args):
+    if gamma == 0.5:
+        raise EigFailure("eigendecomposition failed")
+    return _solve_run(lifted, relaxation, gamma, args)
+
+
 class TestSweep:
     def test_serial_merge_keeps_input_order(self, problem_file, tmp_path):
         out = str(tmp_path / "sw")
@@ -268,6 +295,24 @@ class TestSweep:
                              "--gammas", "0.3,0.5",
                              "--out", str(tmp_path / "swe")])
         assert "running serially" not in caplog.text
+
+
+    def test_failed_gamma_keeps_the_other_rows(self, problem_file, tmp_path,
+                                               monkeypatch):
+        monkeypatch.setattr(cli, "_run_one", _eig_failure_at_gamma_half)
+        code = cli.run_command(["sweep", "--problem", problem_file,
+                                "--gammas", "0.3,0.5",
+                                "--out", str(tmp_path / "swf")])
+        assert code == 3
+        rows = json.loads((tmp_path / "swf" / "sweep.json").read_text())
+        assert [row["gamma"] for row in rows] == [0.3, 0.5]
+        assert rows[0]["status"] == "converged"
+        assert rows[1]["status"] == "error"
+        assert "eigendecomposition failed" in rows[1]["message"]
+        assert rows[1]["J_upper"] is None and rows[1]["iterations"] is None
+        with open(tmp_path / "swf" / "sweep.csv") as fh:
+            table = list(csv.reader(fh))
+        assert len(table) == 3 and table[2][5] == "error"
 
 
 class TestSimulate:

@@ -132,3 +132,54 @@ class TestSolveInner:
         assert err.v.shape == (lifted.p * lifted.p,)
         assert np.isfinite(err.residual)
         assert isinstance(err.state, inner.DualState)
+
+
+def stiff_instance():
+    """A 3-state, 2-input subproblem with sigma1 = alpha/(2 theta) = 250,
+    the regime the accelerated outer schedule drives the inner solve into."""
+    rng = np.random.default_rng(1)
+    lifted, d_k, w_k, v_tilde, _, _, eta_f = make_inner_instance(rng, 3, 2)
+    return lifted, (d_k, w_k, v_tilde, 5.0, 0.01, eta_f)
+
+
+def assert_in_cones(lifted, state):
+    assert np.linalg.eigvalsh(inner.unsvec(state.x0, lifted.svec_p))[0] >= -1e-10
+    for x in state.x_list:
+        assert np.linalg.eigvalsh(inner.unsvec(x, lifted.svec_n))[0] >= -1e-10
+
+
+class TestAcceleratedSolve:
+    eps = 1e-9
+
+    def test_fewer_sweeps_than_plain_loop_same_primal(self):
+        lifted, args = stiff_instance()
+        data, _ = inner.assemble_dual_data(lifted, *args)
+        state, plain = inner.zero_state(lifted), 0
+        while plain < 50000:
+            state = inner.sgs_sweep(state, data)
+            plain += 1
+            if inner.dual_residual(state, data) < self.eps:
+                break
+        assert inner.dual_residual(state, data) < self.eps
+        _, sweeps, acc_state, _ = inner.solve_inner(
+            lifted, *args, eps=self.eps, max_sweeps=50000)
+        assert sweeps <= plain / 3
+        np.testing.assert_allclose(inner.recover_primal(data, acc_state),
+                                   inner.recover_primal(data, state),
+                                   atol=1e-5)
+
+    def test_returned_state_is_a_sweep_output(self):
+        lifted, args = stiff_instance()
+        data, _ = inner.assemble_dual_data(lifted, *args)
+        _, _, state, _ = inner.solve_inner(lifted, *args, eps=self.eps,
+                                           max_sweeps=50000)
+        assert_in_cones(lifted, state)
+        assert inner.dual_residual(state, data) < self.eps
+
+    def test_capped_state_is_a_sweep_output(self):
+        lifted, args = stiff_instance()
+        for cap in (2, 7, 30):
+            with pytest.raises(MaxSweepsExceeded) as exc:
+                inner.solve_inner(lifted, *args, eps=1e-14, max_sweeps=cap)
+            assert exc.value.sweeps == cap
+            assert_in_cones(lifted, exc.value.state)

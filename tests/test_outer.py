@@ -1,7 +1,9 @@
+import csv
+
 import numpy as np
 import pytest
 
-from sparselq import model, outer
+from sparselq import analysis, cli, model, outer
 from sparselq.errors import NotConverged
 
 from conftest import feasible_instance
@@ -164,7 +166,7 @@ class TestSolveRelaxed:
     def test_trace_rows(self, ex1_g10):
         t = ex1_g10.trace
         assert len(t) == ex1_g10.iterations
-        assert all(len(row) == 8 for row in t)
+        assert all(len(row) == len(analysis.TRACE_COLUMNS) for row in t)
         ks = [row[0] for row in t]
         assert ks == list(range(1, len(t) + 1))
         # primal residual column settles below the tolerance scale
@@ -206,3 +208,18 @@ class TestSolveRelaxed:
         assert not err.solution.certified
         assert np.isfinite(err.primal_res)
         assert err.solution.iterations == 5
+
+    def test_capped_inner_solves_show_in_trace_file(self, ex1_lifted,
+                                                     tmp_path):
+        with pytest.raises(NotConverged) as exc:
+            outer.solve_relaxed(ex1_lifted, outer.regime_l1(10.0),
+                                outer.SolverOptions(max_sweeps=1,
+                                                    max_outer=5))
+        cli.write_solution(exc.value.solution, str(tmp_path))
+        with open(tmp_path / "trace.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 5
+        assert {row["inner_capped"] for row in rows} == {"1"}
+        assert analysis.TRACE_COLUMNS[3] == "primal_res"
+        doc = (tmp_path / "solution.json").read_text()
+        assert "inner_capped" not in doc
