@@ -17,7 +17,8 @@ from .errors import (K0NotStabilizing, NoConvergence, NotHurwitz,
 from .model import PlantData, ValidatedPlant, validate_plant
 
 TRACE_COLUMNS = ("iter", "theta", "alpha", "primal_res", "dual_res",
-                 "objective", "inner_sweeps", "wall_ms", "inner_capped")
+                 "objective", "inner_sweeps", "wall_ms", "inner_capped",
+                 "restarted")
 
 STAGE_TRACE_COLUMNS = ("sigma", "pass", "h_sigma", "nnz")
 
@@ -30,7 +31,9 @@ class Solution:
     quadratic cost of the recovered gain at every uncertainty vertex
     (inf where the vertex is not stabilized).  stable holds the spectral
     abscissa of each closed-loop vertex.  pattern marks nonzero gain
-    entries with 1; n_zeros counts the zeros.
+    entries with 1; n_zeros counts the zeros.  weights and pq_params are
+    the penalty's parameters (None for unit weights, and outside the pq
+    regime), so that stationarity can be re-checked from the file.
     """
 
     W: np.ndarray
@@ -52,6 +55,8 @@ class Solution:
     feasibility: dict = field(default_factory=dict)
     multiplier: np.ndarray = None
     stage_trace: list = field(default_factory=list)
+    weights: np.ndarray = None
+    pq_params: tuple = None
     final_state: object = None
 
 
@@ -239,7 +244,8 @@ def feasibility_report(lifted, W, P, tol=1e-4):
 
 def build_solution(lifted, W_vec, P_vec, trace, status, regime, gamma,
                    primal_res, dual_res, multiplier=None, stage_trace=None,
-                   sparsity_tol=1e-6, iterations=None):
+                   sparsity_tol=1e-6, iterations=None, weights=None,
+                   pq_params=None):
     """Assemble and certify a Solution from raw solver state.
 
     The gain divides the proximal parameter P by diag(W1) so that exact
@@ -276,4 +282,5 @@ def build_solution(lifted, W_vec, P_vec, trace, status, regime, gamma,
                     primal_res=primal_res, dual_res=dual_res,
                     certified=certified, feasibility=feas,
                     multiplier=multiplier,
-                    stage_trace=stage_trace if stage_trace is not None else [])
+                    stage_trace=stage_trace if stage_trace is not None else [],
+                    weights=weights, pq_params=pq_params)

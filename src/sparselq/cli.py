@@ -158,6 +158,8 @@ def solution_document(sol):
         "feasibility": sol.feasibility,
         "multiplier": sol.multiplier,
         "stage_trace": sol.stage_trace,
+        "weights": sol.weights,
+        "pq_params": sol.pq_params,
     }
     return _jsonable(doc)
 
@@ -344,22 +346,30 @@ def cmd_simulate(args):
 
 def _subdifferential_check(doc, lifted, tol):
     """Multiplier rows on the gain block must lie in the penalty
-    subdifferential at P; at nonzeros they must sit on the active face."""
+    subdifferential at P; at nonzeros they must sit on the active face.
+
+    The penalty's weights and pq parameters come from the file; files
+    without them get unit weights and the default pq parameters.
+    """
     lam = np.asarray(doc["multiplier"], dtype=float)
     op = lifted.op
     gain_rows = slice(op.n_diag, op.n_diag + op.n_gain)
     lam_g = lam[gain_rows].reshape(lifted.m, lifted.n, order="F")
     P = np.asarray(doc["P"], dtype=float)
-    gamma = float(doc["gamma"])
+    weights = doc.get("weights")
+    gw = float(doc["gamma"]) * (
+        1.0 if weights is None
+        else _matrix(weights, lifted.m, lifted.n, "weights"))
     if doc["regime"] == "pq":
-        a1, a2, b1, b2 = 1.0, 1.0, -1.0, 1.0
-        lo = np.where(P > 0, gamma * (a2 * P + b2),
-                      np.where(P < 0, gamma * (a1 * P + b1), gamma * b1))
-        hi = np.where(P > 0, gamma * (a2 * P + b2),
-                      np.where(P < 0, gamma * (a1 * P + b1), gamma * b2))
+        params = doc.get("pq_params") or (1.0, 1.0, -1.0, 1.0)
+        a1, a2, b1, b2 = _matrix(params, 1, 4, "pq_params")[0]
+        lo = np.where(P > 0, gw * (a2 * P + b2),
+                      np.where(P < 0, gw * (a1 * P + b1), gw * b1))
+        hi = np.where(P > 0, gw * (a2 * P + b2),
+                      np.where(P < 0, gw * (a1 * P + b1), gw * b2))
     else:
-        lo = np.where(P > 0, gamma, np.where(P < 0, -gamma, -gamma))
-        hi = np.where(P > 0, gamma, np.where(P < 0, -gamma, gamma))
+        lo = np.where(P > 0, gw, -gw)
+        hi = np.where(P < 0, -gw, gw)
     viol = np.maximum(lo - lam_g, lam_g - hi)
     return float(np.max(viol, initial=0.0)) <= tol
 

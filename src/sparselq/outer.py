@@ -64,6 +64,15 @@ def regime_anchored(gamma, weights, lam):
 
 @dataclass(frozen=True)
 class SolverOptions:
+    """Tolerances, budgets and restart cadence of solve_relaxed.
+
+    restart_every is the period of the fallback restart of the outer
+    averages.  When the penalty is not strongly convex (l1 and the
+    anchored subproblems) the averages are also restarted as soon as the
+    sharp iterate meets the primal tolerance that they miss.
+    restart_every=0 turns off every restart, periodic and adaptive.
+    """
+
     eps1: float = 1e-5
     eps2: float = 1e-4
     max_outer: int = 50000
@@ -103,6 +112,8 @@ class OuterState:
     last_primal_res: float = None
     last_sweeps: int = 0
     last_inner_capped: bool = False
+    sharp_primal_res: float = np.inf
+    eps_pri: float = 0.0
 
 
 def init_state(lifted, regime, options, init=None):
@@ -206,7 +217,8 @@ def outer_iteration(state, lifted, regime, options=SolverOptions()):
     P_next = _apply_prox(Z, regime, 1.0 / ps.tau, lifted.m, lifted.n,
                          lifted.forced_zeros)
     w_next = P_next + (P_next - state.P_tilde) / alpha
-    lam_next = state.lam + (alpha / theta) * (Av + op.apply_B(w_next))
+    sharp_res = Av + op.apply_B(w_next)
+    lam_next = state.lam + (alpha / theta) * sharp_res
 
     state.P_prev = state.P_tilde
     state.W_tilde, state.v = W_next, v_next
@@ -218,6 +230,7 @@ def outer_iteration(state, lifted, regime, options=SolverOptions()):
     state.dual_state, state.dual_cache = dstate, dcache
     state.last_sweeps = sweeps
     state.last_inner_capped = capped
+    state.sharp_primal_res = float(np.linalg.norm(sharp_res))
     return state
 
 
@@ -229,7 +242,10 @@ def restart_averages(state, options=SolverOptions()):
     and the schedule scalars to their initial values discards the O(1/k)
     transient the average carries from the starting point without touching
     the fixed points of the map.  Stopping then reflects the sharp iterate,
-    which settles far sooner.
+    which settles far sooner.  solve_relaxed calls this when the sharp
+    pair already meets the primal tolerance that the average misses
+    (penalties that are not strongly convex only), and every
+    options.restart_every iterations as a fallback.
     """
     state.W_tilde = state.v.copy()
     state.w = state.P_tilde.copy()
@@ -243,7 +259,8 @@ def restart_averages(state, options=SolverOptions()):
 def check_convergence(state, lifted, eps1, eps2):
     """Stopping rule on the coupled feasibility and dual drift residuals.
 
-    Returns (stop, primal_res, dual_res).
+    Returns (stop, primal_res, dual_res) and records the primal
+    tolerance on state.eps_pri.
     """
     op = lifted.op
     AW = op.apply_A(state.W_tilde)
@@ -255,7 +272,24 @@ def check_convergence(state, lifted, eps1, eps2):
     eps_dua = lifted.p * eps1 + eps2 * np.linalg.norm(op.apply_At(state.lam))
     pr = float(np.linalg.norm(r))
     dr = float(np.linalg.norm(s))
+    state.eps_pri = float(eps_pri)
     return (pr <= eps_pri and dr <= eps_dua), pr, dr
+
+
+def _restart_due(state, regime, options, primal_res):
+    """Periodic restart, or the sharp pair meets the primal tolerance
+    that the averaged pair misses.
+
+    The adaptive rule is off for a strongly convex penalty, whose
+    accelerated schedule the averages carry; restart_every=0 turns
+    every restart off.
+    """
+    if not options.restart_every:
+        return False
+    if state.k % options.restart_every == 0:
+        return True
+    return (regime.mu_g == 0.0
+            and state.sharp_primal_res <= state.eps_pri < primal_res)
 
 
 def solve_relaxed(lifted, regime, options=SolverOptions(), init=None):
@@ -289,40 +323,38 @@ def solve_relaxed(lifted, regime, options=SolverOptions(), init=None):
             obj = float(lifted.vec_R() @ state.W_tilde) + penalties.penalty_value(
                 state.P_tilde.reshape(lifted.m, lifted.n, order="F"),
                 regime.penalty)
-            trace.append((state.k, state.theta, state.alpha, pr, dr, obj,
-                          state.last_sweeps,
-                          (time.perf_counter() - t0) * 1e3,
-                          int(state.last_inner_capped)))
+            row = (state.k, state.theta, state.alpha, pr, dr, obj,
+                   state.last_sweeps, (time.perf_counter() - t0) * 1e3,
+                   int(state.last_inner_capped))
         if stop:
             # The residual pair only watches the equality rows; before
             # accepting, require the averaged iterate to satisfy the cone
-            # constraints at the tolerance the certificate will use.  When
-            # the last inner solve ran out of sweeps the iterate cannot be
-            # improved by looping further, so take the stop as-is and let
-            # the certificate report what actually holds.
-            if state.last_inner_capped:
-                converged = True
-                break
+            # constraints at the tolerance the certificate will use.
             W_mat = lifted.unvec(state.W_tilde)
             W_mat = 0.5 * (W_mat + W_mat.T)
             P_mat = state.P_tilde.reshape(lifted.m, lifted.n, order="F")
             rep = analysis.feasibility_report(lifted, W_mat, P_mat,
                                               tol=max(1e-4, 5.0 * (pr + dr)))
-            if rep["feasible"]:
-                converged = True
-                break
-            log.info("iteration %d: residuals met but cone violation "
-                     "%.3g remains; continuing", state.k,
-                     -min(rep["min_eig_W"], rep["min_eig_psi"]))
-        if options.restart_every and state.k % options.restart_every == 0:
+            converged = rep["feasible"]
+            if not converged:
+                log.info("iteration %d: residuals met but cone violation "
+                         "%.3g remains; continuing", state.k,
+                         -min(rep["min_eig_W"], rep["min_eig_psi"]))
+        restarted = not converged and _restart_due(state, regime, options, pr)
+        if restarted:
             restart_averages(state, options)
+        if options.collect_trace:
+            trace.append(row + (int(restarted),))
+        if converged:
+            break
 
     status = "converged" if converged else "max_iter"
     sol = analysis.build_solution(
         lifted, state.W_tilde, state.P_tilde, trace, status,
         regime.kind, regime.penalty.gamma, pr, dr,
         multiplier=state.lam.copy(), sparsity_tol=options.sparsity_tol,
-        iterations=state.k)
+        iterations=state.k, weights=regime.penalty.weights,
+        pq_params=regime.penalty.pq_params if regime.kind == "pq" else None)
     sol.final_state = state
     if not converged:
         raise NotConverged(sol, pr, dr)

@@ -6,7 +6,7 @@ import subprocess
 import numpy as np
 import pytest
 
-from sparselq import analysis, cli, model
+from sparselq import analysis, cli, model, outer
 from sparselq.errors import EigFailure, ParseError, UnknownKey
 
 from conftest import feasible_instance
@@ -202,6 +202,71 @@ class TestSolveRoundtrip:
         with open(tmp_path / "l0" / "stages.csv") as fh:
             header = next(csv.reader(fh))
         assert tuple(header) == analysis.STAGE_TRACE_COLUMNS
+
+
+class TestVerifyPenaltyParameters:
+    """verify re-checks stationarity with the penalty the solve used."""
+
+    def _solve_and_verify(self, problem_file, tmp_path, capsys, regime):
+        lifted = cli.load_problem(problem_file)
+        sol = outer.solve_relaxed(lifted, regime)
+        assert sol.certified
+        out = tmp_path / "run"
+        cli.write_solution(sol, str(out))
+        code = cli.run_command(["verify", "--problem", problem_file,
+                                "--solution", str(out / "solution.json")])
+        return code, capsys.readouterr().out
+
+    def test_weighted_l1(self, problem_file, tmp_path, capsys):
+        weights = np.array([[0.3, 2.5]])
+        code, out = self._solve_and_verify(
+            problem_file, tmp_path, capsys,
+            outer.regime_l1(0.5, weights=weights))
+        assert "stationarity: ok" in out
+        assert code == 0
+        doc = json.loads((tmp_path / "run" / "solution.json").read_text())
+        assert doc["weights"] == weights.tolist()
+        assert doc["pq_params"] is None
+
+    def test_non_default_pq(self, problem_file, tmp_path, capsys):
+        params = (2.0, 0.5, -0.4, 3.0)
+        code, out = self._solve_and_verify(
+            problem_file, tmp_path, capsys,
+            outer.regime_pq(0.5, pq_params=params))
+        assert "stationarity: ok" in out
+        assert code == 0
+        doc = json.loads((tmp_path / "run" / "solution.json").read_text())
+        assert tuple(doc["pq_params"]) == params
+
+    def test_files_without_the_fields_use_the_defaults(self, problem_file,
+                                                        tmp_path, capsys):
+        code, _ = self._solve_and_verify(problem_file, tmp_path, capsys,
+                                         outer.regime_pq(0.5))
+        assert code == 0
+        path = tmp_path / "run" / "solution.json"
+        doc = json.loads(path.read_text())
+        del doc["weights"], doc["pq_params"]
+        path.write_text(json.dumps(doc))
+        code = cli.run_command(["verify", "--problem", problem_file,
+                                "--solution", str(path)])
+        assert "stationarity: ok" in capsys.readouterr().out
+        assert code == 0
+
+    @pytest.mark.parametrize("key,value", [("weights", [1.0, 2.0, 3.0]),
+                                           ("pq_params", [1.0, 1.0, -1.0]),
+                                           ("weights", ["x", 1.0])])
+    def test_malformed_fields_are_bad_input(self, problem_file, tmp_path,
+                                            capsys, key, value):
+        self._solve_and_verify(problem_file, tmp_path, capsys,
+                               outer.regime_pq(0.5))
+        path = tmp_path / "run" / "solution.json"
+        doc = json.loads(path.read_text())
+        doc[key] = value
+        path.write_text(json.dumps(doc))
+        code = cli.run_command(["verify", "--problem", problem_file,
+                                "--solution", str(path)])
+        assert code == 2
+        assert key in capsys.readouterr().err
 
 
 class TestBadInputs:

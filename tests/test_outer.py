@@ -223,3 +223,62 @@ class TestSolveRelaxed:
         assert analysis.TRACE_COLUMNS[3] == "primal_res"
         doc = (tmp_path / "solution.json").read_text()
         assert "inner_capped" not in doc
+
+
+def _restart_iterations(trace):
+    col = analysis.TRACE_COLUMNS.index("restarted")
+    return [row[0] for row in trace if row[col]]
+
+
+class TestAdaptiveRestart:
+    def test_l1_stops_soon_after_the_sharp_iterate_settles(self, ex1_g10):
+        # Reference optimum as in test_reference_optimum_gamma10.
+        assert ex1_g10.iterations < 1000
+        assert ex1_g10.certified
+        assert ex1_g10.J_upper == pytest.approx(4.7591, rel=1e-3)
+
+    def test_first_restart_precedes_the_period(self, ex1_g10):
+        restarts = _restart_iterations(ex1_g10.trace)
+        assert restarts and restarts[0] < 2000
+
+    def test_restart_every_zero_turns_every_restart_off(self, ex1_lifted,
+                                                        ex1_g10):
+        first = _restart_iterations(ex1_g10.trace)[0]
+        with pytest.raises(NotConverged) as exc:
+            outer.solve_relaxed(ex1_lifted, outer.regime_l1(10.0),
+                                outer.SolverOptions(restart_every=0,
+                                                    max_outer=first + 100))
+        assert _restart_iterations(exc.value.solution.trace) == []
+
+    def test_pq_restarts_only_on_the_period(self):
+        rng = np.random.default_rng(21)
+        plant, _, _ = feasible_instance(rng, 2, 1)
+        lifted = model.lift_plant(model.validate_plant(plant))
+        sol = outer.solve_relaxed(lifted, outer.regime_pq(1.0),
+                                  outer.SolverOptions(restart_every=50))
+        restarts = _restart_iterations(sol.trace)
+        assert restarts
+        assert all(k % 50 == 0 for k in restarts)
+
+    def test_anchored_subproblem_restarts_adaptively(self, ex1_lifted):
+        lifted = ex1_lifted
+        anchor = np.eye(lifted.p).reshape(-1, order="F")
+        regime = outer.regime_anchored(10.0, np.ones((lifted.m, lifted.n)),
+                                       10.0)
+        sol = outer.solve_relaxed(lifted, regime, init={"anchor": anchor})
+        restarts = _restart_iterations(sol.trace)
+        assert sol.certified
+        assert any(k % 2000 for k in restarts)
+
+
+def test_capped_last_inner_solve_does_not_skip_the_cone_check(ex1_lifted):
+    # With one sweep per inner solve the residual test can pass while the
+    # averaged iterate still violates the cones; the stop must not be
+    # accepted on the residuals alone.
+    options = outer.SolverOptions(max_sweeps=1, max_outer=2000)
+    try:
+        sol = outer.solve_relaxed(ex1_lifted, outer.regime_pq(5.0), options)
+    except NotConverged as exc:
+        assert exc.solution.status == "max_iter"
+    else:
+        assert sol.feasibility["feasible"]
