@@ -18,7 +18,7 @@ from .model import PlantData, ValidatedPlant, validate_plant
 
 TRACE_COLUMNS = ("iter", "theta", "alpha", "primal_res", "dual_res",
                  "objective", "inner_sweeps", "wall_ms", "inner_capped",
-                 "restarted")
+                 "restarted", "inner_residual")
 
 STAGE_TRACE_COLUMNS = ("sigma", "pass", "h_sigma", "nnz")
 

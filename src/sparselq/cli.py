@@ -344,20 +344,18 @@ def cmd_simulate(args):
     return 0
 
 
-def _subdifferential_check(doc, lifted, tol):
+def _subdifferential_check(doc, lifted, P, lam, tol):
     """Multiplier rows on the gain block must lie in the penalty
     subdifferential at P; at nonzeros they must sit on the active face.
 
     The penalty's weights and pq parameters come from the file; files
     without them get unit weights and the default pq parameters.
     """
-    lam = np.asarray(doc["multiplier"], dtype=float)
     op = lifted.op
     gain_rows = slice(op.n_diag, op.n_diag + op.n_gain)
     lam_g = lam[gain_rows].reshape(lifted.m, lifted.n, order="F")
-    P = np.asarray(doc["P"], dtype=float)
     weights = doc.get("weights")
-    gw = float(doc["gamma"]) * (
+    gw = _converted(float, _field(doc, "gamma"), "gamma") * (
         1.0 if weights is None
         else _matrix(weights, lifted.m, lifted.n, "weights"))
     if doc["regime"] == "pq":
@@ -384,6 +382,12 @@ def _agrees(stored, derived, rtol=1e-9):
     return gap <= rtol * float(np.max(np.abs(derived), initial=0.0))
 
 
+def _field(doc, key):
+    if key not in doc:
+        raise ParseError(f"solution file is missing {key!r}")
+    return doc[key]
+
+
 def cmd_verify(args):
     lifted = load_problem(args.problem)
     with open(args.solution, "r", encoding="utf-8") as fh:
@@ -391,19 +395,26 @@ def cmd_verify(args):
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ParseError(f"solution file is not valid JSON: {exc}") from exc
-    W = np.asarray(doc["W"], dtype=float)
-    P = np.asarray(doc["P"], dtype=float)
+    if not isinstance(doc, dict):
+        raise ParseError("solution file must hold a JSON object")
+    W = _matrix(_field(doc, "W"), lifted.p, lifted.p, "W")
+    P = _matrix(_field(doc, "P"), lifted.m, lifted.n, "P")
+    regime = _field(doc, "regime")
+    lam = doc.get("multiplier")
+    if lam is not None:
+        lam = _matrix(lam, 1, lifted.op.n_rows, "multiplier")[0]
     # The certificate is re-derived from (W, P); stored K and J_upper
     # only have to agree with it.
     with np.errstate(divide="ignore", invalid="ignore"):
         K = P / np.diag(W[:lifted.n, :lifted.n])
     J_upper = float(lifted.vec_R() @ W.reshape(-1, order="F"))
-    res_scale = sum(float(doc.get(k) or 0.0)
+    res_scale = sum(_converted(float, doc.get(k) or 0.0, k)
                     for k in ("primal_res", "dual_res"))
     tol = max(1e-4, 5.0 * res_scale)
 
-    checks = {"J_upper": _agrees(doc["J_upper"], J_upper),
-              "K": _agrees(doc["K"], K)}
+    checks = {"J_upper": _agrees(_array(_field(doc, "J_upper"), "J_upper"),
+                                 J_upper),
+              "K": _agrees(_array(_field(doc, "K"), "K"), K)}
     if np.all(np.isfinite(K)):
         margins = np.array([analysis.stability_check(Av, Bv, K)
                             for Av, Bv in lifted.plant.vertices])
@@ -419,9 +430,9 @@ def cmd_verify(args):
         checks["margins"] = checks["cost_bound"] = False
     rep = analysis.feasibility_report(lifted, W, P, tol=tol)
     checks["feasibility"] = bool(rep["feasible"])
-    if doc["regime"] in ("l1", "pq") and doc.get("multiplier") is not None:
+    if regime in ("l1", "pq") and lam is not None:
         checks["stationarity"] = _subdifferential_check(
-            doc, lifted, tol=max(1e-3, 10.0 * res_scale))
+            doc, lifted, P, lam, tol=max(1e-3, 10.0 * res_scale))
 
     for name, ok in checks.items():
         print(f"{name}: {'ok' if ok else 'FAILED'}")

@@ -32,10 +32,12 @@ def project_psd(S):
 
 
 def _eigvalsh(S):
-    try:
-        return np.linalg.eigvalsh(0.5 * (S + S.T))
-    except np.linalg.LinAlgError as exc:
-        raise EigFailure(str(exc)) from exc
+    """Eigenvalues of the symmetric part of S, ascending, from LAPACK
+    dsyevd without eigenvectors; a failure raises EigFailure."""
+    w, _, info = dsyevd(0.5 * (S + S.T), compute_v=0, lower=1)
+    if info != 0:
+        raise EigFailure(f"eigenvalues did not converge (LAPACK info {info})")
+    return w
 
 
 def max_eigenvalue(S):

@@ -36,9 +36,31 @@ accelerated sequence need not be monotone; whenever the sweep's step
 points against the momentum, <y - x, x - x_prev> > 0, the momentum
 restarts at t = 1 (O'Donoghue & Candes, Found. Comput. Math. 2015).
 Only sweep outputs are tested, returned or warm-started from: y may lie
-outside the cones, a sweep output never does.
+outside the cones, a sweep output never does.  L is affine, so L(y)
+follows the same extrapolation and a solve evaluates L afresh only at
+its start.
+
+The stop test needs no eigendecomposition of its own.  dual_residual, the
+exact relative error of the projected optimality map, is
+
+    max_j |x_j - Pi(x_j - grad_j Th(X))| / (1 + |x_j| + |grad_j Th(X)|).
+
+Block j of a sweep last moved as x_j+ = Pi(y_j - grad_j Th(P_j)/rho_j),
+with y_j its value before and P_j the partial state at that moment, so
+z_j = rho_j (y_j - x_j+) - grad_j Th(P_j) lies in the normal cone at
+x_j+, i.e. x_j+ = Pi(x_j+ + z_j).  Pi is nonexpansive, so at the sweep
+output X+
+
+    |x_j+ - Pi(x_j+ - grad_j Th(X+))| <= |z_j + grad_j Th(X+)|,
+
+whatever y_j is, in the cones or not.  sgs_sweep divides the right-hand
+side by the same denominator and returns the max as X+.residual, an
+upper bound on dual_residual(X+); solve_inner stops when it drops below
+eps.  dual_residual stays the exact reference, computed only for the
+residual a capped solve reports.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,13 +75,13 @@ class DualState:
     """PSD multipliers in isometric svec coordinates.
 
     x0 has length p(p+1)/2; each entry of x_list has length n(n+1)/2.
+    residual is an upper bound on dual_residual(self, data) for the data
+    of the sweep that produced the state; inf for any other state.
     """
 
     x0: np.ndarray
     x_list: list
-
-    def copy(self):
-        return DualState(self.x0.copy(), [x.copy() for x in self.x_list])
+    residual: float = np.inf
 
     def blocks(self):
         return [self.x0] + self.x_list
@@ -112,7 +134,7 @@ class DualData:
     def ell(self, state):
         out = self.g0 - state.x0
         for J, x in zip(self.lifted.J_list, state.x_list):
-            out = out + x @ J
+            out = out + x.dot(J)
         return out
 
 
@@ -160,61 +182,88 @@ def _project(x, maps):
     w, V = sym_eigh(S)
     if w[0] >= 0.0:
         return x
-    S = (V * np.maximum(w, 0.0)) @ V.T
+    S = np.dot(V * np.maximum(w, 0.0), V.T)
     return svec(S, maps)
 
 
-def sgs_sweep(state, data):
-    """One backward pass over the vertex blocks, an X0 update, one forward pass."""
+def _gradients(data, ell):
+    """Block gradients of the dual objective at a state X with L(X) = ell:
+    [grad_0, grad_1, ..., grad_M]."""
+    r = data.q_k - ell
+    return [data.minv * r] + [-(data.lifted.kappa_q + JM.dot(r))
+                              for JM in data.JM_list]
+
+
+def _norm(v):
+    # sqrt(v . v), the value np.linalg.norm returns, as a float
+    return math.sqrt(v.dot(v))
+
+
+def _relative_error(triples):
+    """max over blocks of |r| / (1 + |x| + |g|), for (r, x, g) triples.
+
+    A NaN anywhere gives NaN, which no tolerance test passes.
+    """
+    worst = 0.0
+    for r, x, g in triples:
+        err = _norm(r) / (1.0 + _norm(x) + _norm(g))
+        if math.isnan(err):
+            return err
+        worst = max(worst, err)
+    return worst
+
+
+def sgs_sweep(state, data, ell=None):
+    """One backward pass over the vertex blocks, an X0 update, one forward pass.
+
+    ell is L(state) when the caller already has it.  Returns (X+, L(X+));
+    X+.residual bounds dual_residual(X+, data) from above (see the module
+    docstring), at no eigendecomposition beyond the sweep's own.
+    """
+    # .dot rather than @ on this hot path: the same BLAS call, about 1 us
+    # less overhead per product on blocks this small
     lifted = data.lifted
     maps_n, maps_p = lifted.svec_n, lifted.svec_p
     q, kq = data.q_k, lifted.kappa_q
-    x0 = state.x0
-    xs = [x.copy() for x in state.x_list]
-    ell = data.ell(state)
+    if ell is None:
+        ell = data.ell(state)
+    xs = list(state.x_list)
     nv = len(xs)
 
     for i in reversed(range(nv)):
-        g = kq + data.JM_list[i] @ (q - ell)
+        g = kq + data.JM_list[i].dot(q - ell)
         new = _project(xs[i] + g / data.rho_list[i], maps_n)
-        ell = ell + (new - xs[i]) @ lifted.J_list[i]
+        ell = ell + (new - xs[i]).dot(lifted.J_list[i])
         xs[i] = new
 
     step0 = data.minv * (q - ell)
-    new0 = _project(x0 - step0 / data.rho0, maps_p)
-    ell = ell - (new0 - x0)
-    x0 = new0
+    x0 = _project(state.x0 - step0 / data.rho0, maps_p)
+    dx = x0 - state.x0
+    ell = ell - dx
+    # z_j = rho_j (y_j - x_j+) - grad_j(P_j) of each block's last update
+    zs = [-data.rho0 * dx - step0]
 
     for i in range(nv):
-        g = kq + data.JM_list[i] @ (q - ell)
+        g = kq + data.JM_list[i].dot(q - ell)
         new = _project(xs[i] + g / data.rho_list[i], maps_n)
-        ell = ell + (new - xs[i]) @ lifted.J_list[i]
+        dx = new - xs[i]
+        ell = ell + dx.dot(lifted.J_list[i])
+        zs.append(g - data.rho_list[i] * dx)
         xs[i] = new
 
-    return DualState(x0=x0, x_list=xs)
-
-
-def block_gradients(state, data):
-    """Gradients of the dual objective at the current state."""
-    ell = data.ell(state)
-    grad0 = data.minv * (data.q_k - ell)
-    grads = [-(data.lifted.kappa_q + JM @ (data.q_k - ell))
-             for JM in data.JM_list]
-    return grad0, grads
+    grads = _gradients(data, ell)
+    bound = _relative_error((z + g, x, g)
+                            for z, x, g in zip(zs, [x0] + xs, grads))
+    return DualState(x0=x0, x_list=xs, residual=bound), ell
 
 
 def dual_residual(state, data):
     """Relative fixed-point error of the projected optimality map."""
     lifted = data.lifted
-    grad0, grads = block_gradients(state, data)
-    blocks = [(state.x0, grad0, lifted.svec_p)]
-    blocks += [(x, g, lifted.svec_n) for x, g in zip(state.x_list, grads)]
-    errs = []
-    for x, g, maps in blocks:
-        # norms as sqrt(v @ v), the value np.linalg.norm returns
-        r = x - _project(x - g, maps)
-        errs.append(np.sqrt(r @ r) / (1.0 + np.sqrt(x @ x) + np.sqrt(g @ g)))
-    return float(max(errs))
+    grads = _gradients(data, data.ell(state))
+    maps = [lifted.svec_p] + [lifted.svec_n] * len(state.x_list)
+    return _relative_error((x - _project(x - g, m), x, g)
+                           for x, g, m in zip(state.blocks(), grads, maps))
 
 
 def dual_objective(state, data):
@@ -238,42 +287,55 @@ def primal_objective(data, s):
                  + data.sigma2 * (diff @ diff))
 
 
-def recover_primal(data, state):
-    """Primal solution in isometric coordinates: s = Minv (q - L(X))."""
-    return data.minv * (data.q_k - data.ell(state))
+def recover_primal(data, state, ell=None):
+    """Primal solution in isometric coordinates: s = Minv (q - L(X)).
+
+    ell is L(state) when the caller already has it.
+    """
+    if ell is None:
+        ell = data.ell(state)
+    return data.minv * (data.q_k - ell)
 
 
 def solve_inner(lifted, d_k, w_k, v_tilde_k, alpha_k, theta_k, eta_f_k,
                 eps, max_sweeps, warm_start=None, cache=None):
-    """Run extrapolated sweeps until the dual residual drops below eps.
+    """Run extrapolated sweeps until a sweep's residual bound drops below eps.
 
     Returns (v, sweeps_used, state, cache) with v = vec(W) rebuilt from
     the recovered half-vectorization; W is symmetric by construction.
-    state is the last sweep output, never the extrapolated point.
-    Raises MaxSweepsExceeded (carrying the last sweep output) at the cap.
+    state is the last sweep output, never the extrapolated point, and
+    state.residual < eps bounds its dual_residual.  Raises
+    MaxSweepsExceeded at the cap, carrying the last sweep output and its
+    exact dual_residual.
     """
     data, cache = assemble_dual_data(lifted, d_k, w_k, v_tilde_k,
                                      alpha_k, theta_k, eta_f_k, cache)
-    state = warm_start.copy() if warm_start is not None else zero_state(lifted)
-    y, t = state, 1.0
+    state = warm_start if warm_start is not None else zero_state(lifted)
+    # L is affine, so L(y) follows the extrapolation from sweep to sweep;
+    # only the start needs a fresh L, because g0 moved with the outer step
+    ell = data.ell(state)
+    y, ell_y, t = state, ell, 1.0
     sweeps = 0
-    err = np.inf
+    converged = False
     while sweeps < max_sweeps:
-        new = sgs_sweep(y, data)
+        new, ell_new = sgs_sweep(y, data, ell_y)
         sweeps += 1
-        err = dual_residual(new, data)
-        if err < eps:
-            state = new
+        if new.residual < eps:
+            state, ell, converged = new, ell_new, True
             break
-        if sum((a - b) @ (b - c) for a, b, c in
+        if sum((a - b).dot(b - c) for a, b, c in
                zip(y.blocks(), new.blocks(), state.blocks())) > 0.0:
-            y, t = new, 1.0
+            y, ell_y, t = new, ell_new, 1.0
         else:
-            t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
-            y, t = new.extrapolated(state, (t - 1.0) / t_next), t_next
-        state = new
-    s = recover_primal(data, state)
+            t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
+            beta = (t - 1.0) / t_next
+            y = new.extrapolated(state, beta)
+            ell_y = ell_new + beta * (ell_new - ell)
+            t = t_next
+        state, ell = new, ell_new
+    s = recover_primal(data, state, ell)
     v = unsvec(s, lifted.svec_p).reshape(-1, order="F")
-    if err < eps:
+    if converged:
         return v, sweeps, state, cache
-    raise MaxSweepsExceeded(v=v, residual=err, state=state, sweeps=sweeps)
+    raise MaxSweepsExceeded(v=v, residual=dual_residual(state, data),
+                            state=state, sweeps=sweeps)

@@ -112,6 +112,7 @@ class OuterState:
     last_primal_res: float = None
     last_sweeps: int = 0
     last_inner_capped: bool = False
+    last_inner_residual: float = np.nan
     sharp_primal_res: float = np.inf
     eps_pri: float = 0.0
 
@@ -203,9 +204,11 @@ def outer_iteration(state, lifted, regime, options=SolverOptions()):
             lifted, d, state.w, ps.v_tilde, ps.alpha, state.theta,
             ps.eta_f_tilde, eps_in, options.max_sweeps,
             warm_start=state.dual_state, cache=state.dual_cache)
+        inner_res = dstate.residual
     except MaxSweepsExceeded as exc:
         log.warning("iteration %d: %s; accepting best iterate", state.k, exc)
         v_next, sweeps, dstate, dcache = exc.v, exc.sweeps, exc.state, state.dual_cache
+        inner_res = exc.residual
         capped = True
 
     alpha, theta = ps.alpha, state.theta
@@ -230,6 +233,7 @@ def outer_iteration(state, lifted, regime, options=SolverOptions()):
     state.dual_state, state.dual_cache = dstate, dcache
     state.last_sweeps = sweeps
     state.last_inner_capped = capped
+    state.last_inner_residual = inner_res
     state.sharp_primal_res = float(np.linalg.norm(sharp_res))
     return state
 
@@ -344,7 +348,7 @@ def solve_relaxed(lifted, regime, options=SolverOptions(), init=None):
         if restarted:
             restart_averages(state, options)
         if options.collect_trace:
-            trace.append(row + (int(restarted),))
+            trace.append(row + (int(restarted), state.last_inner_residual))
         if converged:
             break
 

@@ -269,6 +269,31 @@ class TestVerifyPenaltyParameters:
         assert key in capsys.readouterr().err
 
 
+class TestVerifyMalformedSolution:
+    """A solution file with a missing or wrong-size field is bad input."""
+
+    @pytest.mark.parametrize("key,value", [("W", [[1.0]]),
+                                           ("multiplier", [0.0, 0.0]),
+                                           ("P", None)])
+    def test_exits_2_naming_the_field(self, problem_file, tmp_path, capsys,
+                                      key, value):
+        out = tmp_path / "run"
+        assert cli.run_command(["solve", "--problem", problem_file,
+                                "--gamma", "0.5", "--out", str(out)]) == 0
+        path = out / "solution.json"
+        doc = json.loads(path.read_text())
+        if value is None:
+            del doc[key]
+        else:
+            doc[key] = value
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        code = cli.run_command(["verify", "--problem", problem_file,
+                                "--solution", str(path)])
+        assert code == 2
+        assert key in capsys.readouterr().err
+
+
 class TestBadInputs:
     def test_missing_file(self, tmp_path):
         code = cli.run_command(["solve", "--problem",

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sparselq import cones
+from sparselq.errors import EigFailure
 
 
 def random_sym(rng, d):
@@ -99,3 +100,19 @@ class TestSymEigh:
         S = np.array([[1.0, np.nan], [np.nan, 2.0]])
         assert np.isnan(cones.sym_eigh(S)[0]).all()
         assert np.isnan(np.linalg.eigh(S)[0]).all()
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 5, 6])
+    def test_extreme_eigenvalues_match_numpy(self, d):
+        # of the symmetric part, as np.linalg.eigvalsh sees it
+        rng = np.random.default_rng(d)
+        for _ in range(50):
+            S = rng.standard_normal((d, d))
+            w = np.linalg.eigvalsh(0.5 * (S + S.T))
+            assert cones.max_eigenvalue(S) == pytest.approx(w[-1], rel=1e-12,
+                                                            abs=1e-12)
+            assert cones.min_eigenvalue(S) == pytest.approx(w[0], rel=1e-12,
+                                                            abs=1e-12)
+
+    def test_failed_eigenvalues_raise_eig_failure(self):
+        with pytest.raises(EigFailure):
+            cones.max_eigenvalue(np.full((3, 3), np.nan))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sparselq import inner
+from sparselq import inner, model
 from sparselq.errors import MaxSweepsExceeded
 
 from conftest import make_inner_instance, pg_dual_oracle
@@ -55,7 +55,7 @@ class TestSweeps:
         state = inner.zero_state(lifted)
         prev = inner.dual_objective(state, data)
         for _ in range(40):
-            state = inner.sgs_sweep(state, data)
+            state, _ = inner.sgs_sweep(state, data)
             cur = inner.dual_objective(state, data)
             assert cur <= prev + 1e-11 * max(1.0, abs(prev))
             prev = cur
@@ -64,7 +64,7 @@ class TestSweeps:
         lifted, data, _, _ = assemble(5)
         state = inner.zero_state(lifted)
         for _ in range(5000):
-            state = inner.sgs_sweep(state, data)
+            state, _ = inner.sgs_sweep(state, data)
             if inner.dual_residual(state, data) < 1e-9:
                 break
         assert inner.dual_residual(state, data) < 1e-9
@@ -73,7 +73,7 @@ class TestSweeps:
         lifted, data, _, _ = assemble(6)
         state = inner.zero_state(lifted)
         for _ in range(10):
-            state = inner.sgs_sweep(state, data)
+            state, _ = inner.sgs_sweep(state, data)
             S0 = inner.unsvec(state.x0, lifted.svec_p)
             assert np.linalg.eigvalsh(S0)[0] >= -1e-10
             for x in state.x_list:
@@ -156,7 +156,7 @@ class TestAcceleratedSolve:
         data, _ = inner.assemble_dual_data(lifted, *args)
         state, plain = inner.zero_state(lifted), 0
         while plain < 50000:
-            state = inner.sgs_sweep(state, data)
+            state, _ = inner.sgs_sweep(state, data)
             plain += 1
             if inner.dual_residual(state, data) < self.eps:
                 break
@@ -183,3 +183,104 @@ class TestAcceleratedSolve:
                 inner.solve_inner(lifted, *args, eps=1e-14, max_sweeps=cap)
             assert exc.value.sweeps == cap
             assert_in_cones(lifted, exc.value.state)
+
+
+def vertex_instance(seed, n_vertices):
+    """make_inner_instance's subproblem; with two vertices the second is
+    the plant with A - I/2, which only widens the stability margin of the
+    feasible point the instance is built around."""
+    rng = np.random.default_rng(seed)
+    lifted, *args = make_inner_instance(rng)
+    if n_vertices == 2:
+        pl = lifted.plant
+        shifted = pl.A - 0.5 * np.eye(lifted.n)
+        plant = model.PlantData(A=pl.A, B2=pl.B2, B1=pl.B1, C=pl.C, D=pl.D,
+                                vertices=((pl.A, pl.B2), (shifted, pl.B2)))
+        lifted = model.lift_plant(model.validate_plant(plant))
+    assert lifted.n_vertices == n_vertices
+    return lifted, args
+
+
+def outside_cones(lifted, state):
+    eigs = [np.linalg.eigvalsh(inner.unsvec(state.x0, lifted.svec_p))[0]]
+    eigs += [np.linalg.eigvalsh(inner.unsvec(x, lifted.svec_n))[0]
+             for x in state.x_list]
+    return min(eigs) < -1e-6
+
+
+class TestResidualBound:
+    """sgs_sweep's bound on dual_residual of its output, and the stop
+    test of solve_inner that reads it."""
+
+    # the exact residual's own eigendecompositions round at this level
+    slack = 1e-13
+
+    def sweep_and_compare(self, state, data, sweeps=15):
+        for _ in range(sweeps):
+            new, _ = inner.sgs_sweep(state, data)
+            assert new.residual >= inner.dual_residual(new, data) - self.slack
+            state = new
+        return state
+
+    @pytest.mark.parametrize("n_vertices", [1, 2])
+    def test_bounds_the_exact_residual_from_a_zero_start(self, n_vertices):
+        lifted, args = vertex_instance(13, n_vertices)
+        data, _ = inner.assemble_dual_data(lifted, *args)
+        self.sweep_and_compare(inner.zero_state(lifted), data)
+
+    @pytest.mark.parametrize("n_vertices", [1, 2])
+    def test_bounds_the_exact_residual_from_a_warm_start(self, n_vertices):
+        # the solution of one subproblem warm-starts a neighbouring one
+        lifted, (d_k, w_k, v_tilde, a, t, e) = vertex_instance(14, n_vertices)
+        _, _, warm, _ = inner.solve_inner(lifted, d_k, w_k, v_tilde, a, t, e,
+                                          eps=1e-8, max_sweeps=20000)
+        data, _ = inner.assemble_dual_data(lifted, 1.1 * d_k, w_k + 0.1,
+                                           v_tilde, 1.2 * a, t, e)
+        self.sweep_and_compare(warm, data)
+
+    @pytest.mark.parametrize("n_vertices", [1, 2])
+    def test_bounds_the_exact_residual_from_outside_the_cones(self,
+                                                              n_vertices):
+        lifted, args = vertex_instance(15, n_vertices)
+        data, _ = inner.assemble_dual_data(lifted, *args)
+        prev = inner.zero_state(lifted)
+        state = self.sweep_and_compare(prev, data, sweeps=3)
+        for _ in range(5):
+            # extrapolated against the direction of progress
+            y = prev.extrapolated(state, 2.0)
+            assert outside_cones(lifted, y)
+            prev, state = state, self.sweep_and_compare(y, data, sweeps=1)
+
+    def test_solve_stops_at_the_first_bound_below_eps(self, monkeypatch):
+        lifted, args = stiff_instance()
+        data, _ = inner.assemble_dual_data(lifted, *args)
+        eps = 1e-9
+        outputs, exact_calls = [], []
+        sweep, exact = inner.sgs_sweep, inner.dual_residual
+
+        def recorded_sweep(*a):
+            new, ell = sweep(*a)
+            outputs.append(new)
+            return new, ell
+
+        def counted_exact(*a):
+            exact_calls.append(a)
+            return exact(*a)
+        monkeypatch.setattr(inner, "sgs_sweep", recorded_sweep)
+        monkeypatch.setattr(inner, "dual_residual", counted_exact)
+        _, sweeps, state, _ = inner.solve_inner(lifted, *args, eps=eps,
+                                                max_sweeps=50000)
+        assert not exact_calls
+        assert sweeps == len(outputs) > 1
+        assert all(out.residual >= eps for out in outputs[:-1])
+        assert state is outputs[-1]
+        assert state.residual < eps
+        assert exact(state, data) < eps
+
+    def test_capped_solve_reports_the_exact_residual(self):
+        lifted, args = stiff_instance()
+        data, _ = inner.assemble_dual_data(lifted, *args)
+        with pytest.raises(MaxSweepsExceeded) as exc:
+            inner.solve_inner(lifted, *args, eps=1e-14, max_sweeps=5)
+        assert exc.value.residual == inner.dual_residual(exc.value.state,
+                                                         data)

@@ -3,8 +3,8 @@ import csv
 import numpy as np
 import pytest
 
-from sparselq import analysis, cli, model, outer
-from sparselq.errors import NotConverged
+from sparselq import analysis, cli, inner, model, outer
+from sparselq.errors import MaxSweepsExceeded, NotConverged
 
 from conftest import feasible_instance
 
@@ -223,6 +223,44 @@ class TestSolveRelaxed:
         assert analysis.TRACE_COLUMNS[3] == "primal_res"
         doc = (tmp_path / "solution.json").read_text()
         assert "inner_capped" not in doc
+
+
+class TestInnerResidualColumn:
+    def test_each_solve_stopped_below_its_tolerance(self, ex1_g10):
+        # solve_relaxed sets each inner tolerance from the previous
+        # iteration's primal residual
+        opts = outer.SolverOptions()
+        col = analysis.TRACE_COLUMNS.index("inner_residual")
+        eps_in = opts.inner_tol_cap
+        for row in ex1_g10.trace:
+            assert 0.0 <= row[col] < eps_in
+            eps_in = max(opts.inner_tol_floor,
+                         min(opts.inner_tol_cap, 0.1 * row[3]))
+
+    def test_capped_solves_record_the_exact_residual(self, ex1_lifted,
+                                                     tmp_path, monkeypatch):
+        carried = []
+        solve = inner.solve_inner
+
+        def recording(*args, **kwargs):
+            try:
+                return solve(*args, **kwargs)
+            except MaxSweepsExceeded as exc:
+                carried.append(exc.residual)
+                raise
+        monkeypatch.setattr(inner, "solve_inner", recording)
+        with pytest.raises(NotConverged) as exc:
+            outer.solve_relaxed(ex1_lifted, outer.regime_l1(10.0),
+                                outer.SolverOptions(max_sweeps=1,
+                                                    max_outer=5))
+        cli.write_solution(exc.value.solution, str(tmp_path))
+        with open(tmp_path / "trace.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(carried) == 5
+        assert [float(row["inner_residual"]) for row in rows] == carried
+        assert analysis.TRACE_COLUMNS[3] == "primal_res"
+        doc = (tmp_path / "solution.json").read_text()
+        assert "inner_residual" not in doc
 
 
 def _restart_iterations(trace):
