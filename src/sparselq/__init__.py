@@ -18,8 +18,8 @@ Typical use:
     sol.K, sol.J_upper, sol.pattern
 """
 
-from .analysis import (Solution, build_solution, feasibility_report, h2_cost,
-                       recover_gain, riccati_oracle, simulate_impulse,
+from .analysis import (Solution, build_solution, certify, feasibility_report,
+                       h2_cost, riccati_oracle, simulate_impulse,
                        solve_lyapunov, sparsity_report, stability_check)
 from .errors import (AssumptionViolated, DimensionMismatch,
                      ForcedZeroOutOfRange, InvalidPqParams,
@@ -42,9 +42,9 @@ __all__ = [
     "NoConvergence", "NotConverged", "NotHurwitz", "ParseError",
     "PenaltyConfig", "PlantData", "RegimeSpec", "SingularW1", "Solution",
     "SolverOptions", "SparseLQError", "UnknownKey", "ValidatedPlant",
-    "build_solution", "feasibility_report", "h2_cost", "lift_plant",
-    "penalty_value", "prox_piecewise_quadratic", "prox_weighted_l1",
-    "recover_gain", "regime_anchored", "regime_l1", "regime_pq",
+    "build_solution", "certify", "feasibility_report", "h2_cost",
+    "lift_plant", "penalty_value", "prox_piecewise_quadratic",
+    "prox_weighted_l1", "regime_anchored", "regime_l1", "regime_pq",
     "riccati_oracle", "simulate_impulse", "solve_l0", "solve_lyapunov",
     "solve_relaxed", "sparsity_report", "stability_check", "validate_plant",
 ]

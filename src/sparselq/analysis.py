@@ -1,12 +1,12 @@
 """Closed-loop certification and reporting.
 
-Everything downstream of the solvers lives here: recovering the gain from
-the parameter matrix, Lyapunov and quadratic-cost evaluation, stability
-margins, sparsity reports, an independent Riccati iteration used as a
-cross-check, and impulse-response simulation.
+Everything downstream of the solvers lives here: the certificate that
+certify derives from (W, P) for the solvers and for verify alike,
+Lyapunov and quadratic-cost evaluation, stability margins, sparsity
+reports, an independent Riccati iteration used as a cross-check, and
+impulse-response simulation.
 """
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,6 +21,17 @@ TRACE_COLUMNS = ("iter", "theta", "alpha", "primal_res", "dual_res",
                  "restarted", "inner_residual")
 
 STAGE_TRACE_COLUMNS = ("sigma", "pass", "h_sigma", "nnz")
+
+# Largest feasibility tolerance the residuals may buy: about four times
+# the largest 5 (pr + dr) of a converged solve in the test suite.  A
+# stored dual_res must not loosen verify's check without bound.
+TOL_CEILING = 0.05
+# The fields certify derives; True marks those compared on the scale of
+# ||W|| (eigenvalue and residual fields, which may sit at rounding level).
+CERTIFIED_FIELDS = {"K": False, "J_upper": False, "J_vertex": False,
+                    "stable": True, "pattern": False, "n_zeros": False,
+                    "primal_res": True, "feasibility": True,
+                    "certified": False}
 
 
 @dataclass
@@ -66,31 +77,6 @@ def _as_validated(plant):
     if isinstance(plant, PlantData):
         return validate_plant(plant)
     raise TypeError("expected PlantData or ValidatedPlant")
-
-
-def recover_gain(W, n, offdiag_tol=1e-4):
-    """Gain K = W2^T W1^{-1} from the parameter matrix.
-
-    When the off-diagonal entries of the leading block W1 are below
-    offdiag_tol, only the diagonal is inverted so zeros of W2^T map to
-    exact zeros of K; otherwise a warning is issued and the full block is
-    inverted.
-    """
-    W = np.asarray(W, dtype=float)
-    W1 = W[:n, :n]
-    W2t = W[n:, :n]
-    offdiag = W1 - np.diag(np.diag(W1))
-    d = np.diag(W1)
-    if np.any(np.abs(d) < 1e4 * np.finfo(float).tiny):
-        raise SingularW1("leading block has a (near-)zero diagonal entry")
-    if float(np.max(np.abs(offdiag), initial=0.0)) <= offdiag_tol:
-        return W2t / d
-    warnings.warn("leading block is not numerically diagonal; "
-                  "inverting the full block", stacklevel=2)
-    try:
-        return np.linalg.solve(W1.T, W2t.T).T
-    except np.linalg.LinAlgError as exc:
-        raise SingularW1(str(exc)) from exc
 
 
 def stability_check(A, B2, K):
@@ -226,9 +212,7 @@ def feasibility_report(lifted, W, P, tol=1e-4):
                   for i in range(lifted.n_vertices))
     offdiag = W1 - np.diag(np.diag(W1))
     gain_gap = float(np.max(np.abs(W[n:, :n] - P), initial=0.0))
-    forced = 0.0
-    for (i, j) in lifted.forced_zeros:
-        forced = max(forced, abs(P[i, j]))
+    forced = max((abs(P[i, j]) for i, j in lifted.forced_zeros), default=0.0)
     rep = {
         "min_eig_W": float(np.linalg.eigvalsh(0.5 * (W + W.T))[0]),
         "min_eig_psi": psi_min,
@@ -242,45 +226,107 @@ def feasibility_report(lifted, W, P, tol=1e-4):
     return rep
 
 
-def build_solution(lifted, W_vec, P_vec, trace, status, regime, gamma,
-                   primal_res, dual_res, multiplier=None, stage_trace=None,
-                   sparsity_tol=1e-6, iterations=None, weights=None,
-                   pq_params=None):
-    """Assemble and certify a Solution from raw solver state.
+def certificate_tolerance(primal_res, dual_res):
+    """Feasibility tolerance max(1e-4, 5 (primal + dual residual)),
+    capped at TOL_CEILING; non-finite residuals are left out."""
+    res = sum(float(r) for r in (primal_res, dual_res)
+              if r is not None and np.isfinite(r))
+    return min(TOL_CEILING, max(1e-4, 5.0 * res))
 
-    The gain divides the proximal parameter P by diag(W1) so that exact
-    zeros produced by the prox survive in K; the averaged W block carries
-    the same values only up to the feasibility gap.
+
+def certify(lifted, W, P, status, dual_res):
+    """Every certified field of a solution, derived from symmetric W and P.
+
+    Returns a dict of W, P, the CERTIFIED_FIELDS, the feasibility
+    tolerance tol and the conditions that certified requires besides
+    status "converged".  K = P / diag(W1) keeps the exact zeros of the
+    prox; a zero on that diagonal leaves K non-finite and nothing
+    certified.  status and dual_res are taken as given.
     """
-    n, m = lifted.n, lifted.m
-    W = lifted.unvec(W_vec)
-    W = 0.5 * (W + W.T)
-    P = P_vec.reshape(m, n, order="F")
-    d = np.diag(W[:n, :n])
-    if np.any(np.abs(d) < 1e4 * np.finfo(float).tiny):
-        raise SingularW1("leading block has a (near-)zero diagonal entry")
-    K = P / d
+    W_vec = W.reshape(-1, order="F")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        K = P / np.diag(W[:lifted.n, :lifted.n])
+    stable = J_vertex = np.full(lifted.n_vertices, np.inf)
+    if np.all(np.isfinite(K)):
+        stable = np.array([stability_check(Av, Bv, K)
+                           for Av, Bv in lifted.plant.vertices])
+        J_vertex = h2_cost(lifted.plant, K)
     J_upper = float(lifted.vec_R() @ W_vec)
-    J_vertex = h2_cost(lifted.plant, K)
-    margins = np.array([stability_check(Av, Bv, K)
-                        for Av, Bv in lifted.plant.vertices])
-    pattern, n_zeros = sparsity_report(P, sparsity_tol)
-    res_scale = sum(float(r) for r in (primal_res, dual_res)
-                    if r is not None and np.isfinite(r))
-    feas = feasibility_report(lifted, W, P, tol=max(1e-4, 5.0 * res_scale))
+    primal_res = float(np.linalg.norm(
+        lifted.op.apply_A(W_vec) + lifted.op.apply_B(P.ravel(order="F"))))
+    tol = certificate_tolerance(primal_res, dual_res)
+    feas = feasibility_report(lifted, W, P, tol=tol)
+    pattern, n_zeros = sparsity_report(P)
     slack = 1e-3 * max(1.0, abs(J_upper))
-    certified = (status == "converged"
-                 and bool(np.all(margins < 0))
-                 and bool(J_upper >= float(np.max(J_vertex)) - slack)
-                 and feas["feasible"])
-    return Solution(W=W, K=K, P=P, J_upper=J_upper, J_vertex=J_vertex,
-                    pattern=pattern, n_zeros=n_zeros, stable=margins,
-                    trace=trace if trace is not None else [],
-                    status=status, regime=regime, gamma=gamma,
-                    iterations=(len(trace) if trace else 0)
+    conditions = {"margins": bool(np.all(stable < 0)),
+                  "cost_bound": J_upper >= float(np.max(J_vertex)) - slack,
+                  "feasible": feas["feasible"]}
+    return dict(W=W, P=P, K=K, J_upper=J_upper, J_vertex=J_vertex,
+                stable=stable, pattern=pattern, n_zeros=n_zeros,
+                primal_res=primal_res, feasibility=feas, tol=tol,
+                conditions=conditions,
+                certified=status == "converged" and all(conditions.values()))
+
+
+def _close(stored, derived, floor, rtol=1e-9):
+    """stored equals derived to rtol of max(floor, max finite |derived|)."""
+    a = np.asarray(stored, dtype=float)
+    b = np.asarray(derived, dtype=float)
+    if a.shape != b.shape:
+        return False
+    with np.errstate(invalid="ignore"):
+        gap = np.where(a == b, 0.0, np.abs(a - b))
+    scale = max(floor, float(np.max(np.abs(b[np.isfinite(b)]), initial=0.0)))
+    return bool(np.all(gap <= rtol * scale))
+
+
+def agrees(cert, name, stored):
+    """Whether a stored copy of the certified field name matches cert."""
+    derived = cert[name]
+    floor = float(np.linalg.norm(cert["W"])) if CERTIFIED_FIELDS[name] else 0.0
+    if name != "feasibility":
+        return _close(stored, derived, floor)
+    return (isinstance(stored, dict) and stored.keys() == derived.keys()
+            and all(stored[k] == v if k == "feasible"
+                    else _close(stored[k], v, floor)
+                    for k, v in derived.items()))
+
+
+def stationary(cert, lifted, lam, gamma, weights=None, pq_params=None):
+    """Whether the multiplier's gain rows lie in the subdifferential at P
+    of the weighted l1 penalty (of the pq penalty when pq_params is
+    given), on the active face at nonzeros, to max(1e-3, 2 tol)."""
+    op, P = lifted.op, cert["P"]
+    lam_g = lam[op.n_diag:op.n_diag + op.n_gain].reshape(P.shape, order="F")
+    gw = gamma * (1.0 if weights is None else weights)
+    if pq_params is None:
+        lo, hi = np.where(P > 0, gw, -gw), np.where(P < 0, -gw, gw)
+    else:
+        a1, a2, b1, b2 = pq_params
+        face = np.where(P > 0, gw * (a2 * P + b2), gw * (a1 * P + b1))
+        lo = np.where(P == 0, gw * b1, face)
+        hi = np.where(P == 0, gw * b2, face)
+    viol = float(np.max(np.maximum(lo - lam_g, lam_g - hi), initial=0.0))
+    return viol <= max(1e-3, 2.0 * cert["tol"])
+
+
+def build_solution(lifted, W_vec, P_vec, trace, status, regime, gamma,
+                   dual_res, multiplier=None, stage_trace=None,
+                   iterations=None, weights=None, pq_params=None):
+    """Assemble a Solution from raw solver state, certified by certify.
+
+    Raises SingularW1 when the gain cannot be recovered.
+    """
+    W = lifted.unvec(W_vec)
+    cert = certify(lifted, 0.5 * (W + W.T),
+                   P_vec.reshape(lifted.m, lifted.n, order="F"), status,
+                   dual_res)
+    if not np.all(np.isfinite(cert["K"])):
+        raise SingularW1("leading block has a zero diagonal entry")
+    return Solution(**{k: cert[k] for k in ("W", "P", *CERTIFIED_FIELDS)},
+                    trace=trace or [], status=status, regime=regime,
+                    gamma=gamma, iterations=len(trace or ())
                     if iterations is None else iterations,
-                    primal_res=primal_res, dual_res=dual_res,
-                    certified=certified, feasibility=feas,
-                    multiplier=multiplier,
-                    stage_trace=stage_trace if stage_trace is not None else [],
-                    weights=weights, pq_params=pq_params)
+                    dual_res=dual_res, multiplier=multiplier,
+                    stage_trace=stage_trace or [], weights=weights,
+                    pq_params=pq_params)

@@ -116,8 +116,7 @@ def solve_l0(lifted, gamma, options=outer.SolverOptions(),
     st = sol.final_state
     final = analysis.build_solution(
         lifted, st.W_tilde, st.P_tilde, sol.trace, sol.status, "l0", gamma,
-        sol.primal_res, sol.dual_res, multiplier=st.lam.copy(),
-        stage_trace=stage_trace, sparsity_tol=options.sparsity_tol,
+        sol.dual_res, multiplier=st.lam.copy(), stage_trace=stage_trace,
         iterations=total_iters)
     final.final_state = st
     return final

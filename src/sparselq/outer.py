@@ -31,18 +31,17 @@ log = logging.getLogger("sparselq")
 class RegimeSpec:
     """Penalty regime plus the strong-convexity data the schedule needs.
 
-    kind is "l1", "pq", or "wl1_anchored".  mu_f and L_f are nonzero only
-    when a proximal anchor is present (both 1/lambda); mu_g is nonzero
-    only for the strongly convex piecewise quadratic penalty, where it is
-    the modulus of the full weighted penalty including its multiplier
-    gamma.
+    kind is "l1", "pq", or "wl1_anchored".  mu_f is nonzero only when a
+    proximal anchor is present, where it is 1/lambda and also weighs the
+    anchor; mu_g is nonzero only for the strongly convex piecewise
+    quadratic penalty, where it is the modulus of the full weighted
+    penalty including its multiplier gamma.
     """
 
     kind: str
     penalty: penalties.PenaltyConfig
     mu_f: float = 0.0
     mu_g: float = 0.0
-    L_f: float = 0.0
 
 
 def regime_l1(gamma, weights=None):
@@ -58,8 +57,7 @@ def regime_pq(gamma, weights=None, pq_params=(1.0, 1.0, -1.0, 1.0)):
 
 def regime_anchored(gamma, weights, lam):
     cfg = penalties.PenaltyConfig(kind="weighted_l1", gamma=gamma, weights=weights)
-    return RegimeSpec(kind="wl1_anchored", penalty=cfg,
-                      mu_f=1.0 / lam, L_f=1.0 / lam)
+    return RegimeSpec(kind="wl1_anchored", penalty=cfg, mu_f=1.0 / lam)
 
 
 @dataclass(frozen=True)
@@ -82,8 +80,6 @@ class SolverOptions:
     inner_tol_cap: float = 1e-4
     inner_tol_floor: float = 1e-8
     restart_every: int = 2000
-    collect_trace: bool = True
-    sparsity_tol: float = 1e-6
 
 
 @dataclass
@@ -104,7 +100,6 @@ class OuterState:
     mu_f: float = 0.0
     mu_g: float = 0.0
     anchor: np.ndarray = None
-    anchor_weight: float = 0.0
     P_prev: np.ndarray = None
     # solver scratch, not part of the mathematical state
     dual_state: object = None
@@ -129,7 +124,7 @@ def init_state(lifted, regime, options, init=None):
                     mu_f=regime.mu_f, mu_g=regime.mu_g,
                     P_prev=np.zeros(mn))
     if init:
-        for name in ("W_tilde", "v", "P_tilde", "w", "lam"):
+        for name in ("W_tilde", "v", "P_tilde", "w", "lam", "anchor"):
             if name in init and init[name] is not None:
                 setattr(st, name, np.asarray(init[name], dtype=float).copy())
         st.lam_bar = st.lam.copy()
@@ -191,7 +186,7 @@ def outer_iteration(state, lifted, regime, options=SolverOptions()):
 
     d = lifted.vec_R() + op.apply_At(state.lam)
     if state.anchor is not None:
-        d = d + state.anchor_weight * (ps.u - state.anchor)
+        d = d + state.mu_f * (ps.u - state.anchor)
 
     if state.last_primal_res is None:
         eps_in = options.inner_tol_cap
@@ -310,9 +305,6 @@ def solve_relaxed(lifted, regime, options=SolverOptions(), init=None):
         log.info("gamma=0 request run at gamma=1e-8")
 
     state = init_state(lifted, regime, options, init)
-    if init and init.get("anchor") is not None:
-        state.anchor = np.asarray(init["anchor"], dtype=float).copy()
-        state.anchor_weight = regime.mu_f
 
     trace = []
     t0 = time.perf_counter()
@@ -323,13 +315,12 @@ def solve_relaxed(lifted, regime, options=SolverOptions(), init=None):
         stop, pr, dr = check_convergence(state, lifted,
                                          options.eps1, options.eps2)
         state.last_primal_res = pr
-        if options.collect_trace:
-            obj = float(lifted.vec_R() @ state.W_tilde) + penalties.penalty_value(
-                state.P_tilde.reshape(lifted.m, lifted.n, order="F"),
-                regime.penalty)
-            row = (state.k, state.theta, state.alpha, pr, dr, obj,
-                   state.last_sweeps, (time.perf_counter() - t0) * 1e3,
-                   int(state.last_inner_capped))
+        obj = float(lifted.vec_R() @ state.W_tilde) + penalties.penalty_value(
+            state.P_tilde.reshape(lifted.m, lifted.n, order="F"),
+            regime.penalty)
+        row = (state.k, state.theta, state.alpha, pr, dr, obj,
+               state.last_sweeps, (time.perf_counter() - t0) * 1e3,
+               int(state.last_inner_capped))
         if stop:
             # The residual pair only watches the equality rows; before
             # accepting, require the averaged iterate to satisfy the cone
@@ -337,8 +328,8 @@ def solve_relaxed(lifted, regime, options=SolverOptions(), init=None):
             W_mat = lifted.unvec(state.W_tilde)
             W_mat = 0.5 * (W_mat + W_mat.T)
             P_mat = state.P_tilde.reshape(lifted.m, lifted.n, order="F")
-            rep = analysis.feasibility_report(lifted, W_mat, P_mat,
-                                              tol=max(1e-4, 5.0 * (pr + dr)))
+            tol = analysis.certificate_tolerance(pr, dr)
+            rep = analysis.feasibility_report(lifted, W_mat, P_mat, tol=tol)
             converged = rep["feasible"]
             if not converged:
                 log.info("iteration %d: residuals met but cone violation "
@@ -347,16 +338,14 @@ def solve_relaxed(lifted, regime, options=SolverOptions(), init=None):
         restarted = not converged and _restart_due(state, regime, options, pr)
         if restarted:
             restart_averages(state, options)
-        if options.collect_trace:
-            trace.append(row + (int(restarted), state.last_inner_residual))
+        trace.append(row + (int(restarted), state.last_inner_residual))
         if converged:
             break
 
     status = "converged" if converged else "max_iter"
     sol = analysis.build_solution(
         lifted, state.W_tilde, state.P_tilde, trace, status,
-        regime.kind, regime.penalty.gamma, pr, dr,
-        multiplier=state.lam.copy(), sparsity_tol=options.sparsity_tol,
+        regime.kind, regime.penalty.gamma, dr, multiplier=state.lam.copy(),
         iterations=state.k, weights=regime.penalty.weights,
         pq_params=regime.penalty.pq_params if regime.kind == "pq" else None)
     sol.final_state = state

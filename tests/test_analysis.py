@@ -14,33 +14,6 @@ def scalar_plant(a=1.0, b2=1.0, b1=1.0):
                            C=[[1.0], [0.0]], D=[[0.0], [1.0]])
 
 
-class TestRecoverGain:
-    def test_diagonal_fast_path_keeps_zeros(self):
-        W = np.zeros((3, 3))
-        W[:2, :2] = np.diag([2.0, 4.0])
-        W[2, :2] = [1.0, 0.0]
-        W[:2, 2] = [1.0, 0.0]
-        W[2, 2] = 1.0
-        K = analysis.recover_gain(W, 2)
-        np.testing.assert_allclose(K, [[0.5, 0.0]])
-        assert K[0, 1] == 0.0
-
-    def test_full_solve_path_warns(self):
-        W1 = np.array([[2.0, 0.3], [0.3, 1.5]])
-        W2t = np.array([[0.7, -0.4]])
-        W = np.block([[W1, W2t.T], [W2t, np.eye(1)]])
-        with pytest.warns(UserWarning):
-            K = analysis.recover_gain(W, 2)
-        np.testing.assert_allclose(K, W2t @ np.linalg.inv(W1), atol=1e-12)
-
-    def test_singular_diagonal(self):
-        W = np.zeros((3, 3))
-        W[1, 1] = 1.0
-        W[2, 2] = 1.0
-        with pytest.raises(SingularW1):
-            analysis.recover_gain(W, 2)
-
-
 class TestLyapunov:
     def test_residual_tolerance(self):
         rng = np.random.default_rng(0)
@@ -206,8 +179,7 @@ class TestBuildSolution:
         P_vec = W[3:, :3].reshape(-1, order="F")
         sol = analysis.build_solution(lifted, W_vec, P_vec, trace=[],
                                       status="converged", regime="l1",
-                                      gamma=1.0, primal_res=0.0,
-                                      dual_res=0.0)
+                                      gamma=1.0, dual_res=0.0)
         np.testing.assert_allclose(sol.K, K, atol=1e-10)
         assert sol.certified
         assert np.all(sol.stable < 0)
@@ -224,5 +196,82 @@ class TestBuildSolution:
             lifted, W.reshape(-1, order="F"),
             W[2:, :2].reshape(-1, order="F"), trace=[],
             status="max_iterations", regime="l1", gamma=1.0,
-            primal_res=1.0, dual_res=1.0)
+            dual_res=1.0)
         assert not sol.certified
+
+    def test_singular_diagonal(self):
+        lifted = lift(ex1_matrices())
+        W = np.eye(5)
+        W[0, 0] = 0.0
+        P = np.zeros((2, 3))
+        P[0, 0] = 1.0
+        with pytest.raises(SingularW1):
+            analysis.build_solution(lifted, W.reshape(-1, order="F"),
+                                    P.reshape(-1, order="F"), trace=[],
+                                    status="converged", regime="l1",
+                                    gamma=1.0, dual_res=0.0)
+
+
+class TestCertify:
+    def _feasible(self, seed=11):
+        from conftest import feasible_instance
+        plant, W, K = feasible_instance(np.random.default_rng(seed), 3, 2)
+        return model.lift_plant(model.validate_plant(plant)), W, W[3:, :3]
+
+    def test_derives_the_primal_residual(self):
+        lifted, W, P = self._feasible()
+        cert = analysis.certify(lifted, W, P, "converged", 0.0)
+        assert cert["certified"]
+        assert cert["primal_res"] == pytest.approx(0.0, abs=1e-12)
+        P_off = P + 1e-4
+        cert = analysis.certify(lifted, W, P_off, "converged", 0.0)
+        assert cert["primal_res"] == pytest.approx(1e-4 * np.sqrt(P.size))
+        assert cert["tol"] == pytest.approx(5.0 * cert["primal_res"])
+
+    def test_dual_residual_loosens_the_tolerance_up_to_the_ceiling(self):
+        lifted, W, P = self._feasible()
+        tol = [analysis.certify(lifted, W, P, "converged", dr)["tol"]
+               for dr in (0.0, 1e-3, 1e6)]
+        assert tol == [1e-4, pytest.approx(5e-3), analysis.TOL_CEILING]
+        cert = analysis.certify(lifted, W, P, "converged", 1e6)
+        assert cert["tol"] == analysis.TOL_CEILING
+        W_bad = W.copy()
+        W_bad[0, 1] = W_bad[1, 0] = 0.5
+        cert = analysis.certify(lifted, W_bad, P, "converged", 1e6)
+        assert not cert["conditions"]["feasible"] and not cert["certified"]
+
+    def test_zero_W1_diagonal_certifies_nothing(self):
+        lifted, W, P = self._feasible()
+        W = W.copy()
+        W[0, 0] = 0.0
+        cert = analysis.certify(lifted, W, P, "converged", 0.0)
+        assert not np.all(np.isfinite(cert["K"]))
+        assert np.all(np.isinf(cert["stable"]))
+        assert np.all(np.isinf(cert["J_vertex"]))
+        assert not cert["conditions"]["margins"] and not cert["certified"]
+
+    def test_status_gates_certified(self):
+        lifted, W, P = self._feasible()
+        cert = analysis.certify(lifted, W, P, "max_iter", 0.0)
+        assert all(cert["conditions"].values()) and not cert["certified"]
+
+    def test_agrees_compares_on_the_scale_of_W(self):
+        lifted, W, P = self._feasible()
+        cert = analysis.certify(lifted, W, P, "converged", 0.0)
+        res = cert["primal_res"]
+        scale = np.linalg.norm(W)
+        # a residual at rounding level may move by rounding of ||W||
+        assert analysis.agrees(cert, "primal_res", res + 1e-12 * scale)
+        assert not analysis.agrees(cert, "primal_res", res + 1e-6 * scale)
+        # the gain is compared relative to itself
+        assert not analysis.agrees(cert, "K", cert["K"] * (1.0 + 1e-6))
+
+    def test_agrees_matches_inf_with_inf(self):
+        lifted, W, P = self._feasible()
+        cert = analysis.certify(lifted, W, P, "converged", 0.0)
+        costs = cert["J_vertex"].copy()
+        costs[0] = np.inf
+        cert["J_vertex"] = costs
+        assert analysis.agrees(cert, "J_vertex", costs.tolist())
+        assert not analysis.agrees(cert, "J_vertex", np.ones_like(costs))
+        assert not analysis.agrees(cert, "J_vertex", [np.nan] * costs.size)

@@ -118,6 +118,46 @@ class TestParseProblem:
         assert lifted.forced_zeros == ((0, 0),)
 
 
+def _flip_first(rows):
+    rows[0][0] = 1 - rows[0][0]
+    return rows
+
+
+def _raise_min_eig_W(report):
+    report["min_eig_W"] += 1.0
+    return report
+
+
+# One tampering per field that verify derives from (W, P).
+TAMPER = {
+    "K": lambda K: [[K[0][0] + 25.0] + K[0][1:]] + K[1:],
+    "J_upper": lambda J: 10.0 * J,
+    "J_vertex": lambda costs: [0.5 * c for c in costs],
+    "stable": lambda margins: [x - 1.0 for x in margins],
+    "pattern": _flip_first,
+    "n_zeros": lambda zeros: zeros + 1,
+    "primal_res": lambda res: res + 1.0,
+    "feasibility": _raise_min_eig_W,
+    "certified": lambda flag: not flag,
+}
+
+
+def _solve_and_load(problem_file, tmp_path, *extra):
+    out = tmp_path / "run"
+    assert cli.run_command(["solve", "--problem", problem_file,
+                            "--out", str(out)] + list(extra)) == 0
+    path = out / "solution.json"
+    return path, json.loads(path.read_text())
+
+
+def _verify(problem_file, path, doc, capsys):
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    code = cli.run_command(["verify", "--problem", problem_file,
+                            "--solution", str(path)])
+    return code, capsys.readouterr()
+
+
 class TestSolveRoundtrip:
     def test_solve_then_verify(self, problem_file, tmp_path, capsys):
         out = str(tmp_path / "run")
@@ -142,18 +182,15 @@ class TestSolveRoundtrip:
         assert "verification passed" in captured.out
         assert "stationarity: ok" in captured.out
 
-    def test_verify_catches_tampering(self, problem_file, tmp_path, capsys):
-        out = str(tmp_path / "run")
-        assert cli.run_command(["solve", "--problem", problem_file,
-                                "--gamma", "0.5", "--out", out]) == 0
-        sol_path = tmp_path / "run" / "solution.json"
-        doc = json.loads(sol_path.read_text())
-        doc["K"][0][0] += 25.0
-        sol_path.write_text(json.dumps(doc))
-        code = cli.run_command(["verify", "--problem", problem_file,
-                                "--solution", str(sol_path)])
+    @pytest.mark.parametrize("field", list(analysis.CERTIFIED_FIELDS))
+    def test_verify_catches_tampering(self, problem_file, tmp_path, capsys,
+                                      field):
+        path, doc = _solve_and_load(problem_file, tmp_path, "--gamma", "0.5")
+        assert doc["certified"] is True
+        doc[field] = TAMPER[field](doc[field])
+        code, captured = _verify(problem_file, path, doc, capsys)
         assert code == 4
-        assert "FAILED" in capsys.readouterr().out
+        assert f"{field}: FAILED" in captured.out
 
     def test_verify_derives_J_upper(self, problem_file, tmp_path, capsys):
         out = str(tmp_path / "run")
@@ -269,6 +306,67 @@ class TestVerifyPenaltyParameters:
         assert key in capsys.readouterr().err
 
 
+class TestVerifyTrust:
+    """verify derives its tolerance, and says what it takes on trust."""
+
+    @pytest.mark.parametrize("relaxation", ["l1", "pq", "l0"])
+    def test_honest_round_trip_passes(self, problem_file, tmp_path, capsys,
+                                      relaxation):
+        path, doc = _solve_and_load(
+            problem_file, tmp_path, "--relaxation", relaxation,
+            "--gamma", "0.5", "--sigma0", "0.2", "--sigma-decay", "0.3")
+        code, captured = _verify(problem_file, path, doc, capsys)
+        assert code == 0
+        assert "status, iterations, dual_res: not derivable, not checked" \
+            in captured.out
+        checked = "not checked" if relaxation == "l0" else "ok"
+        assert f"stationarity: {checked}" in captured.out
+
+    @pytest.mark.parametrize("field", ["primal_res", "dual_res"])
+    def test_stored_residuals_do_not_loosen_the_tolerance(
+            self, problem_file, tmp_path, capsys, field):
+        path, doc = _solve_and_load(problem_file, tmp_path, "--gamma", "0.5")
+        doc["W"][0][1] = doc["W"][1][0] = 0.5
+        doc[field] = 1e6
+        code, captured = _verify(problem_file, path, doc, capsys)
+        assert code == 4
+        assert "feasible: FAILED" in captured.out
+
+    def test_unknown_regime_is_bad_input(self, problem_file, tmp_path,
+                                         capsys):
+        path, doc = _solve_and_load(problem_file, tmp_path, "--gamma", "0.5")
+        doc["regime"] = "foo"
+        doc["multiplier"] = [-x for x in doc["multiplier"]]
+        code, captured = _verify(problem_file, path, doc, capsys)
+        assert code == 2
+        assert "regime" in captured.err
+
+    def test_missing_multiplier_is_not_checked(self, problem_file, tmp_path,
+                                               capsys):
+        path, doc = _solve_and_load(problem_file, tmp_path, "--gamma", "0.5")
+        del doc["multiplier"]
+        code, captured = _verify(problem_file, path, doc, capsys)
+        assert code == 0
+        assert "stationarity: not checked" in captured.out
+
+    def test_negated_multiplier_fails_stationarity(self, problem_file,
+                                                   tmp_path, capsys):
+        path, doc = _solve_and_load(problem_file, tmp_path, "--gamma", "0.5")
+        doc["multiplier"] = [-x for x in doc["multiplier"]]
+        code, captured = _verify(problem_file, path, doc, capsys)
+        assert code == 4
+        assert "stationarity: FAILED" in captured.out
+
+    def test_zero_W1_diagonal_fails_verification(self, problem_file,
+                                                 tmp_path, capsys):
+        path, doc = _solve_and_load(problem_file, tmp_path, "--gamma", "0.5")
+        doc["W"][0][0] = 0.0
+        code, captured = _verify(problem_file, path, doc, capsys)
+        assert code == 4
+        assert "K: FAILED" in captured.out
+        assert "margins: FAILED" in captured.out
+
+
 class TestVerifyMalformedSolution:
     """A solution file with a missing or wrong-size field is bad input."""
 
@@ -330,12 +428,15 @@ class TestBadInputs:
         assert code == 2
         assert "gamma" in capsys.readouterr().err
 
-    def test_negative_gamma_in_sweep(self, problem_file, tmp_path, capsys):
+    @pytest.mark.parametrize("gammas,named", [("50,-1", "gamma"),
+                                              ("1,abc", "abc")])
+    def test_bad_gamma_in_sweep(self, problem_file, tmp_path, capsys,
+                                gammas, named):
         code = cli.run_command(["sweep", "--problem", problem_file,
-                                "--gammas", "50,-1",
+                                "--gammas", gammas,
                                 "--out", str(tmp_path / "o")])
         assert code == 2
-        assert "gamma" in capsys.readouterr().err
+        assert named in capsys.readouterr().err
         assert not (tmp_path / "o" / "rows").exists()
 
 

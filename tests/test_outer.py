@@ -17,7 +17,7 @@ def ex1_g10(ex1_lifted):
 class TestRegimeConstructors:
     def test_l1(self):
         r = outer.regime_l1(2.0)
-        assert (r.kind, r.mu_f, r.mu_g, r.L_f) == ("l1", 0.0, 0.0, 0.0)
+        assert (r.kind, r.mu_f, r.mu_g) == ("l1", 0.0, 0.0)
         assert r.penalty.kind == "weighted_l1"
 
     def test_pq_strong_convexity(self):
@@ -28,8 +28,7 @@ class TestRegimeConstructors:
 
     def test_anchored(self):
         r = outer.regime_anchored(1.0, np.ones((1, 2)), lam=10.0)
-        assert r.mu_f == pytest.approx(0.1)
-        assert r.L_f == pytest.approx(0.1)
+        assert (r.mu_f, r.mu_g) == (pytest.approx(1.0 / 10.0), 0.0)
         assert r.kind == "wl1_anchored"
 
 
