@@ -121,9 +121,9 @@ def h2_cost(plant, K):
     """
     vp = _as_validated(plant)
     K = np.asarray(K, dtype=float)
-    CDK = vp.C - vp.D @ K
-    out = np.empty(len(vp.vertices))
-    for idx, (Av, Bv) in enumerate(vp.vertices):
+    CDK = vp.plant.C - vp.plant.D @ K
+    out = np.empty(len(vp.plant.vertices))
+    for idx, (Av, Bv) in enumerate(vp.plant.vertices):
         A_cl = Av - Bv @ K
         if float(np.max(np.real(np.linalg.eigvals(A_cl)))) >= 0:
             out[idx] = np.inf
@@ -154,9 +154,9 @@ def riccati_oracle(plant, stabilizing_K0, max_iter=50, tol=1e-12):
     J_star = Tr(P B1 B1^T).  Single-vertex plants only.
     """
     vp = _as_validated(plant)
-    if len(vp.vertices) != 1:
+    if len(vp.plant.vertices) != 1:
         raise ValueError("oracle handles single-vertex plants only")
-    A, B2 = vp.A, vp.B2
+    A, B2 = vp.plant.A, vp.plant.B2
     K = np.asarray(stabilizing_K0, dtype=float)
     if stability_check(A, B2, K) >= 0:
         raise K0NotStabilizing("initial gain is not stabilizing")
@@ -185,14 +185,14 @@ def simulate_impulse(plant, K, horizon, dt):
     """
     if dt <= 0:
         raise ValueError("dt must be > 0")
-    vp = _as_validated(plant)
-    A_cl = vp.A - vp.B2 @ np.asarray(K, dtype=float)
+    plant = _as_validated(plant).plant
+    A_cl = plant.A - plant.B2 @ np.asarray(K, dtype=float)
     nt = int(np.floor(horizon / dt + 1e-12)) + 1
     t = np.arange(nt) * dt
-    n, l = vp.n, vp.l
+    n, l = plant.n, plant.l
     X = np.empty((l, nt, n))
     for j in range(l):
-        x = vp.B1[:, j].copy()
+        x = plant.B1[:, j].copy()
         X[j, 0] = x
         for s in range(1, nt):
             k1 = A_cl @ x
@@ -241,7 +241,9 @@ def certify(lifted, W, P, status, dual_res):
     tolerance tol and the conditions that certified requires besides
     status "converged".  K = P / diag(W1) keeps the exact zeros of the
     prox; a zero on that diagonal leaves K non-finite and nothing
-    certified.  status and dual_res are taken as given.
+    certified, and a Lyapunov solve that cannot meet its residual (a
+    tiny nonzero diagonal) leaves J_vertex inf.  status and dual_res are
+    taken as given.
     """
     W_vec = W.reshape(-1, order="F")
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -249,8 +251,11 @@ def certify(lifted, W, P, status, dual_res):
     stable = J_vertex = np.full(lifted.n_vertices, np.inf)
     if np.all(np.isfinite(K)):
         stable = np.array([stability_check(Av, Bv, K)
-                           for Av, Bv in lifted.plant.vertices])
-        J_vertex = h2_cost(lifted.plant, K)
+                           for Av, Bv in lifted.plant.plant.vertices])
+        try:
+            J_vertex = h2_cost(lifted.plant, K)
+        except ArithmeticError:
+            J_vertex = np.full(lifted.n_vertices, np.inf)
     J_upper = float(lifted.vec_R() @ W_vec)
     primal_res = float(np.linalg.norm(
         lifted.op.apply_A(W_vec) + lifted.op.apply_B(P.ravel(order="F"))))

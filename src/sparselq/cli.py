@@ -338,11 +338,17 @@ def cmd_sweep(args):
     return max(codes)
 
 
+def _field(doc, key):
+    if key not in doc:
+        raise ParseError(f"solution file is missing {key!r}")
+    return doc[key]
+
+
 def cmd_simulate(args):
     lifted = load_problem(args.problem)
     with open(args.solution, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    K = np.asarray(doc["K"], dtype=float)
+        doc = _json_object(fh.read(), "solution")
+    K = _matrix(_field(doc, "K"), lifted.m, lifted.n, "K")
     t, X = analysis.simulate_impulse(lifted.plant, K, args.horizon, args.dt)
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "impulse.csv")
@@ -356,12 +362,6 @@ def cmd_simulate(args):
                                 + [f"{val:.12g}" for val in X[j, s]])
     print(f"wrote {path} ({X.shape[0]} channels, {X.shape[1]} samples)")
     return 0
-
-
-def _field(doc, key):
-    if key not in doc:
-        raise ParseError(f"solution file is missing {key!r}")
-    return doc[key]
 
 
 def cmd_verify(args):

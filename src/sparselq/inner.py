@@ -18,6 +18,10 @@ X = (X0, X1, ..., XM) is a convex quadratic on a product of PSD cones,
 Every row of A selects a single entry of W, so (AD)'(AD) is diagonal
 (lifted.gram_diag) and so is M: Minv is carried as the vector minv and
 applied entrywise, and AD is applied as the gather of A after D.
+J_i Minv is never formed: the sweep applies J_i to Minv r.  minv and the
+step constants rho_i below depend on the sigmas alone, and
+assemble_dual_data rebuilds them on every call, one small eigenvalue
+problem per vertex.
 
 Each block update below is a projected gradient step with step 1/rho_i
 (rho_i the largest eigenvalue of the block curvature), which is exactly
@@ -99,31 +103,19 @@ def zero_state(lifted):
 
 
 @dataclass
-class CurvatureCache:
-    """Sigma-dependent data, reusable while (sigma1, sigma2) repeat.
-
-    minv is the diagonal of Minv; JM_list holds J_i Minv and rho_list the
-    largest eigenvalue of each J_i Minv J_i'.  With the default scalar
-    schedule of the l1 regime the sigmas are constant, so this cache
-    removes nearly all assembly cost there.
-    """
-
-    key: tuple
-    minv: np.ndarray
-    JM_list: list
-    rho0: float
-    rho_list: list
-
-
-@dataclass
 class DualData:
-    """Per-outer-iteration data of the dual problem."""
+    """Per-outer-iteration data of the dual problem.
+
+    minv is the diagonal of Minv, rho0 its largest entry and rho_list the
+    largest eigenvalue of each J_i Minv J_i'.  These depend on (sigma1,
+    sigma2) only and are rebuilt on every call of assemble_dual_data,
+    whether the sigmas moved or not.
+    """
 
     lifted: object
     sigma1: float
     sigma2: float
     minv: np.ndarray
-    JM_list: list
     rho0: float
     rho_list: list
     q_k: np.ndarray
@@ -144,25 +136,21 @@ def _sym_svec(vec_coords, maps):
     return svec(0.5 * (G + G.T), maps)
 
 
-def assemble_dual_data(lifted, d_k, w_k, v_tilde_k, alpha_k, theta_k, eta_f_k,
-                       cache=None):
-    """Build the dual problem data; reuses cache when the sigmas repeat.
+def assemble_dual_data(lifted, d_k, w_k, v_tilde_k, alpha_k, theta_k, eta_f_k):
+    """Build the dual problem data, curvature included.
 
-    Returns (data, cache).
+    Returns (data, data.rho_list): the pair stays because
+    bench/tracer.py counts curvature rebuilds from result[1], and a
+    bare DualData would make every traced run raise TypeError.
     """
     if not (alpha_k > 0 and theta_k > 0 and eta_f_k > 0):
         raise ValueError("alpha, theta, eta_f must be positive")
     sigma1 = alpha_k / (2.0 * theta_k)
     sigma2 = eta_f_k / (2.0 * alpha_k)
 
-    key = (sigma1, sigma2)
-    if cache is None or cache.key != key:
-        minv = 1.0 / (2.0 * sigma1 * lifted.gram_diag + 2.0 * sigma2)
-        JM_list = [J * minv for J in lifted.J_list]
-        rho_list = [max(max_eigenvalue(JM @ J.T), 1e-30)
-                    for JM, J in zip(JM_list, lifted.J_list)]
-        cache = CurvatureCache(key=key, minv=minv, JM_list=JM_list,
-                               rho0=float(minv.max()), rho_list=rho_list)
+    minv = 1.0 / (2.0 * sigma1 * lifted.gram_diag + 2.0 * sigma2)
+    rho_list = [max(max_eigenvalue((J * minv) @ J.T), 1e-30)
+                for J in lifted.J_list]
 
     g0 = _sym_svec(d_k, lifted.svec_p)
     s_tilde = _sym_svec(v_tilde_k, lifted.svec_p)
@@ -170,10 +158,9 @@ def assemble_dual_data(lifted, d_k, w_k, v_tilde_k, alpha_k, theta_k, eta_f_k,
     ADt_b = _sym_svec(lifted.op.apply_At(b_tilde), lifted.svec_p)
     q = -2.0 * sigma1 * ADt_b + 2.0 * sigma2 * s_tilde
 
-    return DualData(lifted=lifted, sigma1=sigma1, sigma2=sigma2,
-                    minv=cache.minv, JM_list=cache.JM_list,
-                    rho0=cache.rho0, rho_list=cache.rho_list,
-                    q_k=q, g0=g0, s_tilde=s_tilde, b_tilde=b_tilde), cache
+    return DualData(lifted=lifted, sigma1=sigma1, sigma2=sigma2, minv=minv,
+                    rho0=float(minv.max()), rho_list=rho_list,
+                    q_k=q, g0=g0, s_tilde=s_tilde, b_tilde=b_tilde), rho_list
 
 
 def _project(x, maps):
@@ -189,9 +176,9 @@ def _project(x, maps):
 def _gradients(data, ell):
     """Block gradients of the dual objective at a state X with L(X) = ell:
     [grad_0, grad_1, ..., grad_M]."""
-    r = data.q_k - ell
-    return [data.minv * r] + [-(data.lifted.kappa_q + JM.dot(r))
-                              for JM in data.JM_list]
+    step = data.minv * (data.q_k - ell)
+    return [step] + [-(data.lifted.kappa_q + J.dot(step))
+                     for J in data.lifted.J_list]
 
 
 def _norm(v):
@@ -231,7 +218,7 @@ def sgs_sweep(state, data, ell=None):
     nv = len(xs)
 
     for i in reversed(range(nv)):
-        g = kq + data.JM_list[i].dot(q - ell)
+        g = kq + lifted.J_list[i].dot(data.minv * (q - ell))
         new = _project(xs[i] + g / data.rho_list[i], maps_n)
         ell = ell + (new - xs[i]).dot(lifted.J_list[i])
         xs[i] = new
@@ -244,7 +231,7 @@ def sgs_sweep(state, data, ell=None):
     zs = [-data.rho0 * dx - step0]
 
     for i in range(nv):
-        g = kq + data.JM_list[i].dot(q - ell)
+        g = kq + lifted.J_list[i].dot(data.minv * (q - ell))
         new = _project(xs[i] + g / data.rho_list[i], maps_n)
         dx = new - xs[i]
         ell = ell + dx.dot(lifted.J_list[i])
@@ -298,18 +285,18 @@ def recover_primal(data, state, ell=None):
 
 
 def solve_inner(lifted, d_k, w_k, v_tilde_k, alpha_k, theta_k, eta_f_k,
-                eps, max_sweeps, warm_start=None, cache=None):
+                eps, max_sweeps, warm_start=None):
     """Run extrapolated sweeps until a sweep's residual bound drops below eps.
 
-    Returns (v, sweeps_used, state, cache) with v = vec(W) rebuilt from
+    Returns (v, sweeps_used, state) with v = vec(W) rebuilt from
     the recovered half-vectorization; W is symmetric by construction.
     state is the last sweep output, never the extrapolated point, and
     state.residual < eps bounds its dual_residual.  Raises
     MaxSweepsExceeded at the cap, carrying the last sweep output and its
     exact dual_residual.
     """
-    data, cache = assemble_dual_data(lifted, d_k, w_k, v_tilde_k,
-                                     alpha_k, theta_k, eta_f_k, cache)
+    data, _ = assemble_dual_data(lifted, d_k, w_k, v_tilde_k,
+                                 alpha_k, theta_k, eta_f_k)
     state = warm_start if warm_start is not None else zero_state(lifted)
     # L is affine, so L(y) follows the extrapolation from sweep to sweep;
     # only the start needs a fresh L, because g0 moved with the outer step
@@ -336,6 +323,6 @@ def solve_inner(lifted, d_k, w_k, v_tilde_k, alpha_k, theta_k, eta_f_k,
     s = recover_primal(data, state, ell)
     v = unsvec(s, lifted.svec_p).reshape(-1, order="F")
     if converged:
-        return v, sweeps, state, cache
+        return v, sweeps, state
     raise MaxSweepsExceeded(v=v, residual=dual_residual(state, data),
                             state=state, sweeps=sweeps)

@@ -95,11 +95,6 @@ class ValidatedPlant:
     DtD: np.ndarray
     B1B1t: np.ndarray
 
-    def __getattr__(self, name):
-        if name.startswith("_") or name == "plant":
-            raise AttributeError(name)
-        return getattr(self.plant, name)
-
 
 def validate_plant(plant):
     """Check dimensions and the structural assumptions of the cost.
@@ -178,10 +173,6 @@ class LiftedProblem:
     gram_diag: np.ndarray = field(repr=False)
     J_list: tuple = field(repr=False)
     kappa_q: np.ndarray = field(repr=False)
-
-    @property
-    def norm_B(self):
-        return self.op.norm_B
 
     @property
     def forced_zeros(self):

@@ -103,7 +103,6 @@ class OuterState:
     P_prev: np.ndarray = None
     # solver scratch, not part of the mathematical state
     dual_state: object = None
-    dual_cache: object = None
     last_primal_res: float = None
     last_sweeps: int = 0
     last_inner_capped: bool = False
@@ -147,9 +146,10 @@ class ParamStep(NamedTuple):
     beta_next: float
 
 
-def step_and_parameters(state, norm_B=1.0):
+def step_and_parameters(state):
     """Scalar schedule and extrapolated auxiliaries for one iteration."""
-    alpha = np.sqrt(state.beta * state.theta) / norm_B
+    # sqrt(beta theta) / ||B||, and ||B|| = 1: B is -I on the gain rows
+    alpha = np.sqrt(state.beta * state.theta)
     eta_g = (alpha + 1.0) * state.beta + state.mu_g * alpha
     y_tilde = state.P_tilde + (alpha * state.beta / eta_g) * (state.w - state.P_tilde)
     eta_f_tilde = state.kappa + state.mu_f * alpha
@@ -182,7 +182,7 @@ def _apply_prox(Z_vec, regime, rho, m, n, forced=()):
 def outer_iteration(state, lifted, regime, options=SolverOptions()):
     """Advance the splitting by one iteration (in place) and return state."""
     op = lifted.op
-    ps = step_and_parameters(state, op.norm_B)
+    ps = step_and_parameters(state)
 
     d = lifted.vec_R() + op.apply_At(state.lam)
     if state.anchor is not None:
@@ -195,14 +195,14 @@ def outer_iteration(state, lifted, regime, options=SolverOptions()):
                      min(options.inner_tol_cap, 0.1 * state.last_primal_res))
     capped = False
     try:
-        v_next, sweeps, dstate, dcache = inner.solve_inner(
+        v_next, sweeps, dstate = inner.solve_inner(
             lifted, d, state.w, ps.v_tilde, ps.alpha, state.theta,
             ps.eta_f_tilde, eps_in, options.max_sweeps,
-            warm_start=state.dual_state, cache=state.dual_cache)
+            warm_start=state.dual_state)
         inner_res = dstate.residual
     except MaxSweepsExceeded as exc:
         log.warning("iteration %d: %s; accepting best iterate", state.k, exc)
-        v_next, sweeps, dstate, dcache = exc.v, exc.sweeps, exc.state, state.dual_cache
+        v_next, sweeps, dstate = exc.v, exc.sweeps, exc.state
         inner_res = exc.residual
         capped = True
 
@@ -225,7 +225,7 @@ def outer_iteration(state, lifted, regime, options=SolverOptions()):
     state.alpha = alpha
     state.theta, state.kappa, state.beta = ps.theta_next, ps.kappa_next, ps.beta_next
     state.k += 1
-    state.dual_state, state.dual_cache = dstate, dcache
+    state.dual_state = dstate
     state.last_sweeps = sweeps
     state.last_inner_capped = capped
     state.last_inner_residual = inner_res

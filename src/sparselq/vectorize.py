@@ -101,7 +101,6 @@ class ConstraintOperator:
     n_gain: int
     n_forced: int
     forced_zeros: tuple
-    norm_B: float = 1.0
 
     @property
     def n_rows(self):

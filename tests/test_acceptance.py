@@ -187,9 +187,9 @@ def test_criterion_6_inner_matches_reference():
         lifted, d_k, w_k, v_tilde, a, t, e = make_inner_instance(rng)
         data, _ = inner.assemble_dual_data(lifted, d_k, w_k, v_tilde, a, t, e)
         try:
-            _, _, st, _ = inner.solve_inner(lifted, d_k, w_k, v_tilde,
-                                            a, t, e, eps=1e-7,
-                                            max_sweeps=200000)
+            _, _, st = inner.solve_inner(lifted, d_k, w_k, v_tilde,
+                                         a, t, e, eps=1e-7,
+                                         max_sweeps=200000)
         except MaxSweepsExceeded:
             failures.append(f"seed {seed} missed the inner tolerance")
             continue
@@ -280,7 +280,7 @@ def test_criterion_7_property_pack(ex1_lifted):
             theta=1.0, kappa=1.0, beta=1.0, mu_f=0.0, mu_g=mu_g)
         thetas = [st.theta]
         for _ in range(steps):
-            ps = outer.step_and_parameters(st, norm_B=1.0)
+            ps = outer.step_and_parameters(st)
             st.theta, st.kappa, st.beta = (ps.theta_next, ps.kappa_next,
                                            ps.beta_next)
             thetas.append(st.theta)

@@ -366,6 +366,16 @@ class TestVerifyTrust:
         assert "K: FAILED" in captured.out
         assert "margins: FAILED" in captured.out
 
+    def test_tiny_W1_diagonal_fails_verification(self, problem_file,
+                                                 tmp_path, capsys):
+        # K stays finite, but no Lyapunov solve meets its residual
+        path, doc = _solve_and_load(problem_file, tmp_path, "--gamma", "0.5")
+        doc["W"][0][0] = 5e-308
+        code, captured = _verify(problem_file, path, doc, capsys)
+        assert code == 4
+        assert "J_vertex: FAILED" in captured.out
+        assert "cost_bound: FAILED" in captured.out
+
 
 class TestVerifyMalformedSolution:
     """A solution file with a missing or wrong-size field is bad input."""
@@ -526,6 +536,20 @@ class TestSimulate:
         # each trajectory starts from its disturbance column
         first = [float(v) for v in table[1][2:]]
         np.testing.assert_allclose(first, [1.0, 0.0])
+
+    @pytest.mark.parametrize("text,needle", [
+        ('{"W": [[1.0]]}', "'K'"),
+        ("{not json", "not valid JSON"),
+        ('{"K": [[1.0]]}', "K: expected 2 entries")])
+    def test_bad_solution_is_bad_input(self, problem_file, tmp_path, capsys,
+                                       text, needle):
+        path = tmp_path / "solution.json"
+        path.write_text(text)
+        code = cli.run_command(["simulate", "--problem", problem_file,
+                                "--solution", str(path),
+                                "--out", str(tmp_path / "sim")])
+        assert code == 2
+        assert needle in capsys.readouterr().err
 
 
 def test_console_script_help():

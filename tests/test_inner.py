@@ -10,21 +10,21 @@ from conftest import make_inner_instance, pg_dual_oracle
 def assemble(rng_seed):
     rng = np.random.default_rng(rng_seed)
     lifted, d_k, w_k, v_tilde, alpha, theta, eta_f = make_inner_instance(rng)
-    data, cache = inner.assemble_dual_data(lifted, d_k, w_k, v_tilde,
-                                           alpha, theta, eta_f)
-    return lifted, data, cache, (d_k, w_k, v_tilde, alpha, theta, eta_f)
+    data, _ = inner.assemble_dual_data(lifted, d_k, w_k, v_tilde,
+                                       alpha, theta, eta_f)
+    return lifted, data, (d_k, w_k, v_tilde, alpha, theta, eta_f)
 
 
 class TestDualData:
     def test_sigma_values(self):
-        lifted, data, _, (_, _, _, alpha, theta, eta_f) = assemble(0)
+        lifted, data, (_, _, _, alpha, theta, eta_f) = assemble(0)
         assert data.sigma1 == pytest.approx(alpha / (2 * theta))
         assert data.sigma2 == pytest.approx(eta_f / (2 * alpha))
 
     def test_curvature_is_spd(self):
         # M = 2 sigma1 diag(gram) + 2 sigma2 I is positive and diagonal;
         # minv is its inverse, entry by entry.
-        lifted, data, _, _ = assemble(1)
+        lifted, data, _ = assemble(1)
         M = 2 * data.sigma1 * lifted.gram_diag + 2 * data.sigma2
         assert np.all(data.minv > 0)
         np.testing.assert_allclose(data.minv * M, 1.0, rtol=1e-14)
@@ -37,21 +37,27 @@ class TestDualData:
             inner.assemble_dual_data(lifted, d_k, w_k, v_tilde,
                                      0.0, 1.0, 1.0)
 
-    def test_cache_reuse(self):
-        lifted, data, cache, (d_k, w_k, v_tilde, a, t, e) = assemble(3)
-        data2, cache2 = inner.assemble_dual_data(lifted, d_k, w_k, v_tilde,
-                                                 a, t, e, cache=cache)
-        assert cache2 is cache
-        np.testing.assert_array_equal(data2.minv, data.minv)
-        # a different sigma pair rebuilds
-        _, cache3 = inner.assemble_dual_data(lifted, d_k, w_k, v_tilde,
-                                             2 * a, t, e, cache=cache)
-        assert cache3 is not cache
+    def test_curvature_matches_definition(self):
+        # rho_i = lambda_max(J_i diag(minv) J_i'), rho0 = max(minv), and
+        # equal inputs give equal curvature, for two different sigma pairs
+        lifted, _, (d_k, w_k, v_tilde, a, t, e) = assemble(3)
+        for alpha in (a, 2 * a):
+            data, rho_list = inner.assemble_dual_data(lifted, d_k, w_k,
+                                                      v_tilde, alpha, t, e)
+            assert rho_list is data.rho_list
+            for J, rho in zip(lifted.J_list, data.rho_list):
+                exact = np.linalg.eigvalsh(J @ np.diag(data.minv) @ J.T)[-1]
+                assert rho == pytest.approx(exact, rel=1e-12)
+            assert data.rho0 == data.minv.max()
+            again, _ = inner.assemble_dual_data(lifted, d_k, w_k, v_tilde,
+                                                alpha, t, e)
+            np.testing.assert_array_equal(again.minv, data.minv)
+            assert again.rho_list == data.rho_list
 
 
 class TestSweeps:
     def test_dual_objective_monotone(self):
-        lifted, data, _, _ = assemble(4)
+        lifted, data, _ = assemble(4)
         state = inner.zero_state(lifted)
         prev = inner.dual_objective(state, data)
         for _ in range(40):
@@ -61,7 +67,7 @@ class TestSweeps:
             prev = cur
 
     def test_residual_decreases_to_tolerance(self):
-        lifted, data, _, _ = assemble(5)
+        lifted, data, _ = assemble(5)
         state = inner.zero_state(lifted)
         for _ in range(5000):
             state, _ = inner.sgs_sweep(state, data)
@@ -70,7 +76,7 @@ class TestSweeps:
         assert inner.dual_residual(state, data) < 1e-9
 
     def test_iterates_stay_in_cone(self):
-        lifted, data, _, _ = assemble(6)
+        lifted, data, _ = assemble(6)
         state = inner.zero_state(lifted)
         for _ in range(10):
             state, _ = inner.sgs_sweep(state, data)
@@ -83,8 +89,8 @@ class TestSweeps:
 
 class TestSolveInner:
     def test_converged_primal_is_nearly_feasible(self):
-        lifted, _, _, (d_k, w_k, v_tilde, a, t, e) = assemble(7)
-        v, sweeps, state, cache = inner.solve_inner(
+        lifted, _, (d_k, w_k, v_tilde, a, t, e) = assemble(7)
+        v, sweeps, state = inner.solve_inner(
             lifted, d_k, w_k, v_tilde, a, t, e, eps=1e-10, max_sweeps=20000)
         W = lifted.unvec(v)
         np.testing.assert_allclose(W, W.T, atol=1e-12)
@@ -94,8 +100,8 @@ class TestSolveInner:
 
     def test_matches_projected_gradient_oracle(self):
         for seed in (8, 9):
-            lifted, data, _, (d_k, w_k, v_tilde, a, t, e) = assemble(seed)
-            v, _, state, _ = inner.solve_inner(
+            lifted, data, (d_k, w_k, v_tilde, a, t, e) = assemble(seed)
+            v, _, state = inner.solve_inner(
                 lifted, d_k, w_k, v_tilde, a, t, e,
                 eps=1e-9, max_sweeps=50000)
             ref_state, steps = pg_dual_oracle(lifted, data, max_steps=300000)
@@ -106,24 +112,24 @@ class TestSolveInner:
             np.testing.assert_allclose(s, s_ref, atol=1e-5)
 
     def test_strong_duality_gap_closes(self):
-        lifted, data, _, (d_k, w_k, v_tilde, a, t, e) = assemble(10)
-        v, _, state, _ = inner.solve_inner(
+        lifted, data, (d_k, w_k, v_tilde, a, t, e) = assemble(10)
+        v, _, state = inner.solve_inner(
             lifted, d_k, w_k, v_tilde, a, t, e, eps=1e-10, max_sweeps=50000)
         s = inner.recover_primal(data, state)
         gap = inner.primal_objective(data, s) + inner.dual_objective(state, data)
         assert abs(gap) <= 1e-6
 
     def test_warm_start_shortcuts(self):
-        lifted, _, _, (d_k, w_k, v_tilde, a, t, e) = assemble(11)
-        _, sweeps_cold, state, cache = inner.solve_inner(
+        lifted, _, (d_k, w_k, v_tilde, a, t, e) = assemble(11)
+        _, sweeps_cold, state = inner.solve_inner(
             lifted, d_k, w_k, v_tilde, a, t, e, eps=1e-8, max_sweeps=20000)
-        _, sweeps_warm, _, _ = inner.solve_inner(
+        _, sweeps_warm, _ = inner.solve_inner(
             lifted, d_k, w_k, v_tilde, a, t, e, eps=1e-8, max_sweeps=20000,
-            warm_start=state, cache=cache)
+            warm_start=state)
         assert sweeps_warm <= max(2, sweeps_cold // 4)
 
     def test_sweep_cap_carries_best_iterate(self):
-        lifted, _, _, (d_k, w_k, v_tilde, a, t, e) = assemble(12)
+        lifted, _, (d_k, w_k, v_tilde, a, t, e) = assemble(12)
         with pytest.raises(MaxSweepsExceeded) as exc:
             inner.solve_inner(lifted, d_k, w_k, v_tilde, a, t, e,
                               eps=1e-14, max_sweeps=3)
@@ -161,7 +167,7 @@ class TestAcceleratedSolve:
             if inner.dual_residual(state, data) < self.eps:
                 break
         assert inner.dual_residual(state, data) < self.eps
-        _, sweeps, acc_state, _ = inner.solve_inner(
+        _, sweeps, acc_state = inner.solve_inner(
             lifted, *args, eps=self.eps, max_sweeps=50000)
         assert sweeps <= plain / 3
         np.testing.assert_allclose(inner.recover_primal(data, acc_state),
@@ -171,7 +177,7 @@ class TestAcceleratedSolve:
     def test_returned_state_is_a_sweep_output(self):
         lifted, args = stiff_instance()
         data, _ = inner.assemble_dual_data(lifted, *args)
-        _, _, state, _ = inner.solve_inner(lifted, *args, eps=self.eps,
+        _, _, state = inner.solve_inner(lifted, *args, eps=self.eps,
                                            max_sweeps=50000)
         assert_in_cones(lifted, state)
         assert inner.dual_residual(state, data) < self.eps
@@ -192,7 +198,7 @@ def vertex_instance(seed, n_vertices):
     rng = np.random.default_rng(seed)
     lifted, *args = make_inner_instance(rng)
     if n_vertices == 2:
-        pl = lifted.plant
+        pl = lifted.plant.plant
         shifted = pl.A - 0.5 * np.eye(lifted.n)
         plant = model.PlantData(A=pl.A, B2=pl.B2, B1=pl.B1, C=pl.C, D=pl.D,
                                 vertices=((pl.A, pl.B2), (shifted, pl.B2)))
@@ -232,7 +238,7 @@ class TestResidualBound:
     def test_bounds_the_exact_residual_from_a_warm_start(self, n_vertices):
         # the solution of one subproblem warm-starts a neighbouring one
         lifted, (d_k, w_k, v_tilde, a, t, e) = vertex_instance(14, n_vertices)
-        _, _, warm, _ = inner.solve_inner(lifted, d_k, w_k, v_tilde, a, t, e,
+        _, _, warm = inner.solve_inner(lifted, d_k, w_k, v_tilde, a, t, e,
                                           eps=1e-8, max_sweeps=20000)
         data, _ = inner.assemble_dual_data(lifted, 1.1 * d_k, w_k + 0.1,
                                            v_tilde, 1.2 * a, t, e)
@@ -268,7 +274,7 @@ class TestResidualBound:
             return exact(*a)
         monkeypatch.setattr(inner, "sgs_sweep", recorded_sweep)
         monkeypatch.setattr(inner, "dual_residual", counted_exact)
-        _, sweeps, state, _ = inner.solve_inner(lifted, *args, eps=eps,
+        _, sweeps, state = inner.solve_inner(lifted, *args, eps=eps,
                                                 max_sweeps=50000)
         assert not exact_calls
         assert sweeps == len(outputs) > 1

@@ -19,10 +19,12 @@ class TestValidatePlant:
         np.testing.assert_allclose(vp.CtC, vp.plant.C.T @ vp.plant.C)
         np.testing.assert_allclose(vp.DtD, vp.plant.D.T @ vp.plant.D)
         np.testing.assert_allclose(vp.B1B1t, vp.plant.B1 @ vp.plant.B1.T)
-        # attribute passthrough to the raw plant
-        assert vp.n == 3 and vp.m == 2
+        assert vp.plant.n == 3 and vp.plant.m == 2
         with pytest.raises(AttributeError):
             vp.no_such_field
+        # no passthrough: the raw plant's fields are read from vp.plant
+        with pytest.raises(AttributeError):
+            vp.A
 
     def test_rejects_nonsquare_A(self):
         with pytest.raises(DimensionMismatch):
@@ -88,8 +90,8 @@ class TestValidatePlant:
         C, D = unit_cost(2, 1)
         vp = model.validate_plant(model.PlantData(
             A=np.eye(2), B2=np.ones((2, 1)), B1=np.eye(2), C=C, D=D))
-        assert len(vp.vertices) == 1
-        np.testing.assert_array_equal(vp.vertices[0][0], np.eye(2))
+        assert len(vp.plant.vertices) == 1
+        np.testing.assert_array_equal(vp.plant.vertices[0][0], np.eye(2))
 
 
 class TestLiftedStructure:
@@ -97,8 +99,8 @@ class TestLiftedStructure:
         lp = ex1_lifted
         n, m, p = lp.n, lp.m, lp.p
         assert p == n + m
-        A = lp.plant.A
-        B2 = lp.plant.B2
+        A = lp.plant.plant.A
+        B2 = lp.plant.plant.B2
         F = lp.F_list[0]
         np.testing.assert_array_equal(F[:n, :n], A)
         np.testing.assert_array_equal(F[:n, n:], -B2)
@@ -136,7 +138,7 @@ class TestLiftedStructure:
         W[:n, n:] = W1 @ K.T
         W[n:, :n] = K @ W1
         W[n:, n:] = K @ W1 @ K.T + np.eye(m)
-        A_cl = lp.plant.A - lp.plant.B2 @ K
+        A_cl = lp.plant.plant.A - lp.plant.plant.B2 @ K
         expected = A_cl @ W1 + W1 @ A_cl.T + lp.plant.B1B1t
         np.testing.assert_allclose(lp.theta_block(W, 0), expected,
                                    atol=1e-12)

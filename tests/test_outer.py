@@ -40,7 +40,7 @@ class TestSchedule:
             theta=1.0, kappa=1.0, beta=1.0, mu_f=mu_f, mu_g=mu_g)
         thetas = [state.theta]
         for _ in range(steps):
-            ps = outer.step_and_parameters(state, norm_B=1.0)
+            ps = outer.step_and_parameters(state)
             state.theta, state.kappa, state.beta = (
                 ps.theta_next, ps.kappa_next, ps.beta_next)
             thetas.append(state.theta)
@@ -66,8 +66,8 @@ class TestSchedule:
             P_tilde=rng.standard_normal(2), w=rng.standard_normal(2),
             lam=np.zeros(3), lam_bar=np.zeros(3),
             theta=0.25, kappa=0.5, beta=0.8, mu_f=0.3, mu_g=0.7)
-        ps = outer.step_and_parameters(state, norm_B=2.0)
-        alpha = np.sqrt(0.8 * 0.25) / 2.0
+        ps = outer.step_and_parameters(state)
+        alpha = np.sqrt(0.8 * 0.25)
         assert ps.alpha == pytest.approx(alpha)
         eta_g = (alpha + 1.0) * 0.8 + 0.7 * alpha
         assert ps.eta_g == pytest.approx(eta_g)
