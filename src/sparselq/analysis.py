@@ -258,7 +258,7 @@ def certify(lifted, W, P, status, dual_res):
             J_vertex = np.full(lifted.n_vertices, np.inf)
     J_upper = float(lifted.vec_R() @ W_vec)
     primal_res = float(np.linalg.norm(
-        lifted.op.apply_A(W_vec) + lifted.op.apply_B(P.ravel(order="F"))))
+        lifted.op.residual(W_vec, P.ravel(order="F"))))
     tol = certificate_tolerance(primal_res, dual_res)
     feas = feasibility_report(lifted, W, P, tol=tol)
     pattern, n_zeros = sparsity_report(P)

@@ -18,10 +18,9 @@ X = (X0, X1, ..., XM) is a convex quadratic on a product of PSD cones,
 Every row of A selects a single entry of W, so (AD)'(AD) is diagonal
 (lifted.gram_diag) and so is M: Minv is carried as the vector minv and
 applied entrywise, and AD is applied as the gather of A after D.
-J_i Minv is never formed: the sweep applies J_i to Minv r.  minv and the
-step constants rho_i below depend on the sigmas alone, and
-assemble_dual_data rebuilds them on every call, one small eigenvalue
-problem per vertex.
+minv, J_i Minv and the step constants rho_i below depend on the sigmas
+alone, and assemble_dual_data rebuilds them on every call, one small
+eigenvalue problem per vertex.
 
 Each block update below is a projected gradient step with step 1/rho_i
 (rho_i the largest eigenvalue of the block curvature), which is exactly
@@ -40,9 +39,17 @@ accelerated sequence need not be monotone; whenever the sweep's step
 points against the momentum, <y - x, x - x_prev> > 0, the momentum
 restarts at t = 1 (O'Donoghue & Candes, Found. Comput. Math. 2015).
 Only sweep outputs are tested, returned or warm-started from: y may lie
-outside the cones, a sweep output never does.  L is affine, so L(y)
-follows the same extrapolation and a solve evaluates L afresh only at
-its start.
+outside the cones, a sweep output never does.
+
+A DualState is one contiguous vector x = (x0, x1, ..., xM), and its
+blocks are views into it, so the restart test and the extrapolation are
+one vector expression each on d = x+ - x.  The sweep carries the primal
+s = Minv (q - L(X)) rather than L(X): a vertex gradient is
+-(kq + J_i s), the X0 gradient is s itself, and a block update dx_i
+moves s by -dx_i' (J_i Minv), the product assemble_dual_data forms for
+rho_i anyway.  s is affine in X, so s(y) follows the same extrapolation,
+a solve evaluates s afresh only at its start, and the primal it returns
+is the s it carries.
 
 The stop test needs no eigendecomposition of its own.  dual_residual, the
 exact relative error of the projected optimality map, is
@@ -71,30 +78,46 @@ import numpy as np
 
 from .cones import max_eigenvalue, sym_eigh
 from .errors import MaxSweepsExceeded
-from .vectorize import svec, unsvec
+from .vectorize import svec, sym_svec, unsvec
 
 
-@dataclass
 class DualState:
-    """PSD multipliers in isometric svec coordinates.
+    """PSD multipliers in isometric svec coordinates, stored flat.
 
-    x0 has length p(p+1)/2; each entry of x_list has length n(n+1)/2.
-    residual is an upper bound on dual_residual(self, data) for the data
-    of the sweep that produced the state; inf for any other state.
+    x is the concatenation (x0, x1, ..., xM); x0 (length p(p+1)/2) and
+    each entry of x_list (length n(n+1)/2) are views into it, and slices
+    gives each block's place in x.  residual is an upper bound on
+    dual_residual(self, data) for the data of the sweep that produced
+    the state; inf for any other state.
     """
 
-    x0: np.ndarray
-    x_list: list
-    residual: float = np.inf
+    def __init__(self, x0, x_list, residual=np.inf):
+        ends = np.cumsum([0, len(x0)] + [len(x) for x in x_list]).tolist()
+        self.x = np.concatenate([x0, *x_list], dtype=float)
+        self.slices = [slice(a, b) for a, b in zip(ends[:-1], ends[1:])]
+        self.residual = residual
+
+    @property
+    def x0(self):
+        return self.x[self.slices[0]]
+
+    @property
+    def x_list(self):
+        return [self.x[sl] for sl in self.slices[1:]]
 
     def blocks(self):
-        return [self.x0] + self.x_list
+        return [self.x[sl] for sl in self.slices]
 
     def extrapolated(self, prev, beta):
-        """self + beta (self - prev), block by block."""
-        return DualState(self.x0 + beta * (self.x0 - prev.x0),
-                         [x + beta * (x - z)
-                          for x, z in zip(self.x_list, prev.x_list)])
+        """self + beta (self - prev)."""
+        return _flat_state(self.x + beta * (self.x - prev.x), self.slices)
+
+
+def _flat_state(x, slices, residual=np.inf):
+    """A DualState over the vector x itself, not a copy."""
+    state = DualState.__new__(DualState)
+    state.x, state.slices, state.residual = x, slices, residual
+    return state
 
 
 def zero_state(lifted):
@@ -106,10 +129,10 @@ def zero_state(lifted):
 class DualData:
     """Per-outer-iteration data of the dual problem.
 
-    minv is the diagonal of Minv, rho0 its largest entry and rho_list the
-    largest eigenvalue of each J_i Minv J_i'.  These depend on (sigma1,
-    sigma2) only and are rebuilt on every call of assemble_dual_data,
-    whether the sigmas moved or not.
+    minv is the diagonal of Minv, rho0 its largest entry, JM_list the
+    products J_i Minv and rho_list the largest eigenvalue of each
+    J_i Minv J_i'.  These depend on (sigma1, sigma2) only and are rebuilt
+    on every call of assemble_dual_data, whether the sigmas moved or not.
     """
 
     lifted: object
@@ -118,22 +141,11 @@ class DualData:
     minv: np.ndarray
     rho0: float
     rho_list: list
+    JM_list: list
     q_k: np.ndarray
     g0: np.ndarray
     s_tilde: np.ndarray
     b_tilde: np.ndarray
-
-    def ell(self, state):
-        out = self.g0 - state.x0
-        for J, x in zip(self.lifted.J_list, state.x_list):
-            out = out + x.dot(J)
-        return out
-
-
-def _sym_svec(vec_coords, maps):
-    """Adjoint of the isometric duplication map: symmetrize then svec."""
-    G = vec_coords.reshape(maps.dim, maps.dim, order="F")
-    return svec(0.5 * (G + G.T), maps)
 
 
 def assemble_dual_data(lifted, d_k, w_k, v_tilde_k, alpha_k, theta_k, eta_f_k):
@@ -149,41 +161,36 @@ def assemble_dual_data(lifted, d_k, w_k, v_tilde_k, alpha_k, theta_k, eta_f_k):
     sigma2 = eta_f_k / (2.0 * alpha_k)
 
     minv = 1.0 / (2.0 * sigma1 * lifted.gram_diag + 2.0 * sigma2)
-    rho_list = [max(max_eigenvalue((J * minv) @ J.T), 1e-30)
-                for J in lifted.J_list]
+    JM_list = [J * minv for J in lifted.J_list]
+    rho_list = [max(max_eigenvalue(JM @ J.T), 1e-30)
+                for J, JM in zip(lifted.J_list, JM_list)]
 
-    g0 = _sym_svec(d_k, lifted.svec_p)
-    s_tilde = _sym_svec(v_tilde_k, lifted.svec_p)
+    maps = lifted.svec_p
+    g0 = sym_svec(d_k, maps)
+    s_tilde = sym_svec(v_tilde_k, maps)
     b_tilde = lifted.op.apply_B(w_k)
-    ADt_b = _sym_svec(lifted.op.apply_At(b_tilde), lifted.svec_p)
+    ADt_b = sym_svec(lifted.op.apply_At(b_tilde), maps)
     q = -2.0 * sigma1 * ADt_b + 2.0 * sigma2 * s_tilde
 
     return DualData(lifted=lifted, sigma1=sigma1, sigma2=sigma2, minv=minv,
                     rho0=float(minv.max()), rho_list=rho_list,
+                    JM_list=JM_list,
                     q_k=q, g0=g0, s_tilde=s_tilde, b_tilde=b_tilde), rho_list
 
 
 def _project(x, maps):
     """PSD projection in isometric coordinates: unpack, clamp, repack."""
-    S = unsvec(x, maps)
-    w, V = sym_eigh(S)
+    w, V = sym_eigh(unsvec(x, maps))
     if w[0] >= 0.0:
         return x
-    S = np.dot(V * np.maximum(w, 0.0), V.T)
-    return svec(S, maps)
+    return svec((V * np.maximum(w, 0.0)).dot(V.T), maps)
 
 
-def _gradients(data, ell):
-    """Block gradients of the dual objective at a state X with L(X) = ell:
-    [grad_0, grad_1, ..., grad_M]."""
-    step = data.minv * (data.q_k - ell)
-    return [step] + [-(data.lifted.kappa_q + J.dot(step))
-                     for J in data.lifted.J_list]
-
-
-def _norm(v):
-    # sqrt(v . v), the value np.linalg.norm returns, as a float
-    return math.sqrt(v.dot(v))
+def _gradients(data, s):
+    """Block gradients of the dual objective at a state X with primal
+    s = Minv (q - L(X)): [grad_0, grad_1, ..., grad_M]."""
+    kq = data.lifted.kappa_q
+    return [s] + [-(kq + J.dot(s)) for J in data.lifted.J_list]
 
 
 def _relative_error(triples):
@@ -191,96 +198,73 @@ def _relative_error(triples):
 
     A NaN anywhere gives NaN, which no tolerance test passes.
     """
-    worst = 0.0
-    for r, x, g in triples:
-        err = _norm(r) / (1.0 + _norm(x) + _norm(g))
-        if math.isnan(err):
-            return err
-        worst = max(worst, err)
-    return worst
+    # each norm is sqrt(v . v), the value np.linalg.norm returns
+    errs = [math.sqrt(r.dot(r))
+            / (1.0 + math.sqrt(x.dot(x)) + math.sqrt(g.dot(g)))
+            for r, x, g in triples]
+    # max() keeps a NaN only in first place; the sum keeps it anywhere
+    return math.nan if math.isnan(sum(errs)) else max(errs)
 
 
-def sgs_sweep(state, data, ell=None):
+def sgs_sweep(state, data, s=None):
     """One backward pass over the vertex blocks, an X0 update, one forward pass.
 
-    ell is L(state) when the caller already has it.  Returns (X+, L(X+));
-    X+.residual bounds dual_residual(X+, data) from above (see the module
-    docstring), at no eigendecomposition beyond the sweep's own.
+    s is recover_primal(data, state) when the caller already has it.
+    Returns (X+, s(X+)); X+.residual bounds dual_residual(X+, data) from
+    above (see the module docstring), at no eigendecomposition beyond the
+    sweep's own.  Neither state nor s is written to.
     """
     # .dot rather than @ on this hot path: the same BLAS call, about 1 us
     # less overhead per product on blocks this small
-    lifted = data.lifted
-    maps_n, maps_p = lifted.svec_n, lifted.svec_p
-    q, kq = data.q_k, lifted.kappa_q
-    if ell is None:
-        ell = data.ell(state)
-    xs = list(state.x_list)
-    nv = len(xs)
+    maps_n, kq = data.lifted.svec_n, data.lifted.kappa_q
+    s = recover_primal(data, state) if s is None else s.copy()
+    J_list, JM_list, rho_list = data.lifted.J_list, data.JM_list, data.rho_list
+    # xs[0] is X0 and xs[i + 1] vertex block i; a sweep rebinds its
+    # entries and never writes into the input's blocks
+    xs = state.blocks()
 
-    for i in reversed(range(nv)):
-        g = kq + lifted.J_list[i].dot(data.minv * (q - ell))
-        new = _project(xs[i] + g / data.rho_list[i], maps_n)
-        ell = ell + (new - xs[i]).dot(lifted.J_list[i])
-        xs[i] = new
+    for i in reversed(range(len(rho_list))):
+        x = xs[i + 1]
+        new = _project(x + (kq + J_list[i].dot(s)) / rho_list[i], maps_n)
+        s -= (new - x).dot(JM_list[i])
+        xs[i + 1] = new
 
-    step0 = data.minv * (q - ell)
-    x0 = _project(state.x0 - step0 / data.rho0, maps_p)
-    dx = x0 - state.x0
-    ell = ell - dx
+    rho0 = data.rho0
+    new = _project(xs[0] - s / rho0, data.lifted.svec_p)
+    dx = new - xs[0]
     # z_j = rho_j (y_j - x_j+) - grad_j(P_j) of each block's last update
-    zs = [-data.rho0 * dx - step0]
+    zs = [-rho0 * dx - s]
+    s += data.minv * dx
+    xs[0] = new
 
-    for i in range(nv):
-        g = kq + lifted.J_list[i].dot(data.minv * (q - ell))
-        new = _project(xs[i] + g / data.rho_list[i], maps_n)
-        dx = new - xs[i]
-        ell = ell + dx.dot(lifted.J_list[i])
-        zs.append(g - data.rho_list[i] * dx)
-        xs[i] = new
+    for i, rho in enumerate(rho_list):
+        g = kq + J_list[i].dot(s)
+        new = _project(xs[i + 1] + g / rho, maps_n)
+        dx = new - xs[i + 1]
+        s -= dx.dot(JM_list[i])
+        zs.append(g - rho * dx)
+        xs[i + 1] = new
 
-    grads = _gradients(data, ell)
-    bound = _relative_error((z + g, x, g)
-                            for z, x, g in zip(zs, [x0] + xs, grads))
-    return DualState(x0=x0, x_list=xs, residual=bound), ell
+    bound = _relative_error((z + g, x, g) for z, x, g
+                            in zip(zs, xs, _gradients(data, s)))
+    return _flat_state(np.concatenate(xs), state.slices, bound), s
 
 
 def dual_residual(state, data):
     """Relative fixed-point error of the projected optimality map."""
     lifted = data.lifted
-    grads = _gradients(data, data.ell(state))
+    grads = _gradients(data, recover_primal(data, state))
     maps = [lifted.svec_p] + [lifted.svec_n] * len(state.x_list)
     return _relative_error((x - _project(x - g, m), x, g)
                            for x, g, m in zip(state.blocks(), grads, maps))
 
 
-def dual_objective(state, data):
-    """Value of the dual minimization objective Th(X), constants included."""
-    r = data.q_k - data.ell(state)
-    xsum = np.zeros(data.lifted.svec_n.size)
-    for x in state.x_list:
-        xsum = xsum + x
-    return float(0.5 * r @ (data.minv * r)
-                 - data.lifted.kappa_q @ xsum
-                 - data.sigma1 * (data.b_tilde @ data.b_tilde)
-                 - data.sigma2 * (data.s_tilde @ data.s_tilde))
-
-
-def primal_objective(data, s):
-    """Subproblem objective at isometric coordinates s."""
-    lifted = data.lifted
-    res = lifted.op.apply_A(lifted.svec_p.D_iso @ s) + data.b_tilde
-    diff = s - data.s_tilde
-    return float(data.g0 @ s + data.sigma1 * (res @ res)
-                 + data.sigma2 * (diff @ diff))
-
-
-def recover_primal(data, state, ell=None):
-    """Primal solution in isometric coordinates: s = Minv (q - L(X)).
-
-    ell is L(state) when the caller already has it.
-    """
-    if ell is None:
-        ell = data.ell(state)
+def recover_primal(data, state):
+    """Primal solution in isometric coordinates: s = Minv (q - L(X)),
+    with L(X) = g0 - x0 + sum_i J_i' x_i."""
+    ell = data.g0 - state.x0
+    for J, x in zip(data.lifted.J_list, state.x_list):
+        ell = ell + x.dot(J)
     return data.minv * (data.q_k - ell)
 
 
@@ -288,39 +272,39 @@ def solve_inner(lifted, d_k, w_k, v_tilde_k, alpha_k, theta_k, eta_f_k,
                 eps, max_sweeps, warm_start=None):
     """Run extrapolated sweeps until a sweep's residual bound drops below eps.
 
-    Returns (v, sweeps_used, state) with v = vec(W) rebuilt from
-    the recovered half-vectorization; W is symmetric by construction.
-    state is the last sweep output, never the extrapolated point, and
-    state.residual < eps bounds its dual_residual.  Raises
-    MaxSweepsExceeded at the cap, carrying the last sweep output and its
-    exact dual_residual.
+    Returns (v, sweeps_used, state) with v = vec(W) rebuilt from the
+    carried primal s; W is symmetric by construction.  state is the last
+    sweep output, never the extrapolated point, and state.residual < eps
+    bounds its dual_residual.  Raises MaxSweepsExceeded at the cap,
+    carrying the last sweep output and its exact dual_residual.  The
+    warm start is not written to.
     """
     data, _ = assemble_dual_data(lifted, d_k, w_k, v_tilde_k,
                                  alpha_k, theta_k, eta_f_k)
     state = warm_start if warm_start is not None else zero_state(lifted)
-    # L is affine, so L(y) follows the extrapolation from sweep to sweep;
-    # only the start needs a fresh L, because g0 moved with the outer step
-    ell = data.ell(state)
-    y, ell_y, t = state, ell, 1.0
+    # s is affine in X, so s(y) follows the extrapolation from sweep to
+    # sweep; only the start needs a fresh s, because q and g0 moved with
+    # the outer step
+    s = recover_primal(data, state)
+    y, s_y, t = state, s, 1.0
     sweeps = 0
     converged = False
     while sweeps < max_sweeps:
-        new, ell_new = sgs_sweep(y, data, ell_y)
+        new, s_new = sgs_sweep(y, data, s_y)
         sweeps += 1
         if new.residual < eps:
-            state, ell, converged = new, ell_new, True
+            state, s, converged = new, s_new, True
             break
-        if sum((a - b).dot(b - c) for a, b, c in
-               zip(y.blocks(), new.blocks(), state.blocks())) > 0.0:
-            y, ell_y, t = new, ell_new, 1.0
+        d = new.x - state.x
+        if (y.x - new.x).dot(d) > 0.0:
+            y, s_y, t = new, s_new, 1.0
         else:
             t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
             beta = (t - 1.0) / t_next
-            y = new.extrapolated(state, beta)
-            ell_y = ell_new + beta * (ell_new - ell)
+            y = _flat_state(new.x + beta * d, new.slices)
+            s_y = s_new + beta * (s_new - s)
             t = t_next
-        state, ell = new, ell_new
-    s = recover_primal(data, state, ell)
+        state, s = new, s_new
     v = unsvec(s, lifted.svec_p).reshape(-1, order="F")
     if converged:
         return v, sweeps, state

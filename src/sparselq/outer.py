@@ -15,6 +15,7 @@ schedule automatically.
 """
 
 import logging
+import math
 import time
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple, Optional
@@ -208,14 +209,13 @@ def outer_iteration(state, lifted, regime, options=SolverOptions()):
 
     alpha, theta = ps.alpha, state.theta
     W_next = (state.W_tilde + alpha * v_next) / (1.0 + alpha)
-    Av = op.apply_A(v_next)
-    lam_bar = state.lam + (alpha / theta) * (Av + op.apply_B(state.w))
+    lam_bar = state.lam + (alpha / theta) * op.residual(v_next, state.w)
 
     Z = ps.y_tilde - ps.tau * op.apply_Bt(lam_bar)
     P_next = _apply_prox(Z, regime, 1.0 / ps.tau, lifted.m, lifted.n,
                          lifted.forced_zeros)
     w_next = P_next + (P_next - state.P_tilde) / alpha
-    sharp_res = Av + op.apply_B(w_next)
+    sharp_res = op.residual(v_next, w_next)
     lam_next = state.lam + (alpha / theta) * sharp_res
 
     state.P_prev = state.P_tilde
@@ -229,7 +229,7 @@ def outer_iteration(state, lifted, regime, options=SolverOptions()):
     state.last_sweeps = sweeps
     state.last_inner_capped = capped
     state.last_inner_residual = inner_res
-    state.sharp_primal_res = float(np.linalg.norm(sharp_res))
+    state.sharp_primal_res = _norm(sharp_res)
     return state
 
 
@@ -255,23 +255,27 @@ def restart_averages(state, options=SolverOptions()):
     return state
 
 
+def _norm(v):
+    # sqrt(v . v), the value np.linalg.norm returns, as a float
+    return math.sqrt(v.dot(v))
+
+
 def check_convergence(state, lifted, eps1, eps2):
     """Stopping rule on the coupled feasibility and dual drift residuals.
 
     Returns (stop, primal_res, dual_res) and records the primal
-    tolerance on state.eps_pri.
+    tolerance on state.eps_pri.  B is -I on the gain rows and zero
+    elsewhere, and the gain rows read distinct columns of vec(W), so
+    |B P| = |P| and |A' B dP| = |dP|.
     """
     op = lifted.op
-    AW = op.apply_A(state.W_tilde)
-    BP = op.apply_B(state.P_tilde)
-    r = AW + BP
-    s = op.apply_At(op.apply_B(state.P_tilde - state.P_prev))
-    eps_pri = (np.sqrt(op.n_rows) * eps1
-               + eps2 * max(np.linalg.norm(AW), np.linalg.norm(BP)))
-    eps_dua = lifted.p * eps1 + eps2 * np.linalg.norm(op.apply_At(state.lam))
-    pr = float(np.linalg.norm(r))
-    dr = float(np.linalg.norm(s))
-    state.eps_pri = float(eps_pri)
+    pr = _norm(op.residual(state.W_tilde, state.P_tilde))
+    dr = _norm(state.P_tilde - state.P_prev)
+    eps_pri = (math.sqrt(op.n_rows) * eps1
+               + eps2 * max(_norm(op.apply_A(state.W_tilde)),
+                            _norm(state.P_tilde)))
+    eps_dua = lifted.p * eps1 + eps2 * _norm(op.apply_At(state.lam))
+    state.eps_pri = eps_pri
     return (pr <= eps_pri and dr <= eps_dua), pr, dr
 
 

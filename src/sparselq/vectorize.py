@@ -28,20 +28,23 @@ _SQRT2 = np.sqrt(2.0)
 class SvecMaps:
     """Half-vectorization data for symmetric matrices of order d.
 
-    idx_i, idx_j give the (row, column) of each coordinate and iso_scale
-    holds 1 on diagonal coordinates and sqrt(2) off it; coord[i, j] is
-    the coordinate that holds S[i, j] and S[j, i].  svec/unsvec run as
-    fancy indexing.  D_iso (d^2 x t) is the duplication map:
+    Coordinate r holds S[i, j] and S[j, i] for one pair i >= j: lower[r]
+    is the row-major flat index of (i, j) and upper[r] that of (j, i).
+    iso_scale holds 1 on diagonal coordinates and sqrt(2) off it;
+    coord[i, j] is the coordinate that holds S[i, j], and
+    coord_scale[i, j] = 1 / iso_scale[coord[i, j]].  svec/unsvec run as
+    one gather each.  D_iso (d^2 x t) is the duplication map:
     D_iso @ svec(S) = vec(S), and D_iso^T vec(G) = svec of the
-    symmetric part of G.
+    symmetric part of G, which sym_svec computes.
     """
 
     dim: int
     D_iso: sp.csr_matrix
-    idx_i: np.ndarray = field(repr=False)
-    idx_j: np.ndarray = field(repr=False)
+    lower: np.ndarray = field(repr=False)
+    upper: np.ndarray = field(repr=False)
     iso_scale: np.ndarray = field(repr=False)
     coord: np.ndarray = field(repr=False)
+    coord_scale: np.ndarray = field(repr=False)
 
     @property
     def size(self):
@@ -67,18 +70,31 @@ def build_svec_maps(d):
                           shape=(d * d, t))
 
     return SvecMaps(dim=d, D_iso=D_iso,
-                    idx_i=idx_i, idx_j=idx_j, iso_scale=iso_scale,
-                    coord=coord)
+                    lower=idx_i * d + idx_j, upper=idx_j * d + idx_i,
+                    iso_scale=iso_scale, coord=coord,
+                    coord_scale=1.0 / iso_scale[coord])
 
 
 def svec(S, maps):
-    """Half-vectorize a symmetric matrix in isometric coordinates."""
-    return S[maps.idx_i, maps.idx_j] * maps.iso_scale
+    """Half-vectorize a symmetric matrix in isometric coordinates.
+
+    Reads the lower triangle: S[i, j] for i >= j.
+    """
+    return S.take(maps.lower) * maps.iso_scale
 
 
 def unsvec(s, maps):
     """Rebuild the symmetric matrix from its isometric half-vectorization."""
-    return (s / maps.iso_scale)[maps.coord]
+    return s[maps.coord] * maps.coord_scale
+
+
+def sym_svec(v, maps):
+    """svec of the symmetric part of the matrix G with vec(G) = v.
+
+    This is D_iso^T v, the adjoint of the isometric duplication map; the
+    column-major entries G[i, j] and G[j, i] sit at upper[r] and lower[r].
+    """
+    return (v[maps.upper] + v[maps.lower]) * (0.5 * maps.iso_scale)
 
 
 @dataclass(frozen=True)
@@ -110,9 +126,8 @@ class ConstraintOperator:
         return x[self.A_cols]
 
     def apply_At(self, lam):
-        out = np.zeros(self.p * self.p)
-        np.add.at(out, self.A_cols, lam)
-        return out
+        return np.bincount(self.A_cols, weights=lam,
+                           minlength=self.p * self.p)
 
     def apply_B(self, w):
         out = np.zeros(self.n_rows)
@@ -121,6 +136,12 @@ class ConstraintOperator:
 
     def apply_Bt(self, lam):
         return -lam[self.n_diag:self.n_diag + self.n_gain]
+
+    def residual(self, x, w):
+        """A x + B w, formed from one gather."""
+        out = x[self.A_cols]
+        out[self.n_diag:self.n_diag + self.n_gain] -= w
+        return out
 
 
 def assemble_constraint_operator(n, m, forced_zeros=()):

@@ -5,7 +5,8 @@ of the run."""
 import numpy as np
 import pytest
 
-from sparselq import model
+from sparselq import cones, model
+from sparselq.errors import EigFailure
 
 
 def ex1_matrices():
@@ -190,6 +191,56 @@ def pg_dual_oracle(lifted, data, max_steps=10 ** 6, move_tol=1e-13):
     xs = [z[sp.size + i * sn.size: sp.size + (i + 1) * sn.size]
           for i in range(nv)]
     return _inner.DualState(x0=x0, x_list=xs), steps
+
+
+def project_psd(S):
+    """Project a symmetric matrix onto the PSD cone (eigenvalue clamp).
+
+    The input is symmetrized first.
+    """
+    S = 0.5 * (S + S.T)
+    try:
+        w, V = np.linalg.eigh(S)
+    except np.linalg.LinAlgError as exc:
+        raise EigFailure(str(exc)) from exc
+    P = (V * np.maximum(w, 0.0)) @ V.T
+    return 0.5 * (P + P.T)
+
+
+def min_eigenvalue(S):
+    """Smallest eigenvalue of the symmetric part of S, through the
+    library's cones.max_eigenvalue."""
+    return -cones.max_eigenvalue(-S)
+
+
+def _ell(state, data):
+    """L(X) = g0 - x0 + sum_i J_i' x_i of the inner dual problem."""
+    out = data.g0 - state.x0
+    for J, x in zip(data.lifted.J_list, state.x_list):
+        out = out + x.dot(J)
+    return out
+
+
+def dual_objective(state, data):
+    """Value of the inner dual minimization objective Th(X), constants
+    included."""
+    r = data.q_k - _ell(state, data)
+    xsum = np.zeros(data.lifted.svec_n.size)
+    for x in state.x_list:
+        xsum = xsum + x
+    return float(0.5 * r @ (data.minv * r)
+                 - data.lifted.kappa_q @ xsum
+                 - data.sigma1 * (data.b_tilde @ data.b_tilde)
+                 - data.sigma2 * (data.s_tilde @ data.s_tilde))
+
+
+def primal_objective(data, s):
+    """Inner subproblem objective at isometric coordinates s."""
+    lifted = data.lifted
+    res = lifted.op.apply_A(lifted.svec_p.D_iso @ s) + data.b_tilde
+    diff = s - data.s_tilde
+    return float(data.g0 @ s + data.sigma1 * (res @ res)
+                 + data.sigma2 * (diff @ diff))
 
 
 _ACCEPTANCE_LINES = []

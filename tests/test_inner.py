@@ -4,7 +4,8 @@ import pytest
 from sparselq import inner, model
 from sparselq.errors import MaxSweepsExceeded
 
-from conftest import make_inner_instance, pg_dual_oracle
+from conftest import (dual_objective, make_inner_instance, pg_dual_oracle,
+                      primal_objective)
 
 
 def assemble(rng_seed):
@@ -59,10 +60,10 @@ class TestSweeps:
     def test_dual_objective_monotone(self):
         lifted, data, _ = assemble(4)
         state = inner.zero_state(lifted)
-        prev = inner.dual_objective(state, data)
+        prev = dual_objective(state, data)
         for _ in range(40):
             state, _ = inner.sgs_sweep(state, data)
-            cur = inner.dual_objective(state, data)
+            cur = dual_objective(state, data)
             assert cur <= prev + 1e-11 * max(1.0, abs(prev))
             prev = cur
 
@@ -107,7 +108,7 @@ class TestSolveInner:
             ref_state, steps = pg_dual_oracle(lifted, data, max_steps=300000)
             s = inner.recover_primal(data, state)
             s_ref = inner.recover_primal(data, ref_state)
-            f, f_ref = (inner.primal_objective(data, x) for x in (s, s_ref))
+            f, f_ref = (primal_objective(data, x) for x in (s, s_ref))
             assert abs(f - f_ref) <= 1e-6 * max(1.0, abs(f_ref))
             np.testing.assert_allclose(s, s_ref, atol=1e-5)
 
@@ -116,7 +117,7 @@ class TestSolveInner:
         v, _, state = inner.solve_inner(
             lifted, d_k, w_k, v_tilde, a, t, e, eps=1e-10, max_sweeps=50000)
         s = inner.recover_primal(data, state)
-        gap = inner.primal_objective(data, s) + inner.dual_objective(state, data)
+        gap = primal_objective(data, s) + dual_objective(state, data)
         assert abs(gap) <= 1e-6
 
     def test_warm_start_shortcuts(self):
@@ -127,6 +128,67 @@ class TestSolveInner:
             lifted, d_k, w_k, v_tilde, a, t, e, eps=1e-8, max_sweeps=20000,
             warm_start=state)
         assert sweeps_warm <= max(2, sweeps_cold // 4)
+
+    def test_inputs_are_not_written_or_shared(self):
+        # _project hands back its argument for a block already in the
+        # cone, so a sweep that wrote into its input would show here
+        lifted, data, (d_k, w_k, v_tilde, a, t, e) = assemble(16)
+        _, _, warm = inner.solve_inner(lifted, d_k, w_k, v_tilde, a, t, e,
+                                       eps=1e-8, max_sweeps=20000)
+        s = inner.recover_primal(data, warm)
+        before = [b.copy() for b in warm.blocks()], s.copy()
+
+        def unchanged():
+            for b, old in zip(warm.blocks(), before[0]):
+                np.testing.assert_array_equal(b, old)
+            np.testing.assert_array_equal(s, before[1])
+
+        def disjoint(out, *arrays):
+            for b in out.blocks():
+                assert not any(np.shares_memory(b, x) for x in arrays)
+
+        inputs = warm.blocks() + [s]
+        for start in (warm, inner.DualState(x0=warm.x0, x_list=warm.x_list)):
+            new, s_new = inner.sgs_sweep(start, data, s)
+            unchanged()
+            disjoint(new, s_new, *inputs, *start.blocks())
+            assert not np.shares_memory(s_new, s)
+        _, _, out = inner.solve_inner(lifted, 1.1 * d_k, w_k, v_tilde, a, t,
+                                      e, eps=1e-8, max_sweeps=20000,
+                                      warm_start=warm)
+        unchanged()
+        disjoint(out, *inputs)
+        with pytest.raises(MaxSweepsExceeded) as exc:
+            inner.solve_inner(lifted, 1.1 * d_k, w_k, v_tilde, a, t, e,
+                              eps=1e-14, max_sweeps=1, warm_start=warm)
+        unchanged()
+        disjoint(exc.value.state, *inputs)
+
+    def test_nan_data_never_converges(self):
+        # on a one-state plant every block is at most 2 x 2, where LAPACK
+        # returns NaN eigenvalues for NaN entries instead of failing, so
+        # the NaN reaches the residual bound
+        rng = np.random.default_rng(17)
+        lifted, d_k, w_k, v_tilde, a, t, e = make_inner_instance(rng, 1, 1)
+        data, _ = inner.assemble_dual_data(lifted, d_k, w_k, v_tilde,
+                                           a, t, e)
+        data.q_k[0] = np.nan
+        new, _ = inner.sgs_sweep(inner.zero_state(lifted), data)
+        assert np.isnan(new.residual)
+        d_k = d_k.copy()
+        d_k[0] = np.nan
+        with pytest.raises(MaxSweepsExceeded) as exc:
+            inner.solve_inner(lifted, d_k, w_k, v_tilde, a, t, e,
+                              eps=1e-8, max_sweeps=5)
+        assert exc.value.sweeps == 5
+        assert np.isnan(exc.value.residual)
+
+    def test_relative_error_keeps_a_nan_in_any_block(self):
+        one, nan = np.ones(3), np.full(3, np.nan)
+        for blocks in ([one, nan], [nan, one], [one, one, nan]):
+            assert np.isnan(inner._relative_error((b, b, b) for b in blocks))
+        assert inner._relative_error([(one, one, one)]) == pytest.approx(
+            np.sqrt(3) / (1 + 2 * np.sqrt(3)))
 
     def test_sweep_cap_carries_best_iterate(self):
         lifted, _, (d_k, w_k, v_tilde, a, t, e) = assemble(12)

@@ -6,7 +6,8 @@ import pytest
 from sparselq import analysis, cli, inner, model, outer
 from sparselq.errors import MaxSweepsExceeded, NotConverged
 
-from conftest import feasible_instance
+from conftest import (dense_equality_operator, ex1_matrices,
+                      feasible_instance, lift)
 
 
 @pytest.fixture(scope="module")
@@ -117,6 +118,37 @@ class TestIterationInvariants:
         np.testing.assert_array_equal(state.lam, lam_before)
         np.testing.assert_array_equal(state.W_tilde, v_before)
         assert state.theta == 1.0
+
+
+class TestCheckConvergence:
+    @pytest.mark.parametrize("forced_zeros", [(), ((0, 2), (1, 0))])
+    def test_matches_dense_operator(self, forced_zeros):
+        # the stop test, taken from the dense A and B of the row layout
+        lifted = lift(ex1_matrices(), forced_zeros=forced_zeros)
+        A, B = dense_equality_operator(lifted.op)
+        regime = outer.regime_l1(10.0)
+        options = outer.SolverOptions()
+        state = outer.init_state(lifted, regime, options)
+        stops = set()
+        for _ in range(60):
+            state = outer.outer_iteration(state, lifted, regime, options)
+            for eps1, eps2 in ((1e-5, 1e-4), (1e-1, 1.0)):
+                AW, BP = A @ state.W_tilde, B @ state.P_tilde
+                dual = A.T @ (B @ (state.P_tilde - state.P_prev))
+                eps_pri = (np.sqrt(A.shape[0]) * eps1
+                           + eps2 * max(np.linalg.norm(AW),
+                                        np.linalg.norm(BP)))
+                eps_dua = (lifted.p * eps1
+                           + eps2 * np.linalg.norm(A.T @ state.lam))
+                pr, dr = np.linalg.norm(AW + BP), np.linalg.norm(dual)
+                stop, got_pr, got_dr = outer.check_convergence(
+                    state, lifted, eps1, eps2)
+                assert got_pr == pytest.approx(pr, rel=1e-12, abs=1e-300)
+                assert got_dr == pytest.approx(dr, rel=1e-12, abs=1e-300)
+                assert state.eps_pri == pytest.approx(eps_pri, rel=1e-12)
+                assert stop == (pr <= eps_pri and dr <= eps_dua)
+                stops.add(stop)
+        assert stops == {True, False}
 
 
 class TestSolveRelaxed:

@@ -98,6 +98,9 @@ class TestConstraintOperator:
         np.testing.assert_allclose(op.apply_At(lam), A.T @ lam)
         np.testing.assert_allclose(op.apply_B(w), B @ w)
         np.testing.assert_allclose(op.apply_Bt(lam), B.T @ lam)
+        np.testing.assert_allclose(op.residual(x, w), A @ x + B @ w)
+        np.testing.assert_array_equal(op.residual(x, w),
+                                      op.apply_A(x) + op.apply_B(w))
 
     def test_gain_rows_extract_lower_left_block(self):
         op = self.op
