@@ -76,7 +76,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cones import max_eigenvalue, sym_eigh
+from .cones import max_eigenvalue, positive_definite, sym_eigh
 from .errors import MaxSweepsExceeded
 from .vectorize import svec, sym_svec, unsvec
 
@@ -179,8 +179,15 @@ def assemble_dual_data(lifted, d_k, w_k, v_tilde_k, alpha_k, theta_k, eta_f_k):
 
 
 def _project(x, maps):
-    """PSD projection in isometric coordinates: unpack, clamp, repack."""
-    w, V = sym_eigh(unsvec(x, maps))
+    """PSD projection in isometric coordinates: unpack, clamp, repack.
+
+    A block whose Cholesky factorization succeeds is in the cone and
+    comes back as it is, without an eigendecomposition.
+    """
+    plain = x * maps.plain_scale  # LAPACK's packed lower triangle
+    if positive_definite(plain, maps.dim):
+        return x
+    w, V = sym_eigh(plain[maps.coord])
     if w[0] >= 0.0:
         return x
     return svec((V * np.maximum(w, 0.0)).dot(V.T), maps)

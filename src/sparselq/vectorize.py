@@ -30,10 +30,11 @@ class SvecMaps:
 
     Coordinate r holds S[i, j] and S[j, i] for one pair i >= j: lower[r]
     is the row-major flat index of (i, j) and upper[r] that of (j, i).
-    iso_scale holds 1 on diagonal coordinates and sqrt(2) off it;
-    coord[i, j] is the coordinate that holds S[i, j], and
-    coord_scale[i, j] = 1 / iso_scale[coord[i, j]].  svec/unsvec run as
-    one gather each.  D_iso (d^2 x t) is the duplication map:
+    iso_scale holds 1 on diagonal coordinates and sqrt(2) off it, and
+    s * plain_scale, with plain_scale = 1 / iso_scale, is the lower
+    triangle packed column by column, as LAPACK stores it.  coord[i, j]
+    is the coordinate that holds S[i, j].  svec/unsvec run as one gather
+    each.  D_iso (d^2 x t) is the duplication map:
     D_iso @ svec(S) = vec(S), and D_iso^T vec(G) = svec of the
     symmetric part of G, which sym_svec computes.
     """
@@ -44,7 +45,7 @@ class SvecMaps:
     upper: np.ndarray = field(repr=False)
     iso_scale: np.ndarray = field(repr=False)
     coord: np.ndarray = field(repr=False)
-    coord_scale: np.ndarray = field(repr=False)
+    plain_scale: np.ndarray = field(repr=False)
 
     @property
     def size(self):
@@ -72,7 +73,7 @@ def build_svec_maps(d):
     return SvecMaps(dim=d, D_iso=D_iso,
                     lower=idx_i * d + idx_j, upper=idx_j * d + idx_i,
                     iso_scale=iso_scale, coord=coord,
-                    coord_scale=1.0 / iso_scale[coord])
+                    plain_scale=1.0 / iso_scale)
 
 
 def svec(S, maps):
@@ -85,7 +86,7 @@ def svec(S, maps):
 
 def unsvec(s, maps):
     """Rebuild the symmetric matrix from its isometric half-vectorization."""
-    return s[maps.coord] * maps.coord_scale
+    return (s * maps.plain_scale)[maps.coord]
 
 
 def sym_svec(v, maps):

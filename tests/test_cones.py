@@ -77,6 +77,26 @@ def test_extreme_eigenvalues():
 
 
 
+def test_positive_definite():
+    def packed(S):
+        # the lower triangle, column by column
+        return np.concatenate([S[j:, j] for j in range(len(S))])
+
+    rng = np.random.default_rng(7)
+    for d in (1, 3, 5):
+        G = rng.standard_normal((d, d))
+        S = G @ G.T + 0.1 * np.eye(d)
+        assert cones.positive_definite(packed(S), d)
+        w, V = np.linalg.eigh(S)
+        for shift in (1.001 * w[0], 0.5 * (w[0] + w[-1]), w[-1] + 1.0):
+            assert not cones.positive_definite(packed(S - shift * np.eye(d)),
+                                               d)
+        for i, j in ((0, 0), (d - 1, 0), (d - 1, d - 1)):
+            T = S.copy()
+            T[i, j] = T[j, i] = np.nan
+            assert not cones.positive_definite(packed(T), d)
+
+
 class TestSymEigh:
     @pytest.mark.parametrize("d", [1, 2, 3, 5, 6])
     def test_matches_numpy(self, d):
