@@ -11,8 +11,7 @@ def sym_eigh(S):
     LAPACK dsyevd on the small blocks of the inner solver.  Reads the
     lower triangle; a failed decomposition goes to np.linalg.eigh, which
     raises LinAlgError."""
-    # compute_v=1, lower=1, passed by position: f2py's keyword parsing
-    # costs about 0.5 us a call, a tenth of the decomposition at order 3
+    # compute_v, lower by position: f2py keywords cost about 0.5 us
     w, V, info = dsyevd(S, 1, 1)
     if info != 0:
         return np.linalg.eigh(S)
@@ -20,14 +19,10 @@ def sym_eigh(S):
 
 
 def positive_definite(ap, d):
-    """Whether the symmetric matrix of order d whose lower triangle ap
-    packs column by column is positive definite.
-
-    LAPACK dpptrf factors it by Cholesky in about 0.7 us at order 3,
-    where sym_eigh takes about 5 us.  The factorization need not
-    stop at a NaN, but a NaN anywhere reaches the last pivot, and a
-    positive last pivot is required.
-    """
+    """Whether the order-d matrix with packed lower triangle ap is
+    positive definite: Cholesky by LAPACK dpptrf, about 0.7 us at order
+    3 against 5 us for sym_eigh.  It need not stop at a NaN, but a NaN
+    reaches the last pivot, which must be positive."""
     c, info = dpptrf(d, ap, 1)
     return info == 0 and c[-1] > 0.0
 

@@ -179,11 +179,8 @@ def assemble_dual_data(lifted, d_k, w_k, v_tilde_k, alpha_k, theta_k, eta_f_k):
 
 
 def _project(x, maps):
-    """PSD projection in isometric coordinates: unpack, clamp, repack.
-
-    A block whose Cholesky factorization succeeds is in the cone and
-    comes back as it is, without an eigendecomposition.
-    """
+    """PSD projection in isometric coordinates: unpack, clamp, repack;
+    a block that Cholesky factors is returned without eigendecomposing."""
     plain = x * maps.plain_scale  # LAPACK's packed lower triangle
     if positive_definite(plain, maps.dim):
         return x

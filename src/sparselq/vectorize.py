@@ -28,15 +28,12 @@ _SQRT2 = np.sqrt(2.0)
 class SvecMaps:
     """Half-vectorization data for symmetric matrices of order d.
 
-    Coordinate r holds S[i, j] and S[j, i] for one pair i >= j: lower[r]
-    is the row-major flat index of (i, j) and upper[r] that of (j, i).
-    iso_scale holds 1 on diagonal coordinates and sqrt(2) off it, and
-    s * plain_scale, with plain_scale = 1 / iso_scale, is the lower
-    triangle packed column by column, as LAPACK stores it.  coord[i, j]
-    is the coordinate that holds S[i, j].  svec/unsvec run as one gather
-    each.  D_iso (d^2 x t) is the duplication map:
-    D_iso @ svec(S) = vec(S), and D_iso^T vec(G) = svec of the
-    symmetric part of G, which sym_svec computes.
+    Coordinate r holds S[i, j] and S[j, i], i >= j, at row-major flat
+    index lower[r] and upper[r]; coord[i, j] is the coordinate of S[i, j].
+    iso_scale is 1 on diagonal coordinates and sqrt(2) off it, and
+    s * plain_scale (= s / iso_scale) is LAPACK's packed lower triangle.
+    D_iso (d^2 x t) is the duplication map: D_iso @ svec(S) = vec(S),
+    and D_iso^T vec(G) = sym_svec(vec(G)) = svec of the symmetric part.
     """
 
     dim: int
@@ -77,10 +74,7 @@ def build_svec_maps(d):
 
 
 def svec(S, maps):
-    """Half-vectorize a symmetric matrix in isometric coordinates.
-
-    Reads the lower triangle: S[i, j] for i >= j.
-    """
+    """Half-vectorize a symmetric matrix (its lower triangle)."""
     return S.take(maps.lower) * maps.iso_scale
 
 
@@ -90,11 +84,8 @@ def unsvec(s, maps):
 
 
 def sym_svec(v, maps):
-    """svec of the symmetric part of the matrix G with vec(G) = v.
-
-    This is D_iso^T v, the adjoint of the isometric duplication map; the
-    column-major entries G[i, j] and G[j, i] sit at upper[r] and lower[r].
-    """
+    """svec of the symmetric part of G, vec(G) = v: D_iso^T v, in which
+    G[i, j] and G[j, i] sit at upper[r] and lower[r] of column-major v."""
     return (v[maps.upper] + v[maps.lower]) * (0.5 * maps.iso_scale)
 
 
