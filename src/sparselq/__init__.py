@@ -19,11 +19,10 @@ Typical use:
 """
 
 from .analysis import (Solution, build_solution, certify, feasibility_report,
-                       h2_cost, riccati_oracle, simulate_impulse,
-                       solve_lyapunov, sparsity_report, stability_check)
+                       h2_cost, simulate_impulse, solve_lyapunov,
+                       sparsity_report, stability_check)
 from .errors import (AssumptionViolated, DimensionMismatch,
-                     ForcedZeroOutOfRange, InvalidPqParams,
-                     K0NotStabilizing, MaxSweepsExceeded, NoConvergence,
+                     ForcedZeroOutOfRange, InvalidPqParams, MaxSweepsExceeded,
                      NotConverged, NotHurwitz, ParseError, SingularW1,
                      SparseLQError, UnknownKey)
 from .l0 import ContinuationOptions, solve_l0
@@ -37,14 +36,13 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AssumptionViolated", "ContinuationOptions", "DimensionMismatch",
-    "ForcedZeroOutOfRange", "InvalidPqParams",
-    "K0NotStabilizing", "LiftedProblem", "MaxSweepsExceeded",
-    "NoConvergence", "NotConverged", "NotHurwitz", "ParseError",
+    "ForcedZeroOutOfRange", "InvalidPqParams", "LiftedProblem",
+    "MaxSweepsExceeded", "NotConverged", "NotHurwitz", "ParseError",
     "PenaltyConfig", "PlantData", "RegimeSpec", "SingularW1", "Solution",
     "SolverOptions", "SparseLQError", "UnknownKey", "ValidatedPlant",
     "build_solution", "certify", "feasibility_report", "h2_cost",
     "lift_plant", "penalty_value", "prox_piecewise_quadratic",
     "prox_weighted_l1", "regime_anchored", "regime_l1", "regime_pq",
-    "riccati_oracle", "simulate_impulse", "solve_l0", "solve_lyapunov",
-    "solve_relaxed", "sparsity_report", "stability_check", "validate_plant",
+    "simulate_impulse", "solve_l0", "solve_lyapunov", "solve_relaxed",
+    "sparsity_report", "stability_check", "validate_plant",
 ]

@@ -3,8 +3,7 @@
 Everything downstream of the solvers lives here: the certificate that
 certify derives from (W, P) for the solvers and for verify alike,
 Lyapunov and quadratic-cost evaluation, stability margins, sparsity
-reports, an independent Riccati iteration used as a cross-check, and
-impulse-response simulation.
+reports, and impulse-response simulation.
 """
 
 from dataclasses import dataclass, field
@@ -12,8 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as sla
 
-from .errors import (K0NotStabilizing, NoConvergence, NotHurwitz,
-                     SingularW1, TooLarge)
+from .errors import NotHurwitz, SingularW1, TooLarge
 from .model import PlantData, ValidatedPlant, validate_plant
 
 TRACE_COLUMNS = ("iter", "theta", "alpha", "primal_res", "dual_res",
@@ -145,37 +143,6 @@ def sparsity_report(P_or_K, tol=1e-6):
     return pattern, int(pattern.size - pattern.sum())
 
 
-def riccati_oracle(plant, stabilizing_K0, max_iter=50, tol=1e-12):
-    """Policy iteration on the quadratic regulator equation.
-
-    Starting from a stabilizing gain, alternates the closed-loop value
-    solve with the gain update K = (D^T D)^{-1} B2^T P.  Costs are
-    monotonically nonincreasing.  Returns (K_star, J_star) with
-    J_star = Tr(P B1 B1^T).  Single-vertex plants only.
-    """
-    vp = _as_validated(plant)
-    if len(vp.plant.vertices) != 1:
-        raise ValueError("oracle handles single-vertex plants only")
-    A, B2 = vp.plant.A, vp.plant.B2
-    K = np.asarray(stabilizing_K0, dtype=float)
-    if stability_check(A, B2, K) >= 0:
-        raise K0NotStabilizing("initial gain is not stabilizing")
-    J_prev = np.inf
-    for _ in range(max_iter):
-        A_cl = A - B2 @ K
-        P = solve_lyapunov(A_cl.T, vp.CtC + K.T @ vp.DtD @ K)
-        J = float(np.trace(P @ vp.B1B1t))
-        K_next = np.linalg.solve(vp.DtD, B2.T @ P)
-        if J > J_prev + 1e-9 * max(1.0, abs(J_prev)):
-            raise NoConvergence("cost increased; iteration diverged")
-        step = float(np.max(np.abs(K_next - K)))
-        K = K_next
-        if step <= tol * max(1.0, float(np.max(np.abs(K)))):
-            return K, J
-        J_prev = J
-    raise NoConvergence(f"no fixed point within {max_iter} iterations")
-
-
 def simulate_impulse(plant, K, horizon, dt):
     """Closed-loop impulse responses, one run per disturbance channel.
 
@@ -208,7 +175,7 @@ def feasibility_report(lifted, W, P, tol=1e-4):
     """Constraint violations of (W, P) against the lifted feasible set."""
     n = lifted.n
     W1 = W[:n, :n]
-    psi_min = min(float(np.linalg.eigvalsh(lifted.psi_block(W, i))[0])
+    psi_min = min(float(np.linalg.eigvalsh(-lifted.theta_block(W, i))[0])
                   for i in range(lifted.n_vertices))
     offdiag = W1 - np.diag(np.diag(W1))
     gain_gap = float(np.max(np.abs(W[n:, :n] - P), initial=0.0))

@@ -1,6 +1,5 @@
 """Cone and linear-algebra kernels shared by the solvers."""
 
-import numpy as np
 from scipy.linalg.lapack import dpptrf, dsyevd
 
 from .errors import EigFailure
@@ -9,12 +8,11 @@ from .errors import EigFailure
 def sym_eigh(S):
     """np.linalg.eigh(S) without its per-call checks, which cost more than
     LAPACK dsyevd on the small blocks of the inner solver.  Reads the
-    lower triangle; a failed decomposition goes to np.linalg.eigh, which
-    raises LinAlgError."""
+    lower triangle; a failure raises EigFailure."""
     # compute_v, lower by position: f2py keywords cost about 0.5 us
     w, V, info = dsyevd(S, 1, 1)
     if info != 0:
-        return np.linalg.eigh(S)
+        raise EigFailure(f"eigenvalues did not converge (LAPACK info {info})")
     return w, V
 
 

@@ -113,14 +113,6 @@ class NotConverged(SparseLQError):
             f"{primal_res:.3e}, dual residual {dual_res:.3e}")
 
 
-class K0NotStabilizing(SparseLQError):
-    """The initial gain handed to the Riccati iteration does not stabilize."""
-
-
-class NoConvergence(SparseLQError):
-    """The Riccati iteration failed to converge within its cap."""
-
-
 # ----------------------------------------------------------------- cli
 
 class ParseError(SparseLQError):

@@ -6,8 +6,8 @@ Each outer iteration needs the minimizer, over the cone-feasible set
     <d, vec(W)> + sigma1 ||A vec(W) + b||^2 + sigma2 ||vec(W) - vt||^2.
 
 In isometric half-vectorization coordinates s = svec(W) this reads
-<g0, s> + sigma1 ||AD s + b||^2 + sigma2 ||s - st||^2, with D the
-duplication map, and its Lagrange dual over the PSD multipliers
+<g0, s> + sigma1 ||AD s + b||^2 + sigma2 ||s - st||^2, with D = unsvec
+as a map from s to vec(W), and its Lagrange dual over the PSD multipliers
 X = (X0, X1, ..., XM) is a convex quadratic on a product of PSD cones,
 
     minimize  Th(X) = (1/2) (q - L(X))' Minv (q - L(X)) - <kq, sum_i x_i> + c,
@@ -17,7 +17,7 @@ X = (X0, X1, ..., XM) is a convex quadratic on a product of PSD cones,
 
 Every row of A selects a single entry of W, so (AD)'(AD) is diagonal
 (lifted.gram_diag) and so is M: Minv is carried as the vector minv and
-applied entrywise, and AD is applied as the gather of A after D.
+applied entrywise, and (AD)' is sym_svec after A'.
 minv, J_i Minv and the step constants rho_i below depend on the sigmas
 alone, and assemble_dual_data rebuilds them on every call, one small
 eigenvalue problem per vertex.
@@ -216,7 +216,8 @@ def sgs_sweep(state, data, s=None):
     s is recover_primal(data, state) when the caller already has it.
     Returns (X+, s(X+)); X+.residual bounds dual_residual(X+, data) from
     above (see the module docstring), at no eigendecomposition beyond the
-    sweep's own.  Neither state nor s is written to.
+    sweep's own.  Neither state nor s is written to.  A NaN in the data
+    gives a NaN bound, or EigFailure where LAPACK fails on it.
     """
     # .dot rather than @ on this hot path: the same BLAS call, about 1 us
     # less overhead per product on blocks this small

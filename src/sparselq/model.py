@@ -24,7 +24,6 @@ bounds every vertex cost.
 """
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -150,14 +149,14 @@ def validate_plant(plant):
 class LiftedProblem:
     """All derived operators of the convex parameterization.
 
-    Beyond the block matrices (F_list, Q, R), this carries the
-    vectorization maps, the equality operator, and the
-    isometric-coordinate coupling data used by the inner solver:
-    gram_diag is the diagonal of (A D)^T (A D), A the equality operator
-    and D the order-p duplication map (the Gram matrix is diagonal, see
-    lift_plant), J_list the per-vertex maps sending svec(W) to svec of
-    the constraint block, and kappa_q the constant block contribution
-    of Q.
+    Beyond the block matrices (F_list, R), this carries the
+    vectorization maps, the equality operator, and the data of the
+    inner solver in isometric coordinates: gram_diag is the diagonal of
+    the Gram matrix of A unsvec (A the equality operator; each row reads
+    one entry of W, so the Gram matrix is diagonal), J_list the
+    per-vertex maps sending svec(W) to svec of V2 (F_i W + W F_i^T) V2^T,
+    and kappa_q = svec(B1 B1^T), the constant part of the constraint
+    block.
     """
 
     plant: ValidatedPlant
@@ -165,7 +164,6 @@ class LiftedProblem:
     m: int
     p: int
     F_list: tuple
-    Q: np.ndarray
     R: np.ndarray
     svec_p: vectorize.SvecMaps
     svec_n: vectorize.SvecMaps
@@ -185,22 +183,18 @@ class LiftedProblem:
     def vec_R(self):
         return self.R.reshape(-1, order="F")
 
-    def gain_part(self, W_vec):
-        """The bottom-left m x n block of W, vectorized column-major."""
-        off = self.op.n_diag
-        return W_vec[self.op.A_cols[off:off + self.op.n_gain]]
-
     def unvec(self, W_vec):
         return W_vec.reshape(self.p, self.p, order="F")
 
     def theta_block(self, W, i):
         """V2 (F_i W + W F_i^T + Q) V2^T for vertex i."""
-        F = self.F_list[i]
-        M = F @ W
-        return (M + M.T + self.Q)[:self.n, :self.n]
+        return _vertex_block(self.F_list[i], W, self.n) + self.plant.B1B1t
 
-    def psi_block(self, W, i):
-        return -self.theta_block(W, i)
+
+def _vertex_block(F, W, n):
+    """V2 (F W + W F^T) V2^T, for one W or a stack of them."""
+    M = F @ W
+    return (M + M.swapaxes(-1, -2))[..., :n, :n]
 
 
 def lift_plant(vplant, forced_zeros=()):
@@ -216,8 +210,6 @@ def lift_plant(vplant, forced_zeros=()):
         F[:n, n:] = -Bv  # sign fixed by the u = -K x convention, see module doc
         F_list.append(F)
 
-    Q = np.zeros((p, p))
-    Q[:n, :n] = vplant.B1B1t
     R = np.zeros((p, p))
     R[:n, :n] = vplant.CtC
     R[n:, n:] = vplant.DtD
@@ -226,25 +218,24 @@ def lift_plant(vplant, forced_zeros=()):
     svec_n = vectorize.build_svec_maps(n)
     op = vectorize.assemble_constraint_operator(n, m, forced_zeros)
 
-    # Row k of A D is row A_cols[k] of D: one entry, 1/sqrt(2), in the
-    # column of the coordinate it reads.  The Gram matrix is therefore
-    # diagonal, and its diagonal sums those squared entries per column.
-    AD = svec_p.D_iso[op.A_cols]
-    gram_diag = np.asarray(AD.multiply(AD).sum(axis=0)).ravel()
+    # Row k of A unsvec reads coordinate coord[A_cols[k]] at plain_scale,
+    # so column r of the Gram matrix holds plain_scale[r]^2 once per row
+    # that reads coordinate r, and no entry off the diagonal.
+    reads = np.bincount(svec_p.coord.ravel(order="F")[op.A_cols],
+                        minlength=svec_p.size)
+    gram_diag = reads * svec_p.plain_scale ** 2
 
-    # svec(W) -> svec of the symmetric block V2 (F_i W + W F_i^T) V2^T,
-    # both in isometric coordinates; V2 = [I 0] selects the leading block.
-    V2 = np.eye(n, p)
+    # Column r of J_i is svec of the vertex block of unsvec(e_r); the
+    # transpose of the stacked rows is Fortran-ordered, as the sweep reads it.
+    basis = (np.eye(svec_p.size) * svec_p.plain_scale)[:, svec_p.coord]
     J_list = []
     for F in F_list:
-        V2F = V2 @ F
-        coupling = (np.kron(V2, V2F) + np.kron(V2F, V2))
-        J = svec_n.D_iso.T @ coupling @ svec_p.D_iso
-        J_list.append(np.asarray(J.todense()) if hasattr(J, "todense") else np.asarray(J))
-    kappa_q = np.asarray(svec_n.D_iso.T @ np.kron(V2, V2) @ Q.reshape(-1, order="F")).ravel()
+        blocks = _vertex_block(F, basis, n).reshape(svec_p.size, n * n)
+        J_list.append((blocks.take(svec_n.lower, axis=1) * svec_n.iso_scale).T)
+    kappa_q = vectorize.svec(vplant.B1B1t, svec_n)
 
     return LiftedProblem(plant=vplant, n=n, m=m, p=p,
-                         F_list=tuple(F_list), Q=Q, R=R,
+                         F_list=tuple(F_list), R=R,
                          svec_p=svec_p, svec_n=svec_n, op=op,
                          gram_diag=gram_diag,
                          J_list=tuple(J_list), kappa_q=kappa_q)

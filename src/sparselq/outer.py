@@ -27,6 +27,13 @@ from .errors import MaxSweepsExceeded, NotConverged
 
 log = logging.getLogger("sparselq")
 
+# Initial schedule scalars, restored by every restart of the averages.
+BETA0 = 1.0
+KAPPA0 = 1.0
+# Inner tolerance: 0.1 x the last primal residual, clipped to this range.
+INNER_TOL_CAP = 1e-4
+INNER_TOL_FLOOR = 1e-8
+
 
 @dataclass(frozen=True)
 class RegimeSpec:
@@ -76,10 +83,6 @@ class SolverOptions:
     eps2: float = 1e-4
     max_outer: int = 50000
     max_sweeps: int = 10000
-    beta0: float = 1.0
-    kappa0: float = 1.0
-    inner_tol_cap: float = 1e-4
-    inner_tol_floor: float = 1e-8
     restart_every: int = 2000
 
 
@@ -92,7 +95,6 @@ class OuterState:
     P_tilde: np.ndarray
     w: np.ndarray
     lam: np.ndarray
-    lam_bar: np.ndarray
     theta: float = 1.0
     kappa: float = 1.0
     beta: float = 1.0
@@ -112,22 +114,20 @@ class OuterState:
     eps_pri: float = 0.0
 
 
-def init_state(lifted, regime, options, init=None):
+def init_state(lifted, regime, init=None):
     """Fresh iterate: W and v at the identity, everything else at zero."""
     p, mn = lifted.p, lifted.m * lifted.n
     rows = lifted.op.n_rows
     W0 = np.eye(p).reshape(-1, order="F")
     st = OuterState(W_tilde=W0.copy(), v=W0.copy(),
                     P_tilde=np.zeros(mn), w=np.zeros(mn),
-                    lam=np.zeros(rows), lam_bar=np.zeros(rows),
-                    theta=1.0, kappa=options.kappa0, beta=options.beta0,
+                    lam=np.zeros(rows), theta=1.0, kappa=KAPPA0, beta=BETA0,
                     mu_f=regime.mu_f, mu_g=regime.mu_g,
                     P_prev=np.zeros(mn))
     if init:
         for name in ("W_tilde", "v", "P_tilde", "w", "lam", "anchor"):
             if name in init and init[name] is not None:
                 setattr(st, name, np.asarray(init[name], dtype=float).copy())
-        st.lam_bar = st.lam.copy()
         st.P_prev = st.P_tilde.copy()
         if init.get("last_primal_res") is not None:
             st.last_primal_res = float(init["last_primal_res"])
@@ -190,10 +190,10 @@ def outer_iteration(state, lifted, regime, options=SolverOptions()):
         d = d + state.mu_f * (ps.u - state.anchor)
 
     if state.last_primal_res is None:
-        eps_in = options.inner_tol_cap
+        eps_in = INNER_TOL_CAP
     else:
-        eps_in = max(options.inner_tol_floor,
-                     min(options.inner_tol_cap, 0.1 * state.last_primal_res))
+        eps_in = max(INNER_TOL_FLOOR,
+                     min(INNER_TOL_CAP, 0.1 * state.last_primal_res))
     capped = False
     try:
         v_next, sweeps, dstate = inner.solve_inner(
@@ -221,7 +221,7 @@ def outer_iteration(state, lifted, regime, options=SolverOptions()):
     state.P_prev = state.P_tilde
     state.W_tilde, state.v = W_next, v_next
     state.P_tilde, state.w = P_next, w_next
-    state.lam, state.lam_bar = lam_next, lam_bar
+    state.lam = lam_next
     state.alpha = alpha
     state.theta, state.kappa, state.beta = ps.theta_next, ps.kappa_next, ps.beta_next
     state.k += 1
@@ -233,7 +233,7 @@ def outer_iteration(state, lifted, regime, options=SolverOptions()):
     return state
 
 
-def restart_averages(state, options=SolverOptions()):
+def restart_averages(state):
     """Collapse the running averages onto the current sharp iterate.
 
     The averaged pair (W_tilde, P-extrapolation) only reports progress; the
@@ -248,10 +248,9 @@ def restart_averages(state, options=SolverOptions()):
     """
     state.W_tilde = state.v.copy()
     state.w = state.P_tilde.copy()
-    state.lam_bar = state.lam.copy()
     state.theta = 1.0
-    state.kappa = options.kappa0
-    state.beta = options.beta0
+    state.kappa = KAPPA0
+    state.beta = BETA0
     return state
 
 
@@ -308,7 +307,7 @@ def solve_relaxed(lifted, regime, options=SolverOptions(), init=None):
                          penalty=replace(regime.penalty, gamma=1e-8))
         log.info("gamma=0 request run at gamma=1e-8")
 
-    state = init_state(lifted, regime, options, init)
+    state = init_state(lifted, regime, init)
 
     trace = []
     t0 = time.perf_counter()
@@ -341,7 +340,7 @@ def solve_relaxed(lifted, regime, options=SolverOptions(), init=None):
                          -min(rep["min_eig_W"], rep["min_eig_psi"]))
         restarted = not converged and _restart_due(state, regime, options, pr)
         if restarted:
-            restart_averages(state, options)
+            restart_averages(state)
         trace.append(row + (int(restarted), state.last_inner_residual))
         if converged:
             break

@@ -8,7 +8,10 @@ terms rely on this.
 
 Coordinate ordering is lower-triangular column-major: coordinate r walks
 (i, j) with i >= j, j ascending, and i ascending within each column.  Full
-vectorization ``vec`` is always column-major.
+vectorization ``vec`` is always column-major.  Every map between the two
+is applied through the index arrays of SvecMaps: svec gathers the lower
+triangle, unsvec gathers through coord, and sym_svec, the adjoint of
+unsvec, sums the two triangles.
 
 The equality operator of the lift only selects entries of vec(W), so it
 is stored as the column index each row reads and applied as a gather.
@@ -17,7 +20,6 @@ is stored as the column index each row reads and applied as a gather.
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import ForcedZeroOutOfRange
 
@@ -32,12 +34,9 @@ class SvecMaps:
     index lower[r] and upper[r]; coord[i, j] is the coordinate of S[i, j].
     iso_scale is 1 on diagonal coordinates and sqrt(2) off it, and
     s * plain_scale (= s / iso_scale) is LAPACK's packed lower triangle.
-    D_iso (d^2 x t) is the duplication map: D_iso @ svec(S) = vec(S),
-    and D_iso^T vec(G) = sym_svec(vec(G)) = svec of the symmetric part.
     """
 
     dim: int
-    D_iso: sp.csr_matrix
     lower: np.ndarray = field(repr=False)
     upper: np.ndarray = field(repr=False)
     iso_scale: np.ndarray = field(repr=False)
@@ -60,15 +59,7 @@ def build_svec_maps(d):
     iso_scale = np.where(idx_i == idx_j, 1.0, _SQRT2)
     coord = np.empty((d, d), dtype=np.int64)
     coord[idx_i, idx_j] = coord[idx_j, idx_i] = np.arange(t)
-
-    # Row i + j*d of D (the vec entry S[i, j]) reads coordinate
-    # coord[i, j] and undoes its scale.
-    cols = coord.ravel(order="F")
-    D_iso = sp.csr_matrix((1.0 / iso_scale[cols], (np.arange(d * d), cols)),
-                          shape=(d * d, t))
-
-    return SvecMaps(dim=d, D_iso=D_iso,
-                    lower=idx_i * d + idx_j, upper=idx_j * d + idx_i,
+    return SvecMaps(dim=d, lower=idx_i * d + idx_j, upper=idx_j * d + idx_i,
                     iso_scale=iso_scale, coord=coord,
                     plain_scale=1.0 / iso_scale)
 
@@ -84,8 +75,8 @@ def unsvec(s, maps):
 
 
 def sym_svec(v, maps):
-    """svec of the symmetric part of G, vec(G) = v: D_iso^T v, in which
-    G[i, j] and G[j, i] sit at upper[r] and lower[r] of column-major v."""
+    """svec of the symmetric part of G, vec(G) = v, in which G[i, j] and
+    G[j, i] sit at upper[r] and lower[r] of column-major v."""
     return (v[maps.upper] + v[maps.lower]) * (0.5 * maps.iso_scale)
 
 

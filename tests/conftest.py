@@ -2,11 +2,22 @@
 the acceptance report hook that prints one line per criterion at the end
 of the run."""
 
+import os
+
 import numpy as np
 import pytest
 
-from sparselq import cones, model
-from sparselq.errors import EigFailure
+from sparselq import analysis, cones, model, vectorize
+from sparselq.errors import EigFailure, SparseLQError
+
+
+def source_env():
+    """The environment with the imported sparselq's source tree first on
+    PYTHONPATH, for running the package in a fresh interpreter."""
+    src = os.path.dirname(os.path.dirname(model.__file__))
+    path = os.environ.get("PYTHONPATH")
+    return dict(os.environ,
+                PYTHONPATH=src if not path else src + os.pathsep + path)
 
 
 def ex1_matrices():
@@ -149,6 +160,18 @@ def dense_equality_operator(op):
     return A, B
 
 
+def dense_duplication(d):
+    """Dense isometric duplication map D (d^2 x t), D svec(S) = vec(S),
+    built from the documented coordinate order: coordinate r walks (i, j),
+    i >= j, column by column, and an off-diagonal coordinate carries
+    S[i, j] times sqrt(2)."""
+    pairs = [(i, j) for j in range(d) for i in range(j, d)]
+    D = np.zeros((d * d, len(pairs)))
+    for r, (i, j) in enumerate(pairs):
+        D[i + j * d, r] = D[j + i * d, r] = 1.0 if i == j else 1 / np.sqrt(2.0)
+    return D
+
+
 def pg_dual_oracle(lifted, data, max_steps=10 ** 6, move_tol=1e-13):
     """Projected-gradient reference solver for the inner dual problem.
 
@@ -237,10 +260,51 @@ def dual_objective(state, data):
 def primal_objective(data, s):
     """Inner subproblem objective at isometric coordinates s."""
     lifted = data.lifted
-    res = lifted.op.apply_A(lifted.svec_p.D_iso @ s) + data.b_tilde
+    W = vectorize.unsvec(s, lifted.svec_p)
+    res = lifted.op.apply_A(W.reshape(-1, order="F")) + data.b_tilde
     diff = s - data.s_tilde
     return float(data.g0 @ s + data.sigma1 * (res @ res)
                  + data.sigma2 * (diff @ diff))
+
+
+class K0NotStabilizing(SparseLQError):
+    """The initial gain handed to the Riccati iteration does not stabilize."""
+
+
+class NoConvergence(SparseLQError):
+    """The Riccati iteration failed to converge within its cap."""
+
+
+def riccati_oracle(plant, stabilizing_K0, max_iter=50, tol=1e-12):
+    """Policy iteration on the quadratic regulator equation.
+
+    Starting from a stabilizing gain, alternates the closed-loop value
+    solve with the gain update K = (D^T D)^{-1} B2^T P.  Costs are
+    monotonically nonincreasing.  Returns (K_star, J_star) with
+    J_star = Tr(P B1 B1^T).  Single-vertex plants only.
+    """
+    vp = (plant if isinstance(plant, model.ValidatedPlant)
+          else model.validate_plant(plant))
+    if len(vp.plant.vertices) != 1:
+        raise ValueError("oracle handles single-vertex plants only")
+    A, B2 = vp.plant.A, vp.plant.B2
+    K = np.asarray(stabilizing_K0, dtype=float)
+    if analysis.stability_check(A, B2, K) >= 0:
+        raise K0NotStabilizing("initial gain is not stabilizing")
+    J_prev = np.inf
+    for _ in range(max_iter):
+        A_cl = A - B2 @ K
+        P = analysis.solve_lyapunov(A_cl.T, vp.CtC + K.T @ vp.DtD @ K)
+        J = float(np.trace(P @ vp.B1B1t))
+        K_next = np.linalg.solve(vp.DtD, B2.T @ P)
+        if J > J_prev + 1e-9 * max(1.0, abs(J_prev)):
+            raise NoConvergence("cost increased; iteration diverged")
+        step = float(np.max(np.abs(K_next - K)))
+        K = K_next
+        if step <= tol * max(1.0, float(np.max(np.abs(K)))):
+            return K, J
+        J_prev = J
+    raise NoConvergence(f"no fixed point within {max_iter} iterations")
 
 
 _ACCEPTANCE_LINES = []

@@ -19,7 +19,7 @@ from sparselq.errors import MaxSweepsExceeded, NotConverged
 
 from conftest import (dual_objective, ex1_matrices, feasible_instance, lift,
                       make_inner_instance, pg_dual_oracle, primal_objective,
-                      project_psd, record_criterion)
+                      project_psd, record_criterion, riccati_oracle)
 
 GAMMAS = (1e-8, 1.0, 5.0, 10.0, 20.0, 50.0)
 TARGET_ZEROS = (0, 1, 2, 3, 3, 3)
@@ -157,7 +157,7 @@ def test_criterion_5_vanishing_penalty(ex1_grid, ex1_plant):
     oracle_err = np.inf
     J_star = np.nan
     try:
-        _, J_star = analysis.riccati_oracle(ex1_plant, sol.K)
+        _, J_star = riccati_oracle(ex1_plant, sol.K)
         oracle_err = abs(J_dense - J_star) / J_star
     except Exception as exc:       # noqa: BLE001 - report, do not crash
         J_star = float("nan")
@@ -166,7 +166,7 @@ def test_criterion_5_vanishing_penalty(ex1_grid, ex1_plant):
                              B1=np.array([[1.0]]),
                              C=np.array([[1.0], [0.0]]),
                              D=np.array([[0.0], [1.0]]))
-    _, J_sc = analysis.riccati_oracle(scalar, np.array([[3.0]]))
+    _, J_sc = riccati_oracle(scalar, np.array([[3.0]]))
     scalar_err = abs(J_sc - (1.0 + np.sqrt(2.0)))
     ok = (sol.status == "converged" and oracle_err <= 0.01
           and scalar_err <= 1e-8)
@@ -276,7 +276,7 @@ def test_criterion_7_property_pack(ex1_lifted):
     def advance(mu_g, steps):
         st = outer.OuterState(
             W_tilde=np.zeros(1), v=np.zeros(1), P_tilde=np.zeros(1),
-            w=np.zeros(1), lam=np.zeros(1), lam_bar=np.zeros(1),
+            w=np.zeros(1), lam=np.zeros(1),
             theta=1.0, kappa=1.0, beta=1.0, mu_f=0.0, mu_g=mu_g)
         thetas = [st.theta]
         for _ in range(steps):
@@ -358,7 +358,7 @@ def test_criterion_8_rate_constants_behavioral(ex1_lifted, ex3_pair):
     # certified order.  Criteria 4-7 carry the rest of the evidence.
     regime = outer.regime_l1(10.0)
     options = outer.SolverOptions(restart_every=0)
-    state = outer.init_state(ex1_lifted, regime, options)
+    state = outer.init_state(ex1_lifted, regime)
     worst = 0.0
     for _ in range(150):
         state = outer.outer_iteration(state, ex1_lifted, regime, options)

@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 
 from sparselq import analysis, model
-from sparselq.errors import (K0NotStabilizing, NotHurwitz, SingularW1,
-                             TooLarge)
+from sparselq.errors import NotHurwitz, SingularW1, TooLarge
 
-from conftest import ex1_matrices, lift
+from conftest import K0NotStabilizing, ex1_matrices, lift, riccati_oracle
 
 
 def scalar_plant(a=1.0, b2=1.0, b1=1.0):
@@ -84,7 +83,7 @@ class TestRiccatiOracle:
         # a=1, b=1, q=r=1: P solves 2aP - P^2 b^2/r + q = 0
         # -> P = (2 + sqrt(4 + 4)) / 2 = 1 + sqrt(2), K = P, J = P.
         plant = scalar_plant(a=1.0)
-        K, J = analysis.riccati_oracle(plant, np.array([[2.0]]))
+        K, J = riccati_oracle(plant, np.array([[2.0]]))
         assert J == pytest.approx(1.0 + np.sqrt(2.0), abs=1e-8)
         assert K[0, 0] == pytest.approx(1.0 + np.sqrt(2.0), abs=1e-8)
 
@@ -100,14 +99,14 @@ class TestRiccatiOracle:
         P_ref = sla.solve_continuous_are(A, B2, np.eye(3), np.eye(2))
         K_ref = B2.T @ P_ref
         K0 = K_ref + 0.01 * rng.standard_normal(K_ref.shape)
-        K, J = analysis.riccati_oracle(plant, K0)
+        K, J = riccati_oracle(plant, K0)
         np.testing.assert_allclose(K, K_ref, atol=1e-8)
         assert J == pytest.approx(np.trace(P_ref), rel=1e-10)
 
     def test_rejects_destabilizing_start(self):
         plant = scalar_plant(a=1.0)
         with pytest.raises(K0NotStabilizing):
-            analysis.riccati_oracle(plant, np.array([[0.5]]))
+            riccati_oracle(plant, np.array([[0.5]]))
 
 
 class TestSimulateImpulse:

@@ -115,8 +115,11 @@ class TestSymEigh:
                                       np.linalg.eigh(S)[0])
 
     def test_non_finite_input_like_numpy(self):
-        # LAPACK fails on an all-NaN matrix: LinAlgError, as from numpy
+        # LAPACK fails on an all-NaN matrix, as inside numpy; sym_eigh
+        # raises the package's EigFailure where numpy raises LinAlgError
         with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.eigh(np.full((3, 3), np.nan))
+        with pytest.raises(EigFailure):
             cones.sym_eigh(np.full((3, 3), np.nan))
         # it returns NaN factors for a single NaN pair, as numpy does
         S = np.array([[1.0, np.nan], [np.nan, 2.0]])

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from sparselq import inner, model
-from sparselq.errors import MaxSweepsExceeded
+from sparselq.errors import EigFailure, MaxSweepsExceeded
 
 from conftest import (dual_objective, make_inner_instance, pg_dual_oracle,
                       primal_objective)
@@ -97,7 +97,7 @@ class TestSolveInner:
         np.testing.assert_allclose(W, W.T, atol=1e-12)
         assert np.linalg.eigvalsh(W)[0] >= -1e-6
         for i in range(lifted.n_vertices):
-            assert np.linalg.eigvalsh(lifted.psi_block(W, i))[0] >= -1e-5
+            assert np.linalg.eigvalsh(-lifted.theta_block(W, i))[0] >= -1e-5
 
     def test_matches_projected_gradient_oracle(self):
         for seed in (8, 9):
@@ -182,6 +182,18 @@ class TestSolveInner:
                               eps=1e-8, max_sweeps=5)
         assert exc.value.sweeps == 5
         assert np.isnan(exc.value.residual)
+
+    def test_nan_data_on_a_two_state_plant_raises_eig_failure(self):
+        # on a two-state plant the NaN fills a 3 x 3 vertex block, where
+        # LAPACK fails instead of returning NaN eigenvalues; the failure
+        # comes out as the package's EigFailure
+        rng = np.random.default_rng(17)
+        lifted, d_k, w_k, v_tilde, a, t, e = make_inner_instance(rng)
+        data, _ = inner.assemble_dual_data(lifted, d_k, w_k, v_tilde,
+                                           a, t, e)
+        data.q_k[0] = np.nan
+        with pytest.raises(EigFailure):
+            inner.sgs_sweep(inner.zero_state(lifted), data)
 
     def test_relative_error_keeps_a_nan_in_any_block(self):
         one, nan = np.ones(3), np.full(3, np.nan)

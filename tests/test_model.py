@@ -1,16 +1,30 @@
 import numpy as np
 import pytest
 
-from sparselq import model, vectorize
+from sparselq import analysis, model, vectorize
 from sparselq.errors import AssumptionViolated, DimensionMismatch
 
-from conftest import dense_equality_operator, ex1_matrices, ex2_matrices, lift
+from conftest import (dense_duplication, dense_equality_operator,
+                      ex1_matrices, ex2_matrices, lift)
 
 
 def unit_cost(n, m):
     C = np.vstack([np.eye(n), np.zeros((m, n))])
     D = np.vstack([np.zeros((n, m)), np.eye(m)])
     return C, D
+
+
+TWO_VERTEX_A = np.array([[0.0, 1.0], [-1.0, -0.5]])
+TWO_VERTEX_B2 = np.array([[0.0], [1.0]])
+TWO_VERTICES = ((TWO_VERTEX_A, TWO_VERTEX_B2),
+                (TWO_VERTEX_A + 0.1 * np.eye(2), 2.0 * TWO_VERTEX_B2))
+
+
+def two_vertex_lifted():
+    C, D = unit_cost(2, 1)
+    return model.lift_plant(model.validate_plant(model.PlantData(
+        A=TWO_VERTEX_A, B2=TWO_VERTEX_B2, B1=np.eye(2), C=C, D=D,
+        vertices=TWO_VERTICES)))
 
 
 class TestValidatePlant:
@@ -105,25 +119,26 @@ class TestLiftedStructure:
         np.testing.assert_array_equal(F[:n, :n], A)
         np.testing.assert_array_equal(F[:n, n:], -B2)
         np.testing.assert_array_equal(F[n:, :], 0.0)
-        np.testing.assert_array_equal(lp.Q[:n, :n], lp.plant.B1B1t)
-        np.testing.assert_array_equal(lp.Q[n:, :], 0.0)
+        # the constant part of the constraint block is B1 B1^T
+        np.testing.assert_array_equal(lp.theta_block(np.zeros((p, p)), 0),
+                                      lp.plant.B1B1t)
         np.testing.assert_array_equal(lp.R[:n, :n], lp.plant.CtC)
         np.testing.assert_array_equal(lp.R[n:, n:], lp.plant.DtD)
         np.testing.assert_array_equal(lp.R[:n, n:], 0.0)
 
     def test_selectors(self, ex1_lifted):
         # The constraint block is the leading n x n block of
-        # F W + W F^T + Q; the gain part is the bottom-left m x n block.
+        # F W + W F^T + Q, Q = blkdiag(B1 B1^T, 0); the gain block is
+        # checked in test_gain_part_and_unvec.
         lp = ex1_lifted
         n = lp.n
         rng = np.random.default_rng(0)
         W = rng.standard_normal((lp.p, lp.p))
         F = lp.F_list[0]
+        Q = np.zeros((lp.p, lp.p))
+        Q[:n, :n] = lp.plant.B1B1t
         np.testing.assert_array_equal(lp.theta_block(W, 0),
-                                      (F @ W + (F @ W).T + lp.Q)[:n, :n])
-        np.testing.assert_array_equal(
-            lp.gain_part(W.reshape(-1, order="F")),
-            W[n:, :n].reshape(-1, order="F"))
+                                      (F @ W + (F @ W).T + Q)[:n, :n])
 
     def test_theta_block_matches_closed_loop(self, ex1_lifted):
         # For W built from a gain K and diagonal W1, the constraint block
@@ -142,37 +157,39 @@ class TestLiftedStructure:
         expected = A_cl @ W1 + W1 @ A_cl.T + lp.plant.B1B1t
         np.testing.assert_allclose(lp.theta_block(W, 0), expected,
                                    atol=1e-12)
-        np.testing.assert_allclose(lp.psi_block(W, 0), -expected,
-                                   atol=1e-12)
+        # the certificate reads the negated block, Psi = -Theta
+        rep = analysis.feasibility_report(lp, W, W[n:, :n])
+        assert rep["min_eig_psi"] == pytest.approx(
+            np.linalg.eigvalsh(-expected)[0], abs=1e-12)
 
     def test_vertex_maps_in_iso_coordinates(self, ex2_lifted):
-        # J_list[i] @ svec(W) must be svec of V2 (F_i W + W F_i^T) V2^T.
-        lp = ex2_lifted
+        # J_list[i] @ svec(W) must be svec of V2 (F_i W + W F_i^T) V2^T,
+        # and adding kappa_q = svec(B1 B1^T) gives the certificate's block,
+        # on ex2 and on every vertex of a two-vertex plant.
         rng = np.random.default_rng(2)
-        S = rng.standard_normal((lp.p, lp.p))
-        W = 0.5 * (S + S.T)
-        s = vectorize.svec(W, lp.svec_p)
-        for i, F in enumerate(lp.F_list):
-            blk = (F @ W + W @ F.T)[:lp.n, :lp.n]
+        for lp in (ex2_lifted, two_vertex_lifted()):
+            S = rng.standard_normal((lp.p, lp.p))
+            W = 0.5 * (S + S.T)
+            s = vectorize.svec(W, lp.svec_p)
+            B1 = lp.plant.plant.B1
             np.testing.assert_allclose(
-                lp.J_list[i] @ s,
-                vectorize.svec(blk, lp.svec_n), atol=1e-12)
-        np.testing.assert_allclose(
-            lp.kappa_q,
-            vectorize.svec(lp.Q[:lp.n, :lp.n], lp.svec_n),
-            atol=1e-14)
+                vectorize.unsvec(lp.kappa_q, lp.svec_n), B1 @ B1.T,
+                atol=1e-14)
+            for i, F in enumerate(lp.F_list):
+                blk = (F @ W + W @ F.T)[:lp.n, :lp.n]
+                np.testing.assert_allclose(
+                    lp.J_list[i] @ s,
+                    vectorize.svec(blk, lp.svec_n), atol=1e-12)
+                np.testing.assert_allclose(
+                    lp.J_list[i] @ s + lp.kappa_q,
+                    vectorize.svec(lp.theta_block(W, i), lp.svec_n),
+                    atol=1e-12)
 
     def test_two_vertex_lift(self, ex1_lifted):
         assert ex1_lifted.n_vertices == 1
-        C, D = unit_cost(2, 1)
-        A = np.array([[0.0, 1.0], [-1.0, -0.5]])
-        B2 = np.array([[0.0], [1.0]])
-        verts = ((A, B2), (A + 0.1 * np.eye(2), 2.0 * B2))
-        vp = model.validate_plant(model.PlantData(
-            A=A, B2=B2, B1=np.eye(2), C=C, D=D, vertices=verts))
-        lp = model.lift_plant(vp)
+        lp = two_vertex_lifted()
         assert lp.n_vertices == 2
-        for (Av, Bv), F in zip(verts, lp.F_list):
+        for (Av, Bv), F in zip(TWO_VERTICES, lp.F_list):
             np.testing.assert_array_equal(F[:2, :2], Av)
             np.testing.assert_array_equal(F[:2, 2:], -Bv)
             np.testing.assert_array_equal(F[2:, :], 0.0)
@@ -187,13 +204,15 @@ class TestLiftedStructure:
             np.sum(lp.R * W))
 
     def test_gain_part_and_unvec(self, ex1_lifted):
-        lp = ex1_lifted
+        # the gain rows of the equality operator read the bottom-left
+        # m x n block of W
+        lp, op = ex1_lifted, ex1_lifted.op
         rng = np.random.default_rng(4)
         W = rng.standard_normal((lp.p, lp.p))
         v = W.reshape(-1, order="F")
         np.testing.assert_array_equal(lp.unvec(v), W)
         np.testing.assert_array_equal(
-            lp.gain_part(v),
+            op.apply_A(v)[op.n_diag:op.n_diag + op.n_gain],
             W[lp.n:, :lp.n].reshape(-1, order="F"))
 
     def test_gram_consistency(self):
@@ -205,7 +224,7 @@ class TestLiftedStructure:
         for mats, forced in cases:
             lp = lift(mats, forced)
             A, _ = dense_equality_operator(lp.op)
-            AD = A @ lp.svec_p.D_iso.toarray()
+            AD = A @ dense_duplication(lp.p)
             gram = AD.T @ AD
             np.testing.assert_array_equal(gram - np.diag(np.diag(gram)), 0.0)
             np.testing.assert_array_equal(np.diag(gram), lp.gram_diag)

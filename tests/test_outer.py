@@ -37,7 +37,7 @@ class TestSchedule:
     def _advance(self, mu_f=0.0, mu_g=0.0, steps=300):
         state = outer.OuterState(
             W_tilde=np.zeros(1), v=np.zeros(1), P_tilde=np.zeros(1),
-            w=np.zeros(1), lam=np.zeros(1), lam_bar=np.zeros(1),
+            w=np.zeros(1), lam=np.zeros(1),
             theta=1.0, kappa=1.0, beta=1.0, mu_f=mu_f, mu_g=mu_g)
         thetas = [state.theta]
         for _ in range(steps):
@@ -65,7 +65,7 @@ class TestSchedule:
         state = outer.OuterState(
             W_tilde=rng.standard_normal(4), v=rng.standard_normal(4),
             P_tilde=rng.standard_normal(2), w=rng.standard_normal(2),
-            lam=np.zeros(3), lam_bar=np.zeros(3),
+            lam=np.zeros(3),
             theta=0.25, kappa=0.5, beta=0.8, mu_f=0.3, mu_g=0.7)
         ps = outer.step_and_parameters(state)
         alpha = np.sqrt(0.8 * 0.25)
@@ -95,7 +95,7 @@ class TestIterationInvariants:
         lifted = ex1_lifted
         regime = outer.regime_l1(10.0)
         options = outer.SolverOptions(restart_every=0)
-        state = outer.init_state(lifted, regime, options)
+        state = outer.init_state(lifted, regime)
         for _ in range(150):
             state = outer.outer_iteration(state, lifted, regime, options)
             _, pr, _ = outer.check_convergence(state, lifted, 1e-5, 1e-4)
@@ -108,12 +108,12 @@ class TestIterationInvariants:
         lifted = ex1_lifted
         regime = outer.regime_l1(10.0)
         options = outer.SolverOptions()
-        state = outer.init_state(lifted, regime, options)
+        state = outer.init_state(lifted, regime)
         for _ in range(20):
             state = outer.outer_iteration(state, lifted, regime, options)
         v_before = state.v.copy()
         lam_before = state.lam.copy()
-        outer.restart_averages(state, options)
+        outer.restart_averages(state)
         np.testing.assert_array_equal(state.v, v_before)
         np.testing.assert_array_equal(state.lam, lam_before)
         np.testing.assert_array_equal(state.W_tilde, v_before)
@@ -128,7 +128,7 @@ class TestCheckConvergence:
         A, B = dense_equality_operator(lifted.op)
         regime = outer.regime_l1(10.0)
         options = outer.SolverOptions()
-        state = outer.init_state(lifted, regime, options)
+        state = outer.init_state(lifted, regime)
         stops = set()
         for _ in range(60):
             state = outer.outer_iteration(state, lifted, regime, options)
@@ -260,13 +260,12 @@ class TestInnerResidualColumn:
     def test_each_solve_stopped_below_its_tolerance(self, ex1_g10):
         # solve_relaxed sets each inner tolerance from the previous
         # iteration's primal residual
-        opts = outer.SolverOptions()
         col = analysis.TRACE_COLUMNS.index("inner_residual")
-        eps_in = opts.inner_tol_cap
+        eps_in = outer.INNER_TOL_CAP
         for row in ex1_g10.trace:
             assert 0.0 <= row[col] < eps_in
-            eps_in = max(opts.inner_tol_floor,
-                         min(opts.inner_tol_cap, 0.1 * row[3]))
+            eps_in = max(outer.INNER_TOL_FLOOR,
+                         min(outer.INNER_TOL_CAP, 0.1 * row[3]))
 
     def test_capped_solves_record_the_exact_residual(self, ex1_lifted,
                                                      tmp_path, monkeypatch):

@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -5,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from sparselq import vectorize
 from sparselq.errors import ForcedZeroOutOfRange
 
-from conftest import dense_equality_operator
+from conftest import dense_duplication, dense_equality_operator, source_env
 
 
 def random_sym(rng, d):
@@ -39,28 +42,40 @@ def test_iso_coordinates_preserve_norms(d):
 
 
 def test_maps_match_fancy_indexing():
-    # The duplication map and the fancy-index svec/unsvec describe the
-    # same coordinates: D_iso svec(S) = vec(S) and D_iso^T vec(S) = svec(S).
+    # The index maps apply the duplication map D of the documented
+    # coordinate order: unsvec(s) = D s as a matrix, and
+    # svec(S) = sym_svec(vec(S)) = D^T vec(S) for symmetric S.
     d = 4
     rng = np.random.default_rng(3)
     maps = vectorize.build_svec_maps(d)
+    D = dense_duplication(d)
     S = random_sym(rng, d)
     v = S.reshape(-1, order="F")
     s = vectorize.svec(S, maps)
-    np.testing.assert_allclose(maps.D_iso @ s, v, atol=1e-14)
-    np.testing.assert_allclose(maps.D_iso.T @ v, s, atol=1e-14)
+    np.testing.assert_allclose(D @ s, v, atol=1e-14)
+    np.testing.assert_allclose(D.T @ v, s, atol=1e-14)
+    np.testing.assert_allclose(vectorize.sym_svec(v, maps), s, atol=1e-14)
+    t = rng.standard_normal(maps.size)
+    np.testing.assert_allclose(
+        vectorize.unsvec(t, maps).reshape(-1, order="F"), D @ t, atol=1e-14)
 
 
 def test_duplication_is_isometry_adjoint():
-    # D_iso^T is the adjoint of the embedding: D_iso^T vec(G) gives the
-    # iso coordinates of the symmetrized G.
+    # sym_svec is the adjoint of unsvec: sym_svec(vec(G)) = D^T vec(G) is
+    # the iso coordinates of the symmetrized G, and
+    # <unsvec(t), G> = <t, sym_svec(vec(G))>.
     d = 5
     rng = np.random.default_rng(4)
     maps = vectorize.build_svec_maps(d)
     G = rng.standard_normal((d, d))
-    lhs = maps.D_iso.T @ G.reshape(-1, order="F")
+    v = G.reshape(-1, order="F")
+    lhs = vectorize.sym_svec(v, maps)
     rhs = vectorize.svec(0.5 * (G + G.T), maps)
-    np.testing.assert_allclose(np.asarray(lhs).ravel(), rhs, atol=1e-14)
+    np.testing.assert_allclose(lhs, rhs, atol=1e-14)
+    np.testing.assert_allclose(lhs, dense_duplication(d).T @ v, atol=1e-14)
+    t = rng.standard_normal(maps.size)
+    assert np.isclose(np.sum(vectorize.unsvec(t, maps) * G), t @ lhs,
+                      atol=1e-12)
 
 
 def test_diag_constraint_pairs_pick_strict_upper():
@@ -141,6 +156,14 @@ def test_forced_zero_out_of_range():
         vectorize.assemble_constraint_operator(3, 2, forced_zeros=((2, 0),))
     with pytest.raises(ForcedZeroOutOfRange):
         vectorize.assemble_constraint_operator(3, 2, forced_zeros=((0, 3),))
+
+
+def test_import_leaves_scipy_sparse_unloaded():
+    # every map is an index array; the package needs no sparse matrices
+    code = "import sys, sparselq; print('scipy.sparse' in sys.modules)"
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=source_env(), check=True)
+    assert res.stdout.strip() == "False"
 
 
 def test_bad_order_rejected():
