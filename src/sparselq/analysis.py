@@ -264,20 +264,12 @@ def agrees(cert, name, stored):
                     for k, v in derived.items()))
 
 
-def stationary(cert, lifted, lam, gamma, weights=None, pq_params=None):
-    """Whether the multiplier's gain rows lie in the subdifferential at P
-    of the weighted l1 penalty (of the pq penalty when pq_params is
-    given), on the active face at nonzeros, to max(1e-3, 2 tol)."""
+def stationary(cert, lifted, lam, penalty):
+    """Whether the multiplier's gain rows lie in the subdifferential of
+    the penalty at P, to max(1e-3, 2 tol)."""
     op, P = lifted.op, cert["P"]
     lam_g = lam[op.n_diag:op.n_diag + op.n_gain].reshape(P.shape, order="F")
-    gw = gamma * (1.0 if weights is None else weights)
-    if pq_params is None:
-        lo, hi = np.where(P > 0, gw, -gw), np.where(P < 0, -gw, gw)
-    else:
-        a1, a2, b1, b2 = pq_params
-        face = np.where(P > 0, gw * (a2 * P + b2), gw * (a1 * P + b1))
-        lo = np.where(P == 0, gw * b1, face)
-        hi = np.where(P == 0, gw * b2, face)
+    lo, hi = penalty.subdifferential(P)
     viol = float(np.max(np.maximum(lo - lam_g, lam_g - hi), initial=0.0))
     return viol <= max(1e-3, 2.0 * cert["tol"])
 

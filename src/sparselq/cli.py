@@ -25,8 +25,10 @@ multiplier.  It trusts status, iterations and dual_res; dual_res
 loosens the feasibility tolerance only up to analysis.TOL_CEILING.
 
 Exit codes: 0 success, 2 bad input (in verify also a regime other than
-l1, pq or l0), 3 solver did not converge (in a sweep: some gamma did
-not converge or failed with an error row), 4 verification failed.
+l1, pq or l0, and a stored gamma, weights or pq_params that
+penalties.Penalty rejects), 3 solver did not converge (in a sweep: some
+gamma did not converge or failed with an error row), 4 verification
+failed.
 """
 
 import argparse
@@ -38,7 +40,7 @@ import sys
 
 import numpy as np
 
-from . import analysis, l0 as l0mod, model, outer
+from . import analysis, l0 as l0mod, model, outer, penalties
 from .errors import NotConverged, ParseError, SparseLQError, UnknownKey
 
 log = logging.getLogger("sparselq")
@@ -220,11 +222,8 @@ def _run_one(lifted, relaxation, gamma, args):
             cont["prox_weight"] = args.lam
         return l0mod.solve_l0(lifted, gamma, options,
                               l0mod.ContinuationOptions(**cont))
-    if relaxation == "pq":
-        regime = outer.regime_pq(gamma)
-    else:
-        regime = outer.regime_l1(gamma)
-    return outer.solve_relaxed(lifted, regime, options)
+    return outer.solve_relaxed(lifted, penalties.Penalty(relaxation, gamma),
+                               options)
 
 
 def _check_gamma(gamma):
@@ -373,6 +372,17 @@ def cmd_verify(args):
     regime = _field(doc, "regime")
     if regime not in ("l1", "pq", "l0"):
         raise ParseError(f"regime: expected l1, pq or l0, got {regime!r}")
+    penalty = None
+    if regime != "l0":
+        weights, params = doc.get("weights"), doc.get("pq_params")
+        try:
+            penalty = penalties.Penalty(
+                regime, _converted(float, _field(doc, "gamma"), "gamma"),
+                None if weights is None
+                else _matrix(weights, lifted.m, lifted.n, "weights"),
+                _matrix(params or penalties.PQ_DEFAULT, 1, 4, "pq_params")[0])
+        except ValueError as exc:
+            raise ParseError(str(exc)) from exc
     lam = doc.get("multiplier")
     if lam is not None:
         lam = _matrix(lam, 1, lifted.op.n_rows, "multiplier")[0]
@@ -384,14 +394,9 @@ def cmd_verify(args):
                                _field(doc, name), name)
               for name in analysis.CERTIFIED_FIELDS}
     checks.update(cert["conditions"])
-    if regime != "l0" and lam is not None:
-        gamma = _converted(float, _field(doc, "gamma"), "gamma")
-        weights = doc.get("weights")
-        params = doc.get("pq_params") or (1.0, 1.0, -1.0, 1.0)
-        checks["stationarity"] = analysis.stationary(
-            cert, lifted, lam, gamma, None if weights is None
-            else _matrix(weights, lifted.m, lifted.n, "weights"),
-            _matrix(params, 1, 4, "pq_params")[0] if regime == "pq" else None)
+    if penalty is not None and lam is not None:
+        checks["stationarity"] = analysis.stationary(cert, lifted, lam,
+                                                     penalty)
     for name, ok in checks.items():
         print(f"{name}: {'ok' if ok else 'FAILED'}")
     if "stationarity" not in checks:

@@ -108,10 +108,6 @@ class DualState:
     def blocks(self):
         return [self.x[sl] for sl in self.slices]
 
-    def extrapolated(self, prev, beta):
-        """self + beta (self - prev)."""
-        return _flat_state(self.x + beta * (self.x - prev.x), self.slices)
-
 
 def _flat_state(x, slices, residual=np.inf):
     """A DualState over the vector x itself, not a copy."""

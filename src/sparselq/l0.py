@@ -15,10 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import analysis, outer, penalties
-from .errors import NotConverged
+from . import analysis, outer
+from .errors import NonPositiveSigma, NotConverged
 
 log = logging.getLogger("sparselq")
+
+# A stage ends when a pass changes h_sigma by at most this, relative.
+PASS_TOL = 1e-5
 
 
 @dataclass(frozen=True)
@@ -29,14 +32,19 @@ class ContinuationOptions:
     sigma_min: float = 1e-4
     sigma_decay: float = 0.7
     max_passes: int = 50
-    pass_tol: float = 1e-5
     prox_weight: float = 10.0
 
 
 def surrogate_weights(P, sigma):
-    """Majorizer weights: the surrogate derivative at the current |P|."""
-    return penalties.exp_weight_update(np.abs(np.asarray(P, dtype=float)),
-                                       sigma)
+    """Majorizer weights: the surrogate derivative (1/sigma) e^(-|P|/sigma).
+
+    Entries live in (0, 1/sigma]; a floor at the smallest positive float
+    guards against underflow for |P| >> sigma.
+    """
+    if sigma <= 0:
+        raise NonPositiveSigma("sigma must be > 0")
+    x = np.abs(np.asarray(P, dtype=float))
+    return np.maximum(np.exp(-x / sigma) / sigma, np.finfo(float).tiny)
 
 
 def h_sigma_objective(lifted, W_vec, P, gamma, sigma, feas_tol=1e-3):
@@ -47,13 +55,12 @@ def h_sigma_objective(lifted, W_vec, P, gamma, sigma, feas_tol=1e-3):
     """
     W = lifted.unvec(W_vec)
     W = 0.5 * (W + W.T)
-    rep = analysis.feasibility_report(lifted, W, np.asarray(P, dtype=float),
-                                      tol=feas_tol)
+    P = np.asarray(P, dtype=float)
+    rep = analysis.feasibility_report(lifted, W, P, tol=feas_tol)
     if not rep["feasible"]:
         return np.inf
-    cfg = penalties.PenaltyConfig(kind="exp_surrogate", gamma=gamma,
-                                  sigma=sigma)
-    return float(lifted.vec_R() @ W_vec) + penalties.penalty_value(P, cfg)
+    surrogate = gamma * float(np.sum(1.0 - np.exp(-np.abs(P) / sigma)))
+    return float(lifted.vec_R() @ W_vec) + surrogate
 
 
 def _sigma_ladder(opts):
@@ -74,19 +81,16 @@ def solve_l0(lifted, gamma, options=outer.SolverOptions(),
     stage_trace = []
     total_iters = 0
     sol = None
-    init = None
     P_mat = np.zeros((m, n))
+    mu_f = 1.0 / continuation.prox_weight
+    init = {"anchor": (np.eye(lifted.p).reshape(-1, order="F"), mu_f)}
 
     for sigma in _sigma_ladder(continuation):
         h_prev = None
         for pass_i in range(continuation.max_passes):
-            y = surrogate_weights(P_mat, sigma)
-            regime = outer.regime_anchored(gamma, y, continuation.prox_weight)
-            if init is None:
-                anchor = np.eye(lifted.p).reshape(-1, order="F")
-                init = {"anchor": anchor}
+            penalty = outer.regime_l1(gamma, surrogate_weights(P_mat, sigma))
             try:
-                sol = outer.solve_relaxed(lifted, regime, options, init=init)
+                sol = outer.solve_relaxed(lifted, penalty, options, init=init)
             except NotConverged as exc:
                 sol = exc.solution
                 log.warning("sigma=%.3g pass %d: subproblem hit the "
@@ -94,7 +98,8 @@ def solve_l0(lifted, gamma, options=outer.SolverOptions(),
             st = sol.final_state
             total_iters += sol.iterations
             P_mat = st.P_tilde.reshape(m, n, order="F")
-            init = {"anchor": st.W_tilde.copy(), "W_tilde": st.W_tilde.copy(),
+            init = {"anchor": (st.W_tilde.copy(), mu_f),
+                    "W_tilde": st.W_tilde.copy(),
                     "v": st.v.copy(), "P_tilde": st.P_tilde.copy(),
                     "w": st.w.copy(), "lam": st.lam.copy(),
                     "last_primal_res": st.last_primal_res}
@@ -106,8 +111,7 @@ def solve_l0(lifted, gamma, options=outer.SolverOptions(),
                     log.warning("sigma=%.3g pass %d: stage objective rose "
                                 "from %.6g to %.6g", sigma, pass_i,
                                 h_prev, h_cur)
-                if abs(h_cur - h_prev) <= (continuation.pass_tol
-                                           * max(1.0, abs(h_prev))):
+                if abs(h_cur - h_prev) <= PASS_TOL * max(1.0, abs(h_prev)):
                     break
             h_prev = h_cur
         else:

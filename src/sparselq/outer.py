@@ -17,8 +17,8 @@ schedule automatically.
 import logging
 import math
 import time
-from dataclasses import dataclass, field, replace
-from typing import NamedTuple, Optional
+from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,37 +35,12 @@ INNER_TOL_CAP = 1e-4
 INNER_TOL_FLOOR = 1e-8
 
 
-@dataclass(frozen=True)
-class RegimeSpec:
-    """Penalty regime plus the strong-convexity data the schedule needs.
-
-    kind is "l1", "pq", or "wl1_anchored".  mu_f is nonzero only when a
-    proximal anchor is present, where it is 1/lambda and also weighs the
-    anchor; mu_g is nonzero only for the strongly convex piecewise
-    quadratic penalty, where it is the modulus of the full weighted
-    penalty including its multiplier gamma.
-    """
-
-    kind: str
-    penalty: penalties.PenaltyConfig
-    mu_f: float = 0.0
-    mu_g: float = 0.0
-
-
 def regime_l1(gamma, weights=None):
-    cfg = penalties.PenaltyConfig(kind="weighted_l1", gamma=gamma, weights=weights)
-    return RegimeSpec(kind="l1", penalty=cfg)
+    return penalties.Penalty("l1", gamma, weights)
 
 
-def regime_pq(gamma, weights=None, pq_params=(1.0, 1.0, -1.0, 1.0)):
-    cfg = penalties.PenaltyConfig(kind="piecewise_quadratic", gamma=gamma,
-                                  weights=weights, pq_params=pq_params)
-    return RegimeSpec(kind="pq", penalty=cfg, mu_g=gamma * cfg.mu_gq)
-
-
-def regime_anchored(gamma, weights, lam):
-    cfg = penalties.PenaltyConfig(kind="weighted_l1", gamma=gamma, weights=weights)
-    return RegimeSpec(kind="wl1_anchored", penalty=cfg, mu_f=1.0 / lam)
+def regime_pq(gamma, weights=None, pq_params=penalties.PQ_DEFAULT):
+    return penalties.Penalty("pq", gamma, weights, pq_params)
 
 
 @dataclass(frozen=True)
@@ -114,23 +89,30 @@ class OuterState:
     eps_pri: float = 0.0
 
 
-def init_state(lifted, regime, init=None):
-    """Fresh iterate: W and v at the identity, everything else at zero."""
+def init_state(lifted, penalty, init=None):
+    """Fresh iterate: W and v at the identity, everything else at zero.
+
+    init may replace W_tilde, v, P_tilde, w, lam and last_primal_res, and
+    may add a proximal anchor as a pair (anchor, weight): f1 then gains
+    (weight/2) ||vec(W) - anchor||^2, so mu_f = weight.
+    """
     p, mn = lifted.p, lifted.m * lifted.n
     rows = lifted.op.n_rows
     W0 = np.eye(p).reshape(-1, order="F")
     st = OuterState(W_tilde=W0.copy(), v=W0.copy(),
                     P_tilde=np.zeros(mn), w=np.zeros(mn),
                     lam=np.zeros(rows), theta=1.0, kappa=KAPPA0, beta=BETA0,
-                    mu_f=regime.mu_f, mu_g=regime.mu_g,
-                    P_prev=np.zeros(mn))
+                    mu_g=penalty.mu_g, P_prev=np.zeros(mn))
     if init:
-        for name in ("W_tilde", "v", "P_tilde", "w", "lam", "anchor"):
+        for name in ("W_tilde", "v", "P_tilde", "w", "lam"):
             if name in init and init[name] is not None:
                 setattr(st, name, np.asarray(init[name], dtype=float).copy())
         st.P_prev = st.P_tilde.copy()
         if init.get("last_primal_res") is not None:
             st.last_primal_res = float(init["last_primal_res"])
+        if init.get("anchor") is not None:
+            anchor, st.mu_f = init["anchor"]
+            st.anchor = np.asarray(anchor, dtype=float).copy()
     return st
 
 
@@ -164,23 +146,7 @@ def step_and_parameters(state):
                      theta_next, kappa_next, beta_next)
 
 
-def _apply_prox(Z_vec, regime, rho, m, n, forced=()):
-    Z = Z_vec.reshape(m, n, order="F")
-    pen = regime.penalty
-    if pen.kind == "piecewise_quadratic":
-        P = penalties.prox_piecewise_quadratic(Z, pen.gamma, pen.weights,
-                                               pen.pq_params, rho)
-    else:
-        P = penalties.prox_weighted_l1(Z, pen.gamma, pen.weights, rho)
-    # a fixed topology adds the indicator of the pinned set to the
-    # penalty; its prox zeroes those entries outright, which is what
-    # keeps them exact in the averaged iterate rather than merely small
-    for (i, j) in forced:
-        P[i, j] = 0.0
-    return P.reshape(-1, order="F")
-
-
-def outer_iteration(state, lifted, regime, options=SolverOptions()):
+def outer_iteration(state, lifted, penalty, options=SolverOptions()):
     """Advance the splitting by one iteration (in place) and return state."""
     op = lifted.op
     ps = step_and_parameters(state)
@@ -212,8 +178,13 @@ def outer_iteration(state, lifted, regime, options=SolverOptions()):
     lam_bar = state.lam + (alpha / theta) * op.residual(v_next, state.w)
 
     Z = ps.y_tilde - ps.tau * op.apply_Bt(lam_bar)
-    P_next = _apply_prox(Z, regime, 1.0 / ps.tau, lifted.m, lifted.n,
-                         lifted.forced_zeros)
+    P = penalty.prox(Z.reshape(lifted.m, lifted.n, order="F"), 1.0 / ps.tau)
+    # a fixed topology adds the indicator of the pinned set to the
+    # penalty; its prox zeroes those entries outright, which is what
+    # keeps them exact in the averaged iterate rather than merely small
+    for (i, j) in lifted.forced_zeros:
+        P[i, j] = 0.0
+    P_next = P.reshape(-1, order="F")
     w_next = P_next + (P_next - state.P_tilde) / alpha
     sharp_res = op.residual(v_next, w_next)
     lam_next = state.lam + (alpha / theta) * sharp_res
@@ -278,7 +249,7 @@ def check_convergence(state, lifted, eps1, eps2):
     return (pr <= eps_pri and dr <= eps_dua), pr, dr
 
 
-def _restart_due(state, regime, options, primal_res):
+def _restart_due(state, options, primal_res):
     """Periodic restart, or the sharp pair meets the primal tolerance
     that the averaged pair misses.
 
@@ -290,37 +261,35 @@ def _restart_due(state, regime, options, primal_res):
         return False
     if state.k % options.restart_every == 0:
         return True
-    return (regime.mu_g == 0.0
+    return (state.mu_g == 0.0
             and state.sharp_primal_res <= state.eps_pri < primal_res)
 
 
-def solve_relaxed(lifted, regime, options=SolverOptions(), init=None):
+def solve_relaxed(lifted, penalty, options=SolverOptions(), init=None):
     """Iterate to convergence and return a certified Solution.
 
+    penalty is a penalties.Penalty and init is passed to init_state.
     Raises NotConverged (carrying the best-effort Solution) if the
     iteration budget runs out.  A zero penalty weight is replaced by
     1e-8, which leaves the common code path valid for the dense
-    (unpenalized) problem.
+    (unpenalized) problem; the schedule keeps the requested mu_g.
     """
-    if regime.penalty.gamma == 0.0:
-        regime = replace(regime,
-                         penalty=replace(regime.penalty, gamma=1e-8))
+    state = init_state(lifted, penalty, init)
+    if penalty.gamma == 0.0:
+        penalty = replace(penalty, gamma=1e-8)
         log.info("gamma=0 request run at gamma=1e-8")
-
-    state = init_state(lifted, regime, init)
 
     trace = []
     t0 = time.perf_counter()
     converged = False
     pr = dr = np.nan
     for _ in range(int(options.max_outer)):
-        state = outer_iteration(state, lifted, regime, options)
+        state = outer_iteration(state, lifted, penalty, options)
         stop, pr, dr = check_convergence(state, lifted,
                                          options.eps1, options.eps2)
         state.last_primal_res = pr
-        obj = float(lifted.vec_R() @ state.W_tilde) + penalties.penalty_value(
-            state.P_tilde.reshape(lifted.m, lifted.n, order="F"),
-            regime.penalty)
+        obj = float(lifted.vec_R() @ state.W_tilde) + penalty.value(
+            state.P_tilde.reshape(lifted.m, lifted.n, order="F"))
         row = (state.k, state.theta, state.alpha, pr, dr, obj,
                state.last_sweeps, (time.perf_counter() - t0) * 1e3,
                int(state.last_inner_capped))
@@ -338,7 +307,7 @@ def solve_relaxed(lifted, regime, options=SolverOptions(), init=None):
                 log.info("iteration %d: residuals met but cone violation "
                          "%.3g remains; continuing", state.k,
                          -min(rep["min_eig_W"], rep["min_eig_psi"]))
-        restarted = not converged and _restart_due(state, regime, options, pr)
+        restarted = not converged and _restart_due(state, options, pr)
         if restarted:
             restart_averages(state)
         trace.append(row + (int(restarted), state.last_inner_residual))
@@ -348,9 +317,9 @@ def solve_relaxed(lifted, regime, options=SolverOptions(), init=None):
     status = "converged" if converged else "max_iter"
     sol = analysis.build_solution(
         lifted, state.W_tilde, state.P_tilde, trace, status,
-        regime.kind, regime.penalty.gamma, dr, multiplier=state.lam.copy(),
-        iterations=state.k, weights=regime.penalty.weights,
-        pq_params=regime.penalty.pq_params if regime.kind == "pq" else None)
+        penalty.kind, penalty.gamma, dr, multiplier=state.lam.copy(),
+        iterations=state.k, weights=penalty.weights,
+        pq_params=penalty.pq_params if penalty.kind == "pq" else None)
     sol.final_state = state
     if not converged:
         raise NotConverged(sol, pr, dr)

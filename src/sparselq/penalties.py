@@ -1,62 +1,92 @@
-"""Sparsity penalties: values and closed-form proximal maps.
+"""The sparsity penalty h(P) and its closed-form proximal maps.
 
-Three regimes are supported.  The weighted l1 norm gamma*sum(w_ij |P_ij|)
-is the convex workhorse; its prox is entrywise soft thresholding.  The
-piecewise quadratic penalty keeps the kink at zero but adds curvature
-away from it, making the penalty strongly convex; its prox is a
-four-branch rational map with a dead band around zero.  The exponential
-surrogate 1 - exp(-t/sigma) approximates the 0/1 entry counter and only
-enters through its derivative, which supplies the weights of a majorizing
-weighted-l1 problem.
+Two penalties reach the splitting, each as a Penalty.  The weighted l1
+norm gamma*sum(w_ij |P_ij|) is the convex workhorse; its prox is
+entrywise soft thresholding.  The piecewise quadratic penalty keeps the
+kink at zero but adds curvature away from it, making the penalty
+strongly convex; its prox is a four-branch rational map with a dead band
+around zero.  The cardinality regime of sparselq.l0 solves a sequence of
+weighted l1 problems.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidPqParams, NonPositiveRho, NonPositiveSigma
+from .errors import InvalidPqParams, NonPositiveRho
 
-_TINY = np.finfo(float).tiny
+PQ_DEFAULT = (1.0, 1.0, -1.0, 1.0)
 
 
 @dataclass(frozen=True)
-class PenaltyConfig:
-    """Penalty selection and parameters.
+class Penalty:
+    """h(P) = gamma * sum(w_ij phi(P_ij)): phi = |t| under kind "l1", the
+    piecewise quadratic of pq_params = (a1, a2, b1, b2) under "pq".
 
-    kind is one of "weighted_l1", "piecewise_quadratic", "exp_surrogate",
-    or "l0" (the raw entry count, for reporting only; it is never used
-    inside iterations).  weights must be strictly positive with the shape
-    of the gain.  pq_params = (a1, a2, b1, b2) requires a1, a2 > 0 and
-    b1 < 0 < b2.
+    Raises ValueError naming the field unless gamma is finite and >= 0
+    and weights (None: unit weights) are finite and > 0; InvalidPqParams
+    under "pq" unless a1, a2 > 0 and b1 < 0 < b2.
     """
 
     kind: str
     gamma: float
     weights: np.ndarray = None
-    pq_params: tuple = (1.0, 1.0, -1.0, 1.0)
-    sigma: float = 1.0
-    mu_gq: float = field(init=False, default=0.0)
+    pq_params: tuple = PQ_DEFAULT
 
     def __post_init__(self):
-        if self.kind not in ("weighted_l1", "piecewise_quadratic",
-                             "exp_surrogate", "l0"):
+        if self.kind not in ("l1", "pq"):
             raise ValueError(f"unknown penalty kind: {self.kind!r}")
-        if self.gamma < 0:
-            raise ValueError("gamma must be >= 0")
+        gamma = float(self.gamma)
+        if not (np.isfinite(gamma) and gamma >= 0):
+            raise ValueError(f"gamma must be finite and >= 0, got {gamma}")
+        object.__setattr__(self, "gamma", gamma)
         if self.weights is not None:
             w = np.asarray(self.weights, dtype=float)
-            if np.any(w <= 0):
-                raise ValueError("weights must be strictly positive")
+            if not np.all(np.isfinite(w) & (w > 0)):
+                raise ValueError("weights must be finite and > 0")
             object.__setattr__(self, "weights", w)
+        params = tuple(float(x) for x in self.pq_params)
+        if self.kind == "pq":
+            _check_pq(params)
+        object.__setattr__(self, "pq_params", params)
+
+    @property
+    def mu_g(self):
+        """Strong-convexity modulus of h: gamma min(w) min(a1, a2), or 0."""
+        if self.kind == "l1":
+            return 0.0
+        wmin = 1.0 if self.weights is None else float(self.weights.min())
+        return self.gamma * (wmin * min(self.pq_params[:2]))
+
+    def prox(self, Z, rho):
+        """argmin_P h(P) + (rho/2) ||P - Z||^2."""
+        if self.kind == "pq":
+            return prox_piecewise_quadratic(Z, self.gamma, self.weights,
+                                            self.pq_params, rho)
+        return prox_weighted_l1(Z, self.gamma, self.weights, rho)
+
+    def value(self, P):
+        P = np.asarray(P, dtype=float)
+        phi = np.abs(P) if self.kind == "l1" else pq_scalar_value(
+            P, self.pq_params)
+        return self.gamma * float(np.sum(_weights_like(self.weights, P) * phi))
+
+    def subdifferential(self, P):
+        """Entrywise bounds (lo, hi) of the subdifferential of h at P."""
+        gw = self.gamma * _weights_like(self.weights, P)
+        if self.kind == "l1":
+            return np.where(P > 0, gw, -gw), np.where(P < 0, -gw, gw)
         a1, a2, b1, b2 = self.pq_params
-        if self.kind == "piecewise_quadratic":
-            if not (a1 > 0 and a2 > 0 and b1 < 0 < b2):
-                raise InvalidPqParams(
-                    f"need a1, a2 > 0 and b1 < 0 < b2, got {self.pq_params}")
-            wmin = 1.0 if self.weights is None else float(self.weights.min())
-            object.__setattr__(self, "mu_gq", wmin * min(a1, a2))
-        if self.kind == "exp_surrogate" and self.sigma <= 0:
-            raise NonPositiveSigma("sigma must be > 0")
+        face = np.where(P > 0, gw * (a2 * P + b2), gw * (a1 * P + b1))
+        return (np.where(P == 0, gw * b1, face),
+                np.where(P == 0, gw * b2, face))
+
+
+def _check_pq(pq_params):
+    a1, a2, b1, b2 = pq_params
+    if not (a1 > 0 and a2 > 0 and b1 < 0 < b2):
+        raise InvalidPqParams(
+            f"pq_params: need a1, a2 > 0 and b1 < 0 < b2, got {pq_params}")
 
 
 def _weights_like(weights, Z):
@@ -80,9 +110,8 @@ def prox_piecewise_quadratic(Z, gamma, weights, pq_params, rho):
     """
     if rho <= 0:
         raise NonPositiveRho("rho must be > 0")
+    _check_pq(pq_params)
     a1, a2, b1, b2 = pq_params
-    if not (a1 > 0 and a2 > 0 and b1 < 0 < b2):
-        raise InvalidPqParams(f"need a1, a2 > 0 and b1 < 0 < b2, got {pq_params}")
     Z = np.asarray(Z, dtype=float)
     gw = gamma * _weights_like(weights, Z)
     hi = (rho * Z - gw * b2) / (gw * a2 + rho)
@@ -93,37 +122,8 @@ def prox_piecewise_quadratic(Z, gamma, weights, pq_params, rho):
     return out
 
 
-def exp_weight_update(x, sigma):
-    """Derivative of the exponential surrogate at |x|: (1/sigma) e^(-x/sigma).
-
-    Entries live in (0, 1/sigma]; a floor at the smallest positive float
-    guards against underflow for x >> sigma.
-    """
-    if sigma <= 0:
-        raise NonPositiveSigma("sigma must be > 0")
-    x = np.asarray(x, dtype=float)
-    if np.any(x < 0):
-        raise ValueError("x must be entrywise nonnegative")
-    return np.maximum(np.exp(-x / sigma) / sigma, _TINY)
-
-
 def pq_scalar_value(x, pq_params):
     """The piecewise quadratic penalty of a scalar or array, weightless."""
     a1, a2, b1, b2 = pq_params
     x = np.asarray(x, dtype=float)
     return np.where(x >= 0, 0.5 * a2 * x * x + b2 * x, 0.5 * a1 * x * x + b1 * x)
-
-
-def penalty_value(P, config):
-    """Penalty value of a gain-shaped matrix under the given config."""
-    P = np.asarray(P, dtype=float)
-    g = config.gamma
-    if config.kind == "weighted_l1":
-        return g * float(np.sum(_weights_like(config.weights, P) * np.abs(P)))
-    if config.kind == "piecewise_quadratic":
-        return g * float(np.sum(_weights_like(config.weights, P)
-                                * pq_scalar_value(P, config.pq_params)))
-    if config.kind == "exp_surrogate":
-        return g * float(np.sum(1.0 - np.exp(-np.abs(P) / config.sigma)))
-    # l0: reporting only
-    return g * float(np.count_nonzero(P))

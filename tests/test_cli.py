@@ -367,6 +367,28 @@ class TestVerifyTrust:
         assert "K: FAILED" in captured.out
         assert "margins: FAILED" in captured.out
 
+    @pytest.mark.parametrize("relaxation,field,value", [
+        *[pytest.param(relaxation, field, value, id=f"{relaxation}-{tag}")
+          for relaxation in ("l1", "pq")
+          for tag, field, value in (
+              ("negative_gamma", "gamma", -5.0),
+              ("nan_gamma", "gamma", float("nan")),
+              ("zero_weight", "weights", [[0.0, 1.0]]),
+              ("negative_weight", "weights", [[1.0, -2.0]]))],
+        pytest.param("pq", "pq_params", [1.0, 1.0, 0.0, 1.0], id="pq-b1_zero"),
+        pytest.param("pq", "pq_params", [-1.0, 1.0, -1.0, 1.0],
+                     id="pq-a1_negative")])
+    def test_bad_stored_penalty_is_bad_input(self, problem_file, tmp_path,
+                                             capsys, relaxation, field,
+                                             value):
+        path, doc = _solve_and_load(problem_file, tmp_path, "--relaxation",
+                                    relaxation, "--gamma", "0.5")
+        doc[field] = value
+        code, captured = _verify(problem_file, path, doc, capsys)
+        assert code == 2
+        assert field in captured.err
+        assert "np.float64" not in captured.err
+
     def test_tiny_W1_diagonal_fails_verification(self, problem_file,
                                                  tmp_path, capsys):
         # K stays finite, but no Lyapunov solve meets its residual

@@ -326,8 +326,11 @@ class TestResidualBound:
         prev = inner.zero_state(lifted)
         state = self.sweep_and_compare(prev, data, sweeps=3)
         for _ in range(5):
-            # extrapolated against the direction of progress
-            y = prev.extrapolated(state, 2.0)
+            # extrapolated against the direction of progress,
+            # y = prev + 2 (prev - state)
+            y0, *ys = [x + 2.0 * (x - xp)
+                       for x, xp in zip(prev.blocks(), state.blocks())]
+            y = inner.DualState(y0, ys)
             assert outside_cones(lifted, y)
             prev, state = state, self.sweep_and_compare(y, data, sweeps=1)
 

@@ -3,7 +3,7 @@ import csv
 import numpy as np
 import pytest
 
-from sparselq import analysis, cli, inner, model, outer
+from sparselq import analysis, cli, inner, model, outer, penalties
 from sparselq.errors import MaxSweepsExceeded, NotConverged
 
 from conftest import (dense_equality_operator, ex1_matrices,
@@ -18,19 +18,24 @@ def ex1_g10(ex1_lifted):
 class TestRegimeConstructors:
     def test_l1(self):
         r = outer.regime_l1(2.0)
-        assert (r.kind, r.mu_f, r.mu_g) == ("l1", 0.0, 0.0)
-        assert r.penalty.kind == "weighted_l1"
+        assert isinstance(r, penalties.Penalty)
+        assert (r.kind, r.gamma, r.mu_g) == ("l1", 2.0, 0.0)
 
     def test_pq_strong_convexity(self):
         w = np.array([[0.5, 2.0], [1.0, 1.0]])
         r = outer.regime_pq(3.0, weights=w, pq_params=(2.0, 0.4, -1.0, 1.0))
+        assert r.kind == "pq"
         assert r.mu_g == pytest.approx(3.0 * 0.5 * 0.4)
-        assert r.mu_f == 0.0
 
-    def test_anchored(self):
-        r = outer.regime_anchored(1.0, np.ones((1, 2)), lam=10.0)
-        assert (r.mu_f, r.mu_g) == (pytest.approx(1.0 / 10.0), 0.0)
-        assert r.kind == "wl1_anchored"
+    def test_anchored(self, ex1_lifted):
+        # the anchor and its weight mu_f = 1/lambda arrive as one pair
+        pen = outer.regime_l1(1.0, np.ones((ex1_lifted.m, ex1_lifted.n)))
+        anchor = np.eye(ex1_lifted.p).reshape(-1, order="F")
+        st = outer.init_state(ex1_lifted, pen, {"anchor": (anchor, 0.1)})
+        assert (st.mu_f, st.mu_g) == (pytest.approx(1.0 / 10.0), 0.0)
+        np.testing.assert_array_equal(st.anchor, anchor)
+        st = outer.init_state(ex1_lifted, pen)
+        assert (st.mu_f, st.anchor) == (0.0, None)
 
 
 class TestSchedule:
@@ -230,6 +235,15 @@ class TestSolveRelaxed:
         assert sol.gamma == pytest.approx(1e-8)
         assert sol.n_zeros == 0
 
+    def test_zero_gamma_pq_keeps_the_plain_schedule(self):
+        # mu_g is taken from the requested penalty, before gamma = 1e-8
+        rng = np.random.default_rng(22)
+        plant, _, _ = feasible_instance(rng, 2, 1)
+        lifted = model.lift_plant(model.validate_plant(plant))
+        sol = outer.solve_relaxed(lifted, outer.regime_pq(0.0))
+        assert sol.gamma == pytest.approx(1e-8)
+        assert sol.final_state.mu_g == 0.0
+
     def test_budget_exhaustion_raises_with_payload(self, ex1_lifted):
         with pytest.raises(NotConverged) as exc:
             outer.solve_relaxed(ex1_lifted, outer.regime_l1(10.0),
@@ -331,9 +345,9 @@ class TestAdaptiveRestart:
     def test_anchored_subproblem_restarts_adaptively(self, ex1_lifted):
         lifted = ex1_lifted
         anchor = np.eye(lifted.p).reshape(-1, order="F")
-        regime = outer.regime_anchored(10.0, np.ones((lifted.m, lifted.n)),
-                                       10.0)
-        sol = outer.solve_relaxed(lifted, regime, init={"anchor": anchor})
+        regime = outer.regime_l1(10.0, np.ones((lifted.m, lifted.n)))
+        sol = outer.solve_relaxed(lifted, regime,
+                                  init={"anchor": (anchor, 1.0 / 10.0)})
         restarts = _restart_iterations(sol.trace)
         assert sol.certified
         assert any(k % 2000 for k in restarts)

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sparselq import penalties
+from sparselq import l0, model, outer, penalties
 from sparselq.errors import InvalidPqParams, NonPositiveRho, NonPositiveSigma
+
+from conftest import feasible_instance
 
 
 def grid_prox(z, rho, pen, lo=-8.0, hi=8.0, n=400001):
@@ -104,79 +106,117 @@ class TestPiecewiseQuadraticProx:
 
 
 class TestExpWeights:
+    """The exponential surrogate's weights, l0.surrogate_weights."""
+
     def test_value_and_monotonicity(self):
         x = np.array([0.0, 0.5, 1.0, 4.0])
-        w = penalties.exp_weight_update(x, 0.5)
+        w = l0.surrogate_weights(x, 0.5)
         np.testing.assert_allclose(w, np.exp(-x / 0.5) / 0.5)
         assert np.all(np.diff(w) < 0)
 
     def test_underflow_floor(self):
-        w = penalties.exp_weight_update(np.array([1e6]), 1e-3)
+        w = l0.surrogate_weights(np.array([1e6]), 1e-3)
         assert w[0] == np.finfo(float).tiny
 
     def test_rejects_bad_input(self):
         with pytest.raises(NonPositiveSigma):
-            penalties.exp_weight_update(np.ones(1), 0.0)
-        with pytest.raises(ValueError):
-            penalties.exp_weight_update(np.array([-1.0]), 1.0)
+            l0.surrogate_weights(np.ones(1), 0.0)
 
 
 class TestPenaltyConfig:
+    """The checks of the Penalty constructor."""
+
     def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            penalties.PenaltyConfig(kind="l2", gamma=1.0)
+        for kind in ("l2", "weighted_l1", "l0"):
+            with pytest.raises(ValueError):
+                penalties.Penalty(kind, 1.0)
 
     def test_negative_gamma(self):
         with pytest.raises(ValueError):
-            penalties.PenaltyConfig(kind="weighted_l1", gamma=-0.1)
+            penalties.Penalty("l1", -0.1)
 
     def test_nonpositive_weights(self):
         with pytest.raises(ValueError):
-            penalties.PenaltyConfig(kind="weighted_l1", gamma=1.0,
-                                    weights=np.array([1.0, 0.0]))
+            penalties.Penalty("l1", 1.0, weights=np.array([1.0, 0.0]))
 
     def test_pq_params_checked(self):
         with pytest.raises(InvalidPqParams):
-            penalties.PenaltyConfig(kind="piecewise_quadratic", gamma=1.0,
-                                    pq_params=(1.0, -1.0, -1.0, 1.0))
+            penalties.Penalty("pq", 1.0, pq_params=(1.0, -1.0, -1.0, 1.0))
 
     def test_strong_convexity_modulus(self):
-        cfg = penalties.PenaltyConfig(kind="piecewise_quadratic", gamma=1.0,
-                                      weights=np.array([0.5, 3.0]),
-                                      pq_params=(2.0, 0.8, -1.0, 1.0))
-        assert cfg.mu_gq == pytest.approx(0.5 * 0.8)
-        cfg2 = penalties.PenaltyConfig(kind="weighted_l1", gamma=1.0)
-        assert cfg2.mu_gq == 0.0
+        pen = penalties.Penalty("pq", 2.0, weights=np.array([0.5, 3.0]),
+                                pq_params=(2.0, 0.8, -1.0, 1.0))
+        assert pen.mu_g == pytest.approx(2.0 * 0.5 * 0.8)
+        assert penalties.Penalty("l1", 2.0).mu_g == 0.0
 
     def test_exp_sigma_checked(self):
         with pytest.raises(NonPositiveSigma):
-            penalties.PenaltyConfig(kind="exp_surrogate", gamma=1.0,
-                                    sigma=-2.0)
+            l0.surrogate_weights(np.ones(1), -2.0)
+
+    @pytest.mark.parametrize("make", [outer.regime_l1, outer.regime_pq])
+    @pytest.mark.parametrize("gamma", [np.nan, np.inf, -np.inf, -1e-12])
+    def test_rejects_bad_gamma(self, make, gamma):
+        with pytest.raises(ValueError, match="gamma"):
+            make(gamma)
+
+    @pytest.mark.parametrize("make", [outer.regime_l1, outer.regime_pq])
+    @pytest.mark.parametrize("bad", [np.nan, 0.0, -1.0, np.inf])
+    def test_rejects_bad_weights(self, make, bad):
+        weights = np.ones((2, 3))
+        weights[1, 2] = bad
+        with pytest.raises(ValueError, match="weights"):
+            make(1.0, weights=weights)
+
+    def test_fields_hold_plain_floats(self):
+        pen = penalties.Penalty("pq", np.float64(2), weights=[[1, 2]],
+                                pq_params=np.array([1, 2, -1, 1]))
+        assert type(pen.gamma) is float
+        assert pen.weights.dtype == float
+        assert pen.pq_params == (1.0, 2.0, -1.0, 1.0)
+        assert all(type(a) is float for a in pen.pq_params)
 
 
 class TestPenaltyValue:
     P = np.array([[0.0, -2.0], [3.0, 0.0]])
 
     def test_weighted_l1(self):
-        cfg = penalties.PenaltyConfig(kind="weighted_l1", gamma=2.0,
-                                      weights=np.array([[1.0, 0.5],
-                                                        [2.0, 1.0]]))
-        assert penalties.penalty_value(self.P, cfg) == pytest.approx(
-            2.0 * (0.5 * 2.0 + 2.0 * 3.0))
+        pen = penalties.Penalty("l1", 2.0, weights=np.array([[1.0, 0.5],
+                                                              [2.0, 1.0]]))
+        assert pen.value(self.P) == pytest.approx(2.0 * (0.5 * 2.0 + 2.0 * 3.0))
 
     def test_piecewise_quadratic(self):
-        pq = (2.0, 1.0, -1.5, 1.0)
-        cfg = penalties.PenaltyConfig(kind="piecewise_quadratic", gamma=1.0,
-                                      pq_params=pq)
+        pen = penalties.Penalty("pq", 1.0, pq_params=(2.0, 1.0, -1.5, 1.0))
         by_hand = (0.5 * 2.0 * 4.0 + (-1.5) * (-2.0)) \
             + (0.5 * 1.0 * 9.0 + 1.0 * 3.0)
-        assert penalties.penalty_value(self.P, cfg) == pytest.approx(by_hand)
+        assert pen.value(self.P) == pytest.approx(by_hand)
 
     def test_exp_surrogate_counts_in_the_limit(self):
-        cfg = penalties.PenaltyConfig(kind="exp_surrogate", gamma=1.0,
-                                      sigma=1e-9)
-        assert penalties.penalty_value(self.P, cfg) == pytest.approx(2.0)
+        # h_sigma = <R, W> + gamma * (number of nonzeros) as sigma -> 0
+        plant, W, _ = feasible_instance(np.random.default_rng(0), 2, 2)
+        lifted = model.lift_plant(model.validate_plant(plant))
+        P = W[2:, :2]
+        W_vec = W.reshape(-1, order="F")
+        h = l0.h_sigma_objective(lifted, W_vec, P, gamma=3.0, sigma=1e-9)
+        assert h - float(lifted.vec_R() @ W_vec) == pytest.approx(
+            3.0 * np.count_nonzero(P))
 
-    def test_l0_reporting(self):
-        cfg = penalties.PenaltyConfig(kind="l0", gamma=3.0)
-        assert penalties.penalty_value(self.P, cfg) == pytest.approx(6.0)
+
+class TestSubdifferential:
+    P = np.array([[0.0, -2.0, 0.5]])
+
+    def test_weighted_l1(self):
+        w = np.array([[1.0, 2.0, 0.5]])
+        lo, hi = penalties.Penalty("l1", 3.0, weights=w).subdifferential(self.P)
+        np.testing.assert_allclose(lo, [[-3.0, -6.0, 1.5]])
+        np.testing.assert_allclose(hi, [[3.0, -6.0, 1.5]])
+
+    def test_piecewise_quadratic_matches_the_prox(self):
+        # Z lies in P + (1/rho) dh(P) exactly when P = prox(Z, rho)
+        pen = penalties.Penalty("pq", 1.7, weights=np.array([[0.9, 1.3, 2.0]]),
+                                pq_params=(2.0, 1.5, -0.8, 1.2))
+        rho = 3.0
+        for Z in (np.array([[-4.0, 0.1, 2.5]]), np.array([[0.3, -1.1, 0.0]])):
+            P = pen.prox(Z, rho)
+            lo, hi = pen.subdifferential(P)
+            g = rho * (Z - P)
+            assert np.all(lo - 1e-12 <= g) and np.all(g <= hi + 1e-12)
