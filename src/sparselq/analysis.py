@@ -3,13 +3,15 @@
 Everything downstream of the solvers lives here: the certificate that
 certify derives from (W, P) for the solvers and for verify alike,
 Lyapunov and quadratic-cost evaluation, stability margins, sparsity
-reports, and impulse-response simulation.
+reports, and impulse-response simulation.  Each vertex's Lyapunov
+equation is solved as one dense linear system in vec(W), by numpy, which
+bounds the order at MAX_LYAPUNOV_ORDER = 40, the largest the solver is
+built for.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import NotHurwitz, SingularW1, TooLarge
 from .model import PlantData, ValidatedPlant, validate_plant
@@ -19,6 +21,10 @@ TRACE_COLUMNS = ("iter", "theta", "alpha", "primal_res", "dual_res",
                  "restarted", "inner_residual")
 
 STAGE_TRACE_COLUMNS = ("sigma", "pass", "h_sigma", "nnz")
+
+# Largest order solve_lyapunov takes: its dense operator has order**4
+# entries, 20 MB here.
+MAX_LYAPUNOV_ORDER = 40
 
 # Largest feasibility tolerance the residuals may buy: about four times
 # the largest 5 (pr + dr) of a converged solve in the test suite.  A
@@ -85,25 +91,36 @@ def stability_check(A, B2, K):
 def solve_lyapunov(A_cl, Q_sym):
     """Solve A_cl W + W A_cl^T + Q_sym = 0 for Hurwitz A_cl.
 
-    The solution is symmetrized and checked: the back-substituted
-    residual must not exceed 1e-10 * max(1, ||Q_sym||_F), with one
-    refinement pass before giving up.
+    The equation is solved as one dense linear system,
+    (I kron A_cl + A_cl kron I) vec(W) = -vec(Q_sym); an order above
+    MAX_LYAPUNOV_ORDER raises TooLarge.  The solution is symmetrized and checked: the back-substituted residual
+    must not exceed 1e-10 * max(1, ||Q_sym||_F), with one refinement pass
+    before giving up.
     """
     A_cl = np.asarray(A_cl, dtype=float)
     Q_sym = np.asarray(Q_sym, dtype=float)
     n = A_cl.shape[0]
-    if n > 200:
-        raise TooLarge(f"order {n} exceeds the supported scale (200)")
+    if n > MAX_LYAPUNOV_ORDER:
+        raise TooLarge(f"order {n} exceeds the supported scale "
+                       f"({MAX_LYAPUNOV_ORDER})")
     margin = float(np.max(np.real(np.linalg.eigvals(A_cl))))
     if margin >= 0:
         raise NotHurwitz(f"spectral abscissa {margin:.3e} >= 0")
-    W = sla.solve_continuous_lyapunov(A_cl, -Q_sym)
-    W = 0.5 * (W + W.T)
+    eye = np.eye(n)
+    op = np.kron(eye, A_cl) + np.kron(A_cl, eye)
+
+    def solve(rhs):
+        # vec is column-major: vec(A W) = (I kron A) vec(W) and
+        # vec(W A^T) = (A kron I) vec(W)
+        W = np.linalg.solve(op, -rhs.reshape(-1, order="F"))
+        W = W.reshape(n, n, order="F")
+        return 0.5 * (W + W.T)
+
+    W = solve(Q_sym)
     tol = 1e-10 * max(1.0, float(np.linalg.norm(Q_sym)))
     res = A_cl @ W + W @ A_cl.T + Q_sym
     if float(np.linalg.norm(res)) > tol:
-        corr = sla.solve_continuous_lyapunov(A_cl, -res)
-        W = W + 0.5 * (corr + corr.T)
+        W = W + solve(res)
         res = A_cl @ W + W @ A_cl.T + Q_sym
         if float(np.linalg.norm(res)) > tol:
             raise ArithmeticError(

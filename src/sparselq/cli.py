@@ -210,18 +210,24 @@ def _solver_options(args):
     return outer.SolverOptions(**kw)
 
 
+def _continuation(args):
+    """ContinuationOptions from the l0 flags; a value out of range is
+    bad input, reported with the field it sets."""
+    cont = {}
+    if args.sigma0 is not None:
+        cont["sigma0"] = args.sigma0
+    if args.sigma_decay is not None:
+        cont["sigma_decay"] = args.sigma_decay
+    if args.lam is not None:
+        cont["prox_weight"] = args.lam
+    return _converted(lambda kw: l0mod.ContinuationOptions(**kw), cont,
+                      "continuation")
+
+
 def _run_one(lifted, relaxation, gamma, args):
     options = _solver_options(args)
     if relaxation == "l0":
-        cont = {}
-        if args.sigma0 is not None:
-            cont["sigma0"] = args.sigma0
-        if args.sigma_decay is not None:
-            cont["sigma_decay"] = args.sigma_decay
-        if args.lam is not None:
-            cont["prox_weight"] = args.lam
-        return l0mod.solve_l0(lifted, gamma, options,
-                              l0mod.ContinuationOptions(**cont))
+        return l0mod.solve_l0(lifted, gamma, options, _continuation(args))
     return outer.solve_relaxed(lifted, penalties.Penalty(relaxation, gamma),
                                options)
 
@@ -233,6 +239,7 @@ def _check_gamma(gamma):
 
 def cmd_solve(args):
     _check_gamma(args.gamma)
+    _continuation(args)
     lifted = load_problem(args.problem)
     try:
         sol = _run_one(lifted, args.relaxation, args.gamma, args)
@@ -286,6 +293,7 @@ def cmd_sweep(args):
         raise ParseError("empty gamma list")
     for gamma in gammas:
         _check_gamma(gamma)
+    _continuation(args)
     os.makedirs(args.out, exist_ok=True)
     rows_dir = os.path.join(args.out, "rows")
     os.makedirs(rows_dir, exist_ok=True)

@@ -129,6 +129,10 @@ class DualData:
     products J_i Minv and rho_list the largest eigenvalue of each
     J_i Minv J_i'.  These depend on (sigma1, sigma2) only and are rebuilt
     on every call of assemble_dual_data, whether the sigmas moved or not.
+    pd holds, per block (X0 first), whether the block's last projection
+    input was positive definite; the sweep skips the Cholesky test of a
+    block for which it was not.  Every call of assemble_dual_data, so
+    every outer iteration, starts it all True.
     """
 
     lifted: object
@@ -142,6 +146,7 @@ class DualData:
     g0: np.ndarray
     s_tilde: np.ndarray
     b_tilde: np.ndarray
+    pd: list
 
 
 def assemble_dual_data(lifted, d_k, w_k, v_tilde_k, alpha_k, theta_k, eta_f_k):
@@ -171,19 +176,26 @@ def assemble_dual_data(lifted, d_k, w_k, v_tilde_k, alpha_k, theta_k, eta_f_k):
     return DualData(lifted=lifted, sigma1=sigma1, sigma2=sigma2, minv=minv,
                     rho0=float(minv.max()), rho_list=rho_list,
                     JM_list=JM_list,
-                    q_k=q, g0=g0, s_tilde=s_tilde, b_tilde=b_tilde), rho_list
+                    q_k=q, g0=g0, s_tilde=s_tilde, b_tilde=b_tilde,
+                    pd=[True] * (1 + len(rho_list))), rho_list
 
 
-def _project(x, maps):
-    """PSD projection in isometric coordinates: unpack, clamp, repack;
-    a block that Cholesky factors is returned without eigendecomposing."""
-    plain = x * maps.plain_scale  # LAPACK's packed lower triangle
-    if positive_definite(plain, maps.dim):
-        return x
-    w, V = sym_eigh(plain[maps.coord])
+def _project(x, maps, pd=True):
+    """PSD projection in isometric coordinates: unpack, clamp, repack.
+
+    Returns the projection and whether x is positive definite.  pd is
+    the hint that it likely is: then a Cholesky test goes first, and a
+    block that passes it is returned without eigendecomposing.  The hint
+    changes the work, not the projection, but for rounding on a block at
+    the edge of the cone.
+    """
+    S = (x * maps.plain_scale)[maps.coord]
+    if pd and positive_definite(S):
+        return x, True
+    w, V = sym_eigh(S)
     if w[0] >= 0.0:
-        return x
-    return svec((V * np.maximum(w, 0.0)).dot(V.T), maps)
+        return x, w[0] > 0.0
+    return svec((V * np.maximum(w, 0.0)).dot(V.T), maps), False
 
 
 def _gradients(data, s):
@@ -220,31 +232,35 @@ def sgs_sweep(state, data, s=None):
     maps_n, kq = data.lifted.svec_n, data.lifted.kappa_q
     s = recover_primal(data, state) if s is None else s.copy()
     J_list, JM_list, rho_list = data.lifted.J_list, data.JM_list, data.rho_list
+    pd = data.pd
     # xs[0] is X0 and xs[i + 1] vertex block i; a sweep rebinds its
     # entries and never writes into the input's blocks
     xs = state.blocks()
 
-    for i in reversed(range(len(rho_list))):
-        x = xs[i + 1]
-        new = _project(x + (kq + J_list[i].dot(s)) / rho_list[i], maps_n)
-        s -= (new - x).dot(JM_list[i])
-        xs[i + 1] = new
+    # a Cholesky test that fails sets the invalid flag (see cones)
+    with np.errstate(invalid="ignore"):
+        for i in reversed(range(len(rho_list))):
+            x = xs[i + 1]
+            new, pd[i + 1] = _project(
+                x + (kq + J_list[i].dot(s)) / rho_list[i], maps_n, pd[i + 1])
+            s -= (new - x).dot(JM_list[i])
+            xs[i + 1] = new
 
-    rho0 = data.rho0
-    new = _project(xs[0] - s / rho0, data.lifted.svec_p)
-    dx = new - xs[0]
-    # z_j = rho_j (y_j - x_j+) - grad_j(P_j) of each block's last update
-    zs = [-rho0 * dx - s]
-    s += data.minv * dx
-    xs[0] = new
+        rho0 = data.rho0
+        new, pd[0] = _project(xs[0] - s / rho0, data.lifted.svec_p, pd[0])
+        dx = new - xs[0]
+        # z_j = rho_j (y_j - x_j+) - grad_j(P_j) of each block's last update
+        zs = [-rho0 * dx - s]
+        s += data.minv * dx
+        xs[0] = new
 
-    for i, rho in enumerate(rho_list):
-        g = kq + J_list[i].dot(s)
-        new = _project(xs[i + 1] + g / rho, maps_n)
-        dx = new - xs[i + 1]
-        s -= dx.dot(JM_list[i])
-        zs.append(g - rho * dx)
-        xs[i + 1] = new
+        for i, rho in enumerate(rho_list):
+            g = kq + J_list[i].dot(s)
+            new, pd[i + 1] = _project(xs[i + 1] + g / rho, maps_n, pd[i + 1])
+            dx = new - xs[i + 1]
+            s -= dx.dot(JM_list[i])
+            zs.append(g - rho * dx)
+            xs[i + 1] = new
 
     bound = _relative_error((z + g, x, g) for z, x, g
                             in zip(zs, xs, _gradients(data, s)))
@@ -256,8 +272,9 @@ def dual_residual(state, data):
     lifted = data.lifted
     grads = _gradients(data, recover_primal(data, state))
     maps = [lifted.svec_p] + [lifted.svec_n] * len(state.x_list)
-    return _relative_error((x - _project(x - g, m), x, g)
-                           for x, g, m in zip(state.blocks(), grads, maps))
+    with np.errstate(invalid="ignore"):
+        return _relative_error((x - _project(x - g, m)[0], x, g)
+                               for x, g, m in zip(state.blocks(), grads, maps))
 
 
 def recover_primal(data, state):

@@ -11,6 +11,7 @@ stage objective settles.
 """
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,13 +27,34 @@ PASS_TOL = 1e-5
 
 @dataclass(frozen=True)
 class ContinuationOptions:
-    """Ladder and alternation controls for the surrogate continuation."""
+    """Ladder and alternation controls for the surrogate continuation.
+
+    The ladder runs sigma0, sigma0 * sigma_decay, ... down to sigma_min,
+    and has at least one rung.  A field out of range raises ValueError
+    naming it.
+    """
 
     sigma0: float = 1.0
     sigma_min: float = 1e-4
     sigma_decay: float = 0.7
     max_passes: int = 50
     prox_weight: float = 10.0
+
+    def __post_init__(self):
+        for name in ("sigma0", "sigma_min", "prox_weight"):
+            value = getattr(self, name)
+            if not (value > 0 and math.isfinite(value)):
+                raise ValueError(f"{name} must be finite and > 0, "
+                                 f"got {value!r}")
+        if not 0 < self.sigma_decay < 1:
+            raise ValueError(f"sigma_decay must lie in (0, 1), "
+                             f"got {self.sigma_decay!r}")
+        if not (isinstance(self.max_passes, int) and self.max_passes >= 1):
+            raise ValueError(f"max_passes must be an integer >= 1, "
+                             f"got {self.max_passes!r}")
+        if self.sigma0 < self.sigma_min:
+            raise ValueError(f"sigma0 ({self.sigma0!r}) is below sigma_min "
+                             f"({self.sigma_min!r}): the ladder has no rung")
 
 
 def surrogate_weights(P, sigma):
@@ -102,7 +124,8 @@ def solve_l0(lifted, gamma, options=outer.SolverOptions(),
                     "W_tilde": st.W_tilde.copy(),
                     "v": st.v.copy(), "P_tilde": st.P_tilde.copy(),
                     "w": st.w.copy(), "lam": st.lam.copy(),
-                    "last_primal_res": st.last_primal_res}
+                    "last_primal_res": st.last_primal_res,
+                    "dual_state": st.dual_state}
             h_cur = h_sigma_objective(lifted, st.W_tilde, P_mat, gamma, sigma)
             nnz = int(np.count_nonzero(sol.pattern))
             stage_trace.append((sigma, pass_i, h_cur, nnz))

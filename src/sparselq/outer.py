@@ -92,8 +92,10 @@ class OuterState:
 def init_state(lifted, penalty, init=None):
     """Fresh iterate: W and v at the identity, everything else at zero.
 
-    init may replace W_tilde, v, P_tilde, w, lam and last_primal_res, and
-    may add a proximal anchor as a pair (anchor, weight): f1 then gains
+    init may replace W_tilde, v, P_tilde, w, lam and last_primal_res,
+    may hand the first inner solve a warm start as dual_state (an
+    inner.DualState, which is not written to), and may add a proximal
+    anchor as a pair (anchor, weight): f1 then gains
     (weight/2) ||vec(W) - anchor||^2, so mu_f = weight.
     """
     p, mn = lifted.p, lifted.m * lifted.n
@@ -110,6 +112,7 @@ def init_state(lifted, penalty, init=None):
         st.P_prev = st.P_tilde.copy()
         if init.get("last_primal_res") is not None:
             st.last_primal_res = float(init["last_primal_res"])
+        st.dual_state = init.get("dual_state")
         if init.get("anchor") is not None:
             anchor, st.mu_f = init["anchor"]
             st.anchor = np.asarray(anchor, dtype=float).copy()

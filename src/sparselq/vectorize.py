@@ -33,7 +33,7 @@ class SvecMaps:
     Coordinate r holds S[i, j] and S[j, i], i >= j, at row-major flat
     index lower[r] and upper[r]; coord[i, j] is the coordinate of S[i, j].
     iso_scale is 1 on diagonal coordinates and sqrt(2) off it, and
-    s * plain_scale (= s / iso_scale) is LAPACK's packed lower triangle.
+    s * plain_scale (= s / iso_scale) holds the plain entries S[i, j].
     """
 
     dim: int

@@ -185,6 +185,10 @@ def pg_dual_oracle(lifted, data, max_steps=10 ** 6, move_tol=1e-13):
     """
     from sparselq import inner as _inner
     sp, sn = lifted.svec_p, lifted.svec_n
+
+    def project_block(v, maps):
+        return vectorize.svec(project_psd(vectorize.unsvec(v, maps)), maps)
+
     nv = len(lifted.J_list)
     T = np.hstack([-np.eye(sp.size)] + [J.T for J in lifted.J_list])
     H = T.T @ (data.minv[:, None] * T)
@@ -195,10 +199,10 @@ def pg_dual_oracle(lifted, data, max_steps=10 ** 6, move_tol=1e-13):
 
     def project(vecz):
         out = np.empty_like(vecz)
-        out[:sp.size] = _inner._project(vecz[:sp.size], sp)
+        out[:sp.size] = project_block(vecz[:sp.size], sp)
         off = sp.size
         for _ in range(nv):
-            out[off:off + sn.size] = _inner._project(vecz[off:off + sn.size], sn)
+            out[off:off + sn.size] = project_block(vecz[off:off + sn.size], sn)
             off += sn.size
         return out
 

@@ -37,6 +37,38 @@ class TestLyapunov:
         with pytest.raises(TooLarge):
             analysis.solve_lyapunov(-np.eye(201), np.eye(201))
 
+    def test_size_bound(self):
+        n = analysis.MAX_LYAPUNOV_ORDER
+        assert n == 40
+        with pytest.raises(TooLarge):
+            analysis.solve_lyapunov(-np.eye(n + 1), np.eye(n + 1))
+        rng = np.random.default_rng(40)
+        A_cl = rng.standard_normal((n, n)) - 10.0 * np.eye(n)
+        W = analysis.solve_lyapunov(A_cl, np.eye(n))
+        assert (np.linalg.norm(A_cl @ W + W @ A_cl.T + np.eye(n))
+                <= 1e-10 * np.sqrt(n))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_scipy(self, seed):
+        import scipy.linalg as sla
+        rng = np.random.default_rng(seed)
+        n = 2 + seed
+        G = rng.standard_normal((n, n))
+        # a shifted random matrix, and a far from normal one: eigenvalues
+        # -1, ..., -n under a large upper triangle, in a rotated basis
+        shifted = G - (abs(np.linalg.eigvals(G).real).max() + 0.5) * np.eye(n)
+        U, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        T = -np.diag(np.arange(1.0, n + 1)) + np.triu(
+            3.0 * rng.standard_normal((n, n)), 1)
+        for A_cl in (shifted, U @ T @ U.T):
+            assert np.linalg.eigvals(A_cl).real.max() < 0
+            H = rng.standard_normal((n, n))
+            Q = H @ H.T
+            W = analysis.solve_lyapunov(A_cl, Q)
+            W_ref = sla.solve_continuous_lyapunov(A_cl, -Q)
+            np.testing.assert_allclose(W, W_ref, rtol=1e-8,
+                                       atol=1e-10 * np.linalg.norm(W_ref))
+
 
 class TestH2Cost:
     def test_scalar_hand_value(self):

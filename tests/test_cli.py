@@ -461,6 +461,21 @@ class TestBadInputs:
         assert code == 2
         assert "gamma" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag,named", [
+        ("--sigma0=1e-5", "sigma0"), ("--sigma0=-1", "sigma0"),
+        ("--sigma0=nan", "sigma0"), ("--sigma-decay=1.5", "sigma_decay"),
+        ("--sigma-decay=0", "sigma_decay"), ("--lambda=0", "prox_weight")])
+    @pytest.mark.parametrize("command", ["solve", "sweep"])
+    def test_bad_continuation_flags(self, problem_file, tmp_path, capsys,
+                                    command, flag, named):
+        gamma = ["--gamma", "1"] if command == "solve" else ["--gammas", "1,2"]
+        code = cli.run_command([command, "--problem", problem_file,
+                                "--relaxation", "l0", *gamma, flag,
+                                "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("gammas,named", [("50,-1", "gamma"),
                                               ("1,abc", "abc")])
     def test_bad_gamma_in_sweep(self, problem_file, tmp_path, capsys,

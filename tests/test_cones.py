@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -77,24 +79,77 @@ def test_extreme_eigenvalues():
 
 
 
-def test_positive_definite():
-    def packed(S):
-        # the lower triangle, column by column
-        return np.concatenate([S[j:, j] for j in range(len(S))])
+def cholesky_succeeds(S):
+    try:
+        np.linalg.cholesky(S)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
+
+def test_positive_definite():
+    # the full block, read through its lower triangle; a failed
+    # factorization is silent inside the errstate the sweep holds
     rng = np.random.default_rng(7)
-    for d in (1, 3, 5):
-        G = rng.standard_normal((d, d))
-        S = G @ G.T + 0.1 * np.eye(d)
-        assert cones.positive_definite(packed(S), d)
-        w, V = np.linalg.eigh(S)
-        for shift in (1.001 * w[0], 0.5 * (w[0] + w[-1]), w[-1] + 1.0):
-            assert not cones.positive_definite(packed(S - shift * np.eye(d)),
-                                               d)
-        for i, j in ((0, 0), (d - 1, 0), (d - 1, d - 1)):
-            T = S.copy()
-            T[i, j] = T[j, i] = np.nan
-            assert not cones.positive_definite(packed(T), d)
+    with np.errstate(invalid="ignore"):
+        for d in (1, 3, 5):
+            G = rng.standard_normal((d, d))
+            S = G @ G.T + 0.1 * np.eye(d)
+            assert cones.positive_definite(S)
+            # only the lower triangle is read
+            assert cones.positive_definite(S + 9.0 * np.triu(S, 1))
+            w, V = np.linalg.eigh(S)
+            for shift in (1.001 * w[0], 0.5 * (w[0] + w[-1]), w[-1] + 1.0):
+                assert not cones.positive_definite(S - shift * np.eye(d))
+            for i, j in ((0, 0), (d - 1, 0), (d - 1, d - 1)):
+                T = S.copy()
+                T[i, j] = T[j, i] = np.nan
+                assert not cones.positive_definite(T)
+
+
+class TestGufuncContract:
+    """The kernels call numpy's private LAPACK gufuncs; these tests fail
+    first if a numpy release renames them or changes what they return."""
+
+    def test_private_gufuncs_exist(self):
+        from numpy.linalg import _umath_linalg
+        for name in ("eigh_lo", "cholesky_lo", "eigvalsh_lo"):
+            assert callable(getattr(_umath_linalg, name, None)), name
+
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_sym_eigh_is_numpy_eigh_bit_for_bit(self, d):
+        rng = np.random.default_rng(100 + d)
+        for _ in range(50):
+            S = random_sym(rng, d)
+            w, V = cones.sym_eigh(S)
+            w_np, V_np = np.linalg.eigh(S)
+            np.testing.assert_array_equal(w, w_np)
+            np.testing.assert_array_equal(V, V_np)
+
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_positive_definite_is_cholesky_success(self, d):
+        rng = np.random.default_rng(200 + d)
+        seen = set()
+        with np.errstate(invalid="ignore"):
+            for _ in range(100):
+                G = rng.standard_normal((d, d))
+                S = G @ G.T - rng.uniform(0.0, 0.5 * d) * np.eye(d)
+                expected = cholesky_succeeds(S)
+                assert cones.positive_definite(S) == expected
+                seen.add(expected)
+        assert seen == {True, False}
+
+    def test_failure_inside_an_ignoring_errstate(self):
+        # the sweep's errstate silences the invalid flag, yet an all-NaN
+        # block still raises EigFailure and a NaN pair still gives NaN
+        S = np.array([[1.0, np.nan], [np.nan, 2.0]])
+        with warnings.catch_warnings(), np.errstate(invalid="ignore"):
+            warnings.simplefilter("error")
+            with pytest.raises(EigFailure):
+                cones.sym_eigh(np.full((3, 3), np.nan))
+            w, V = cones.sym_eigh(S)
+            assert np.isnan(w).all() and np.isnan(V).all()
+            assert not cones.positive_definite(np.full((3, 3), np.nan))
 
 
 class TestSymEigh:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sparselq import inner, model
+from sparselq import inner, model, vectorize
 from sparselq.errors import EigFailure, MaxSweepsExceeded
 
 from conftest import (dual_objective, make_inner_instance, pg_dual_oracle,
@@ -54,6 +54,36 @@ class TestDualData:
                                                 alpha, t, e)
             np.testing.assert_array_equal(again.minv, data.minv)
             assert again.rho_list == data.rho_list
+
+
+class TestCholeskyHint:
+    """DualData.pd lets a block skip the Cholesky test that its last
+    projection input failed; the hint changes work, not results."""
+
+    def test_projection_ignores_the_hint(self):
+        rng = np.random.default_rng(21)
+        maps = vectorize.build_svec_maps(4)
+        with np.errstate(invalid="ignore"):
+            for shift in (-3.0, 0.0, 3.0):
+                G = rng.standard_normal((4, 4))
+                x = inner.svec(0.5 * (G + G.T) + shift * np.eye(4), maps)
+                (a, pd_a), (b, pd_b) = (inner._project(x, maps, hint)
+                                        for hint in (True, False))
+                np.testing.assert_array_equal(a, b)
+                assert pd_a == pd_b
+
+    def test_set_by_the_sweep_and_reset_by_assembly(self):
+        lifted, data, args = assemble(22)
+        assert data.pd == [True] * (1 + lifted.n_vertices)
+        rng = np.random.default_rng(22)
+        state = inner.DualState(
+            -np.abs(rng.standard_normal(lifted.svec_p.size)),
+            [rng.standard_normal(lifted.svec_n.size)
+             for _ in lifted.J_list])
+        inner.sgs_sweep(state, data)
+        assert not all(data.pd)
+        again, _ = inner.assemble_dual_data(lifted, *args)
+        assert again.pd == [True] * (1 + lifted.n_vertices)
 
 
 class TestSweeps:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sparselq import l0, model, outer, penalties
+from sparselq import inner, l0, model, outer, penalties
 
 from conftest import feasible_instance
 
@@ -46,6 +46,51 @@ class TestSurrogatePieces:
         W_vec = np.eye(lifted.p).reshape(-1, order="F")
         P = np.ones((lifted.m, lifted.n))  # violates the coupling rows
         assert l0.h_sigma_objective(lifted, W_vec, P, 1.0, 1.0) == np.inf
+
+
+class TestContinuationOptions:
+    @pytest.mark.parametrize("field,value", [
+        ("sigma0", 0.0), ("sigma0", -1.0), ("sigma0", float("nan")),
+        ("sigma0", float("inf")), ("sigma_min", 0.0), ("sigma_min", -1e-3),
+        ("sigma_decay", 0.0), ("sigma_decay", 1.0), ("sigma_decay", 1.5),
+        ("sigma_decay", float("nan")), ("max_passes", 0),
+        ("max_passes", 2.5), ("prox_weight", 0.0), ("prox_weight", -10.0)])
+    def test_rejects_a_field_out_of_range(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            l0.ContinuationOptions(**{field: value})
+
+    def test_rejects_a_ladder_without_a_rung(self):
+        with pytest.raises(ValueError, match="sigma0"):
+            l0.ContinuationOptions(sigma0=1e-5)
+        assert list(l0._sigma_ladder(l0.ContinuationOptions(
+            sigma0=0.1, sigma_min=0.1))) == [0.1]
+
+
+def test_each_pass_warm_starts_the_inner_dual(monkeypatch):
+    # the first inner solve of a pass starts from the dual state the
+    # last inner solve of the pass before it returned
+    solves, passes = [], []
+    solve_inner, solve_relaxed = inner.solve_inner, outer.solve_relaxed
+
+    def recording_inner(*args, warm_start=None, **kwargs):
+        out = solve_inner(*args, warm_start=warm_start, **kwargs)
+        solves.append((len(passes), warm_start, out[2]))
+        return out
+
+    def counting_relaxed(*args, **kwargs):
+        passes.append(None)
+        return solve_relaxed(*args, **kwargs)
+
+    monkeypatch.setattr(inner, "solve_inner", recording_inner)
+    monkeypatch.setattr(outer, "solve_relaxed", counting_relaxed)
+    one_rung = l0.ContinuationOptions(sigma0=1.0, sigma_min=1.0,
+                                      max_passes=2)
+    l0.solve_l0(small_lifted(2), gamma=0.5, continuation=one_rung)
+    assert len(passes) == 2
+    first = [s for s in solves if s[0] == 1]
+    second = [s for s in solves if s[0] == 2]
+    assert first[0][1] is None
+    assert second[0][1] is first[-1][2]
 
 
 @pytest.fixture(scope="module")
