@@ -40,7 +40,7 @@ def sym_eigh(S):
 
 def positive_definite(S):
     """Whether the symmetric matrix S is positive definite, by a Cholesky
-    factorization: about 2 us at order 3 against 9 us for sym_eigh.  A
+    factorization: about 2.3 us at order 3 against 5.5 us for sym_eigh.  A
     NaN entry fails the factorization, which then returns NaN."""
     return cholesky_lo(S)[-1, -1] > 0.0
 
