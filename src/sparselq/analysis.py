@@ -9,6 +9,7 @@ bounds the order at MAX_LYAPUNOV_ORDER = 40, the largest the solver is
 built for.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -88,14 +89,22 @@ def stability_check(A, B2, K):
     return float(np.max(np.real(np.linalg.eigvals(A - B2 @ K))))
 
 
+def _frobenius(M):
+    """Frobenius norm of M as a float, with no overflow on entries near
+    the largest float."""
+    return math.hypot(*M.ravel().tolist())
+
+
 def solve_lyapunov(A_cl, Q_sym):
     """Solve A_cl W + W A_cl^T + Q_sym = 0 for Hurwitz A_cl.
 
     The equation is solved as one dense linear system,
     (I kron A_cl + A_cl kron I) vec(W) = -vec(Q_sym); an order above
-    MAX_LYAPUNOV_ORDER raises TooLarge.  The solution is symmetrized and checked: the back-substituted residual
-    must not exceed 1e-10 * max(1, ||Q_sym||_F), with one refinement pass
-    before giving up.
+    MAX_LYAPUNOV_ORDER raises TooLarge.  The solution is symmetrized and
+    checked by its backward error: the residual must not exceed
+    1e-10 * (||A_cl||_F ||W||_F + ||Q_sym||_F), with one refinement pass
+    before giving up.  A residual scaled by Q_sym alone would reject
+    well-solved equations of far from normal A_cl, whose W is large.
     """
     A_cl = np.asarray(A_cl, dtype=float)
     Q_sym = np.asarray(Q_sym, dtype=float)
@@ -108,6 +117,7 @@ def solve_lyapunov(A_cl, Q_sym):
         raise NotHurwitz(f"spectral abscissa {margin:.3e} >= 0")
     eye = np.eye(n)
     op = np.kron(eye, A_cl) + np.kron(A_cl, eye)
+    norm_A, norm_Q = _frobenius(A_cl), _frobenius(Q_sym)
 
     def solve(rhs):
         # vec is column-major: vec(A W) = (I kron A) vec(W) and
@@ -116,15 +126,21 @@ def solve_lyapunov(A_cl, Q_sym):
         W = W.reshape(n, n, order="F")
         return 0.5 * (W + W.T)
 
-    W = solve(Q_sym)
-    tol = 1e-10 * max(1.0, float(np.linalg.norm(Q_sym)))
-    res = A_cl @ W + W @ A_cl.T + Q_sym
-    if float(np.linalg.norm(res)) > tol:
-        W = W + solve(res)
+    def residual(W):
+        """The residual, its norm and the norm it may reach."""
         res = A_cl @ W + W @ A_cl.T + Q_sym
-        if float(np.linalg.norm(res)) > tol:
+        return res, _frobenius(res), 1e-10 * (norm_A * _frobenius(W) + norm_Q)
+
+    # a NaN residual meets no tolerance, and an infinite tolerance (an
+    # overflowed ||A_cl|| ||W||) bounds nothing
+    W = solve(Q_sym)
+    res, err, tol = residual(W)
+    if not err <= tol < math.inf:
+        W = W + solve(res)
+        _, err, tol = residual(W)
+        if not err <= tol < math.inf:
             raise ArithmeticError(
-                f"lyapunov residual {np.linalg.norm(res):.3e} exceeds {tol:.3e}")
+                f"lyapunov residual {err:.3e} exceeds {tol:.3e}")
     return W
 
 

@@ -1,19 +1,19 @@
 """Cone and linear-algebra kernels shared by the solvers.
 
 The kernels call the LAPACK gufuncs that np.linalg wraps (eigh_lo,
-cholesky_lo, eigvalsh_lo) directly: np.linalg's per-call checks cost
-more than the factorizations of the inner solver's small blocks.  Each
-reads the lower triangle of its argument.  A failed gufunc fills its
-outputs with NaN and sets the floating-point invalid flag, on which
-numpy warns; sym_eigh and positive_definite leave that flag to an
-enclosing np.errstate(invalid="ignore"), which inner.sgs_sweep and
-inner.dual_residual hold once per call, and max_eigenvalue holds its own.
+cholesky_lo) directly: np.linalg's per-call checks cost more than the
+factorizations of the inner solver's small blocks.  Each reads the lower
+triangle of its argument.  A failed gufunc fills its outputs with NaN
+and sets the floating-point invalid flag, on which numpy warns;
+sym_eigh and positive_definite leave that flag to an enclosing
+np.errstate(invalid="ignore"), which inner.assemble_dual_data,
+inner.sgs_sweep and inner.dual_residual hold once per call.
 """
 
 import math
 
 import numpy as np
-from numpy.linalg._umath_linalg import cholesky_lo, eigh_lo, eigvalsh_lo
+from numpy.linalg._umath_linalg import cholesky_lo, eigh_lo
 
 from .errors import EigFailure
 
@@ -44,8 +44,3 @@ def positive_definite(S):
     NaN entry fails the factorization, which then returns NaN."""
     return cholesky_lo(S)[-1, -1] > 0.0
 
-
-def max_eigenvalue(S):
-    """Largest eigenvalue of the symmetric part of S; a failure raises
-    EigFailure."""
-    return float(_checked(eigvalsh_lo, 0.5 * (S + S.T))[-1])

@@ -18,17 +18,26 @@ X = (X0, X1, ..., XM) is a convex quadratic on a product of PSD cones,
 Every row of A selects a single entry of W, so (AD)'(AD) is diagonal
 (lifted.gram_diag) and so is M: Minv is carried as the vector minv and
 applied entrywise, and (AD)' is sym_svec after A'.
-minv, J_i Minv and the step constants rho_i below depend on the sigmas
-alone, and assemble_dual_data rebuilds them on every call, one small
-eigenvalue problem per vertex.
+minv, J_i Minv and the block curvatures H_i = J_i Minv J_i' depend on
+the sigmas alone, and assemble_dual_data rebuilds them on every call,
+one eigendecomposition of H_i per vertex, which gives both the step
+constant rho_i = lambda_max(H_i) and, unless H_i is near singular, its
+inverse.
 
-Each block update below is a projected gradient step with step 1/rho_i
-(rho_i the largest eigenvalue of the block curvature), which is exactly
-the majorized single-projection update: the curvature terms cancel and
-the step reduces to an eigenvalue clamp of x_i + (grad-free part)/rho_i.
-One sweep runs backward over the vertex blocks, updates X0, then runs
-forward; a single sweep never increases the dual objective.  The primal
-recovers as s = Minv (q - L(X)).
+Block i of the dual objective is the quadratic with Hessian H_i and
+gradient -g_i, g_i = kq + J_i s, on the PSD cone.  A vertex block whose
+last update left it positive definite first tries the unconstrained
+block minimizer x_i + H_i^-1 g_i: if that point passes a Cholesky test
+it lies inside the cone, so it is the exact cone-constrained block
+minimizer, and the block takes it.  Otherwise, and always for X0 (whose
+exact block minimizer x0 - M s is rarely inside the cone) and for a
+block with no stored inverse, the update is the majorized step: a
+projected gradient step with step 1/rho_i, an eigenvalue clamp of
+x_i + g_i/rho_i.  One sweep runs backward over the vertex blocks,
+updates X0, then runs forward; each update minimizes an upper bound of
+the block objective that is tight at the block's current value, so a
+single sweep never increases the dual objective.  The primal recovers
+as s = Minv (q - L(X)).
 
 By the block sGS decomposition theorem (Li, Sun & Toh, Math. Program.
 2019) one sweep is one proximal step on the whole dual, so solve_inner
@@ -56,11 +65,13 @@ exact relative error of the projected optimality map, is
 
     max_j |x_j - Pi(x_j - grad_j Th(X))| / (1 + |x_j| + |grad_j Th(X)|).
 
-Block j of a sweep last moved as x_j+ = Pi(y_j - grad_j Th(P_j)/rho_j),
-with y_j its value before and P_j the partial state at that moment, so
-z_j = rho_j (y_j - x_j+) - grad_j Th(P_j) lies in the normal cone at
-x_j+, i.e. x_j+ = Pi(x_j+ + z_j).  Pi is nonexpansive, so at the sweep
-output X+
+Block j of a sweep last moved either by a majorized step,
+x_j+ = Pi(y_j - grad_j Th(P_j)/rho_j), with y_j its value before and P_j
+the partial state at that moment, so that z_j = rho_j (y_j - x_j+) -
+grad_j Th(P_j) lies in the normal cone at x_j+; or by an exact step to a
+positive definite x_j+, where the normal cone is {0} and z_j = 0, with
+no rounding of the step entering the bound.  Either way
+x_j+ = Pi(x_j+ + z_j), and Pi is nonexpansive, so at the sweep output X+
 
     |x_j+ - Pi(x_j+ - grad_j Th(X+))| <= |z_j + grad_j Th(X+)|,
 
@@ -76,7 +87,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cones import max_eigenvalue, positive_definite, sym_eigh
+from .cones import positive_definite, sym_eigh
 from .errors import MaxSweepsExceeded
 from .vectorize import svec, sym_svec, unsvec
 
@@ -121,18 +132,27 @@ def zero_state(lifted):
                      [np.zeros(lifted.svec_n.size) for _ in lifted.F_list])
 
 
+# Below this ratio of its extreme eigenvalues a block curvature is
+# treated as singular: the block keeps the majorized step.
+HINV_FLOOR = 1e-12
+
+
 @dataclass
 class DualData:
     """Per-outer-iteration data of the dual problem.
 
     minv is the diagonal of Minv, rho0 its largest entry, JM_list the
-    products J_i Minv and rho_list the largest eigenvalue of each
-    J_i Minv J_i'.  These depend on (sigma1, sigma2) only and are rebuilt
-    on every call of assemble_dual_data, whether the sigmas moved or not.
-    pd holds, per block (X0 first), whether the block's last projection
-    input was positive definite; the sweep skips the Cholesky test of a
-    block for which it was not.  Every call of assemble_dual_data, so
-    every outer iteration, starts it all True.
+    products J_i Minv, rho_list the largest eigenvalue of each block
+    curvature H_i = J_i Minv J_i' and hinv_list its inverse, or None where
+    the smallest eigenvalue of H_i is below HINV_FLOOR times the largest.
+    These depend on (sigma1, sigma2) only and are rebuilt on every call of
+    assemble_dual_data, whether the sigmas moved or not.
+    pd holds, per block (X0 first), whether the block's last update left
+    it positive definite.  For X0 and a vertex block without an inverse
+    it is a hint that skips the Cholesky test of a block for which it was
+    not; for a vertex block with an inverse it selects the step: the
+    exact block minimizer is tried only when it is True.  Every call of
+    assemble_dual_data, so every outer iteration, starts it all True.
     """
 
     lifted: object
@@ -141,6 +161,7 @@ class DualData:
     minv: np.ndarray
     rho0: float
     rho_list: list
+    hinv_list: list
     JM_list: list
     q_k: np.ndarray
     g0: np.ndarray
@@ -163,8 +184,15 @@ def assemble_dual_data(lifted, d_k, w_k, v_tilde_k, alpha_k, theta_k, eta_f_k):
 
     minv = 1.0 / (2.0 * sigma1 * lifted.gram_diag + 2.0 * sigma2)
     JM_list = [J * minv for J in lifted.J_list]
-    rho_list = [max(max_eigenvalue(JM @ J.T), 1e-30)
-                for J, JM in zip(lifted.J_list, JM_list)]
+    rho_list, hinv_list = [], []
+    # NaN data gives NaN factors, or EigFailure where LAPACK fails on it
+    with np.errstate(invalid="ignore"):
+        for J, JM in zip(lifted.J_list, JM_list):
+            w, V = sym_eigh(JM.dot(J.T))
+            rho_list.append(max(float(w[-1]), 1e-30))
+            # false for NaN and for a singular or zero H_i as well
+            hinv_list.append((V / w).dot(V.T) if w[0] > HINV_FLOOR * w[-1]
+                             else None)
 
     maps = lifted.svec_p
     g0 = sym_svec(d_k, maps)
@@ -175,7 +203,7 @@ def assemble_dual_data(lifted, d_k, w_k, v_tilde_k, alpha_k, theta_k, eta_f_k):
 
     return DualData(lifted=lifted, sigma1=sigma1, sigma2=sigma2, minv=minv,
                     rho0=float(minv.max()), rho_list=rho_list,
-                    JM_list=JM_list,
+                    hinv_list=hinv_list, JM_list=JM_list,
                     q_k=q, g0=g0, s_tilde=s_tilde, b_tilde=b_tilde,
                     pd=[True] * (1 + len(rho_list))), rho_list
 
@@ -218,6 +246,24 @@ def _relative_error(triples):
     return math.nan if math.isnan(sum(errs)) else max(errs)
 
 
+def _vertex_step(x, g, i, data):
+    """Update of vertex block i from x, with g = kq + J_i s.
+
+    Returns (x+, exact): the exact block minimizer x + H_i^-1 g when the
+    block's last update left it positive definite and this point passes
+    the Cholesky test, else the majorized projected step.  Sets the
+    block's entry of data.pd.
+    """
+    maps, pd, hinv = data.lifted.svec_n, data.pd, data.hinv_list[i]
+    if pd[i + 1] and hinv is not None:
+        new = x + hinv.dot(g)
+        if positive_definite(unsvec(new, maps)):
+            return new, True
+    new, pd[i + 1] = _project(x + g / data.rho_list[i], maps,
+                              pd[i + 1] and hinv is None)
+    return new, False
+
+
 def sgs_sweep(state, data, s=None):
     """One backward pass over the vertex blocks, an X0 update, one forward pass.
 
@@ -229,10 +275,9 @@ def sgs_sweep(state, data, s=None):
     """
     # .dot rather than @ on this hot path: the same BLAS call, about 1 us
     # less overhead per product on blocks this small
-    maps_n, kq = data.lifted.svec_n, data.lifted.kappa_q
+    kq = data.lifted.kappa_q
     s = recover_primal(data, state) if s is None else s.copy()
     J_list, JM_list, rho_list = data.lifted.J_list, data.JM_list, data.rho_list
-    pd = data.pd
     # xs[0] is X0 and xs[i + 1] vertex block i; a sweep rebinds its
     # entries and never writes into the input's blocks
     xs = state.blocks()
@@ -241,25 +286,26 @@ def sgs_sweep(state, data, s=None):
     with np.errstate(invalid="ignore"):
         for i in reversed(range(len(rho_list))):
             x = xs[i + 1]
-            new, pd[i + 1] = _project(
-                x + (kq + J_list[i].dot(s)) / rho_list[i], maps_n, pd[i + 1])
+            new, _ = _vertex_step(x, kq + J_list[i].dot(s), i, data)
             s -= (new - x).dot(JM_list[i])
             xs[i + 1] = new
 
         rho0 = data.rho0
-        new, pd[0] = _project(xs[0] - s / rho0, data.lifted.svec_p, pd[0])
+        new, data.pd[0] = _project(xs[0] - s / rho0, data.lifted.svec_p,
+                                   data.pd[0])
         dx = new - xs[0]
-        # z_j = rho_j (y_j - x_j+) - grad_j(P_j) of each block's last update
+        # z_j = rho_j (y_j - x_j+) - grad_j(P_j) of each block's last
+        # update, and 0 after an exact step to an interior point
         zs = [-rho0 * dx - s]
         s += data.minv * dx
         xs[0] = new
 
         for i, rho in enumerate(rho_list):
             g = kq + J_list[i].dot(s)
-            new, pd[i + 1] = _project(xs[i + 1] + g / rho, maps_n, pd[i + 1])
+            new, exact = _vertex_step(xs[i + 1], g, i, data)
             dx = new - xs[i + 1]
             s -= dx.dot(JM_list[i])
-            zs.append(g - rho * dx)
+            zs.append(0.0 if exact else g - rho * dx)
             xs[i + 1] = new
 
     bound = _relative_error((z + g, x, g) for z, x, g

@@ -70,6 +70,33 @@ class TestLyapunov:
                                        atol=1e-10 * np.linalg.norm(W_ref))
 
 
+    def test_far_from_normal_matrices_do_not_raise(self):
+        # 200 rotated upper-triangular Hurwitz matrices, eigenvalues
+        # -1, ..., -n under a strict upper triangle of 30 N(0, 1): W is
+        # large, the residual scaled by Q alone is not small, yet every
+        # backward error is at rounding level
+        import scipy.linalg as sla
+        rng = np.random.default_rng(0)
+        for k in range(200):
+            n = 2 + k % 7
+            U, _ = np.linalg.qr(rng.standard_normal((n, n)))
+            T = -np.diag(np.arange(1.0, n + 1)) + np.triu(
+                30.0 * rng.standard_normal((n, n)), 1)
+            A_cl = U @ T @ U.T
+            H = rng.standard_normal((n, n))
+            Q = H @ H.T
+            W = analysis.solve_lyapunov(A_cl, Q)
+            W_ref = sla.solve_continuous_lyapunov(A_cl, -Q)
+            res = A_cl @ W + W @ A_cl.T + Q
+            scale = (np.linalg.norm(A_cl) * np.linalg.norm(W)
+                     + np.linalg.norm(Q))
+            assert np.linalg.norm(res) <= 1e-14 * scale
+            # forward error within what the conditioning allows
+            op = np.kron(np.eye(n), A_cl) + np.kron(A_cl, np.eye(n))
+            assert (np.linalg.norm(W - W_ref) <= 1e-14 * np.linalg.cond(op)
+                    * np.linalg.norm(W_ref))
+
+
 class TestH2Cost:
     def test_scalar_hand_value(self):
         # A_cl = -2, B1 = 1: Wc = 1/4; C - D K = [1; -k]^T columns ->

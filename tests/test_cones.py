@@ -73,9 +73,11 @@ class TestProjectPsd:
 
 
 def test_extreme_eigenvalues():
-    S = np.diag([-2.0, 5.0, 1.0])
-    assert cones.max_eigenvalue(S) == pytest.approx(5.0)
-    assert min_eigenvalue(S) == pytest.approx(-2.0)
+    # sym_eigh returns the eigenvalues in ascending order, so the dual
+    # assembly reads rho_i off w[-1] and the conditioning off w[0]
+    w, _ = cones.sym_eigh(np.diag([-2.0, 5.0, 1.0]))
+    assert w[-1] == pytest.approx(5.0)
+    assert w[0] == pytest.approx(-2.0)
 
 
 
@@ -113,7 +115,7 @@ class TestGufuncContract:
 
     def test_private_gufuncs_exist(self):
         from numpy.linalg import _umath_linalg
-        for name in ("eigh_lo", "cholesky_lo", "eigvalsh_lo"):
+        for name in ("eigh_lo", "cholesky_lo"):
             assert callable(getattr(_umath_linalg, name, None)), name
 
     @pytest.mark.parametrize("d", range(1, 7))
@@ -183,16 +185,15 @@ class TestSymEigh:
 
     @pytest.mark.parametrize("d", [1, 2, 3, 5, 6])
     def test_extreme_eigenvalues_match_numpy(self, d):
-        # of the symmetric part, as np.linalg.eigvalsh sees it
+        # a block curvature J diag(m) J' is symmetric only up to rounding;
+        # read through its lower triangle it has the extreme eigenvalues
+        # of its symmetric part
         rng = np.random.default_rng(d)
         for _ in range(50):
-            S = rng.standard_normal((d, d))
-            w = np.linalg.eigvalsh(0.5 * (S + S.T))
-            assert cones.max_eigenvalue(S) == pytest.approx(w[-1], rel=1e-12,
-                                                            abs=1e-12)
-            assert min_eigenvalue(S) == pytest.approx(w[0], rel=1e-12,
-                                                            abs=1e-12)
-
-    def test_failed_eigenvalues_raise_eig_failure(self):
-        with pytest.raises(EigFailure):
-            cones.max_eigenvalue(np.full((3, 3), np.nan))
+            J = rng.standard_normal((d, d + 2))
+            H = (J * rng.uniform(1e-3, 1e3, d + 2)) @ J.T
+            w_sym = np.linalg.eigvalsh(0.5 * (H + H.T))
+            w, _ = cones.sym_eigh(H)
+            scale = abs(w_sym).max()
+            assert w[-1] == pytest.approx(w_sym[-1], rel=1e-12)
+            assert w[0] == pytest.approx(w_sym[0], abs=1e-12 * scale)

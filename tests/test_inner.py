@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from sparselq import inner, model, vectorize
+from sparselq import analysis, inner, model, vectorize
 from sparselq.errors import EigFailure, MaxSweepsExceeded
 
-from conftest import (dual_objective, make_inner_instance, pg_dual_oracle,
-                      primal_objective)
+from conftest import (dual_objective, feasible_instance, make_inner_instance,
+                      pg_dual_oracle, primal_objective)
 
 
 def assemble(rng_seed):
@@ -57,8 +57,9 @@ class TestDualData:
 
 
 class TestCholeskyHint:
-    """DualData.pd lets a block skip the Cholesky test that its last
-    projection input failed; the hint changes work, not results."""
+    """DualData.pd: for X0 a hint that skips the Cholesky test its last
+    projection input failed, which changes work, not results; for a
+    vertex block with a stored inverse it selects the step."""
 
     def test_projection_ignores_the_hint(self):
         rng = np.random.default_rng(21)
@@ -71,6 +72,28 @@ class TestCholeskyHint:
                                         for hint in (True, False))
                 np.testing.assert_array_equal(a, b)
                 assert pd_a == pd_b
+
+    def test_vertex_flag_selects_the_step(self):
+        lifted, args, _ = interior_instance(23)
+        data, _ = inner.assemble_dual_data(lifted, *args)
+        x = inner.zero_state(lifted).x_list[0]
+        g = lifted.kappa_q + lifted.J_list[0].dot(
+            inner.recover_primal(data, inner.zero_state(lifted)))
+        with np.errstate(invalid="ignore"):
+            exact, took_exact = inner._vertex_step(x, g, 0, data)
+            assert took_exact and data.pd[1]
+            np.testing.assert_array_equal(exact, x + data.hinv_list[0].dot(g))
+            data.pd[1] = False
+            majorized, took_exact = inner._vertex_step(x, g, 0, data)
+        assert not took_exact
+        np.testing.assert_array_equal(majorized, inner._project(
+            x + g / data.rho_list[0], lifted.svec_n, False)[0])
+        assert not np.allclose(majorized, exact)
+        # the flag now says whether the majorized step left the block
+        # positive definite, and with it whether the next update tries the
+        # exact step
+        w = np.linalg.eigvalsh(inner.unsvec(majorized, lifted.svec_n))
+        assert data.pd[1] == (w[0] > 0.0)
 
     def test_set_by_the_sweep_and_reset_by_assembly(self):
         lifted, data, args = assemble(22)
@@ -252,6 +275,35 @@ def stiff_instance():
     return lifted, (d_k, w_k, v_tilde, 5.0, 0.01, eta_f)
 
 
+def interior_instance(seed):
+    """A one-vertex subproblem at sigma1 = 250 whose dual optimum X* has
+    X0* = 0 and a positive definite vertex block, as on ex1.
+
+    W* = [[W1, W1 K'], [K W1, K W1 K' + I]], with W1 the Gramian of the
+    stabilized loop A - B2 K, is positive definite and makes the vertex
+    block Theta(W*) vanish; v_tilde is then chosen so that
+    s* = svec(W*) = Minv (q - L(X*)).  Returns (lifted, args, X*).
+    """
+    rng = np.random.default_rng(seed)
+    plant, _, K = feasible_instance(rng, 3, 2)
+    lifted = model.lift_plant(model.validate_plant(plant))
+    p = lifted.p
+    W1 = analysis.solve_lyapunov(plant.A - plant.B2 @ K, plant.B1 @ plant.B1.T)
+    W = np.block([[W1, W1 @ K.T], [K @ W1, K @ W1 @ K.T + np.eye(2)]])
+    G = rng.standard_normal((3, 3))
+    x_star = inner.DualState(np.zeros(lifted.svec_p.size),
+                             [inner.svec(G @ G.T + np.eye(3), lifted.svec_n)])
+    d_k = rng.standard_normal((p, p))
+    d_k = (d_k + d_k.T).reshape(-1, order="F")
+    args = [d_k, rng.standard_normal(2 * 3), np.zeros(p * p), 5.0, 0.01, 1.3]
+    data, _ = inner.assemble_dual_data(lifted, *args)
+    ell = data.g0 + x_star.x_list[0].dot(lifted.J_list[0])
+    q_star = inner.svec(W, lifted.svec_p) / data.minv + ell
+    s_tilde = (q_star - data.q_k) / (2.0 * data.sigma2)
+    args[2] = inner.unsvec(s_tilde, lifted.svec_p).reshape(-1, order="F")
+    return lifted, tuple(args), x_star
+
+
 def assert_in_cones(lifted, state):
     assert np.linalg.eigvalsh(inner.unsvec(state.x0, lifted.svec_p))[0] >= -1e-10
     for x in state.x_list:
@@ -293,6 +345,65 @@ class TestAcceleratedSolve:
                 inner.solve_inner(lifted, *args, eps=1e-14, max_sweeps=cap)
             assert exc.value.sweeps == cap
             assert_in_cones(lifted, exc.value.state)
+
+
+    def test_interior_vertex_block_takes_the_exact_step(self):
+        # the random instance above ends with its vertex block on the
+        # cone's boundary, where no exact step passes: 96 sweeps both with
+        # and without it.  Where the block ends inside the cone, the
+        # majorized step alone needed 1,442 sweeps on this instance
+        lifted, args, x_star = interior_instance(23)
+        _, sweeps, state = inner.solve_inner(lifted, *args, eps=self.eps,
+                                             max_sweeps=50000)
+        assert sweeps <= 2
+        np.testing.assert_allclose(state.x, x_star.x, atol=1e-10)
+
+
+class TestExactStep:
+    """The exact block minimizer of a vertex block with an interior
+    candidate, and the majorized step a block without an inverse keeps."""
+
+    def start(self, seed=23):
+        """Interior-instance data and a state with X0 moved off X0*."""
+        lifted, args, _ = interior_instance(seed)
+        data, _ = inner.assemble_dual_data(lifted, *args)
+        G = np.random.default_rng(seed).standard_normal((lifted.p, lifted.p))
+        x0 = inner.svec(0.1 * G @ G.T, lifted.svec_p)
+        x1 = np.zeros(lifted.svec_n.size)
+        return lifted, data, inner.DualState(x0, [x1])
+
+    def test_gradient_vanishes_and_objective_is_no_higher(self):
+        lifted, data, state = self.start()
+        J, kq = lifted.J_list[0], lifted.kappa_q
+        x = state.x_list[0]
+        g = kq + J.dot(inner.recover_primal(data, state))
+        with np.errstate(invalid="ignore"):
+            exact, took_exact = inner._vertex_step(x, g, 0, data)
+            majorized = inner._project(x + g / data.rho_list[0],
+                                       lifted.svec_n)[0]
+        assert took_exact
+        after = [inner.DualState(state.x0, [new])
+                 for new in (exact, majorized)]
+        g_exact = kq + J.dot(inner.recover_primal(data, after[0]))
+        assert np.linalg.norm(g_exact) <= 1e-10 * np.linalg.norm(g)
+        f_exact, f_majorized = (dual_objective(st, data) for st in after)
+        assert f_exact <= f_majorized + 1e-12 * abs(f_majorized)
+        assert f_exact < f_majorized
+
+    def test_near_singular_curvature_stores_no_inverse(self):
+        # sigma1 = alpha/(2 theta) = 5e7 against sigma2 = 5e-11: Minv
+        # spans 18 orders, and so does each H_i
+        rng = np.random.default_rng(1)
+        lifted, d_k, w_k, v_tilde, *_ = make_inner_instance(rng, 3, 2)
+        data, _ = inner.assemble_dual_data(lifted, d_k, w_k, v_tilde,
+                                           1e4, 1e-4, 1e-6)
+        assert data.hinv_list == [None]
+        state = inner.zero_state(lifted)
+        for _ in range(20):
+            state, s = inner.sgs_sweep(state, data)
+            assert np.isfinite(state.x).all() and np.isfinite(s).all()
+            assert np.isfinite(state.residual)
+        assert_in_cones(lifted, state)
 
 
 def vertex_instance(seed, n_vertices):
@@ -363,6 +474,29 @@ class TestResidualBound:
             y = inner.DualState(y0, ys)
             assert outside_cones(lifted, y)
             prev, state = state, self.sweep_and_compare(y, data, sweeps=1)
+
+    def test_bounds_the_exact_residual_after_exact_steps(self, monkeypatch):
+        # every vertex update records whether it took the exact step; in
+        # the forward pass, which sets the bound, each one does, so the
+        # bound's z term is 0 there
+        lifted, args, x_star = interior_instance(24)
+        data, _ = inner.assemble_dual_data(lifted, *args)
+        rng = np.random.default_rng(24)
+        G = rng.standard_normal((lifted.p, lifted.p))
+        x0 = inner.svec(0.1 * G @ G.T, lifted.svec_p)
+        start = inner.DualState(x0, [x_star.x_list[0]
+                                     + 0.1 * rng.standard_normal(
+                                         lifted.svec_n.size)])
+        taken, step = [], inner._vertex_step
+
+        def recorded_step(*a):
+            new, exact = step(*a)
+            taken.append(exact)
+            return new, exact
+        monkeypatch.setattr(inner, "_vertex_step", recorded_step)
+        state = self.sweep_and_compare(start, data, sweeps=5)
+        assert len(taken) == 10 and all(taken[1::2])
+        assert state.residual > 0.0
 
     def test_solve_stops_at_the_first_bound_below_eps(self, monkeypatch):
         lifted, args = stiff_instance()

@@ -1,9 +1,9 @@
 """No RuntimeWarning escapes the package's LAPACK kernels.
 
 A failed LAPACK gufunc sets the floating-point invalid flag, on which
-numpy warns; the errstate blocks of inner.sgs_sweep, inner.dual_residual
-and cones.max_eigenvalue keep that inside.  Each test runs with every
-warning turned into an error.
+numpy warns; the errstate blocks of inner.assemble_dual_data,
+inner.sgs_sweep and inner.dual_residual keep that inside.  Each test
+runs with every warning turned into an error.
 """
 
 import warnings
@@ -11,7 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
-from sparselq import cones, inner, l0, model, outer
+from sparselq import inner, l0, model, outer
 from sparselq.errors import EigFailure
 
 from conftest import make_inner_instance
@@ -51,9 +51,19 @@ def test_dual_residual_on_indefinite_blocks():
     assert inner.dual_residual(state, data) > 0.0
 
 
-def test_max_eigenvalue_on_nan():
+def test_assemble_dual_data_on_nan():
+    # NaN curvature: a 1 x 1 vertex block gives a NaN rho and no inverse,
+    # a 3 x 3 one fails in LAPACK, which comes out as EigFailure
+    def nan_curvature(n):
+        lifted, *args = make_inner_instance(np.random.default_rng(17), n, 1)
+        lifted.gram_diag[:] = np.nan
+        return lifted, args
+    lifted, args = nan_curvature(1)
+    data, rho_list = inner.assemble_dual_data(lifted, *args)
+    assert np.isnan(rho_list).all() and data.hinv_list == [None]
+    lifted, args = nan_curvature(2)
     with pytest.raises(EigFailure):
-        cones.max_eigenvalue(np.full((3, 3), np.nan))
+        inner.assemble_dual_data(lifted, *args)
 
 
 def test_ex1_solve(ex1_lifted):
