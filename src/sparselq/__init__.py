@@ -25,10 +25,8 @@ the cardinality regime.
 from .analysis import (Solution, build_solution, certify, feasibility_report,
                        h2_cost, simulate_impulse, solve_lyapunov,
                        sparsity_report, stability_check)
-from .errors import (AssumptionViolated, DimensionMismatch,
-                     ForcedZeroOutOfRange, InvalidPqParams, MaxSweepsExceeded,
-                     NotConverged, NotHurwitz, ParseError, SingularW1,
-                     SparseLQError, UnknownKey)
+from .errors import (InvalidInput, MaxSweepsExceeded, NotConverged, NotHurwitz,
+                     SingularW1, SparseLQError)
 from .l0 import ContinuationOptions, solve_l0
 from .model import LiftedProblem, PlantData, ValidatedPlant, lift_plant, validate_plant
 from .outer import SolverOptions, regime_l1, regime_pq, solve_relaxed
@@ -37,13 +35,12 @@ from .penalties import Penalty, prox_piecewise_quadratic, prox_weighted_l1
 __version__ = "0.1.0"
 
 __all__ = [
-    "AssumptionViolated", "ContinuationOptions", "DimensionMismatch",
-    "ForcedZeroOutOfRange", "InvalidPqParams", "LiftedProblem",
-    "MaxSweepsExceeded", "NotConverged", "NotHurwitz", "ParseError",
-    "Penalty", "PlantData", "SingularW1", "Solution", "SolverOptions",
-    "SparseLQError", "UnknownKey", "ValidatedPlant", "build_solution",
-    "certify", "feasibility_report", "h2_cost", "lift_plant",
-    "prox_piecewise_quadratic", "prox_weighted_l1", "regime_l1", "regime_pq",
-    "simulate_impulse", "solve_l0", "solve_lyapunov", "solve_relaxed",
-    "sparsity_report", "stability_check", "validate_plant",
+    "ContinuationOptions", "InvalidInput", "LiftedProblem",
+    "MaxSweepsExceeded", "NotConverged", "NotHurwitz", "Penalty",
+    "PlantData", "SingularW1", "Solution", "SolverOptions", "SparseLQError",
+    "ValidatedPlant", "build_solution", "certify", "feasibility_report",
+    "h2_cost", "lift_plant", "prox_piecewise_quadratic", "prox_weighted_l1",
+    "regime_l1", "regime_pq", "simulate_impulse", "solve_l0",
+    "solve_lyapunov", "solve_relaxed", "sparsity_report", "stability_check",
+    "validate_plant",
 ]

@@ -5,8 +5,8 @@ certify derives from (W, P) for the solvers and for verify alike,
 Lyapunov and quadratic-cost evaluation, stability margins, sparsity
 reports, and impulse-response simulation.  Each vertex's Lyapunov
 equation is solved as one dense linear system in vec(W), by numpy, which
-bounds the order at MAX_LYAPUNOV_ORDER = 40, the largest the solver is
-built for.
+bounds the order at MAX_LYAPUNOV_ORDER = 40; validate_plant rejects a
+larger plant.
 """
 
 import math
@@ -14,18 +14,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NotHurwitz, SingularW1, TooLarge
-from .model import PlantData, ValidatedPlant, validate_plant
+from .errors import InvalidInput, NotHurwitz, SingularW1
+from .model import (MAX_LYAPUNOV_ORDER, PlantData, ValidatedPlant,
+                    validate_plant)
 
 TRACE_COLUMNS = ("iter", "theta", "alpha", "primal_res", "dual_res",
                  "objective", "inner_sweeps", "wall_ms", "inner_capped",
                  "restarted", "inner_residual")
 
 STAGE_TRACE_COLUMNS = ("sigma", "pass", "h_sigma", "nnz")
-
-# Largest order solve_lyapunov takes: its dense operator has order**4
-# entries, 20 MB here.
-MAX_LYAPUNOV_ORDER = 40
 
 # Largest feasibility tolerance the residuals may buy: about four times
 # the largest 5 (pr + dr) of a converged solve in the test suite.  A
@@ -49,22 +46,22 @@ class Solution:
     abscissa of each closed-loop vertex.  pattern marks nonzero gain
     entries with 1; n_zeros counts the zeros.  weights and pq_params are
     the penalty's parameters (None for unit weights, and outside the pq
-    regime), so that stationarity can be re-checked from the file.
+    regime), so that stationarity can be re-checked from the file.  The
+    fields before trace, in their order, are the keys of solution.json.
     """
 
-    W: np.ndarray
-    K: np.ndarray
-    P: np.ndarray
+    regime: str
+    gamma: float
+    status: str
+    iterations: int
     J_upper: float
     J_vertex: np.ndarray
+    K: np.ndarray
+    P: np.ndarray
+    W: np.ndarray
     pattern: np.ndarray
     n_zeros: int
     stable: np.ndarray
-    trace: list
-    status: str
-    regime: str
-    gamma: float
-    iterations: int
     primal_res: float
     dual_res: float
     certified: bool
@@ -73,6 +70,7 @@ class Solution:
     stage_trace: list = field(default_factory=list)
     weights: np.ndarray = None
     pq_params: tuple = None
+    trace: list = field(default_factory=list)
     final_state: object = None
 
 
@@ -100,7 +98,7 @@ def solve_lyapunov(A_cl, Q_sym):
 
     The equation is solved as one dense linear system,
     (I kron A_cl + A_cl kron I) vec(W) = -vec(Q_sym); an order above
-    MAX_LYAPUNOV_ORDER raises TooLarge.  The solution is symmetrized and
+    MAX_LYAPUNOV_ORDER raises InvalidInput.  The solution is symmetrized and
     checked by its backward error: the residual must not exceed
     1e-10 * (||A_cl||_F ||W||_F + ||Q_sym||_F), with one refinement pass
     before giving up.  A residual scaled by Q_sym alone would reject
@@ -110,8 +108,8 @@ def solve_lyapunov(A_cl, Q_sym):
     Q_sym = np.asarray(Q_sym, dtype=float)
     n = A_cl.shape[0]
     if n > MAX_LYAPUNOV_ORDER:
-        raise TooLarge(f"order {n} exceeds the supported scale "
-                       f"({MAX_LYAPUNOV_ORDER})")
+        raise InvalidInput(f"order {n} exceeds the supported scale "
+                           f"({MAX_LYAPUNOV_ORDER})")
     margin = float(np.max(np.real(np.linalg.eigvals(A_cl))))
     if margin >= 0:
         raise NotHurwitz(f"spectral abscissa {margin:.3e} >= 0")
@@ -183,8 +181,9 @@ def simulate_impulse(plant, K, horizon, dt):
     fixed-step fourth-order Runge-Kutta.  Returns (t, X) where t has
     length nt and X has shape (l, nt, n).
     """
-    if dt <= 0:
-        raise ValueError("dt must be > 0")
+    if not (dt > 0 and horizon >= 0):
+        raise InvalidInput(f"need dt > 0 and horizon >= 0, got dt={dt!r}, "
+                           f"horizon={horizon!r}")
     plant = _as_validated(plant).plant
     A_cl = plant.A - plant.B2 @ np.asarray(K, dtype=float)
     nt = int(np.floor(horizon / dt + 1e-12)) + 1

@@ -24,11 +24,15 @@ certificate's conditions and, for l1 and pq, stationarity of the stored
 multiplier.  It trusts status, iterations and dual_res; dual_res
 loosens the feasibility tolerance only up to analysis.TOL_CEILING.
 
-Exit codes: 0 success, 2 bad input (in verify also a regime other than
-l1, pq or l0, and a stored gamma, weights or pq_params that
-penalties.Penalty rejects), 3 solver did not converge (in a sweep: some
-gamma did not converge or failed with an error row), 4 verification
-failed.
+solve and sweep build SolverOptions and ContinuationOptions once from
+the flags, so a bad flag fails before any work.  sweep solves its gammas
+in a process pool and merges the rows the workers return.
+
+Exit codes: 0 success, 2 bad input (errors.InvalidInput; in verify also
+a regime other than l1, pq or l0, and a stored gamma, weights or
+pq_params that penalties.Penalty rejects) or a numerical failure, 3
+solver did not converge (in a sweep: some gamma did not converge or
+failed with an error row), 4 verification failed.
 """
 
 import argparse
@@ -37,16 +41,23 @@ import json
 import logging
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
 from . import analysis, l0 as l0mod, model, outer, penalties
-from .errors import NotConverged, ParseError, SparseLQError, UnknownKey
+from .errors import InvalidInput, NotConverged, SparseLQError
 
 log = logging.getLogger("sparselq")
 
 _PROBLEM_KEYS = {"n", "m", "A", "B2", "B1", "C", "D", "vertices",
                  "forced_zeros"}
+# Solution fields that stay out of solution.json (trace.csv holds one).
+_NOT_IN_DOCUMENT = ("trace", "final_state")
+# Columns of sweep.csv; each row of sweep.json adds K (and, for a gamma
+# that failed, message).
+SWEEP_COLUMNS = ("gamma", "J_upper", "J_worst", "n_zeros", "iterations",
+                 "status", "certified")
 
 
 def _converted(convert, value, name):
@@ -54,7 +65,7 @@ def _converted(convert, value, name):
     try:
         return convert(value)
     except (TypeError, ValueError) as exc:
-        raise ParseError(f"{name}: {exc}") from exc
+        raise InvalidInput(f"{name}: {exc}") from exc
 
 
 def _array(flat, name):
@@ -64,7 +75,7 @@ def _array(flat, name):
 def _matrix(flat, rows, cols, name):
     arr = _array(flat, name)
     if arr.size != rows * cols:
-        raise ParseError(f"{name}: expected {rows * cols} entries "
+        raise InvalidInput(f"{name}: expected {rows * cols} entries "
                          f"({rows}x{cols}), got {arr.size}")
     return arr.reshape(rows, cols)
 
@@ -73,9 +84,9 @@ def _json_object(text, what):
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ParseError(f"{what} file is not valid JSON: {exc}") from exc
+        raise InvalidInput(f"{what} file is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
-        raise ParseError(f"{what} file must hold a JSON object")
+        raise InvalidInput(f"{what} file must hold a JSON object")
     return doc
 
 
@@ -84,28 +95,28 @@ def parse_problem(text):
     doc = _json_object(text, "problem")
     unknown = set(doc) - _PROBLEM_KEYS
     if unknown:
-        raise UnknownKey(f"unrecognized problem keys: {sorted(unknown)}")
+        raise InvalidInput(f"unrecognized problem keys: {sorted(unknown)}")
     for key in ("n", "m", "A", "B2"):
         if key not in doc:
-            raise ParseError(f"problem file is missing {key!r}")
+            raise InvalidInput(f"problem file is missing {key!r}")
     n, m = _converted(int, doc["n"], "n"), _converted(int, doc["m"], "m")
     if n < 1 or m < 1:
-        raise ParseError("need n >= 1 and m >= 1")
+        raise InvalidInput("need n >= 1 and m >= 1")
     A = _matrix(doc["A"], n, n, "A")
     B2 = _matrix(doc["B2"], n, m, "B2")
     if "B1" in doc:
         arr = _array(doc["B1"], "B1")
         if arr.size % n:
-            raise ParseError(f"B1: length {arr.size} is not a multiple of n")
+            raise InvalidInput(f"B1: length {arr.size} is not a multiple of n")
         B1 = arr.reshape(n, arr.size // n)
     else:
         B1 = np.eye(n)
     if ("C" in doc) != ("D" in doc):
-        raise ParseError("C and D must be given together")
+        raise InvalidInput("C and D must be given together")
     if "C" in doc:
         arrC = _array(doc["C"], "C")
         if arrC.size % n:
-            raise ParseError(f"C: length {arrC.size} is not a multiple of n")
+            raise InvalidInput(f"C: length {arrC.size} is not a multiple of n")
         q = arrC.size // n
         C = arrC.reshape(q, n)
         D = _matrix(doc["D"], q, m, "D")
@@ -115,15 +126,15 @@ def parse_problem(text):
     vertices = None
     if "vertices" in doc:
         if not isinstance(doc["vertices"], list) or not doc["vertices"]:
-            raise ParseError("vertices must be a nonempty list")
+            raise InvalidInput("vertices must be a nonempty list")
         vertices = []
         for idx, vert in enumerate(doc["vertices"]):
             extra = set(vert) - {"A", "B2"}
             if extra:
-                raise UnknownKey(f"vertex {idx}: unrecognized keys "
+                raise InvalidInput(f"vertex {idx}: unrecognized keys "
                                  f"{sorted(extra)}")
             if "A" not in vert or "B2" not in vert:
-                raise ParseError(f"vertex {idx} needs both A and B2")
+                raise InvalidInput(f"vertex {idx} needs both A and B2")
             vertices.append((_matrix(vert["A"], n, n, f"vertex {idx} A"),
                              _matrix(vert["B2"], n, m, f"vertex {idx} B2")))
     forced = _converted(lambda fz: tuple((int(i), int(j)) for i, j in fz),
@@ -153,30 +164,10 @@ def _jsonable(obj):
 
 
 def solution_document(sol):
-    """JSON-ready dict of a Solution; traces and timing stay out."""
-    doc = {
-        "regime": sol.regime,
-        "gamma": sol.gamma,
-        "status": sol.status,
-        "iterations": sol.iterations,
-        "J_upper": sol.J_upper,
-        "J_vertex": sol.J_vertex,
-        "K": sol.K,
-        "P": sol.P,
-        "W": sol.W,
-        "pattern": sol.pattern,
-        "n_zeros": sol.n_zeros,
-        "stable": sol.stable,
-        "primal_res": sol.primal_res,
-        "dual_res": sol.dual_res,
-        "certified": sol.certified,
-        "feasibility": sol.feasibility,
-        "multiplier": sol.multiplier,
-        "stage_trace": sol.stage_trace,
-        "weights": sol.weights,
-        "pq_params": sol.pq_params,
-    }
-    return _jsonable(doc)
+    """JSON-ready dict of the Solution fields in their order; traces and
+    timing stay out."""
+    return _jsonable({f.name: getattr(sol, f.name)
+                      for f in fields(sol) if f.name not in _NOT_IN_DOCUMENT})
 
 
 def write_solution(sol, out_dir):
@@ -184,70 +175,50 @@ def write_solution(sol, out_dir):
     sol_path = os.path.join(out_dir, "solution.json")
     with open(sol_path, "w", encoding="utf-8") as fh:
         json.dump(solution_document(sol), fh, indent=1)
-    if sol.trace:
-        with open(os.path.join(out_dir, "trace.csv"), "w", newline="",
-                  encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(analysis.TRACE_COLUMNS)
-            writer.writerows(sol.trace)
-    if sol.stage_trace:
-        with open(os.path.join(out_dir, "stages.csv"), "w", newline="",
-                  encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(analysis.STAGE_TRACE_COLUMNS)
-            writer.writerows(sol.stage_trace)
+    for name, columns, rows in (
+            ("trace.csv", analysis.TRACE_COLUMNS, sol.trace),
+            ("stages.csv", analysis.STAGE_TRACE_COLUMNS, sol.stage_trace)):
+        if rows:
+            with open(os.path.join(out_dir, name), "w", newline="",
+                      encoding="utf-8") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(columns)
+                writer.writerows(rows)
     return sol_path
 
 
-def _solver_options(args):
-    kw = {}
-    if args.tol_eps1 is not None:
-        kw["eps1"] = args.tol_eps1
-    if args.tol_eps2 is not None:
-        kw["eps2"] = args.tol_eps2
-    if args.max_outer is not None:
-        kw["max_outer"] = args.max_outer
-    return outer.SolverOptions(**kw)
+def _options(args):
+    """(SolverOptions, ContinuationOptions) from the flags given, which
+    carry the names of the fields they set; a value out of range is
+    InvalidInput naming its field."""
+    return tuple(cls(**{f.name: getattr(args, f.name) for f in fields(cls)
+                        if getattr(args, f.name, None) is not None})
+                 for cls in (outer.SolverOptions, l0mod.ContinuationOptions))
 
 
-def _continuation(args):
-    """ContinuationOptions from the l0 flags; a value out of range is
-    bad input, reported with the field it sets."""
-    cont = {}
-    if args.sigma0 is not None:
-        cont["sigma0"] = args.sigma0
-    if args.sigma_decay is not None:
-        cont["sigma_decay"] = args.sigma_decay
-    if args.lam is not None:
-        cont["prox_weight"] = args.lam
-    return _converted(lambda kw: l0mod.ContinuationOptions(**kw), cont,
-                      "continuation")
-
-
-def _run_one(lifted, relaxation, gamma, args):
-    options = _solver_options(args)
-    if relaxation == "l0":
-        return l0mod.solve_l0(lifted, gamma, options, _continuation(args))
-    return outer.solve_relaxed(lifted, penalties.Penalty(relaxation, gamma),
-                               options)
+def _run_one(lifted, relaxation, gamma, options, continuation):
+    """(exit code, Solution) of one solve; an unconverged solve gives 3
+    and its best-effort solution."""
+    try:
+        if relaxation == "l0":
+            return 0, l0mod.solve_l0(lifted, gamma, options, continuation)
+        return 0, outer.solve_relaxed(
+            lifted, penalties.Penalty(relaxation, gamma), options)
+    except NotConverged as exc:
+        log.warning("gamma=%g: %s", gamma, exc)
+        return 3, exc.solution
 
 
 def _check_gamma(gamma):
     if not (np.isfinite(gamma) and gamma >= 0):
-        raise ParseError(f"gamma must be finite and >= 0, got {gamma:g}")
+        raise InvalidInput(f"gamma must be finite and >= 0, got {gamma:g}")
 
 
 def cmd_solve(args):
     _check_gamma(args.gamma)
-    _continuation(args)
-    lifted = load_problem(args.problem)
-    try:
-        sol = _run_one(lifted, args.relaxation, args.gamma, args)
-        code = 0
-    except NotConverged as exc:
-        sol = exc.solution
-        log.warning("%s", exc)
-        code = 3
+    options = _options(args)
+    code, sol = _run_one(load_problem(args.problem), args.relaxation,
+                         args.gamma, *options)
     path = write_solution(sol, args.out)
     print(f"{args.relaxation} gamma={args.gamma:g}: status={sol.status} "
           f"J_upper={sol.J_upper:.6g} zeros={sol.n_zeros} "
@@ -257,97 +228,68 @@ def cmd_solve(args):
 
 
 def _sweep_worker(payload):
-    problem_path, relaxation, gamma, args_dict, row_path = payload
-    args = argparse.Namespace(**args_dict)
+    """(exit code, sweep.json row) of one gamma of a sweep."""
+    problem_path, relaxation, gamma, options, continuation = payload
     lifted = load_problem(problem_path)
     try:
-        sol = _run_one(lifted, relaxation, gamma, args)
-        code = 0
-    except NotConverged as exc:
-        sol = exc.solution
-        code = 3
+        code, sol = _run_one(lifted, relaxation, gamma, options, continuation)
     except SparseLQError as exc:
         # this gamma failed inside the solve; the other rows still merge
         log.warning("gamma=%g: %s", gamma, exc)
-        sol, code, message = None, 3, str(exc)
-    if sol is None:
-        row = {"gamma": gamma, "status": "error", "message": message,
-               "J_upper": None, "J_worst": None, "n_zeros": None,
-               "iterations": None, "certified": False, "K": None}
-    else:
-        row = {"gamma": gamma, "status": sol.status, "J_upper": sol.J_upper,
-               "J_worst": float(np.max(sol.J_vertex)),
-               "n_zeros": sol.n_zeros, "iterations": sol.iterations,
-               "certified": sol.certified, "K": sol.K.tolist()}
-    tmp = row_path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(_jsonable(row), fh)
-    os.replace(tmp, row_path)
-    return code
+        return 3, {**dict.fromkeys(SWEEP_COLUMNS), "gamma": gamma,
+                   "status": "error", "certified": False, "K": None,
+                   "message": str(exc)}
+    row = {name: getattr(sol, name, None) for name in SWEEP_COLUMNS}
+    row.update(gamma=gamma, J_worst=float(np.max(sol.J_vertex)), K=sol.K)
+    return code, _jsonable(row)
 
 
 def cmd_sweep(args):
     gammas = [_converted(float, tok, "gammas")
               for tok in args.gammas.split(",") if tok.strip()]
     if not gammas:
-        raise ParseError("empty gamma list")
+        raise InvalidInput("empty gamma list")
     for gamma in gammas:
         _check_gamma(gamma)
-    _continuation(args)
-    os.makedirs(args.out, exist_ok=True)
-    rows_dir = os.path.join(args.out, "rows")
-    os.makedirs(rows_dir, exist_ok=True)
-    passthrough = {"tol_eps1": args.tol_eps1, "tol_eps2": args.tol_eps2,
-                   "max_outer": args.max_outer, "sigma0": args.sigma0,
-                   "sigma_decay": args.sigma_decay, "lam": args.lam}
-    payloads = [(args.problem, args.relaxation, g, passthrough,
-                 os.path.join(rows_dir, f"row_{i:03d}.json"))
-                for i, g in enumerate(gammas)]
-    codes = None
-    if not args.serial:
-        # Only a pool that cannot start falls back to serial runs; an
-        # error inside a worker surfaces from result() below.
-        try:
-            from concurrent.futures import ProcessPoolExecutor
-            with ProcessPoolExecutor(max_workers=min(len(payloads),
-                                                     os.cpu_count() or 1)) as ex:
-                futures = [ex.submit(_sweep_worker, p) for p in payloads]
-        except (OSError, ImportError) as exc:
-            log.warning("parallel sweep unavailable (%s); running serially",
-                        exc)
-        else:
-            codes = [f.result() for f in futures]
-    if codes is None:
-        codes = [_sweep_worker(p) for p in payloads]
+    options = _options(args)
+    payloads = [(args.problem, args.relaxation, g, *options) for g in gammas]
+    # Only a pool that cannot start falls back to solving in this
+    # process; an error inside a worker surfaces from result() below.
+    try:
+        from concurrent.futures import ProcessPoolExecutor
+        with ProcessPoolExecutor(max_workers=min(len(payloads),
+                                                 os.cpu_count() or 1)) as ex:
+            futures = [ex.submit(_sweep_worker, p) for p in payloads]
+    except (OSError, ImportError) as exc:
+        log.warning("parallel sweep unavailable (%s); solving in this "
+                    "process", exc)
+        results = [_sweep_worker(p) for p in payloads]
+    else:
+        results = [f.result() for f in futures]
+    rows = [row for _, row in results]
 
-    rows = []
-    for _, _, g, _, row_path in payloads:
-        with open(row_path, "r", encoding="utf-8") as fh:
-            rows.append(json.load(fh))
+    os.makedirs(args.out, exist_ok=True)
     with open(os.path.join(args.out, "sweep.json"), "w",
               encoding="utf-8") as fh:
         json.dump(rows, fh, indent=1)
     with open(os.path.join(args.out, "sweep.csv"), "w", newline="",
               encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(("gamma", "J_upper", "J_worst", "n_zeros",
-                         "iterations", "status", "certified"))
-        for row in rows:
-            writer.writerow((row["gamma"], row["J_upper"], row["J_worst"],
-                             row["n_zeros"], row["iterations"],
-                             row["status"], row["certified"]))
+        writer.writerow(SWEEP_COLUMNS)
+        writer.writerows([row[name] for name in SWEEP_COLUMNS]
+                         for row in rows)
     for row in rows:
         if row["status"] == "error":
             print(f"gamma={row['gamma']:g}: status=error {row['message']}")
         else:
             print(f"gamma={row['gamma']:g}: J_upper={row['J_upper']:.6g} "
                   f"zeros={row['n_zeros']} status={row['status']}")
-    return max(codes)
+    return max(code for code, _ in results)
 
 
 def _field(doc, key):
     if key not in doc:
-        raise ParseError(f"solution file is missing {key!r}")
+        raise InvalidInput(f"solution file is missing {key!r}")
     return doc[key]
 
 
@@ -379,18 +321,15 @@ def cmd_verify(args):
     P = _matrix(_field(doc, "P"), lifted.m, lifted.n, "P")
     regime = _field(doc, "regime")
     if regime not in ("l1", "pq", "l0"):
-        raise ParseError(f"regime: expected l1, pq or l0, got {regime!r}")
+        raise InvalidInput(f"regime: expected l1, pq or l0, got {regime!r}")
     penalty = None
     if regime != "l0":
         weights, params = doc.get("weights"), doc.get("pq_params")
-        try:
-            penalty = penalties.Penalty(
-                regime, _converted(float, _field(doc, "gamma"), "gamma"),
-                None if weights is None
-                else _matrix(weights, lifted.m, lifted.n, "weights"),
-                _matrix(params or penalties.PQ_DEFAULT, 1, 4, "pq_params")[0])
-        except ValueError as exc:
-            raise ParseError(str(exc)) from exc
+        penalty = penalties.Penalty(
+            regime, _converted(float, _field(doc, "gamma"), "gamma"),
+            None if weights is None
+            else _matrix(weights, lifted.m, lifted.n, "weights"),
+            _matrix(params or penalties.PQ_DEFAULT, 1, 4, "pq_params")[0])
     lam = doc.get("multiplier")
     if lam is not None:
         lam = _matrix(lam, 1, lifted.op.n_rows, "multiplier")[0]
@@ -428,13 +367,15 @@ def build_parser():
         p.add_argument("--relaxation", choices=("l1", "pq", "l0"),
                        default="l1")
         p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--tol-eps1", type=float, default=None)
-        p.add_argument("--tol-eps2", type=float, default=None)
-        p.add_argument("--max-outer", type=int, default=None)
-        p.add_argument("--lambda", dest="lam", type=float, default=None,
+        # each dest is the name of the options field the flag sets
+        p.add_argument("--tol-eps1", dest="eps1", type=float)
+        p.add_argument("--tol-eps2", dest="eps2", type=float)
+        p.add_argument("--max-outer", type=int)
+        p.add_argument("--lambda", dest="prox_weight", metavar="LAMBDA",
+                       type=float,
                        help="anchor weight of the continuation subproblems")
-        p.add_argument("--sigma0", type=float, default=None)
-        p.add_argument("--sigma-decay", type=float, default=None)
+        p.add_argument("--sigma0", type=float)
+        p.add_argument("--sigma-decay", type=float)
 
     p_solve = sub.add_parser("solve", help="solve at one gamma")
     common(p_solve)
@@ -445,8 +386,6 @@ def build_parser():
                                            "gamma list")
     common(p_sweep)
     p_sweep.add_argument("--gammas", required=True)
-    p_sweep.add_argument("--serial", action="store_true",
-                         help="disable the process pool")
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_sim = sub.add_parser("simulate", help="impulse responses of a "

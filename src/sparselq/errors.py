@@ -1,49 +1,31 @@
 """Exception types shared across the package.
 
-All solver errors derive from SparseLQError so callers (and the command
-line front end) can map failures to coarse categories: input validation,
-non-convergence, certification.
+Every error derives from SparseLQError, and the command line maps each
+type to one exit code:
+
+    InvalidInput       2  a file, flag, option or plant that fails its
+                          checks; the message names the field.  It is
+                          also a ValueError.
+    NotConverged       3  the outer loop ran out of iterations; solve
+                          still writes the best-effort solution.
+    EigFailure,        2  a numerical failure inside solve or verify; in
+    SingularW1,           a sweep, as for any SparseLQError raised while
+    NotHurwitz            solving one gamma, 3 with an error row.
+    MaxSweepsExceeded  -  caught by the outer loop, which accepts the
+                          capped inner solve.
+
+verify exits 4 when it reads the file but rejects the solution.
 """
+
+import math
 
 
 class SparseLQError(Exception):
     """Base class for all package errors."""
 
 
-# ---------------------------------------------------------------- inputs
-
-class DimensionMismatch(SparseLQError):
-    """Matrix shapes are mutually inconsistent."""
-
-
-class AssumptionViolated(SparseLQError):
-    """A structural assumption on the plant fails.
-
-    Parameters
-    ----------
-    which : str
-        Name of the violated assumption, e.g. "CtD", "DtD", "B1B1t".
-    """
-
-    def __init__(self, which, message=None):
-        self.which = which
-        super().__init__(message or f"plant assumption violated: {which}")
-
-
-class ForcedZeroOutOfRange(SparseLQError):
-    """A forced-zero index pair lies outside the gain dimensions."""
-
-
-class InvalidPqParams(SparseLQError):
-    """Piecewise-quadratic parameters must satisfy a1, a2 > 0 and b1 < 0 < b2."""
-
-
-class NonPositiveRho(SparseLQError):
-    """Proximal parameter rho must be strictly positive."""
-
-
-class NonPositiveSigma(SparseLQError):
-    """Surrogate scale sigma must be strictly positive."""
+class InvalidInput(SparseLQError, ValueError):
+    """An input fails validation; the message names the field."""
 
 
 # ------------------------------------------------------ linear algebra
@@ -58,10 +40,6 @@ class SingularW1(SparseLQError):
 
 class NotHurwitz(SparseLQError):
     """A matrix required to be Hurwitz has spectral abscissa >= 0."""
-
-
-class TooLarge(SparseLQError):
-    """Problem dimension exceeds the supported desk scale."""
 
 
 # ------------------------------------------------------------- solvers
@@ -113,11 +91,21 @@ class NotConverged(SparseLQError):
             f"{primal_res:.3e}, dual residual {dual_res:.3e}")
 
 
-# ----------------------------------------------------------------- cli
+# ---------------------------------------------------------- validation
 
-class ParseError(SparseLQError):
-    """Problem or solution file is malformed."""
+def require_positive(options, *names):
+    """Raise InvalidInput unless each named field is finite and > 0."""
+    for name in names:
+        value = getattr(options, name)
+        if not (value > 0 and math.isfinite(value)):
+            raise InvalidInput(f"{name} must be finite and > 0, "
+                               f"got {value!r}")
 
 
-class UnknownKey(ParseError):
-    """Problem file contains an unrecognized key."""
+def require_count(options, least, *names):
+    """Raise InvalidInput unless each named field is an integer >= least."""
+    for name in names:
+        value = getattr(options, name)
+        if not (isinstance(value, int) and value >= least):
+            raise InvalidInput(f"{name} must be an integer >= {least}, "
+                               f"got {value!r}")

@@ -11,13 +11,12 @@ stage objective settles.
 """
 
 import logging
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import analysis, outer
-from .errors import NonPositiveSigma, NotConverged
+from .errors import InvalidInput, NotConverged, require_count, require_positive
 
 log = logging.getLogger("sparselq")
 
@@ -30,7 +29,7 @@ class ContinuationOptions:
     """Ladder and alternation controls for the surrogate continuation.
 
     The ladder runs sigma0, sigma0 * sigma_decay, ... down to sigma_min,
-    and has at least one rung.  A field out of range raises ValueError
+    and has at least one rung.  A field out of range raises InvalidInput
     naming it.
     """
 
@@ -41,20 +40,14 @@ class ContinuationOptions:
     prox_weight: float = 10.0
 
     def __post_init__(self):
-        for name in ("sigma0", "sigma_min", "prox_weight"):
-            value = getattr(self, name)
-            if not (value > 0 and math.isfinite(value)):
-                raise ValueError(f"{name} must be finite and > 0, "
-                                 f"got {value!r}")
+        require_positive(self, "sigma0", "sigma_min", "prox_weight")
         if not 0 < self.sigma_decay < 1:
-            raise ValueError(f"sigma_decay must lie in (0, 1), "
-                             f"got {self.sigma_decay!r}")
-        if not (isinstance(self.max_passes, int) and self.max_passes >= 1):
-            raise ValueError(f"max_passes must be an integer >= 1, "
-                             f"got {self.max_passes!r}")
+            raise InvalidInput(f"sigma_decay must lie in (0, 1), "
+                               f"got {self.sigma_decay!r}")
+        require_count(self, 1, "max_passes")
         if self.sigma0 < self.sigma_min:
-            raise ValueError(f"sigma0 ({self.sigma0!r}) is below sigma_min "
-                             f"({self.sigma_min!r}): the ladder has no rung")
+            raise InvalidInput(f"sigma0 ({self.sigma0!r}) is below sigma_min "
+                               f"({self.sigma_min!r}): the ladder has no rung")
 
 
 def surrogate_weights(P, sigma):
@@ -64,7 +57,7 @@ def surrogate_weights(P, sigma):
     guards against underflow for |P| >> sigma.
     """
     if sigma <= 0:
-        raise NonPositiveSigma("sigma must be > 0")
+        raise InvalidInput("sigma must be > 0")
     x = np.abs(np.asarray(P, dtype=float))
     return np.maximum(np.exp(-x / sigma) / sigma, np.finfo(float).tiny)
 

@@ -27,8 +27,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AssumptionViolated, DimensionMismatch
+from .errors import InvalidInput
 from . import vectorize
+
+# Largest plant order the package takes: analysis.solve_lyapunov's dense
+# operator has order**4 entries, 20 MB here.
+MAX_LYAPUNOV_ORDER = 40
 
 
 @dataclass(frozen=True)
@@ -98,31 +102,34 @@ class ValidatedPlant:
 def validate_plant(plant):
     """Check dimensions and the structural assumptions of the cost.
 
-    Raises DimensionMismatch for inconsistent shapes and
-    AssumptionViolated for a non-finite entry, C^T D != 0, singular
-    D^T D, or singular B1 B1^T.  Stabilizability is not checked here; it
-    is certified a posteriori from the solved parameter matrix.
+    Raises InvalidInput for inconsistent shapes, an order above
+    MAX_LYAPUNOV_ORDER, a non-finite entry, C^T D != 0, singular D^T D,
+    or singular B1 B1^T.  Stabilizability is not checked here; it is
+    certified a posteriori from the solved parameter matrix.
     """
     A, B2, B1, C, D = plant.A, plant.B2, plant.B1, plant.C, plant.D
     n = A.shape[0]
     if A.shape != (n, n):
-        raise DimensionMismatch(f"A must be square, got {A.shape}")
+        raise InvalidInput(f"A must be square, got {A.shape}")
     if n < 1 or B2.shape[1] < 1:
-        raise DimensionMismatch("need n >= 1 and m >= 1")
+        raise InvalidInput("need n >= 1 and m >= 1")
+    if n > MAX_LYAPUNOV_ORDER:
+        raise InvalidInput(f"n = {n} exceeds the supported order "
+                           f"{MAX_LYAPUNOV_ORDER}")
     if B2.shape[0] != n:
-        raise DimensionMismatch(f"B2 rows {B2.shape[0]} != n {n}")
+        raise InvalidInput(f"B2 rows {B2.shape[0]} != n {n}")
     if B1.shape[0] != n:
-        raise DimensionMismatch(f"B1 rows {B1.shape[0]} != n {n}")
+        raise InvalidInput(f"B1 rows {B1.shape[0]} != n {n}")
     if C.shape[1] != n:
-        raise DimensionMismatch(f"C cols {C.shape[1]} != n {n}")
+        raise InvalidInput(f"C cols {C.shape[1]} != n {n}")
     if D.shape != (C.shape[0], B2.shape[1]):
-        raise DimensionMismatch(f"D shape {D.shape} != (q, m)")
+        raise InvalidInput(f"D shape {D.shape} != (q, m)")
     for k, (Av, Bv) in enumerate(plant.vertices):
         if Av.shape != A.shape or Bv.shape != B2.shape:
-            raise DimensionMismatch(f"vertex {k} shapes {Av.shape}, {Bv.shape}")
+            raise InvalidInput(f"vertex {k} shapes {Av.shape}, {Bv.shape}")
     mats = [A, B2, B1, C, D] + [M for pair in plant.vertices for M in pair]
     if not all(np.isfinite(M).all() for M in mats):
-        raise AssumptionViolated("finite", "plant entries must be finite")
+        raise InvalidInput("plant entries must be finite")
 
     # Dimensionless tolerance: scale with the largest entry across inputs.
     scale = max(1.0, max(float(np.max(np.abs(M))) if M.size else 0.0
@@ -131,15 +138,15 @@ def validate_plant(plant):
 
     CtD = C.T @ D
     if CtD.size and float(np.max(np.abs(CtD))) > tol:
-        raise AssumptionViolated("CtD", "C^T D must vanish entrywise")
+        raise InvalidInput("C^T D must vanish entrywise")
 
     DtD = 0.5 * (D.T @ D + (D.T @ D).T)
     if float(np.linalg.eigvalsh(DtD)[0]) <= tol:
-        raise AssumptionViolated("DtD", "D^T D must be positive definite")
+        raise InvalidInput("D^T D must be positive definite")
 
     B1B1t = 0.5 * (B1 @ B1.T + (B1 @ B1.T).T)
     if float(np.linalg.eigvalsh(B1B1t)[0]) <= tol:
-        raise AssumptionViolated("B1B1t", "B1 B1^T must be positive definite")
+        raise InvalidInput("B1 B1^T must be positive definite")
 
     CtC = 0.5 * (C.T @ C + (C.T @ C).T)
     return ValidatedPlant(plant=plant, CtC=CtC, DtD=DtD, B1B1t=B1B1t)

@@ -23,7 +23,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import analysis, inner, penalties
-from .errors import MaxSweepsExceeded, NotConverged
+from .errors import (MaxSweepsExceeded, NotConverged, require_count,
+                     require_positive)
 
 log = logging.getLogger("sparselq")
 
@@ -51,7 +52,10 @@ class SolverOptions:
     averages.  When the penalty is not strongly convex (l1 and the
     anchored subproblems) the averages are also restarted as soon as the
     sharp iterate meets the primal tolerance that they miss.
-    restart_every=0 turns off every restart, periodic and adaptive.
+    restart_every=0 turns off every restart, periodic and adaptive.  A
+    field out of range raises InvalidInput naming it: eps1 and eps2 must
+    be finite and > 0, max_outer and max_sweeps integers >= 1 and
+    restart_every an integer >= 0.
     """
 
     eps1: float = 1e-5
@@ -59,6 +63,11 @@ class SolverOptions:
     max_outer: int = 50000
     max_sweeps: int = 10000
     restart_every: int = 2000
+
+    def __post_init__(self):
+        require_positive(self, "eps1", "eps2")
+        require_count(self, 1, "max_outer", "max_sweeps")
+        require_count(self, 0, "restart_every")
 
 
 @dataclass

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidPqParams, NonPositiveRho
+from .errors import InvalidInput
 
 PQ_DEFAULT = (1.0, 1.0, -1.0, 1.0)
 
@@ -23,9 +23,9 @@ class Penalty:
     """h(P) = gamma * sum(w_ij phi(P_ij)): phi = |t| under kind "l1", the
     piecewise quadratic of pq_params = (a1, a2, b1, b2) under "pq".
 
-    Raises ValueError naming the field unless gamma is finite and >= 0
-    and weights (None: unit weights) are finite and > 0; InvalidPqParams
-    under "pq" unless a1, a2 > 0 and b1 < 0 < b2.
+    Raises InvalidInput naming the field unless gamma is finite and >= 0,
+    weights (None: unit weights) are finite and > 0 and, under "pq",
+    a1, a2 > 0 and b1 < 0 < b2.
     """
 
     kind: str
@@ -35,15 +35,15 @@ class Penalty:
 
     def __post_init__(self):
         if self.kind not in ("l1", "pq"):
-            raise ValueError(f"unknown penalty kind: {self.kind!r}")
+            raise InvalidInput(f"unknown penalty kind: {self.kind!r}")
         gamma = float(self.gamma)
         if not (np.isfinite(gamma) and gamma >= 0):
-            raise ValueError(f"gamma must be finite and >= 0, got {gamma}")
+            raise InvalidInput(f"gamma must be finite and >= 0, got {gamma}")
         object.__setattr__(self, "gamma", gamma)
         if self.weights is not None:
             w = np.asarray(self.weights, dtype=float)
             if not np.all(np.isfinite(w) & (w > 0)):
-                raise ValueError("weights must be finite and > 0")
+                raise InvalidInput("weights must be finite and > 0")
             object.__setattr__(self, "weights", w)
         params = tuple(float(x) for x in self.pq_params)
         if self.kind == "pq":
@@ -85,7 +85,7 @@ class Penalty:
 def _check_pq(pq_params):
     a1, a2, b1, b2 = pq_params
     if not (a1 > 0 and a2 > 0 and b1 < 0 < b2):
-        raise InvalidPqParams(
+        raise InvalidInput(
             f"pq_params: need a1, a2 > 0 and b1 < 0 < b2, got {pq_params}")
 
 
@@ -96,7 +96,7 @@ def _weights_like(weights, Z):
 def prox_weighted_l1(Z, gamma, weights, rho):
     """Entrywise soft threshold at gamma*w_ij/rho; exact zeros inside."""
     if rho <= 0:
-        raise NonPositiveRho("rho must be > 0")
+        raise InvalidInput("rho must be > 0")
     Z = np.asarray(Z, dtype=float)
     t = gamma * _weights_like(weights, Z) / rho
     return np.sign(Z) * np.maximum(np.abs(Z) - t, 0.0)
@@ -109,7 +109,7 @@ def prox_piecewise_quadratic(Z, gamma, weights, pq_params, rho):
     shrinkage on either side.
     """
     if rho <= 0:
-        raise NonPositiveRho("rho must be > 0")
+        raise InvalidInput("rho must be > 0")
     _check_pq(pq_params)
     a1, a2, b1, b2 = pq_params
     Z = np.asarray(Z, dtype=float)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ForcedZeroOutOfRange
+from .errors import InvalidInput
 
 _SQRT2 = np.sqrt(2.0)
 
@@ -138,8 +138,8 @@ def assemble_constraint_operator(n, m, forced_zeros=()):
     for pair in forced_zeros:
         i, j = int(pair[0]), int(pair[1])
         if not (0 <= i < m and 0 <= j < n):
-            raise ForcedZeroOutOfRange(
-                f"forced zero ({i}, {j}) outside gain shape {m} x {n}")
+            raise InvalidInput(
+                f"forced_zeros: ({i}, {j}) lies outside the {m} x {n} gain")
         fz.append((i, j))
 
     cols = []

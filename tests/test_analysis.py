@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from sparselq import analysis, model
-from sparselq.errors import NotHurwitz, SingularW1, TooLarge
+from sparselq.errors import InvalidInput, NotHurwitz, SingularW1
 
 from conftest import K0NotStabilizing, ex1_matrices, lift, riccati_oracle
 
@@ -34,13 +34,13 @@ class TestLyapunov:
             analysis.solve_lyapunov(np.array([[0.1]]), np.eye(1))
 
     def test_rejects_oversize(self):
-        with pytest.raises(TooLarge):
+        with pytest.raises(InvalidInput, match="order 201"):
             analysis.solve_lyapunov(-np.eye(201), np.eye(201))
 
     def test_size_bound(self):
         n = analysis.MAX_LYAPUNOV_ORDER
         assert n == 40
-        with pytest.raises(TooLarge):
+        with pytest.raises(InvalidInput, match=f"order {n + 1}"):
             analysis.solve_lyapunov(-np.eye(n + 1), np.eye(n + 1))
         rng = np.random.default_rng(40)
         A_cl = rng.standard_normal((n, n)) - 10.0 * np.eye(n)

@@ -1,5 +1,7 @@
 import csv
+import dataclasses
 import json
+import re
 import shutil
 import subprocess
 import sys
@@ -8,7 +10,7 @@ import numpy as np
 import pytest
 
 from sparselq import analysis, cli, model, outer
-from sparselq.errors import EigFailure, ParseError, UnknownKey
+from sparselq.errors import EigFailure, InvalidInput, SparseLQError
 
 from conftest import feasible_instance, source_env
 
@@ -56,52 +58,52 @@ class TestParseProblem:
     def test_rejects_unknown_key(self):
         doc = small_problem_doc()
         doc["Q"] = [1.0]
-        with pytest.raises(UnknownKey):
+        with pytest.raises(InvalidInput, match="Q"):
             cli.parse_problem(json.dumps(doc))
 
     def test_rejects_vertex_extras(self):
         doc = small_problem_doc()
         doc["vertices"] = [{"A": doc["A"], "B2": doc["B2"], "B1": [1.0]}]
-        with pytest.raises(UnknownKey):
+        with pytest.raises(InvalidInput, match="B1"):
             cli.parse_problem(json.dumps(doc))
         doc["vertices"] = [{"A": doc["A"]}]
-        with pytest.raises(ParseError):
+        with pytest.raises(InvalidInput):
             cli.parse_problem(json.dumps(doc))
 
     def test_rejects_lonely_C(self):
         doc = small_problem_doc()
         doc["C"] = [1.0, 0.0]
-        with pytest.raises(ParseError):
+        with pytest.raises(InvalidInput):
             cli.parse_problem(json.dumps(doc))
 
     def test_rejects_wrong_size(self):
         doc = small_problem_doc()
         doc["A"] = doc["A"][:-1]
-        with pytest.raises(ParseError):
+        with pytest.raises(InvalidInput):
             cli.parse_problem(json.dumps(doc))
 
     def test_rejects_bad_json_and_nonobject(self):
-        with pytest.raises(ParseError):
+        with pytest.raises(InvalidInput):
             cli.parse_problem("{not json")
-        with pytest.raises(ParseError):
+        with pytest.raises(InvalidInput):
             cli.parse_problem("[1, 2]")
 
     def test_rejects_missing_required(self):
         doc = small_problem_doc()
         del doc["B2"]
-        with pytest.raises(ParseError):
+        with pytest.raises(InvalidInput):
             cli.parse_problem(json.dumps(doc))
 
     def test_rejects_non_integer_size(self):
         doc = small_problem_doc()
         doc["n"] = "abc"
-        with pytest.raises(ParseError, match="n"):
+        with pytest.raises(InvalidInput, match="n"):
             cli.parse_problem(json.dumps(doc))
 
     def test_rejects_non_numeric_entry(self, tmp_path, capsys):
         doc = small_problem_doc()
         doc["A"] = ["x"]
-        with pytest.raises(ParseError, match="A"):
+        with pytest.raises(InvalidInput, match="A"):
             cli.parse_problem(json.dumps(doc))
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
@@ -464,13 +466,18 @@ class TestBadInputs:
     @pytest.mark.parametrize("flag,named", [
         ("--sigma0=1e-5", "sigma0"), ("--sigma0=-1", "sigma0"),
         ("--sigma0=nan", "sigma0"), ("--sigma-decay=1.5", "sigma_decay"),
-        ("--sigma-decay=0", "sigma_decay"), ("--lambda=0", "prox_weight")])
+        ("--sigma-decay=0", "sigma_decay"), ("--lambda=0", "prox_weight"),
+        ("--max-outer=0", "max_outer"), ("--max-outer=-3", "max_outer"),
+        ("--tol-eps1=-1 --max-outer=5", "eps1"),
+        ("--tol-eps1=nan --max-outer=5", "eps1"),
+        ("--tol-eps2=0", "eps2")])
     @pytest.mark.parametrize("command", ["solve", "sweep"])
     def test_bad_continuation_flags(self, problem_file, tmp_path, capsys,
                                     command, flag, named):
+        # solver and continuation flags alike fail before any solve
         gamma = ["--gamma", "1"] if command == "solve" else ["--gammas", "1,2"]
         code = cli.run_command([command, "--problem", problem_file,
-                                "--relaxation", "l0", *gamma, flag,
+                                "--relaxation", "l0", *gamma, *flag.split(),
                                 "--out", str(tmp_path / "o")])
         assert code == 2
         assert named in capsys.readouterr().err
@@ -485,7 +492,91 @@ class TestBadInputs:
                                 "--out", str(tmp_path / "o")])
         assert code == 2
         assert named in capsys.readouterr().err
-        assert not (tmp_path / "o" / "rows").exists()
+        assert not (tmp_path / "o").exists()
+
+
+def _changed(**changes):
+    doc = small_problem_doc()
+    doc.update(changes)
+    return doc
+
+
+def _solve_on(doc, *flags):
+    """argv of a solve on the problem doc (a dict, or raw text)."""
+    def argv(tmp_path, problem_file):
+        path = tmp_path / "bad.json"
+        path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+        return ["solve", "--problem", str(path), "--gamma", "1",
+                "--out", str(tmp_path / "o"), *flags]
+    return argv
+
+
+def _verify_bad_pq_params(tmp_path, problem_file):
+    path, doc = _solve_and_load(problem_file, tmp_path, "--relaxation", "pq",
+                                "--gamma", "0.5")
+    doc["pq_params"] = [1.0, 1.0, 0.5, 1.0]
+    path.write_text(json.dumps(doc))
+    return ["verify", "--problem", problem_file, "--solution", str(path)]
+
+
+# One bad input for each input-error type that InvalidInput replaced.
+ONE_BAD_INPUT_PER_FORMER_TYPE = [
+    pytest.param(_solve_on(_changed(B2=[1.0])), "B2", id="dimension"),
+    pytest.param(_solve_on(_changed(C=[1.0, 0.0, 0.0, 1.0], D=[1.0, 0.0])),
+                 "C^T D", id="assumption"),
+    pytest.param(_solve_on(_changed(forced_zeros=[[0, 5]])), "forced_zeros",
+                 id="forced_zero"),
+    pytest.param(_verify_bad_pq_params, "pq_params", id="pq_params"),
+    pytest.param(_solve_on(_changed(Q=[1.0])), "Q", id="unknown_key"),
+    pytest.param(_solve_on("{not json"), "problem file", id="parse"),
+    pytest.param(_solve_on({"n": 41, "m": 1, "A": (-np.eye(41)).ravel().tolist(),
+                            "B2": [1.0] * 41}), "n = 41", id="too_large"),
+    pytest.param(_solve_on(small_problem_doc(), "--max-outer", "0"),
+                 "max_outer", id="solver_option")]
+
+
+@pytest.mark.parametrize("make_argv,named", ONE_BAD_INPUT_PER_FORMER_TYPE)
+def test_each_input_error_exits_2_naming_the_field(tmp_path, problem_file,
+                                                   capsys, make_argv, named):
+    argv = make_argv(tmp_path, problem_file)
+    capsys.readouterr()
+    assert cli.run_command(argv) == 2
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+    # through the library the same input raises one type, a ValueError
+    args = cli.build_parser().parse_args(argv)
+    with pytest.raises(InvalidInput, match=re.escape(named)) as exc:
+        args.func(args)
+    assert isinstance(exc.value, ValueError)
+    assert isinstance(exc.value, SparseLQError)
+
+
+class TestSolutionRecord:
+    """solution.json holds the Solution fields, in their order, and no
+    timing, so two identical runs write the same bytes."""
+
+    def test_two_runs_write_the_same_bytes(self, problem_file, tmp_path):
+        written = []
+        for name in ("a", "b"):
+            out = tmp_path / name
+            assert cli.run_command(["solve", "--problem", problem_file,
+                                    "--gamma", "0.5", "--out", str(out)]) == 0
+            written.append((out / "solution.json").read_bytes())
+        assert written[0] == written[1]
+
+    @pytest.mark.parametrize("relaxation", ["l1", "l0"])
+    def test_keys_are_the_solution_fields_in_order(self, problem_file,
+                                                   tmp_path, relaxation):
+        _, doc = _solve_and_load(problem_file, tmp_path, "--relaxation",
+                                 relaxation, "--gamma", "0.5",
+                                 "--sigma0", "0.2", "--sigma-decay", "0.3")
+        names = [f.name for f in dataclasses.fields(analysis.Solution)]
+        assert list(doc) == [name for name in names
+                             if name not in ("trace", "final_state")]
+        keys = set(doc) | set(doc["feasibility"])
+        assert not any("wall" in key or "time" in key or key.endswith("_ms")
+                       for key in keys)
+        assert "wall_ms" not in json.dumps(doc)
 
 
 def _failing_run(*args):
@@ -495,25 +586,29 @@ def _failing_run(*args):
 _solve_run = cli._run_one
 
 
-def _eig_failure_at_gamma_half(lifted, relaxation, gamma, args):
+def _eig_failure_at_gamma_half(lifted, relaxation, gamma, *options):
     if gamma == 0.5:
         raise EigFailure("eigendecomposition failed")
-    return _solve_run(lifted, relaxation, gamma, args)
+    return _solve_run(lifted, relaxation, gamma, *options)
 
 
 class TestSweep:
-    def test_serial_merge_keeps_input_order(self, problem_file, tmp_path):
+    def test_merge_keeps_input_order(self, problem_file, tmp_path):
         out = str(tmp_path / "sw")
         code = cli.run_command(["sweep", "--problem", problem_file,
-                                "--gammas", "0.6,0.2", "--serial",
-                                "--out", out])
+                                "--gammas", "0.6,0.2", "--out", out])
         assert code == 0
         rows = json.loads((tmp_path / "sw" / "sweep.json").read_text())
         assert [row["gamma"] for row in rows] == [0.6, 0.2]
         with open(tmp_path / "sw" / "sweep.csv") as fh:
             table = list(csv.reader(fh))
-        assert table[0][0] == "gamma"
+        assert tuple(table[0]) == cli.SWEEP_COLUMNS
         assert len(table) == 3
+        for row, line in zip(rows, table[1:]):
+            assert line == [str(row[name]) for name in cli.SWEEP_COLUMNS]
+        # the workers hand their rows back; nothing else is written
+        assert sorted(p.name for p in (tmp_path / "sw").iterdir()) == [
+            "sweep.csv", "sweep.json"]
 
     def test_parallel_pool(self, problem_file, tmp_path):
         out = str(tmp_path / "swp")
@@ -533,7 +628,7 @@ class TestSweep:
             cli.run_command(["sweep", "--problem", problem_file,
                              "--gammas", "0.3,0.5",
                              "--out", str(tmp_path / "swe")])
-        assert "running serially" not in caplog.text
+        assert "parallel sweep unavailable" not in caplog.text
 
 
     def test_failed_gamma_keeps_the_other_rows(self, problem_file, tmp_path,
@@ -574,6 +669,16 @@ class TestSimulate:
         # each trajectory starts from its disturbance column
         first = [float(v) for v in table[1][2:]]
         np.testing.assert_allclose(first, [1.0, 0.0])
+
+    @pytest.mark.parametrize("flags", [["--dt", "0"], ["--horizon", "-1"]])
+    def test_bad_step_is_bad_input(self, problem_file, tmp_path, capsys,
+                                   flags):
+        path, _ = _solve_and_load(problem_file, tmp_path, "--gamma", "0.5")
+        code = cli.run_command(["simulate", "--problem", problem_file,
+                                "--solution", str(path), *flags,
+                                "--out", str(tmp_path / "sim")])
+        assert code == 2
+        assert flags[0][2:] in capsys.readouterr().err
 
     @pytest.mark.parametrize("text,needle", [
         ('{"W": [[1.0]]}', "'K'"),

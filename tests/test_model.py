@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from sparselq import analysis, model, vectorize
-from sparselq.errors import AssumptionViolated, DimensionMismatch
+from sparselq.errors import InvalidInput
 
 from conftest import (dense_duplication, dense_equality_operator,
                       ex1_matrices, ex2_matrices, lift)
@@ -41,20 +41,20 @@ class TestValidatePlant:
             vp.A
 
     def test_rejects_nonsquare_A(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(InvalidInput):
             model.validate_plant(model.PlantData(
                 A=np.zeros((2, 3)), B2=np.zeros((2, 1)), B1=np.eye(2),
                 C=np.zeros((3, 2)), D=np.zeros((3, 1))))
 
     def test_rejects_mismatched_B2(self):
         C, D = unit_cost(2, 1)
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(InvalidInput):
             model.validate_plant(model.PlantData(
                 A=np.eye(2), B2=np.zeros((3, 1)), B1=np.eye(2), C=C, D=D))
 
     def test_rejects_mismatched_vertex(self):
         C, D = unit_cost(2, 1)
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(InvalidInput):
             model.validate_plant(model.PlantData(
                 A=np.eye(2), B2=np.ones((2, 1)), B1=np.eye(2), C=C, D=D,
                 vertices=((np.eye(3), np.ones((2, 1))),)))
@@ -64,41 +64,49 @@ class TestValidatePlant:
         C = np.vstack([np.eye(n), np.zeros((m, n))])
         D = np.vstack([np.zeros((n, m)), np.eye(m)])
         D[0, 0] = 0.5  # couples C and D columns
-        with pytest.raises(AssumptionViolated) as exc:
+        with pytest.raises(InvalidInput, match=r"C\^T D"):
             model.validate_plant(model.PlantData(
                 A=np.eye(2), B2=np.ones((2, 1)), B1=np.eye(2), C=C, D=D))
-        assert exc.value.which == "CtD"
 
     def test_rejects_singular_control_weight(self):
         C = np.eye(2)
         D = np.zeros((2, 1))
-        with pytest.raises(AssumptionViolated) as exc:
+        with pytest.raises(InvalidInput, match=r"D\^T D"):
             model.validate_plant(model.PlantData(
                 A=np.eye(2), B2=np.ones((2, 1)), B1=np.eye(2), C=C, D=D))
-        assert exc.value.which == "DtD"
 
     def test_rejects_degenerate_noise(self):
         C, D = unit_cost(2, 1)
         B1 = np.array([[1.0], [0.0]])  # rank 1, B1 B1^T singular
-        with pytest.raises(AssumptionViolated) as exc:
+        with pytest.raises(InvalidInput, match=r"B1 B1\^T"):
             model.validate_plant(model.PlantData(
                 A=np.eye(2), B2=np.ones((2, 1)), B1=B1, C=C, D=D))
-        assert exc.value.which == "B1B1t"
+
+    def test_rejects_an_order_above_the_lyapunov_bound(self):
+        # the certificate could not solve its Lyapunov equations, so the
+        # plant fails at validation, not after the solve
+        n = model.MAX_LYAPUNOV_ORDER + 1
+        C, D = unit_cost(n, 1)
+        with pytest.raises(InvalidInput, match=f"n = {n}"):
+            model.validate_plant(model.PlantData(
+                A=-np.eye(n), B2=np.ones((n, 1)), B1=np.eye(n), C=C, D=D))
+        C, D = unit_cost(n - 1, 1)
+        model.validate_plant(model.PlantData(
+            A=-np.eye(n - 1), B2=np.ones((n - 1, 1)), B1=np.eye(n - 1),
+            C=C, D=D))
 
     def test_rejects_non_finite_entries(self):
         C, D = unit_cost(2, 1)
         A = np.eye(2)
         A[0, 1] = np.nan
-        with pytest.raises(AssumptionViolated) as exc:
+        with pytest.raises(InvalidInput, match=r"finite"):
             model.validate_plant(model.PlantData(
                 A=A, B2=np.ones((2, 1)), B1=np.eye(2), C=C, D=D))
-        assert exc.value.which == "finite"
         vertex = (np.eye(2), np.array([[np.inf], [1.0]]))
-        with pytest.raises(AssumptionViolated) as exc:
+        with pytest.raises(InvalidInput, match=r"finite"):
             model.validate_plant(model.PlantData(
                 A=np.eye(2), B2=np.ones((2, 1)), B1=np.eye(2), C=C, D=D,
                 vertices=((np.eye(2), np.ones((2, 1))), vertex)))
-        assert exc.value.which == "finite"
 
     def test_default_vertex_is_nominal(self):
         C, D = unit_cost(2, 1)

@@ -15,6 +15,21 @@ def ex1_g10(ex1_lifted):
     return outer.solve_relaxed(ex1_lifted, outer.regime_l1(10.0))
 
 
+class TestSolverOptions:
+    @pytest.mark.parametrize("field,value", [
+        ("eps1", 0.0), ("eps1", -1.0), ("eps1", float("nan")),
+        ("eps2", float("inf")), ("eps2", 0.0), ("max_outer", 0),
+        ("max_outer", -3), ("max_outer", 2.5), ("max_sweeps", 0),
+        ("restart_every", -1), ("restart_every", 1.0)])
+    def test_rejects_a_field_out_of_range(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            outer.SolverOptions(**{field: value})
+
+    def test_accepts_the_edges(self):
+        outer.SolverOptions(eps1=1e-300, max_outer=1, max_sweeps=1,
+                            restart_every=0)
+
+
 class TestRegimeConstructors:
     def test_l1(self):
         r = outer.regime_l1(2.0)

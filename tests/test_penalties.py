@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sparselq import l0, model, outer, penalties
-from sparselq.errors import InvalidPqParams, NonPositiveRho, NonPositiveSigma
+from sparselq.errors import InvalidInput
 
 from conftest import feasible_instance
 
@@ -49,7 +49,7 @@ class TestWeightedL1Prox:
         assert abs(f(z1) - f(z2)) <= abs(z1 - z2) + 1e-12
 
     def test_rho_must_be_positive(self):
-        with pytest.raises(NonPositiveRho):
+        with pytest.raises(InvalidInput, match="rho"):
             penalties.prox_weighted_l1(np.ones(2), 1.0, None, 0.0)
 
 
@@ -94,13 +94,13 @@ class TestPiecewiseQuadraticProx:
         assert abs(f(z1) - f(z2)) <= abs(z1 - z2) + 1e-12
 
     def test_parameter_validation(self):
-        with pytest.raises(InvalidPqParams):
+        with pytest.raises(InvalidInput, match="pq_params"):
             penalties.prox_piecewise_quadratic(np.ones(1), 1.0, None,
                                                (0.0, 1.0, -1.0, 1.0), 1.0)
-        with pytest.raises(InvalidPqParams):
+        with pytest.raises(InvalidInput, match="pq_params"):
             penalties.prox_piecewise_quadratic(np.ones(1), 1.0, None,
                                                (1.0, 1.0, 0.5, 1.0), 1.0)
-        with pytest.raises(NonPositiveRho):
+        with pytest.raises(InvalidInput, match="rho"):
             penalties.prox_piecewise_quadratic(np.ones(1), 1.0, None,
                                                self.PQ, -1.0)
 
@@ -119,7 +119,7 @@ class TestExpWeights:
         assert w[0] == np.finfo(float).tiny
 
     def test_rejects_bad_input(self):
-        with pytest.raises(NonPositiveSigma):
+        with pytest.raises(InvalidInput, match="sigma"):
             l0.surrogate_weights(np.ones(1), 0.0)
 
 
@@ -140,7 +140,7 @@ class TestPenaltyConfig:
             penalties.Penalty("l1", 1.0, weights=np.array([1.0, 0.0]))
 
     def test_pq_params_checked(self):
-        with pytest.raises(InvalidPqParams):
+        with pytest.raises(InvalidInput, match="pq_params"):
             penalties.Penalty("pq", 1.0, pq_params=(1.0, -1.0, -1.0, 1.0))
 
     def test_strong_convexity_modulus(self):
@@ -150,7 +150,7 @@ class TestPenaltyConfig:
         assert penalties.Penalty("l1", 2.0).mu_g == 0.0
 
     def test_exp_sigma_checked(self):
-        with pytest.raises(NonPositiveSigma):
+        with pytest.raises(InvalidInput, match="sigma"):
             l0.surrogate_weights(np.ones(1), -2.0)
 
     @pytest.mark.parametrize("make", [outer.regime_l1, outer.regime_pq])

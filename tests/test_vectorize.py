@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sparselq import vectorize
-from sparselq.errors import ForcedZeroOutOfRange
+from sparselq.errors import InvalidInput
 
 from conftest import dense_duplication, dense_equality_operator, source_env
 
@@ -152,9 +152,9 @@ class TestConstraintOperator:
 
 
 def test_forced_zero_out_of_range():
-    with pytest.raises(ForcedZeroOutOfRange):
+    with pytest.raises(InvalidInput, match=r"forced_zeros: \(2, 0\)"):
         vectorize.assemble_constraint_operator(3, 2, forced_zeros=((2, 0),))
-    with pytest.raises(ForcedZeroOutOfRange):
+    with pytest.raises(InvalidInput, match=r"forced_zeros: \(0, 3\)"):
         vectorize.assemble_constraint_operator(3, 2, forced_zeros=((0, 3),))
 
 
