@@ -146,18 +146,17 @@ def h2_cost(plant, K):
     """Quadratic cost Tr((C - D K) Wc (C - D K)^T) per uncertainty vertex.
 
     Returns an array with one entry per vertex; entries are inf where
-    A_i - B2_i K is not Hurwitz.
+    A_i - B2_i K is not Hurwitz, which solve_lyapunov reports.
     """
     vp = _as_validated(plant)
     K = np.asarray(K, dtype=float)
     CDK = vp.plant.C - vp.plant.D @ K
-    out = np.empty(len(vp.plant.vertices))
+    out = np.full(len(vp.plant.vertices), np.inf)
     for idx, (Av, Bv) in enumerate(vp.plant.vertices):
-        A_cl = Av - Bv @ K
-        if float(np.max(np.real(np.linalg.eigvals(A_cl)))) >= 0:
-            out[idx] = np.inf
+        try:
+            Wc = solve_lyapunov(Av - Bv @ K, vp.B1B1t)
+        except NotHurwitz:
             continue
-        Wc = solve_lyapunov(A_cl, vp.B1B1t)
         out[idx] = float(np.trace(CDK @ Wc @ CDK.T))
     return out
 
@@ -225,14 +224,6 @@ def feasibility_report(lifted, W, P, tol=1e-4):
     return rep
 
 
-def certificate_tolerance(primal_res, dual_res):
-    """Feasibility tolerance max(1e-4, 5 (primal + dual residual)),
-    capped at TOL_CEILING; non-finite residuals are left out."""
-    res = sum(float(r) for r in (primal_res, dual_res)
-              if r is not None and np.isfinite(r))
-    return min(TOL_CEILING, max(1e-4, 5.0 * res))
-
-
 def certify(lifted, W, P, status, dual_res):
     """Every certified field of a solution, derived from symmetric W and P.
 
@@ -258,7 +249,11 @@ def certify(lifted, W, P, status, dual_res):
     J_upper = float(lifted.vec_R() @ W_vec)
     primal_res = float(np.linalg.norm(
         lifted.op.residual(W_vec, P.ravel(order="F"))))
-    tol = certificate_tolerance(primal_res, dual_res)
+    # max(1e-4, 5 (primal + dual residual)), capped at TOL_CEILING; a
+    # non-finite residual is left out
+    res = sum(float(r) for r in (primal_res, dual_res)
+              if r is not None and np.isfinite(r))
+    tol = min(TOL_CEILING, max(1e-4, 5.0 * res))
     feas = feasibility_report(lifted, W, P, tol=tol)
     pattern, n_zeros = sparsity_report(P)
     slack = 1e-3 * max(1.0, abs(J_upper))
@@ -307,22 +302,24 @@ def stationary(cert, lifted, lam, penalty):
 
 
 def build_solution(lifted, W_vec, P_vec, trace, status, regime, gamma,
-                   dual_res, multiplier=None, stage_trace=None,
-                   iterations=None, weights=None, pq_params=None):
-    """Assemble a Solution from raw solver state, certified by certify.
+                   dual_res, multiplier=None, iterations=None, weights=None,
+                   pq_params=None, cert=None):
+    """Assemble a Solution from raw solver state and its certificate.
 
-    Raises SingularW1 when the gain cannot be recovered.
+    cert, certify's result for this (W, P), status and dual_res, is
+    taken as given; without it the iterate is certified here, and
+    SingularW1 is raised when the gain cannot be recovered.
     """
-    W = lifted.unvec(W_vec)
-    cert = certify(lifted, 0.5 * (W + W.T),
-                   P_vec.reshape(lifted.m, lifted.n, order="F"), status,
-                   dual_res)
-    if not np.all(np.isfinite(cert["K"])):
-        raise SingularW1("leading block has a zero diagonal entry")
+    if cert is None:
+        W = lifted.unvec(W_vec)
+        cert = certify(lifted, 0.5 * (W + W.T),
+                       P_vec.reshape(lifted.m, lifted.n, order="F"), status,
+                       dual_res)
+        if not np.all(np.isfinite(cert["K"])):
+            raise SingularW1("leading block has a zero diagonal entry")
     return Solution(**{k: cert[k] for k in ("W", "P", *CERTIFIED_FIELDS)},
                     trace=trace or [], status=status, regime=regime,
                     gamma=gamma, iterations=len(trace or ())
                     if iterations is None else iterations,
                     dual_res=dual_res, multiplier=multiplier,
-                    stage_trace=stage_trace or [], weights=weights,
-                    pq_params=pq_params)
+                    weights=weights, pq_params=pq_params)

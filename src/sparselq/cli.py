@@ -129,6 +129,8 @@ def parse_problem(text):
             raise InvalidInput("vertices must be a nonempty list")
         vertices = []
         for idx, vert in enumerate(doc["vertices"]):
+            if not isinstance(vert, dict):
+                raise InvalidInput(f"vertex {idx} is not a JSON object")
             extra = set(vert) - {"A", "B2"}
             if extra:
                 raise InvalidInput(f"vertex {idx}: unrecognized keys "

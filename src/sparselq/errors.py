@@ -11,6 +11,8 @@ type to one exit code:
     EigFailure,        2  a numerical failure inside solve or verify; in
     SingularW1,           a sweep, as for any SparseLQError raised while
     NotHurwitz            solving one gamma, 3 with an error row.
+                          SingularW1 comes only from a solve out of
+                          budget; a converged stop never raises it.
     MaxSweepsExceeded  -  caught by the outer loop, which accepts the
                           capped inner solve.
 

@@ -11,7 +11,7 @@ stage objective settles.
 """
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -87,10 +87,10 @@ def _sigma_ladder(opts):
 
 def solve_l0(lifted, gamma, options=outer.SolverOptions(),
              continuation=ContinuationOptions()):
-    """Run the continuation and return a certified Solution.
-
-    stage_trace rows are (sigma, pass, h_sigma, nnz).  The reported
-    iteration count sums all subproblem iterations.
+    """Run the continuation and return the last subsolve's Solution,
+    relabelled rather than certified again: regime "l0", the requested
+    gamma, no weights, stage_trace rows (sigma, pass, h_sigma, nnz), and
+    the iterations of all subproblems summed.
     """
     m, n = lifted.m, lifted.n
     stage_trace = []
@@ -133,10 +133,5 @@ def solve_l0(lifted, gamma, options=outer.SolverOptions(),
         else:
             log.warning("sigma=%.3g: pass budget exhausted", sigma)
 
-    st = sol.final_state
-    final = analysis.build_solution(
-        lifted, st.W_tilde, st.P_tilde, sol.trace, sol.status, "l0", gamma,
-        sol.dual_res, multiplier=st.lam.copy(), stage_trace=stage_trace,
-        iterations=total_iters)
-    final.final_state = st
-    return final
+    return replace(sol, regime="l0", gamma=gamma, weights=None,
+                   stage_trace=stage_trace, iterations=total_iters)

@@ -278,13 +278,15 @@ def _restart_due(state, options, primal_res):
 
 
 def solve_relaxed(lifted, penalty, options=SolverOptions(), init=None):
-    """Iterate to convergence and return a certified Solution.
+    """Iterate to a certified stop and return its Solution.
 
     penalty is a penalties.Penalty and init is passed to init_state.
-    Raises NotConverged (carrying the best-effort Solution) if the
-    iteration budget runs out.  A zero penalty weight is replaced by
-    1e-8, which leaves the common code path valid for the dense
-    (unpenalized) problem; the schedule keeps the requested mu_g.
+    When the residual test passes, analysis.certify judges the averaged
+    iterate; the run stops only on a certified point, whose certificate
+    becomes the Solution.  Raises NotConverged (carrying the best-effort
+    Solution) if the iteration budget runs out.  A zero penalty weight
+    is replaced by 1e-8, which leaves the common code path valid for the
+    dense (unpenalized) problem; the schedule keeps the requested mu_g.
     """
     state = init_state(lifted, penalty, init)
     if penalty.gamma == 0.0:
@@ -300,25 +302,22 @@ def solve_relaxed(lifted, penalty, options=SolverOptions(), init=None):
         stop, pr, dr = check_convergence(state, lifted,
                                          options.eps1, options.eps2)
         state.last_primal_res = pr
-        obj = float(lifted.vec_R() @ state.W_tilde) + penalty.value(
-            state.P_tilde.reshape(lifted.m, lifted.n, order="F"))
+        P_mat = state.P_tilde.reshape(lifted.m, lifted.n, order="F")
+        obj = float(lifted.vec_R() @ state.W_tilde) + penalty.value(P_mat)
         row = (state.k, state.theta, state.alpha, pr, dr, obj,
                state.last_sweeps, (time.perf_counter() - t0) * 1e3,
                int(state.last_inner_capped))
         if stop:
-            # The residual pair only watches the equality rows; before
-            # accepting, require the averaged iterate to satisfy the cone
-            # constraints at the tolerance the certificate will use.
-            W_mat = lifted.unvec(state.W_tilde)
-            W_mat = 0.5 * (W_mat + W_mat.T)
-            P_mat = state.P_tilde.reshape(lifted.m, lifted.n, order="F")
-            tol = analysis.certificate_tolerance(pr, dr)
-            rep = analysis.feasibility_report(lifted, W_mat, P_mat, tol=tol)
-            converged = rep["feasible"]
+            # The residual pair only watches the equality rows; the stop
+            # stands only where the averaged iterate is certified.
+            W = lifted.unvec(state.W_tilde)
+            cert = analysis.certify(lifted, 0.5 * (W + W.T), P_mat,
+                                    "converged", dr)
+            converged = cert["certified"]
             if not converged:
-                log.info("iteration %d: residuals met but cone violation "
-                         "%.3g remains; continuing", state.k,
-                         -min(rep["min_eig_W"], rep["min_eig_psi"]))
+                failed = [c for c, ok in cert["conditions"].items() if not ok]
+                log.info("iteration %d: residuals met but %s failed; "
+                         "continuing", state.k, ", ".join(failed))
         restarted = not converged and _restart_due(state, options, pr)
         if restarted:
             restart_averages(state)
@@ -331,7 +330,8 @@ def solve_relaxed(lifted, penalty, options=SolverOptions(), init=None):
         lifted, state.W_tilde, state.P_tilde, trace, status,
         penalty.kind, penalty.gamma, dr, multiplier=state.lam.copy(),
         iterations=state.k, weights=penalty.weights,
-        pq_params=penalty.pq_params if penalty.kind == "pq" else None)
+        pq_params=penalty.pq_params if penalty.kind == "pq" else None,
+        cert=cert if converged else None)
     sol.final_state = state
     if not converged:
         raise NotConverged(sol, pr, dr)

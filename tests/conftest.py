@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from sparselq import analysis, model, vectorize
+from sparselq import analysis, model, outer, vectorize
 from sparselq.errors import EigFailure, SparseLQError
 
 
@@ -76,6 +76,28 @@ def ex2_lifted():
 @pytest.fixture(scope="session")
 def ex3_lifted():
     return lift(ex3_matrices())
+
+
+@pytest.fixture()
+def certify_calls_and_stops(monkeypatch):
+    """Lists that grow by one per analysis.certify call (by its status)
+    and per stop check whose residual test passed."""
+    calls, stops = [], []
+    certify, check = analysis.certify, outer.check_convergence
+
+    def counting_certify(*args, **kwargs):
+        calls.append(args[3])
+        return certify(*args, **kwargs)
+
+    def counting_check(*args, **kwargs):
+        out = check(*args, **kwargs)
+        if out[0]:
+            stops.append(None)
+        return out
+
+    monkeypatch.setattr(analysis, "certify", counting_certify)
+    monkeypatch.setattr(outer, "check_convergence", counting_check)
+    return calls, stops
 
 
 def random_plant(rng, n, m, n_vertices=1, spread=0.0):

@@ -44,3 +44,21 @@ def test_workload_constructors_build():
     outer.regime_l1(5.0)
     outer.regime_pq(5.0)
     l0.ContinuationOptions(sigma0=1.0, sigma_min=0.05, sigma_decay=0.5)
+
+
+def test_the_stop_check_feeds_the_rejection_count(ex1_lifted):
+    # The stop certifies through analysis.certify, which the tracer does
+    # not wrap, so feasibility_report's nearest traced caller is
+    # solve_relaxed: the span outer.stop_rejections reads.
+    tracer = _tracer().Tracer()
+    tracer.install("sparselq")
+    try:
+        sol = outer.solve_relaxed(ex1_lifted, outer.regime_l1(5.0))
+    finally:
+        tracer.uninstall()
+    assert sol.certified
+    assert tracer.count("analysis.feasibility_report",
+                        parent="outer.solve_relaxed") >= 1
+    assert tracer.stop_rejections == 0
+    assert tracer.count("analysis.build_solution") == 1
+    assert tracer.count("outer.solve_relaxed") == 1

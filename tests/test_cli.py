@@ -457,6 +457,20 @@ class TestBadInputs:
         assert code == 2
 
 
+    @pytest.mark.parametrize("vertices", [[1], [["A", "B2"]]])
+    def test_vertex_that_is_not_an_object(self, tmp_path, capsys, vertices):
+        doc = small_problem_doc()
+        doc["vertices"] = vertices
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code = cli.run_command(["solve", "--problem", str(path),
+                                "--gamma", "1.0",
+                                "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "vertex 0" in capsys.readouterr().err
+        with pytest.raises(InvalidInput, match="vertex 0"):
+            cli.parse_problem(json.dumps(doc))
+
     def test_negative_gamma(self, problem_file, tmp_path, capsys):
         code = cli.run_command(["solve", "--problem", problem_file,
                                 "--gamma", "-1", "--out", str(tmp_path / "o")])

@@ -93,6 +93,28 @@ def test_each_pass_warm_starts_the_inner_dual(monkeypatch):
     assert second[0][1] is first[-1][2]
 
 
+def test_the_last_subsolve_is_not_certified_again(monkeypatch,
+                                                  certify_calls_and_stops):
+    calls, stops = certify_calls_and_stops
+    iterations = []
+    solve_relaxed = outer.solve_relaxed
+
+    def counting_relaxed(*args, **kwargs):
+        sol = solve_relaxed(*args, **kwargs)
+        iterations.append(sol.iterations)
+        return sol
+
+    monkeypatch.setattr(outer, "solve_relaxed", counting_relaxed)
+    one_rung = l0.ContinuationOptions(sigma0=1.0, sigma_min=1.0,
+                                      max_passes=2)
+    sol = l0.solve_l0(small_lifted(2), gamma=0.5, continuation=one_rung)
+    assert sol.certified
+    assert stops and len(calls) == len(stops)
+    assert (sol.regime, sol.gamma, sol.weights) == ("l0", 0.5, None)
+    assert sol.iterations == sum(iterations)
+    assert len(sol.stage_trace) == len(iterations)
+
+
 @pytest.fixture(scope="module")
 def solved():
     lifted = small_lifted(2)

@@ -1,4 +1,5 @@
 import csv
+import logging
 
 import numpy as np
 import pytest
@@ -379,3 +380,29 @@ def test_capped_last_inner_solve_does_not_skip_the_cone_check(ex1_lifted):
         assert exc.solution.status == "max_iter"
     else:
         assert sol.feasibility["feasible"]
+        assert sol.certified
+
+
+def test_converged_implies_certified(ex1_lifted, monkeypatch, caplog):
+    # With BETA0 = 4 the first stop of ex1 l1 at gamma 20 meets the
+    # residuals and the cones, but its J_upper sits below a vertex cost
+    # by more than the slack; the run must go on to a certified stop.
+    monkeypatch.setattr(outer, "BETA0", 4.0)
+    caplog.set_level(logging.INFO, logger="sparselq")
+    sol = outer.solve_relaxed(ex1_lifted, outer.regime_l1(20.0))
+    assert sol.status == "converged"
+    assert sol.certified
+    rejected = [r.getMessage() for r in caplog.records
+                if "residuals met" in r.getMessage()]
+    assert rejected and all("cost_bound failed" in m for m in rejected)
+    slack = 1e-3 * max(1.0, sol.J_upper)
+    assert sol.J_upper >= sol.J_vertex.max() - slack
+
+
+@pytest.mark.parametrize("regime", [outer.regime_l1, outer.regime_pq])
+def test_a_converged_solve_certifies_once_per_stop(ex1_lifted, regime,
+                                                   certify_calls_and_stops):
+    calls, stops = certify_calls_and_stops
+    sol = outer.solve_relaxed(ex1_lifted, regime(5.0))
+    assert sol.certified
+    assert stops and calls == ["converged"] * len(stops)
