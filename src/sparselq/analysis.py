@@ -210,7 +210,8 @@ def feasibility_report(lifted, W, P, tol=1e-4):
                   for i in range(lifted.n_vertices))
     offdiag = W1 - np.diag(np.diag(W1))
     gain_gap = float(np.max(np.abs(W[n:, :n] - P), initial=0.0))
-    forced = max((abs(P[i, j]) for i, j in lifted.forced_zeros), default=0.0)
+    forced = max((float(abs(P[i, j])) for i, j in lifted.forced_zeros),
+                 default=0.0)
     rep = {
         "min_eig_W": float(np.linalg.eigvalsh(0.5 * (W + W.T))[0]),
         "min_eig_psi": psi_min,
@@ -293,10 +294,13 @@ def agrees(cert, name, stored):
 
 def stationary(cert, lifted, lam, penalty):
     """Whether the multiplier's gain rows lie in the subdifferential of
-    the penalty at P, to max(1e-3, 2 tol)."""
+    the penalty at P, to max(1e-3, 2 tol).  A forced zero adds the
+    indicator of P_ij = 0, whose subdifferential there is the real line."""
     op, P = lifted.op, cert["P"]
     lam_g = lam[op.n_diag:op.n_diag + op.n_gain].reshape(P.shape, order="F")
     lo, hi = penalty.subdifferential(P)
+    for (i, j) in lifted.forced_zeros:
+        lo[i, j], hi[i, j] = -np.inf, np.inf
     viol = float(np.max(np.maximum(lo - lam_g, lam_g - hi), initial=0.0))
     return viol <= max(1e-3, 2.0 * cert["tol"])
 

@@ -30,7 +30,8 @@ in a process pool and merges the rows the workers return.
 
 Exit codes: 0 success, 2 bad input (errors.InvalidInput; in verify also
 a regime other than l1, pq or l0, and a stored gamma, weights or
-pq_params that penalties.Penalty rejects) or a numerical failure, 3
+pq_params that penalties.Penalty rejects), a file that cannot be read
+or written (OSError) or a numerical failure, 3
 solver did not converge (in a sweep: some gamma did not converge or
 failed with an error row), 4 verification failed.
 """
@@ -68,6 +69,16 @@ def _converted(convert, value, name):
         raise InvalidInput(f"{name}: {exc}") from exc
 
 
+def _integer(value, name):
+    """value as an int; a bool, a non-integral number or a string is bad
+    input (int() would truncate 2.5 and take true as 1)."""
+    if isinstance(value, bool) or not (
+            isinstance(value, int)
+            or isinstance(value, float) and value.is_integer()):
+        raise InvalidInput(f"{name}: expected an integer, got {value!r}")
+    return int(value)
+
+
 def _array(flat, name):
     return _converted(lambda v: np.asarray(v, dtype=float), flat, name)
 
@@ -99,7 +110,7 @@ def parse_problem(text):
     for key in ("n", "m", "A", "B2"):
         if key not in doc:
             raise InvalidInput(f"problem file is missing {key!r}")
-    n, m = _converted(int, doc["n"], "n"), _converted(int, doc["m"], "m")
+    n, m = _integer(doc["n"], "n"), _integer(doc["m"], "m")
     if n < 1 or m < 1:
         raise InvalidInput("need n >= 1 and m >= 1")
     A = _matrix(doc["A"], n, n, "A")
@@ -139,8 +150,10 @@ def parse_problem(text):
                 raise InvalidInput(f"vertex {idx} needs both A and B2")
             vertices.append((_matrix(vert["A"], n, n, f"vertex {idx} A"),
                              _matrix(vert["B2"], n, m, f"vertex {idx} B2")))
-    forced = _converted(lambda fz: tuple((int(i), int(j)) for i, j in fz),
-                        doc.get("forced_zeros", ()), "forced_zeros")
+    forced = _converted(
+        lambda fz: tuple((_integer(i, "forced_zeros"),
+                          _integer(j, "forced_zeros")) for i, j in fz),
+        doc.get("forced_zeros", ()), "forced_zeros")
     plant = model.PlantData(A=A, B2=B2, B1=B1, C=C, D=D,
                             vertices=vertices)
     return plant, forced
@@ -156,7 +169,7 @@ def load_problem(path):
 def _jsonable(obj):
     if isinstance(obj, np.ndarray):
         return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer)):
+    if isinstance(obj, (np.floating, np.integer, np.bool_)):
         return obj.item()
     if isinstance(obj, dict):
         return {k: _jsonable(v) for k, v in obj.items()}
@@ -414,7 +427,7 @@ def run_command(argv):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (SparseLQError, FileNotFoundError) as exc:
+    except (SparseLQError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -12,7 +12,7 @@ import pytest
 from sparselq import analysis, cli, model, outer
 from sparselq.errors import EigFailure, InvalidInput, SparseLQError
 
-from conftest import feasible_instance, source_env
+from conftest import ex1_matrices, feasible_instance, source_env
 
 
 def small_problem_doc(seed=13, n=2, m=1):
@@ -242,6 +242,46 @@ class TestSolveRoundtrip:
         with open(tmp_path / "l0" / "stages.csv") as fh:
             header = next(csv.reader(fh))
         assert tuple(header) == analysis.STAGE_TRACE_COLUMNS
+
+
+def _ex1_doc(forced_zeros):
+    A, B2, B1, C, D = ex1_matrices()
+    return {"n": 3, "m": 2, "A": A.ravel().tolist(),
+            "B2": B2.ravel().tolist(), "B1": B1.ravel().tolist(),
+            "C": C.ravel().tolist(), "D": D.ravel().tolist(),
+            "forced_zeros": forced_zeros}
+
+
+class TestForcedZeroSolve:
+    """A solve with forced zeros writes a whole solution.json (the
+    feasibility flag is a JSON bool) that verify accepts."""
+
+    def _solve_and_verify(self, path, tmp_path, capsys, *flags):
+        out = tmp_path / "run"
+        assert cli.run_command(["solve", "--problem", str(path),
+                                "--gamma", "1", "--out", str(out),
+                                *flags]) == 0
+        doc = json.loads((out / "solution.json").read_text())
+        assert doc["feasibility"]["feasible"] is True
+        assert doc["K"][0][1] == 0.0
+        capsys.readouterr()
+        code = cli.run_command(["verify", "--problem", str(path),
+                                "--solution", str(out / "solution.json")])
+        assert code == 0, capsys.readouterr().out
+
+    @pytest.mark.parametrize("relaxation", ["l1", "pq", "l0"])
+    def test_each_regime(self, tmp_path, capsys, relaxation):
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(_changed(forced_zeros=[[0, 1]])))
+        self._solve_and_verify(path, tmp_path, capsys,
+                               "--relaxation", relaxation)
+
+    def test_ex1_l1(self, tmp_path, capsys):
+        # the gain row of the stored multiplier at a forced zero lies far
+        # outside the l1 subdifferential; the pinned entry is exempt
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(_ex1_doc([[0, 1]])))
+        self._solve_and_verify(path, tmp_path, capsys)
 
 
 class TestVerifyPenaltyParameters:
@@ -496,6 +536,43 @@ class TestBadInputs:
         assert code == 2
         assert named in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("key,value", [
+        ("n", 2.5), ("n", True), ("n", "2"), ("m", 1.5), ("m", True),
+        ("forced_zeros", [[0.7, 1.2]]), ("forced_zeros", [[0, True]])])
+    def test_non_integral_size_or_index(self, tmp_path, capsys, key, value):
+        doc = small_problem_doc()
+        doc[key] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code = cli.run_command(["solve", "--problem", str(path),
+                                "--gamma", "1.0",
+                                "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert f"{key}: expected an integer" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_integral_float_size_is_accepted(self):
+        doc = small_problem_doc()
+        doc["n"], doc["forced_zeros"] = 2.0, [[0.0, 1.0]]
+        plant, forced = cli.parse_problem(json.dumps(doc))
+        assert plant.A.shape == (2, 2)
+        assert forced == ((0, 1),)
+
+    def test_problem_is_a_directory(self, tmp_path, capsys):
+        code = cli.run_command(["solve", "--problem", str(tmp_path),
+                                "--gamma", "1.0",
+                                "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_out_is_an_existing_file(self, problem_file, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.write_text("")
+        code = cli.run_command(["solve", "--problem", problem_file,
+                                "--gamma", "1.0", "--out", str(out)])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
 
     @pytest.mark.parametrize("gammas,named", [("50,-1", "gamma"),
                                               ("1,abc", "abc")])

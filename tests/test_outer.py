@@ -287,15 +287,22 @@ class TestSolveRelaxed:
 
 
 class TestInnerResidualColumn:
-    def test_each_solve_stopped_below_its_tolerance(self, ex1_g10):
+    @pytest.mark.parametrize("regime,cap", [
+        (outer.regime_l1, outer.INNER_TOL_CAP_PLAIN),
+        (outer.regime_pq, outer.INNER_TOL_CAP)], ids=["l1", "pq"])
+    def test_each_solve_stopped_below_its_tolerance(self, ex1_lifted, regime,
+                                                    cap):
         # solve_relaxed sets each inner tolerance from the previous
-        # iteration's primal residual
+        # iteration's primal residual; only the accelerated (pq)
+        # schedule keeps the tight cap
+        sol = outer.solve_relaxed(ex1_lifted, regime(10.0))
         col = analysis.TRACE_COLUMNS.index("inner_residual")
-        eps_in = outer.INNER_TOL_CAP
-        for row in ex1_g10.trace:
+        eps_in = cap
+        for row in sol.trace:
             assert 0.0 <= row[col] < eps_in
-            eps_in = max(outer.INNER_TOL_FLOOR,
-                         min(outer.INNER_TOL_CAP, 0.1 * row[3]))
+            eps_in = max(outer.INNER_TOL_FLOOR, min(cap, 0.1 * row[3]))
+            if regime is outer.regime_pq:
+                assert eps_in <= 1e-4
 
     def test_capped_solves_record_the_exact_residual(self, ex1_lifted,
                                                      tmp_path, monkeypatch):
@@ -384,10 +391,10 @@ def test_capped_last_inner_solve_does_not_skip_the_cone_check(ex1_lifted):
 
 
 def test_converged_implies_certified(ex1_lifted, monkeypatch, caplog):
-    # With BETA0 = 4 the first stop of ex1 l1 at gamma 20 meets the
+    # With BETA0 = 16 the first stop of ex1 l1 at gamma 20 meets the
     # residuals and the cones, but its J_upper sits below a vertex cost
     # by more than the slack; the run must go on to a certified stop.
-    monkeypatch.setattr(outer, "BETA0", 4.0)
+    monkeypatch.setattr(outer, "BETA0", 16.0)
     caplog.set_level(logging.INFO, logger="sparselq")
     sol = outer.solve_relaxed(ex1_lifted, outer.regime_l1(20.0))
     assert sol.status == "converged"
