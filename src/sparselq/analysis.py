@@ -28,6 +28,9 @@ STAGE_TRACE_COLUMNS = ("sigma", "pass", "h_sigma", "nnz")
 # the largest 5 (pr + dr) of a converged solve in the test suite.  A
 # stored dual_res must not loosen verify's check without bound.
 TOL_CEILING = 0.05
+# Most samples per channel that simulate_impulse integrates and stores:
+# 100 times the default 10 s at dt 0.01, and a bounded array.
+MAX_SAMPLES = 100_000
 # The fields certify derives; True marks those compared on the scale of
 # ||W|| (eigenvalue and residual fields, which may sit at rounding level).
 CERTIFIED_FIELDS = {"K": False, "J_upper": False, "J_vertex": False,
@@ -180,12 +183,16 @@ def simulate_impulse(plant, K, horizon, dt):
     fixed-step fourth-order Runge-Kutta.  Returns (t, X) where t has
     length nt and X has shape (l, nt, n).
     """
-    if not (dt > 0 and horizon >= 0):
-        raise InvalidInput(f"need dt > 0 and horizon >= 0, got dt={dt!r}, "
-                           f"horizon={horizon!r}")
+    if not (dt > 0 and 0 <= horizon < np.inf):
+        raise InvalidInput(f"need dt > 0 and a finite horizon >= 0, got "
+                           f"dt={dt!r}, horizon={horizon!r}")
+    nt = np.floor(horizon / dt + 1e-12) + 1
+    if nt > MAX_SAMPLES:
+        raise InvalidInput(f"horizon / dt gives {nt:.3g} samples per channel, "
+                           f"above the limit of {MAX_SAMPLES}")
+    nt = int(nt)
     plant = _as_validated(plant).plant
     A_cl = plant.A - plant.B2 @ np.asarray(K, dtype=float)
-    nt = int(np.floor(horizon / dt + 1e-12)) + 1
     t = np.arange(nt) * dt
     n, l = plant.n, plant.l
     X = np.empty((l, nt, n))

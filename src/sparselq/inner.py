@@ -95,18 +95,15 @@ from .vectorize import svec, sym_svec, unsvec
 class DualState:
     """PSD multipliers in isometric svec coordinates, stored flat.
 
-    x is the concatenation (x0, x1, ..., xM); x0 (length p(p+1)/2) and
-    each entry of x_list (length n(n+1)/2) are views into it, and slices
-    gives each block's place in x.  residual is an upper bound on
-    dual_residual(self, data) for the data of the sweep that produced
-    the state; inf for any other state.
+    x is the concatenation (x0, x1, ..., xM), held as given, not copied,
+    and slices gives each block's place in it; x0 (length p(p+1)/2) and
+    each entry of x_list (length n(n+1)/2) are views into x.  residual
+    is an upper bound on dual_residual(self, data) for the data of the
+    sweep that produced the state; inf for any other state.
     """
 
-    def __init__(self, x0, x_list, residual=np.inf):
-        ends = np.cumsum([0, len(x0)] + [len(x) for x in x_list]).tolist()
-        self.x = np.concatenate([x0, *x_list], dtype=float)
-        self.slices = [slice(a, b) for a, b in zip(ends[:-1], ends[1:])]
-        self.residual = residual
+    def __init__(self, x, slices, residual=np.inf):
+        self.x, self.slices, self.residual = x, slices, residual
 
     @property
     def x0(self):
@@ -120,16 +117,11 @@ class DualState:
         return [self.x[sl] for sl in self.slices]
 
 
-def _flat_state(x, slices, residual=np.inf):
-    """A DualState over the vector x itself, not a copy."""
-    state = DualState.__new__(DualState)
-    state.x, state.slices, state.residual = x, slices, residual
-    return state
-
-
 def zero_state(lifted):
-    return DualState(np.zeros(lifted.svec_p.size),
-                     [np.zeros(lifted.svec_n.size) for _ in lifted.F_list])
+    ends = np.cumsum([0, lifted.svec_p.size]
+                     + [lifted.svec_n.size] * len(lifted.F_list)).tolist()
+    return DualState(np.zeros(ends[-1]),
+                     [slice(a, b) for a, b in zip(ends[:-1], ends[1:])])
 
 
 # Below this ratio of its extreme eigenvalues a block curvature is
@@ -310,7 +302,7 @@ def sgs_sweep(state, data, s=None):
 
     bound = _relative_error((z + g, x, g) for z, x, g
                             in zip(zs, xs, _gradients(data, s)))
-    return _flat_state(np.concatenate(xs), state.slices, bound), s
+    return DualState(np.concatenate(xs), state.slices, bound), s
 
 
 def dual_residual(state, data):
@@ -365,7 +357,7 @@ def solve_inner(lifted, d_k, w_k, v_tilde_k, alpha_k, theta_k, eta_f_k,
         else:
             t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
             beta = (t - 1.0) / t_next
-            y = _flat_state(new.x + beta * d, new.slices)
+            y = DualState(new.x + beta * d, new.slices)
             s_y = s_new + beta * (s_new - s)
             t = t_next
         state, s = new, s_new

@@ -98,14 +98,15 @@ def solve_l0(lifted, gamma, options=outer.SolverOptions(),
     sol = None
     P_mat = np.zeros((m, n))
     mu_f = 1.0 / continuation.prox_weight
-    init = {"anchor": (np.eye(lifted.p).reshape(-1, order="F"), mu_f)}
+    warm, anchor = None, (np.eye(lifted.p).reshape(-1, order="F"), mu_f)
 
     for sigma in _sigma_ladder(continuation):
         h_prev = None
         for pass_i in range(continuation.max_passes):
             penalty = outer.regime_l1(gamma, surrogate_weights(P_mat, sigma))
             try:
-                sol = outer.solve_relaxed(lifted, penalty, options, init=init)
+                sol = outer.solve_relaxed(lifted, penalty, options, warm,
+                                          anchor)
             except NotConverged as exc:
                 sol = exc.solution
                 log.warning("sigma=%.3g pass %d: subproblem hit the "
@@ -113,12 +114,7 @@ def solve_l0(lifted, gamma, options=outer.SolverOptions(),
             st = sol.final_state
             total_iters += sol.iterations
             P_mat = st.P_tilde.reshape(m, n, order="F")
-            init = {"anchor": (st.W_tilde.copy(), mu_f),
-                    "W_tilde": st.W_tilde.copy(),
-                    "v": st.v.copy(), "P_tilde": st.P_tilde.copy(),
-                    "w": st.w.copy(), "lam": st.lam.copy(),
-                    "last_primal_res": st.last_primal_res,
-                    "dual_state": st.dual_state}
+            warm, anchor = st, (st.W_tilde, mu_f)
             h_cur = h_sigma_objective(lifted, st.W_tilde, P_mat, gamma, sigma)
             nnz = int(np.count_nonzero(sol.pattern))
             stage_trace.append((sigma, pass_i, h_cur, nnz))

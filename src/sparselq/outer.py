@@ -18,7 +18,6 @@ import logging
 import math
 import time
 from dataclasses import dataclass, replace
-from typing import NamedTuple
 
 import numpy as np
 
@@ -103,64 +102,49 @@ class OuterState:
     eps_pri: float = 0.0
 
 
-def init_state(lifted, penalty, init=None):
-    """Fresh iterate: W and v at the identity, everything else at zero.
+def init_state(lifted, penalty, warm=None, anchor=None):
+    """Iterate at the start of a solve, with the schedule at its start.
 
-    init may replace W_tilde, v, P_tilde, w, lam and last_primal_res,
-    may hand the first inner solve a warm start as dual_state (an
-    inner.DualState, which is not written to), and may add a proximal
-    anchor as a pair (anchor, weight): f1 then gains
-    (weight/2) ||vec(W) - anchor||^2, so mu_f = weight.
+    Without warm, W and v sit at the identity and everything else at
+    zero.  warm, an OuterState such as a previous solve's final_state,
+    lends copies of its W_tilde, v, P_tilde, w, lam and last_primal_res,
+    and its dual_state seeds the first inner solve, which does not write
+    to it.  anchor, a pair (vec, weight), adds the proximal term
+    (weight/2) ||vec(W) - vec||^2 to f1, so mu_f = weight.
     """
-    p, mn = lifted.p, lifted.m * lifted.n
-    rows = lifted.op.n_rows
-    W0 = np.eye(p).reshape(-1, order="F")
-    st = OuterState(W_tilde=W0.copy(), v=W0.copy(),
-                    P_tilde=np.zeros(mn), w=np.zeros(mn),
-                    lam=np.zeros(rows), theta=1.0, kappa=KAPPA0, beta=BETA0,
-                    mu_g=penalty.mu_g, P_prev=np.zeros(mn))
-    if init:
-        for name in ("W_tilde", "v", "P_tilde", "w", "lam"):
-            if name in init and init[name] is not None:
-                setattr(st, name, np.asarray(init[name], dtype=float).copy())
-        st.P_prev = st.P_tilde.copy()
-        if init.get("last_primal_res") is not None:
-            st.last_primal_res = float(init["last_primal_res"])
-        st.dual_state = init.get("dual_state")
-        if init.get("anchor") is not None:
-            anchor, st.mu_f = init["anchor"]
-            st.anchor = np.asarray(anchor, dtype=float).copy()
-    return st
+    if warm is None:
+        W0 = np.eye(lifted.p).reshape(-1, order="F")
+        mn = lifted.m * lifted.n
+        st = OuterState(W_tilde=W0, v=W0.copy(), P_tilde=np.zeros(mn),
+                        w=np.zeros(mn), lam=np.zeros(lifted.op.n_rows))
+    else:
+        st = OuterState(W_tilde=warm.W_tilde.copy(), v=warm.v.copy(),
+                        P_tilde=warm.P_tilde.copy(), w=warm.w.copy(),
+                        lam=warm.lam.copy(), dual_state=warm.dual_state,
+                        last_primal_res=warm.last_primal_res)
+    st.mu_g, st.P_prev = penalty.mu_g, st.P_tilde.copy()
+    if anchor is not None:
+        vec, st.mu_f = anchor
+        st.anchor = np.array(vec, dtype=float)
+    return _reset_schedule(st)
 
 
-class ParamStep(NamedTuple):
-    alpha: float
-    eta_g: float
-    y_tilde: np.ndarray
-    eta_f_tilde: float
-    u: np.ndarray
-    v_tilde: np.ndarray
-    tau: float
-    theta_next: float
-    kappa_next: float
-    beta_next: float
+def _reset_schedule(state):
+    # BETA0 and KAPPA0 are read at call time, so a patched value holds
+    state.theta, state.kappa, state.beta = 1.0, KAPPA0, BETA0
+    return state
 
 
-def step_and_parameters(state):
-    """Scalar schedule and extrapolated auxiliaries for one iteration."""
-    # sqrt(beta theta) / ||B||, and ||B|| = 1: B is -I on the gain rows
-    alpha = np.sqrt(state.beta * state.theta)
-    eta_g = (alpha + 1.0) * state.beta + state.mu_g * alpha
-    y_tilde = state.P_tilde + (alpha * state.beta / eta_g) * (state.w - state.P_tilde)
-    eta_f_tilde = state.kappa + state.mu_f * alpha
-    u = (state.W_tilde + alpha * state.v) / (1.0 + alpha)
-    v_tilde = (state.kappa * state.v + state.mu_f * alpha * u) / eta_f_tilde
-    tau = alpha * alpha / eta_g
-    theta_next = state.theta / (1.0 + alpha)
-    kappa_next = (state.kappa + state.mu_f * alpha) / (1.0 + alpha)
-    beta_next = (state.beta + state.mu_g * alpha) / (1.0 + alpha)
-    return ParamStep(alpha, eta_g, y_tilde, eta_f_tilde, u, v_tilde, tau,
-                     theta_next, kappa_next, beta_next)
+def next_schedule(state):
+    """(alpha, (theta, kappa, beta) of the next iteration), as floats.
+
+    alpha = sqrt(beta theta) / ||B||, and ||B|| = 1: B is -I on the gain
+    rows.
+    """
+    alpha = math.sqrt(state.beta * state.theta)
+    return alpha, (state.theta / (1.0 + alpha),
+                   (state.kappa + state.mu_f * alpha) / (1.0 + alpha),
+                   (state.beta + state.mu_g * alpha) / (1.0 + alpha))
 
 
 def outer_iteration(state, lifted, penalty, options=SolverOptions()):
@@ -173,11 +157,15 @@ def outer_iteration(state, lifted, penalty, options=SolverOptions()):
     O(1/k) schedule tolerates the looser INNER_TOL_CAP_PLAIN.
     """
     op = lifted.op
-    ps = step_and_parameters(state)
+    theta, kappa, beta, mu_f = state.theta, state.kappa, state.beta, state.mu_f
+    alpha, schedule = next_schedule(state)
+    u = (state.W_tilde + alpha * state.v) / (1.0 + alpha)
+    eta_f = kappa + mu_f * alpha
+    v_tilde = (kappa * state.v + mu_f * alpha * u) / eta_f
 
     d = lifted.vec_R() + op.apply_At(state.lam)
     if state.anchor is not None:
-        d = d + state.mu_f * (ps.u - state.anchor)
+        d = d + mu_f * (u - state.anchor)
 
     cap = INNER_TOL_CAP if state.mu_g > 0.0 else INNER_TOL_CAP_PLAIN
     if state.last_primal_res is None:
@@ -187,9 +175,8 @@ def outer_iteration(state, lifted, penalty, options=SolverOptions()):
     capped = False
     try:
         v_next, sweeps, dstate = inner.solve_inner(
-            lifted, d, state.w, ps.v_tilde, ps.alpha, state.theta,
-            ps.eta_f_tilde, eps_in, options.max_sweeps,
-            warm_start=state.dual_state)
+            lifted, d, state.w, v_tilde, alpha, theta, eta_f, eps_in,
+            options.max_sweeps, warm_start=state.dual_state)
         inner_res = dstate.residual
     except MaxSweepsExceeded as exc:
         log.warning("iteration %d: %s; accepting best iterate", state.k, exc)
@@ -197,12 +184,14 @@ def outer_iteration(state, lifted, penalty, options=SolverOptions()):
         inner_res = exc.residual
         capped = True
 
-    alpha, theta = ps.alpha, state.theta
     W_next = (state.W_tilde + alpha * v_next) / (1.0 + alpha)
     lam_bar = state.lam + (alpha / theta) * op.residual(v_next, state.w)
 
-    Z = ps.y_tilde - ps.tau * op.apply_Bt(lam_bar)
-    P = penalty.prox(Z.reshape(lifted.m, lifted.n, order="F"), 1.0 / ps.tau)
+    eta_g = (alpha + 1.0) * beta + state.mu_g * alpha
+    tau = alpha * alpha / eta_g
+    y_tilde = state.P_tilde + (alpha * beta / eta_g) * (state.w - state.P_tilde)
+    Z = y_tilde - tau * op.apply_Bt(lam_bar)
+    P = penalty.prox(Z.reshape(lifted.m, lifted.n, order="F"), 1.0 / tau)
     # a fixed topology adds the indicator of the pinned set to the
     # penalty; its prox zeroes those entries outright, which is what
     # keeps them exact in the averaged iterate rather than merely small
@@ -218,7 +207,7 @@ def outer_iteration(state, lifted, penalty, options=SolverOptions()):
     state.P_tilde, state.w = P_next, w_next
     state.lam = lam_next
     state.alpha = alpha
-    state.theta, state.kappa, state.beta = ps.theta_next, ps.kappa_next, ps.beta_next
+    state.theta, state.kappa, state.beta = schedule
     state.k += 1
     state.dual_state = dstate
     state.last_sweeps = sweeps
@@ -243,10 +232,7 @@ def restart_averages(state):
     """
     state.W_tilde = state.v.copy()
     state.w = state.P_tilde.copy()
-    state.theta = 1.0
-    state.kappa = KAPPA0
-    state.beta = BETA0
-    return state
+    return _reset_schedule(state)
 
 
 def _norm(v):
@@ -289,10 +275,11 @@ def _restart_due(state, options, primal_res):
             and state.sharp_primal_res <= state.eps_pri < primal_res)
 
 
-def solve_relaxed(lifted, penalty, options=SolverOptions(), init=None):
+def solve_relaxed(lifted, penalty, options=SolverOptions(), warm=None,
+                  anchor=None):
     """Iterate to a certified stop and return its Solution.
 
-    penalty is a penalties.Penalty and init is passed to init_state.
+    penalty is a penalties.Penalty; warm and anchor go to init_state.
     When the residual test passes, analysis.certify judges the averaged
     iterate; the run stops only on a certified point, whose certificate
     becomes the Solution.  Raises NotConverged (carrying the best-effort
@@ -300,7 +287,7 @@ def solve_relaxed(lifted, penalty, options=SolverOptions(), init=None):
     is replaced by 1e-8, which leaves the common code path valid for the
     dense (unpenalized) problem; the schedule keeps the requested mu_g.
     """
-    state = init_state(lifted, penalty, init)
+    state = init_state(lifted, penalty, warm, anchor)
     if penalty.gamma == 0.0:
         penalty = replace(penalty, gamma=1e-8)
         log.info("gamma=0 request run at gamma=1e-8")

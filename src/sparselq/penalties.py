@@ -90,7 +90,8 @@ def _check_pq(pq_params):
 
 
 def _weights_like(weights, Z):
-    return np.ones_like(Z) if weights is None else np.broadcast_to(weights, Z.shape)
+    # unit weights as the scalar 1.0: the same products, no array
+    return 1.0 if weights is None else np.broadcast_to(weights, Z.shape)
 
 
 def prox_weighted_l1(Z, gamma, weights, rho):

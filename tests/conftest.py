@@ -236,10 +236,18 @@ def pg_dual_oracle(lifted, data, max_steps=10 ** 6, move_tol=1e-13):
         z = z_new
         if moved <= move_tol * (1.0 + np.linalg.norm(z)):
             break
-    x0 = z[:sp.size]
-    xs = [z[sp.size + i * sn.size: sp.size + (i + 1) * sn.size]
-          for i in range(nv)]
-    return _inner.DualState(x0=x0, x_list=xs), steps
+    state = _inner.zero_state(lifted)
+    state.x[:] = z
+    return state, steps
+
+
+def dual_state(lifted, blocks):
+    """inner.zero_state(lifted) with its blocks, X0 first, set to blocks."""
+    from sparselq import inner
+    state = inner.zero_state(lifted)
+    for b, x in zip(state.blocks(), blocks, strict=True):
+        b[:] = x
+    return state
 
 
 def project_psd(S):

@@ -280,9 +280,7 @@ def test_criterion_7_property_pack(ex1_lifted):
             theta=1.0, kappa=1.0, beta=1.0, mu_f=0.0, mu_g=mu_g)
         thetas = [st.theta]
         for _ in range(steps):
-            ps = outer.step_and_parameters(st)
-            st.theta, st.kappa, st.beta = (ps.theta_next, ps.kappa_next,
-                                           ps.beta_next)
+            _, (st.theta, st.kappa, st.beta) = outer.next_schedule(st)
             thetas.append(st.theta)
         return np.array(thetas)
 

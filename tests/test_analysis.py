@@ -191,6 +191,15 @@ class TestSimulateImpulse:
             analysis.simulate_impulse(scalar_plant(), np.zeros((1, 1)),
                                       horizon=1.0, dt=0.0)
 
+    @pytest.mark.parametrize("horizon,needle", [
+        (np.inf, "finite horizon"),
+        (analysis.MAX_SAMPLES * 0.01, "above the limit")])
+    def test_rejects_an_oversized_horizon(self, horizon, needle):
+        # MAX_SAMPLES * dt is one sample past the limit
+        with pytest.raises(InvalidInput, match=needle):
+            analysis.simulate_impulse(scalar_plant(), np.zeros((1, 1)),
+                                      horizon=horizon, dt=0.01)
+
 
 class TestFeasibilityReport:
     def test_feasible_construction(self):

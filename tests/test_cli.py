@@ -761,15 +761,21 @@ class TestSimulate:
         first = [float(v) for v in table[1][2:]]
         np.testing.assert_allclose(first, [1.0, 0.0])
 
-    @pytest.mark.parametrize("flags", [["--dt", "0"], ["--horizon", "-1"]])
+    @pytest.mark.parametrize("flags", [
+        ["--dt", "0"], ["--horizon", "-1"], ["--horizon", "inf"],
+        ["--horizon", "1e13"]])
     def test_bad_step_is_bad_input(self, problem_file, tmp_path, capsys,
                                    flags):
+        # an infinite horizon, or one of more than MAX_SAMPLES samples,
+        # is refused before any array is allocated
         path, _ = _solve_and_load(problem_file, tmp_path, "--gamma", "0.5")
         code = cli.run_command(["simulate", "--problem", problem_file,
                                 "--solution", str(path), *flags,
                                 "--out", str(tmp_path / "sim")])
         assert code == 2
-        assert flags[0][2:] in capsys.readouterr().err
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert flags[0][2:] in err[0]
 
     @pytest.mark.parametrize("text,needle", [
         ('{"W": [[1.0]]}', "'K'"),

@@ -4,8 +4,8 @@ import pytest
 from sparselq import analysis, inner, model, vectorize
 from sparselq.errors import EigFailure, MaxSweepsExceeded
 
-from conftest import (dual_objective, feasible_instance, make_inner_instance,
-                      pg_dual_oracle, primal_objective)
+from conftest import (dual_objective, dual_state, feasible_instance,
+                      make_inner_instance, pg_dual_oracle, primal_objective)
 
 
 def assemble(rng_seed):
@@ -99,10 +99,10 @@ class TestCholeskyHint:
         lifted, data, args = assemble(22)
         assert data.pd == [True] * (1 + lifted.n_vertices)
         rng = np.random.default_rng(22)
-        state = inner.DualState(
+        state = dual_state(lifted, [
             -np.abs(rng.standard_normal(lifted.svec_p.size)),
-            [rng.standard_normal(lifted.svec_n.size)
-             for _ in lifted.J_list])
+            *(rng.standard_normal(lifted.svec_n.size)
+              for _ in lifted.J_list)])
         inner.sgs_sweep(state, data)
         assert not all(data.pd)
         again, _ = inner.assemble_dual_data(lifted, *args)
@@ -201,7 +201,7 @@ class TestSolveInner:
                 assert not any(np.shares_memory(b, x) for x in arrays)
 
         inputs = warm.blocks() + [s]
-        for start in (warm, inner.DualState(x0=warm.x0, x_list=warm.x_list)):
+        for start in (warm, inner.DualState(warm.x.copy(), warm.slices)):
             new, s_new = inner.sgs_sweep(start, data, s)
             unchanged()
             disjoint(new, s_new, *inputs, *start.blocks())
@@ -291,8 +291,8 @@ def interior_instance(seed):
     W1 = analysis.solve_lyapunov(plant.A - plant.B2 @ K, plant.B1 @ plant.B1.T)
     W = np.block([[W1, W1 @ K.T], [K @ W1, K @ W1 @ K.T + np.eye(2)]])
     G = rng.standard_normal((3, 3))
-    x_star = inner.DualState(np.zeros(lifted.svec_p.size),
-                             [inner.svec(G @ G.T + np.eye(3), lifted.svec_n)])
+    x_star = dual_state(lifted, [np.zeros(lifted.svec_p.size),
+                                 inner.svec(G @ G.T + np.eye(3), lifted.svec_n)])
     d_k = rng.standard_normal((p, p))
     d_k = (d_k + d_k.T).reshape(-1, order="F")
     args = [d_k, rng.standard_normal(2 * 3), np.zeros(p * p), 5.0, 0.01, 1.3]
@@ -370,7 +370,7 @@ class TestExactStep:
         G = np.random.default_rng(seed).standard_normal((lifted.p, lifted.p))
         x0 = inner.svec(0.1 * G @ G.T, lifted.svec_p)
         x1 = np.zeros(lifted.svec_n.size)
-        return lifted, data, inner.DualState(x0, [x1])
+        return lifted, data, dual_state(lifted, [x0, x1])
 
     def test_gradient_vanishes_and_objective_is_no_higher(self):
         lifted, data, state = self.start()
@@ -382,7 +382,7 @@ class TestExactStep:
             majorized = inner._project(x + g / data.rho_list[0],
                                        lifted.svec_n)[0]
         assert took_exact
-        after = [inner.DualState(state.x0, [new])
+        after = [dual_state(lifted, [state.x0, new])
                  for new in (exact, majorized)]
         g_exact = kq + J.dot(inner.recover_primal(data, after[0]))
         assert np.linalg.norm(g_exact) <= 1e-10 * np.linalg.norm(g)
@@ -469,9 +469,8 @@ class TestResidualBound:
         for _ in range(5):
             # extrapolated against the direction of progress,
             # y = prev + 2 (prev - state)
-            y0, *ys = [x + 2.0 * (x - xp)
-                       for x, xp in zip(prev.blocks(), state.blocks())]
-            y = inner.DualState(y0, ys)
+            y = inner.DualState(prev.x + 2.0 * (prev.x - state.x),
+                                prev.slices)
             assert outside_cones(lifted, y)
             prev, state = state, self.sweep_and_compare(y, data, sweeps=1)
 
@@ -484,9 +483,9 @@ class TestResidualBound:
         rng = np.random.default_rng(24)
         G = rng.standard_normal((lifted.p, lifted.p))
         x0 = inner.svec(0.1 * G @ G.T, lifted.svec_p)
-        start = inner.DualState(x0, [x_star.x_list[0]
-                                     + 0.1 * rng.standard_normal(
-                                         lifted.svec_n.size)])
+        start = dual_state(lifted, [x0, x_star.x_list[0]
+                                    + 0.1 * rng.standard_normal(
+                                        lifted.svec_n.size)])
         taken, step = [], inner._vertex_step
 
         def recorded_step(*a):

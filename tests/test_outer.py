@@ -1,5 +1,6 @@
 import csv
 import logging
+import math
 
 import numpy as np
 import pytest
@@ -47,65 +48,159 @@ class TestRegimeConstructors:
         # the anchor and its weight mu_f = 1/lambda arrive as one pair
         pen = outer.regime_l1(1.0, np.ones((ex1_lifted.m, ex1_lifted.n)))
         anchor = np.eye(ex1_lifted.p).reshape(-1, order="F")
-        st = outer.init_state(ex1_lifted, pen, {"anchor": (anchor, 0.1)})
+        st = outer.init_state(ex1_lifted, pen, anchor=(anchor, 0.1))
         assert (st.mu_f, st.mu_g) == (pytest.approx(1.0 / 10.0), 0.0)
         np.testing.assert_array_equal(st.anchor, anchor)
         st = outer.init_state(ex1_lifted, pen)
         assert (st.mu_f, st.anchor) == (0.0, None)
 
 
+class TestHandOff:
+    """init_state(warm=st, anchor=pair): the l0 continuation's hand-off
+    from one subproblem to the next."""
+
+    ARRAYS = ("W_tilde", "v", "P_tilde", "w", "lam", "P_prev", "anchor")
+
+    def test_copies_the_iterate_and_takes_mu_f_from_the_anchor(self,
+                                                               ex1_lifted,
+                                                               ex1_g10):
+        st = ex1_g10.final_state
+        pen = outer.regime_l1(1.0, np.ones((ex1_lifted.m, ex1_lifted.n)))
+        new = outer.init_state(ex1_lifted, pen, warm=st,
+                               anchor=(st.W_tilde, 0.25))
+        mine = [getattr(new, k) for k in self.ARRAYS]
+        theirs = [a for a in (getattr(st, k) for k in self.ARRAYS)
+                  if a is not None] + [st.dual_state.x]
+        assert not any(np.shares_memory(a, b) for a in mine for b in theirs)
+        for name in ("W_tilde", "v", "P_tilde", "w", "lam"):
+            np.testing.assert_array_equal(getattr(new, name),
+                                          getattr(st, name))
+        np.testing.assert_array_equal(new.P_prev, st.P_tilde)
+        np.testing.assert_array_equal(new.anchor, st.W_tilde)
+        assert (new.mu_f, new.mu_g, new.k) == (0.25, 0.0, 0)
+        assert new.last_primal_res == st.last_primal_res
+        assert new.dual_state is st.dual_state
+
+    def test_a_solve_leaves_the_warm_state_as_it_was(self, ex1_lifted,
+                                                     ex1_g10):
+        st = ex1_g10.final_state
+        arrays = {k: getattr(st, k).copy() for k in self.ARRAYS[:-1]}
+        scalars = (st.theta, st.kappa, st.beta, st.k, st.last_primal_res)
+        dual, x = st.dual_state, st.dual_state.x.copy()
+        sol = outer.solve_relaxed(ex1_lifted, outer.regime_l1(10.0),
+                                  warm=st, anchor=(st.W_tilde, 0.1))
+        assert sol.final_state is not st and sol.final_state.mu_f == 0.1
+        for k, a in arrays.items():
+            np.testing.assert_array_equal(getattr(st, k), a)
+        assert (st.theta, st.kappa, st.beta, st.k,
+                st.last_primal_res) == scalars
+        assert st.dual_state is dual
+        np.testing.assert_array_equal(dual.x, x)
+
+    def test_schedule_restarts_from_the_constants(self, ex1_lifted, ex1_g10,
+                                                  monkeypatch):
+        # BETA0 and KAPPA0 are read at call time, by init_state and by
+        # restart_averages alike
+        monkeypatch.setattr(outer, "BETA0", 16.0)
+        monkeypatch.setattr(outer, "KAPPA0", 2.0)
+        st = ex1_g10.final_state
+        assert st.theta < 1.0
+        pen = outer.regime_l1(10.0)
+        for new in (outer.init_state(ex1_lifted, pen, warm=st),
+                    outer.init_state(ex1_lifted, pen)):
+            assert (new.theta, new.kappa, new.beta) == (1.0, 2.0, 16.0)
+        new = outer.outer_iteration(new, ex1_lifted, pen)
+        assert new.beta != 16.0
+        outer.restart_averages(new)
+        assert (new.theta, new.kappa, new.beta) == (1.0, 2.0, 16.0)
+
+
+def advance_schedule(mu_f=0.0, mu_g=0.0, steps=300):
+    """theta_0, ..., theta_steps of the scalar schedule from its start."""
+    state = outer.OuterState(
+        W_tilde=np.zeros(1), v=np.zeros(1), P_tilde=np.zeros(1),
+        w=np.zeros(1), lam=np.zeros(1), mu_f=mu_f, mu_g=mu_g)
+    thetas = [state.theta]
+    for _ in range(steps):
+        _, (state.theta, state.kappa, state.beta) = outer.next_schedule(state)
+        thetas.append(state.theta)
+    return np.array(thetas)
+
+
 class TestSchedule:
-    def _advance(self, mu_f=0.0, mu_g=0.0, steps=300):
-        state = outer.OuterState(
-            W_tilde=np.zeros(1), v=np.zeros(1), P_tilde=np.zeros(1),
-            w=np.zeros(1), lam=np.zeros(1),
-            theta=1.0, kappa=1.0, beta=1.0, mu_f=mu_f, mu_g=mu_g)
-        thetas = [state.theta]
-        for _ in range(steps):
-            ps = outer.step_and_parameters(state)
-            state.theta, state.kappa, state.beta = (
-                ps.theta_next, ps.kappa_next, ps.beta_next)
-            thetas.append(state.theta)
-        return np.array(thetas)
 
     def test_theta_closed_form_without_strong_convexity(self):
-        thetas = self._advance()
+        thetas = advance_schedule()
         k = np.arange(thetas.size)
         np.testing.assert_allclose(thetas, 1.0 / (k + 1.0), rtol=1e-12)
 
     def test_theta_order_k2_with_strong_convexity(self):
-        thetas = self._advance(mu_g=1.0, steps=3000)
+        thetas = advance_schedule(mu_g=1.0, steps=3000)
         k = np.arange(thetas.size)
         scaled = (k[100:] ** 2) * thetas[100:]
         assert scaled.max() < 20.0
         # genuinely faster than 1/k
         assert thetas[3000] < 0.01 / 3000
 
-    def test_formulas_by_hand(self):
+    def test_formulas_by_hand(self, ex1_lifted, monkeypatch):
+        # one outer_iteration from a state with every scalar and vector
+        # set, its inner solve and prox replaced by recorders
+        lifted, op = ex1_lifted, ex1_lifted.op
         rng = np.random.default_rng(0)
-        state = outer.OuterState(
-            W_tilde=rng.standard_normal(4), v=rng.standard_normal(4),
-            P_tilde=rng.standard_normal(2), w=rng.standard_normal(2),
-            lam=np.zeros(3),
-            theta=0.25, kappa=0.5, beta=0.8, mu_f=0.3, mu_g=0.7)
-        ps = outer.step_and_parameters(state)
-        alpha = np.sqrt(0.8 * 0.25)
-        assert ps.alpha == pytest.approx(alpha)
-        eta_g = (alpha + 1.0) * 0.8 + 0.7 * alpha
-        assert ps.eta_g == pytest.approx(eta_g)
-        np.testing.assert_allclose(
-            ps.y_tilde,
-            state.P_tilde + (alpha * 0.8 / eta_g) * (state.w - state.P_tilde))
+        anchor = rng.standard_normal(lifted.p ** 2)
+        state = outer.init_state(lifted, outer.regime_l1(1.0),
+                                 anchor=(anchor, 0.3))
+        mn = lifted.m * lifted.n
+        state.W_tilde = state.W_tilde + 0.1 * rng.standard_normal(lifted.p ** 2)
+        state.v = state.v + 0.1 * rng.standard_normal(lifted.p ** 2)
+        state.P_tilde, state.w = rng.standard_normal((2, mn))
+        state.lam = rng.standard_normal(op.n_rows)
+        state.theta, state.kappa, state.beta, state.mu_g = 0.25, 0.5, 0.8, 0.7
+        before = {k: getattr(state, k).copy()
+                  for k in ("W_tilde", "v", "P_tilde", "w", "lam")}
+        v_next = rng.standard_normal(lifted.p ** 2)
+        seen = {}
+
+        def solve_inner(lifted_, d, w, v_tilde, alpha, theta, eta_f, *rest,
+                        **kwargs):
+            seen.update(d=d, v_tilde=v_tilde, alpha=alpha, theta=theta,
+                        eta_f=eta_f)
+            return v_next.copy(), 1, inner.zero_state(lifted)
+
+        class Recorder:
+            def prox(self, Z, rho):
+                seen.update(Z=Z.reshape(-1, order="F").copy(), rho=rho)
+                return np.zeros_like(Z)
+
+        monkeypatch.setattr(inner, "solve_inner", solve_inner)
+        outer.outer_iteration(state, lifted, Recorder())
+
+        alpha = math.sqrt(0.8 * 0.25)
+        assert type(seen["alpha"]) is float and type(state.theta) is float
+        assert seen["alpha"] == alpha and seen["theta"] == 0.25
         eta_f = 0.5 + 0.3 * alpha
-        assert ps.eta_f_tilde == pytest.approx(eta_f)
-        u = (state.W_tilde + alpha * state.v) / (1.0 + alpha)
-        np.testing.assert_allclose(ps.u, u)
+        assert seen["eta_f"] == pytest.approx(eta_f)
+        u = (before["W_tilde"] + alpha * before["v"]) / (1.0 + alpha)
         np.testing.assert_allclose(
-            ps.v_tilde, (0.5 * state.v + 0.3 * alpha * u) / eta_f)
-        assert ps.tau == pytest.approx(alpha ** 2 / eta_g)
-        assert ps.theta_next == pytest.approx(0.25 / (1.0 + alpha))
-        assert ps.kappa_next == pytest.approx((0.5 + 0.3 * alpha) / (1.0 + alpha))
-        assert ps.beta_next == pytest.approx((0.8 + 0.7 * alpha) / (1.0 + alpha))
+            seen["v_tilde"], (0.5 * before["v"] + 0.3 * alpha * u) / eta_f)
+        np.testing.assert_allclose(
+            seen["d"], lifted.vec_R() + op.apply_At(before["lam"])
+            + 0.3 * (u - anchor))
+        eta_g = (alpha + 1.0) * 0.8 + 0.7 * alpha
+        tau = alpha ** 2 / eta_g
+        assert seen["rho"] == pytest.approx(1.0 / tau)
+        y_tilde = before["P_tilde"] + (alpha * 0.8 / eta_g) * (
+            before["w"] - before["P_tilde"])
+        lam_bar = before["lam"] + (alpha / 0.25) * op.residual(v_next,
+                                                               before["w"])
+        np.testing.assert_allclose(seen["Z"],
+                                   y_tilde - tau * op.apply_Bt(lam_bar))
+        np.testing.assert_allclose(
+            state.W_tilde, (before["W_tilde"] + alpha * v_next) / (1.0 + alpha))
+        assert (state.theta, state.kappa, state.beta) == (
+            pytest.approx(0.25 / (1.0 + alpha)),
+            pytest.approx((0.5 + 0.3 * alpha) / (1.0 + alpha)),
+            pytest.approx((0.8 + 0.7 * alpha) / (1.0 + alpha)))
 
 
 class TestIterationInvariants:
@@ -225,12 +320,8 @@ class TestSolveRelaxed:
         assert t[-1][3] < t[0][3]
 
     def test_warm_start_resumes(self, ex1_lifted, ex1_g10):
-        st = ex1_g10.final_state
-        init = {"W_tilde": st.W_tilde, "v": st.v, "P_tilde": st.P_tilde,
-                "w": st.w, "lam": st.lam,
-                "last_primal_res": st.last_primal_res}
         sol = outer.solve_relaxed(ex1_lifted, outer.regime_l1(10.0),
-                                  init=init)
+                                  warm=ex1_g10.final_state)
         assert sol.iterations < ex1_g10.iterations / 3
         assert sol.J_upper == pytest.approx(ex1_g10.J_upper, rel=1e-3)
 
@@ -370,7 +461,7 @@ class TestAdaptiveRestart:
         anchor = np.eye(lifted.p).reshape(-1, order="F")
         regime = outer.regime_l1(10.0, np.ones((lifted.m, lifted.n)))
         sol = outer.solve_relaxed(lifted, regime,
-                                  init={"anchor": (anchor, 1.0 / 10.0)})
+                                  anchor=(anchor, 1.0 / 10.0))
         restarts = _restart_iterations(sol.trace)
         assert sol.certified
         assert any(k % 2000 for k in restarts)

@@ -14,7 +14,7 @@ import pytest
 from sparselq import inner, l0, model, outer
 from sparselq.errors import EigFailure
 
-from conftest import make_inner_instance
+from conftest import dual_state, make_inner_instance
 
 
 @pytest.fixture(autouse=True)
@@ -34,7 +34,7 @@ def indefinite_start():
     for x, maps in [(x0, lifted.svec_p)] + [(x, lifted.svec_n) for x in xs]:
         w = np.linalg.eigvalsh(inner.unsvec(x, maps))
         assert w[0] < 0 < w[-1]
-    return data, inner.DualState(x0, xs)
+    return data, dual_state(lifted, [x0, *xs])
 
 
 def test_sweep_on_indefinite_blocks():

@@ -1,0 +1,74 @@
+"""One SHA-256 over the answers of a fixed set of solves.
+
+Solves ex1 (bench/problems/ex1.json, read only) under l1 over the gamma
+grid 1e-8, 1, 5, 10, 20, 50, under pq at gamma 5, and by solve_l0 down
+one short sigma ladder, and hashes each Solution's W, P, trace (every
+column but wall_ms) and stage trace, bit for bit.  Two trees that give
+the same digest gave the same answers to the last bit, which the
+4-digit fingerprints of tests/answers.json cannot show.  It uses
+whichever sparselq is importable, so
+
+    PYTHONPATH=src python tools/answer_digest.py
+
+digests the working tree, and the same command in another checkout
+digests that one.  It takes no options and writes no file.
+"""
+
+import hashlib
+import logging
+import os
+import sys
+
+import numpy as np
+
+from sparselq import analysis, cli, l0, outer
+from sparselq.errors import NotConverged
+
+PROBLEM = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                       os.pardir, "bench", "problems", "ex1.json")
+L1_GAMMAS = (1e-8, 1.0, 5.0, 10.0, 20.0, 50.0)
+PQ_GAMMA = 5.0
+L0_GAMMA = 1.0
+LADDER = l0.ContinuationOptions(sigma0=1.0, sigma_min=0.05, sigma_decay=0.5)
+
+
+def _solve(call):
+    try:
+        return call()
+    except NotConverged as exc:
+        return exc.solution
+
+
+def _rows(rows, skip=()):
+    # float.hex is exact and reads the same for numpy and Python scalars
+    return "\n".join(",".join(float(x).hex() for i, x in enumerate(row)
+                              if i not in skip) for row in rows)
+
+
+def solutions(lifted):
+    """(label, Solution) of every solve the digest covers."""
+    for gamma in L1_GAMMAS:
+        yield f"l1 {gamma:g}", _solve(lambda: outer.solve_relaxed(
+            lifted, outer.regime_l1(gamma)))
+    yield f"pq {PQ_GAMMA:g}", _solve(lambda: outer.solve_relaxed(
+        lifted, outer.regime_pq(PQ_GAMMA)))
+    yield f"l0 {L0_GAMMA:g}", _solve(lambda: l0.solve_l0(
+        lifted, L0_GAMMA, continuation=LADDER))
+
+
+def main():
+    # the continuation's warnings are not hashed; keep them off stderr
+    logging.getLogger("sparselq").setLevel(logging.ERROR)
+    lifted = cli.load_problem(PROBLEM)
+    wall = {analysis.TRACE_COLUMNS.index("wall_ms")}
+    digest = hashlib.sha256()
+    for label, sol in solutions(lifted):
+        for part in (label, np.ascontiguousarray(sol.W, dtype=float).tobytes(),
+                     np.ascontiguousarray(sol.P, dtype=float).tobytes(),
+                     _rows(sol.trace, wall), _rows(sol.stage_trace)):
+            digest.update(part.encode() if isinstance(part, str) else part)
+    print(digest.hexdigest())
+
+
+if __name__ == "__main__":
+    sys.exit(main())
