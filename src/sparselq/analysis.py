@@ -31,6 +31,9 @@ TOL_CEILING = 0.05
 # Most samples per channel that simulate_impulse integrates and stores:
 # 100 times the default 10 s at dt 0.01, and a bounded array.
 MAX_SAMPLES = 100_000
+# An entry of a gain counts as zero at most this times max(1, its
+# largest magnitude).
+ZERO_TOL = 1e-6
 # The fields certify derives; True marks those compared on the scale of
 # ||W|| (eigenvalue and residual fields, which may sit at rounding level).
 CERTIFIED_FIELDS = {"K": False, "J_upper": False, "J_vertex": False,
@@ -104,7 +107,8 @@ def solve_lyapunov(A_cl, Q_sym):
     MAX_LYAPUNOV_ORDER raises InvalidInput.  The solution is symmetrized and
     checked by its backward error: the residual must not exceed
     1e-10 * (||A_cl||_F ||W||_F + ||Q_sym||_F), with one refinement pass
-    before giving up.  A residual scaled by Q_sym alone would reject
+    before giving up.  A singular operator or a residual out of bound
+    raises ArithmeticError.  A residual scaled by Q_sym alone would reject
     well-solved equations of far from normal A_cl, whose W is large.
     """
     A_cl = np.asarray(A_cl, dtype=float)
@@ -122,8 +126,12 @@ def solve_lyapunov(A_cl, Q_sym):
 
     def solve(rhs):
         # vec is column-major: vec(A W) = (I kron A) vec(W) and
-        # vec(W A^T) = (A kron I) vec(W)
-        W = np.linalg.solve(op, -rhs.reshape(-1, order="F"))
+        # vec(W A^T) = (A kron I) vec(W).  A Hurwitz A_cl with an
+        # eigenvalue near zero can leave op singular in floating point.
+        try:
+            W = np.linalg.solve(op, -rhs.reshape(-1, order="F"))
+        except np.linalg.LinAlgError as exc:
+            raise ArithmeticError(f"lyapunov operator: {exc}") from None
         W = W.reshape(n, n, order="F")
         return 0.5 * (W + W.T)
 
@@ -164,14 +172,14 @@ def h2_cost(plant, K):
     return out
 
 
-def sparsity_report(P_or_K, tol=1e-6):
+def sparsity_report(P_or_K):
     """Binary support pattern and zero count.
 
     An entry counts as zero when its magnitude is at most
-    tol * max(1, largest magnitude).
+    ZERO_TOL * max(1, largest magnitude).
     """
     M = np.asarray(P_or_K, dtype=float)
-    thresh = tol * max(1.0, float(np.max(np.abs(M), initial=0.0)))
+    thresh = ZERO_TOL * max(1.0, float(np.max(np.abs(M), initial=0.0)))
     pattern = (np.abs(M) > thresh).astype(int)
     return pattern, int(pattern.size - pattern.sum())
 

@@ -29,9 +29,10 @@ the flags, so a bad flag fails before any work.  sweep solves its gammas
 in a process pool and merges the rows the workers return.
 
 Exit codes: 0 success, 2 bad input (errors.InvalidInput; in verify also
-a regime other than l1, pq or l0, and a stored gamma, weights or
-pq_params that penalties.Penalty rejects), a file that cannot be read
-or written (OSError) or a numerical failure, 3
+a regime other than l1, pq or l0, a non-finite stored matrix, and a
+stored gamma, weights or pq_params that penalties.Penalty rejects), a
+file that cannot be read or written (OSError) or a numerical failure
+(also numpy's LinAlgError, such as a W whose blocks overflow), 3
 solver did not converge (in a sweep: some gamma did not converge or
 failed with an error row), 4 verification failed.
 """
@@ -88,6 +89,8 @@ def _matrix(flat, rows, cols, name):
     if arr.size != rows * cols:
         raise InvalidInput(f"{name}: expected {rows * cols} entries "
                          f"({rows}x{cols}), got {arr.size}")
+    if not np.all(np.isfinite(arr)):
+        raise InvalidInput(f"{name}: entries must be finite")
     return arr.reshape(rows, cols)
 
 
@@ -248,7 +251,7 @@ def _sweep_worker(payload):
     lifted = load_problem(problem_path)
     try:
         code, sol = _run_one(lifted, relaxation, gamma, options, continuation)
-    except SparseLQError as exc:
+    except (SparseLQError, np.linalg.LinAlgError) as exc:
         # this gamma failed inside the solve; the other rows still merge
         log.warning("gamma=%g: %s", gamma, exc)
         return 3, {**dict.fromkeys(SWEEP_COLUMNS), "gamma": gamma,
@@ -427,7 +430,7 @@ def run_command(argv):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (SparseLQError, OSError) as exc:
+    except (SparseLQError, OSError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

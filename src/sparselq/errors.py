@@ -8,9 +8,10 @@ type to one exit code:
                           also a ValueError.
     NotConverged       3  the outer loop ran out of iterations; solve
                           still writes the best-effort solution.
-    EigFailure,        2  a numerical failure inside solve or verify; in
-    SingularW1,           a sweep, as for any SparseLQError raised while
-    NotHurwitz            solving one gamma, 3 with an error row.
+    EigFailure,        2  a numerical failure inside solve or verify (as
+    SingularW1,           is numpy's LinAlgError); in a sweep, as for any
+    NotHurwitz            SparseLQError or LinAlgError raised while
+                          solving one gamma, 3 with an error row.
                           SingularW1 comes only from a solve out of
                           budget; a converged stop never raises it.
     MaxSweepsExceeded  -  caught by the outer loop, which accepts the

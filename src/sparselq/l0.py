@@ -16,12 +16,17 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import analysis, outer
-from .errors import InvalidInput, NotConverged, require_count, require_positive
+from .errors import InvalidInput, NotConverged, require_positive
 
 log = logging.getLogger("sparselq")
 
-# A stage ends when a pass changes h_sigma by at most this, relative.
+# A stage ends when a pass changes h_sigma by at most this, relative,
+# or after MAX_PASSES passes (read at call time, so a patched value
+# holds).
 PASS_TOL = 1e-5
+MAX_PASSES = 50
+# h_sigma is inf where (W, P) is infeasible beyond this tolerance.
+FEAS_TOL = 1e-3
 
 
 @dataclass(frozen=True)
@@ -36,7 +41,6 @@ class ContinuationOptions:
     sigma0: float = 1.0
     sigma_min: float = 1e-4
     sigma_decay: float = 0.7
-    max_passes: int = 50
     prox_weight: float = 10.0
 
     def __post_init__(self):
@@ -44,7 +48,6 @@ class ContinuationOptions:
         if not 0 < self.sigma_decay < 1:
             raise InvalidInput(f"sigma_decay must lie in (0, 1), "
                                f"got {self.sigma_decay!r}")
-        require_count(self, 1, "max_passes")
         if self.sigma0 < self.sigma_min:
             raise InvalidInput(f"sigma0 ({self.sigma0!r}) is below sigma_min "
                                f"({self.sigma_min!r}): the ladder has no rung")
@@ -62,16 +65,16 @@ def surrogate_weights(P, sigma):
     return np.maximum(np.exp(-x / sigma) / sigma, np.finfo(float).tiny)
 
 
-def h_sigma_objective(lifted, W_vec, P, gamma, sigma, feas_tol=1e-3):
+def h_sigma_objective(lifted, W_vec, P, gamma, sigma):
     """Stage objective <R, W> + gamma * sum(1 - exp(-|P|/sigma)).
 
-    Returns inf when (W, P) is infeasible beyond feas_tol, so that an
+    Returns inf when (W, P) is infeasible beyond FEAS_TOL, so that an
     unconverged subproblem cannot masquerade as progress.
     """
     W = lifted.unvec(W_vec)
     W = 0.5 * (W + W.T)
     P = np.asarray(P, dtype=float)
-    rep = analysis.feasibility_report(lifted, W, P, tol=feas_tol)
+    rep = analysis.feasibility_report(lifted, W, P, tol=FEAS_TOL)
     if not rep["feasible"]:
         return np.inf
     surrogate = gamma * float(np.sum(1.0 - np.exp(-np.abs(P) / sigma)))
@@ -102,7 +105,7 @@ def solve_l0(lifted, gamma, options=outer.SolverOptions(),
 
     for sigma in _sigma_ladder(continuation):
         h_prev = None
-        for pass_i in range(continuation.max_passes):
+        for pass_i in range(MAX_PASSES):
             penalty = outer.regime_l1(gamma, surrogate_weights(P_mat, sigma))
             try:
                 sol = outer.solve_relaxed(lifted, penalty, options, warm,

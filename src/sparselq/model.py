@@ -84,10 +84,6 @@ class PlantData:
     def l(self):
         return self.B1.shape[1]
 
-    @property
-    def q(self):
-        return self.C.shape[0]
-
 
 @dataclass(frozen=True)
 class ValidatedPlant:
@@ -104,8 +100,9 @@ def validate_plant(plant):
 
     Raises InvalidInput for inconsistent shapes, an order above
     MAX_LYAPUNOV_ORDER, a non-finite entry, C^T D != 0, singular D^T D,
-    or singular B1 B1^T.  Stabilizability is not checked here; it is
-    certified a posteriori from the solved parameter matrix.
+    or singular B1 B1^T, the last three to 1e-12 relative.
+    Stabilizability is not checked here; it is certified a posteriori
+    from the solved parameter matrix.
     """
     A, B2, B1, C, D = plant.A, plant.B2, plant.B1, plant.C, plant.D
     n = A.shape[0]
@@ -131,22 +128,18 @@ def validate_plant(plant):
     if not all(np.isfinite(M).all() for M in mats):
         raise InvalidInput("plant entries must be finite")
 
-    # Dimensionless tolerance: scale with the largest entry across inputs.
-    scale = max(1.0, max(float(np.max(np.abs(M))) if M.size else 0.0
-                         for M in (A, B2, B1, C, D)))
-    tol = 1e-12 * scale
-
+    # Each condition is judged on the scale of the matrices it involves:
+    # |C^T D| against ||C||_F ||D||_F, which bounds every entry, and each
+    # Gramian's smallest eigenvalue against its largest.
     CtD = C.T @ D
-    if CtD.size and float(np.max(np.abs(CtD))) > tol:
+    if np.max(np.abs(CtD)) > 1e-12 * np.linalg.norm(C) * np.linalg.norm(D):
         raise InvalidInput("C^T D must vanish entrywise")
-
     DtD = 0.5 * (D.T @ D + (D.T @ D).T)
-    if float(np.linalg.eigvalsh(DtD)[0]) <= tol:
-        raise InvalidInput("D^T D must be positive definite")
-
     B1B1t = 0.5 * (B1 @ B1.T + (B1 @ B1.T).T)
-    if float(np.linalg.eigvalsh(B1B1t)[0]) <= tol:
-        raise InvalidInput("B1 B1^T must be positive definite")
+    for name, S in (("D^T D", DtD), ("B1 B1^T", B1B1t)):
+        w = np.linalg.eigvalsh(S)
+        if w[0] <= 1e-12 * w[-1]:
+            raise InvalidInput(f"{name} must be positive definite")
 
     CtC = 0.5 * (C.T @ C + (C.T @ C).T)
     return ValidatedPlant(plant=plant, CtC=CtC, DtD=DtD, B1B1t=B1B1t)

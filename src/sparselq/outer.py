@@ -17,7 +17,7 @@ schedule automatically.
 import logging
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,6 +30,9 @@ log = logging.getLogger("sparselq")
 # Initial schedule scalars, restored by every restart of the averages.
 BETA0 = 1.0
 KAPPA0 = 1.0
+# Period of the fallback restart of the outer averages; 0 turns every
+# restart off, periodic and adaptive.  Read at call time, as BETA0 is.
+RESTART_EVERY = 2000
 # Inner tolerance: 0.1 x the last primal residual, clipped to
 # [INNER_TOL_FLOOR, cap].  The accelerated schedule of a strongly convex
 # penalty (mu_g > 0) amplifies inner errors, so it keeps the tight cap;
@@ -50,28 +53,20 @@ def regime_pq(gamma, weights=None, pq_params=penalties.PQ_DEFAULT):
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Tolerances, budgets and restart cadence of solve_relaxed.
+    """Tolerances and budgets of solve_relaxed.
 
-    restart_every is the period of the fallback restart of the outer
-    averages.  When the penalty is not strongly convex (l1 and the
-    anchored subproblems) the averages are also restarted as soon as the
-    sharp iterate meets the primal tolerance that they miss.
-    restart_every=0 turns off every restart, periodic and adaptive.  A
-    field out of range raises InvalidInput naming it: eps1 and eps2 must
-    be finite and > 0, max_outer and max_sweeps integers >= 1 and
-    restart_every an integer >= 0.
+    A field out of range raises InvalidInput naming it: eps1 and eps2
+    must be finite and > 0, max_outer and max_sweeps integers >= 1.
     """
 
     eps1: float = 1e-5
     eps2: float = 1e-4
     max_outer: int = 50000
     max_sweeps: int = 10000
-    restart_every: int = 2000
 
     def __post_init__(self):
         require_positive(self, "eps1", "eps2")
         require_count(self, 1, "max_outer", "max_sweeps")
-        require_count(self, 0, "restart_every")
 
 
 @dataclass
@@ -228,7 +223,7 @@ def restart_averages(state):
     which settles far sooner.  solve_relaxed calls this when the sharp
     pair already meets the primal tolerance that the average misses
     (penalties that are not strongly convex only), and every
-    options.restart_every iterations as a fallback.
+    RESTART_EVERY iterations as a fallback.
     """
     state.W_tilde = state.v.copy()
     state.w = state.P_tilde.copy()
@@ -259,17 +254,17 @@ def check_convergence(state, lifted, eps1, eps2):
     return (pr <= eps_pri and dr <= eps_dua), pr, dr
 
 
-def _restart_due(state, options, primal_res):
+def _restart_due(state, primal_res):
     """Periodic restart, or the sharp pair meets the primal tolerance
     that the averaged pair misses.
 
     The adaptive rule is off for a strongly convex penalty, whose
-    accelerated schedule the averages carry; restart_every=0 turns
+    accelerated schedule the averages carry; RESTART_EVERY = 0 turns
     every restart off.
     """
-    if not options.restart_every:
+    if not RESTART_EVERY:
         return False
-    if state.k % options.restart_every == 0:
+    if state.k % RESTART_EVERY == 0:
         return True
     return (state.mu_g == 0.0
             and state.sharp_primal_res <= state.eps_pri < primal_res)
@@ -283,15 +278,9 @@ def solve_relaxed(lifted, penalty, options=SolverOptions(), warm=None,
     When the residual test passes, analysis.certify judges the averaged
     iterate; the run stops only on a certified point, whose certificate
     becomes the Solution.  Raises NotConverged (carrying the best-effort
-    Solution) if the iteration budget runs out.  A zero penalty weight
-    is replaced by 1e-8, which leaves the common code path valid for the
-    dense (unpenalized) problem; the schedule keeps the requested mu_g.
+    Solution) if the iteration budget runs out.
     """
     state = init_state(lifted, penalty, warm, anchor)
-    if penalty.gamma == 0.0:
-        penalty = replace(penalty, gamma=1e-8)
-        log.info("gamma=0 request run at gamma=1e-8")
-
     trace = []
     t0 = time.perf_counter()
     converged = False
@@ -317,7 +306,7 @@ def solve_relaxed(lifted, penalty, options=SolverOptions(), warm=None,
                 failed = [c for c, ok in cert["conditions"].items() if not ok]
                 log.info("iteration %d: residuals met but %s failed; "
                          "continuing", state.k, ", ".join(failed))
-        restarted = not converged and _restart_due(state, options, pr)
+        restarted = not converged and _restart_due(state, pr)
         if restarted:
             restart_averages(state)
         trace.append(row + (int(restarted), state.last_inner_residual))

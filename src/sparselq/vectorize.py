@@ -88,12 +88,10 @@ class ConstraintOperator:
     triangle W[i, j], i < j, of the leading n x n block, row-major), then
     m*n gain-extraction rows equal to vec of the bottom-left block, then
     one row per forced-zero entry.  Every row of A has a single unit
-    entry, in column A_cols[row] of vec(W); B is zero except for -I on
-    the gain rows.
+    entry, in column A_cols[row] of vec(W), and p is the order of W; B
+    is zero except for -I on the gain rows.
     """
 
-    n: int
-    m: int
     p: int
     A_cols: np.ndarray
     n_diag: int
@@ -156,7 +154,7 @@ def assemble_constraint_operator(n, m, forced_zeros=()):
     for (i, j) in fz:
         cols.append((n + i) + j * p)
 
-    return ConstraintOperator(n=n, m=m, p=p,
+    return ConstraintOperator(p=p,
                               A_cols=np.asarray(cols, dtype=np.int64),
                               n_diag=n_diag, n_gain=m * n,
                               n_forced=len(fz), forced_zeros=tuple(fz))

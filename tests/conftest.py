@@ -167,11 +167,13 @@ def make_inner_instance(rng, n=2, m=1):
     return lifted, d_k, w_k, v_tilde, alpha, theta, eta_f
 
 
-def dense_equality_operator(op):
-    """Dense A and B of the equality operator, built from its documented
-    row layout: strict upper triangle of the leading block (row-major),
-    then vec of the bottom-left block, then one row per forced zero."""
-    n, m, p = op.n, op.m, op.p
+def dense_equality_operator(op, n, m):
+    """Dense A and B of the equality operator of an n-state, m-input
+    lift, built from its documented row layout: strict upper triangle of
+    the leading block (row-major), then vec of the bottom-left block,
+    then one row per forced zero."""
+    p = op.p
+    assert p == n + m
     cols = [i + j * p for i in range(n) for j in range(i + 1, n)]
     cols += [(n + i) + j * p for j in range(n) for i in range(m)]
     cols += [(n + i) + j * p for (i, j) in op.forced_zeros]

@@ -73,8 +73,10 @@ def ex2_g10(ex2_lifted):
 @pytest.fixture(scope="module")
 def ex3_pair(ex3_lifted):
     # subgradient-rate regime: long run, no restarts, plain l1 penalty
-    slow, _ = _solve(ex3_lifted, outer.regime_l1(10.0),
-                     outer.SolverOptions(max_outer=250000, restart_every=0))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(outer, "RESTART_EVERY", 0)
+        slow, _ = _solve(ex3_lifted, outer.regime_l1(10.0),
+                         outer.SolverOptions(max_outer=250000))
     # strongly convex regime: accelerated schedule at default options
     fast, _ = _solve(ex3_lifted, outer.regime_pq(10.0))
     return slow, fast
@@ -355,7 +357,7 @@ def test_criterion_8_rate_constants_behavioral(ex1_lifted, ex3_pair):
     # along the run, and the dual residual tail must decay at the
     # certified order.  Criteria 4-7 carry the rest of the evidence.
     regime = outer.regime_l1(10.0)
-    options = outer.SolverOptions(restart_every=0)
+    options = outer.SolverOptions()
     state = outer.init_state(ex1_lifted, regime)
     worst = 0.0
     for _ in range(150):

@@ -375,6 +375,22 @@ class TestVerifyTrust:
         assert code == 4
         assert "feasible: FAILED" in captured.out
 
+    @pytest.mark.parametrize("relaxation", ["l1", "pq", "l0"])
+    def test_zero_gamma_is_recorded_as_asked(self, problem_file, tmp_path,
+                                             capsys, relaxation):
+        flags = ["--relaxation", relaxation, "--sigma0", "0.2",
+                 "--sigma-decay", "0.3"]
+        path, doc = _solve_and_load(problem_file, tmp_path, "--gamma", "0",
+                                    *flags)
+        assert doc["gamma"] == 0
+        assert _verify(problem_file, path, doc, capsys)[0] == 0
+        out = tmp_path / "sweep"
+        assert cli.run_command(["sweep", "--problem", problem_file,
+                                "--gammas", "0", "--out", str(out),
+                                *flags]) == 0
+        [row] = json.loads((out / "sweep.json").read_text())
+        assert (row["gamma"], row["J_upper"]) == (0, doc["J_upper"])
+
     def test_unknown_regime_is_bad_input(self, problem_file, tmp_path,
                                          capsys):
         path, doc = _solve_and_load(problem_file, tmp_path, "--gamma", "0.5")
@@ -442,12 +458,24 @@ class TestVerifyTrust:
         assert "cost_bound: FAILED" in captured.out
 
 
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_verify_survives_a_W_whose_blocks_overflow(problem_file, tmp_path,
+                                                   capsys):
+    # every entry finite, but F W and W + W^T overflow to inf
+    path, doc = _solve_and_load(problem_file, tmp_path, "--gamma", "0.5")
+    doc["W"] = [[1e308] * len(row) for row in doc["W"]]
+    code, captured = _verify(problem_file, path, doc, capsys)
+    assert code in (2, 4)
+    assert code == 4 or captured.err.startswith("error:")
+
+
 class TestVerifyMalformedSolution:
     """A solution file with a missing or wrong-size field is bad input."""
 
-    @pytest.mark.parametrize("key,value", [("W", [[1.0]]),
-                                           ("multiplier", [0.0, 0.0]),
-                                           ("P", None)])
+    @pytest.mark.parametrize("key,value", [
+        ("W", [[1.0]]), ("multiplier", [0.0, 0.0]), ("P", None),
+        ("W", [[float("nan"), 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+        ("P", [[float("inf"), 0.0]])])
     def test_exits_2_naming_the_field(self, problem_file, tmp_path, capsys,
                                       key, value):
         out = tmp_path / "run"
@@ -677,10 +705,12 @@ def _failing_run(*args):
 _solve_run = cli._run_one
 
 
-def _eig_failure_at_gamma_half(lifted, relaxation, gamma, *options):
-    if gamma == 0.5:
-        raise EigFailure("eigendecomposition failed")
-    return _solve_run(lifted, relaxation, gamma, *options)
+def _failure_at_gamma_half(error):
+    def run(lifted, relaxation, gamma, *options):
+        if gamma == 0.5:
+            raise error("eigendecomposition failed")
+        return _solve_run(lifted, relaxation, gamma, *options)
+    return run
 
 
 class TestSweep:
@@ -724,20 +754,23 @@ class TestSweep:
 
     def test_failed_gamma_keeps_the_other_rows(self, problem_file, tmp_path,
                                                monkeypatch):
-        monkeypatch.setattr(cli, "_run_one", _eig_failure_at_gamma_half)
-        code = cli.run_command(["sweep", "--problem", problem_file,
-                                "--gammas", "0.3,0.5",
-                                "--out", str(tmp_path / "swf")])
-        assert code == 3
-        rows = json.loads((tmp_path / "swf" / "sweep.json").read_text())
-        assert [row["gamma"] for row in rows] == [0.3, 0.5]
-        assert rows[0]["status"] == "converged"
-        assert rows[1]["status"] == "error"
-        assert "eigendecomposition failed" in rows[1]["message"]
-        assert rows[1]["J_upper"] is None and rows[1]["iterations"] is None
-        with open(tmp_path / "swf" / "sweep.csv") as fh:
-            table = list(csv.reader(fh))
-        assert len(table) == 3 and table[2][5] == "error"
+        # a package error and numpy's LinAlgError alike
+        for error in (EigFailure, np.linalg.LinAlgError):
+            monkeypatch.setattr(cli, "_run_one", _failure_at_gamma_half(error))
+            out = tmp_path / error.__name__
+            code = cli.run_command(["sweep", "--problem", problem_file,
+                                    "--gammas", "0.3,0.5", "--out", str(out)])
+            assert code == 3
+            rows = json.loads((out / "sweep.json").read_text())
+            assert [row["gamma"] for row in rows] == [0.3, 0.5]
+            assert rows[0]["status"] == "converged"
+            assert rows[1]["status"] == "error"
+            assert "eigendecomposition failed" in rows[1]["message"]
+            assert rows[1]["J_upper"] is None
+            assert rows[1]["iterations"] is None
+            with open(out / "sweep.csv") as fh:
+                table = list(csv.reader(fh))
+            assert len(table) == 3 and table[2][5] == "error"
 
 
 class TestSimulate:

@@ -53,8 +53,8 @@ class TestContinuationOptions:
         ("sigma0", 0.0), ("sigma0", -1.0), ("sigma0", float("nan")),
         ("sigma0", float("inf")), ("sigma_min", 0.0), ("sigma_min", -1e-3),
         ("sigma_decay", 0.0), ("sigma_decay", 1.0), ("sigma_decay", 1.5),
-        ("sigma_decay", float("nan")), ("max_passes", 0),
-        ("max_passes", 2.5), ("prox_weight", 0.0), ("prox_weight", -10.0)])
+        ("sigma_decay", float("nan")), ("prox_weight", 0.0),
+        ("prox_weight", -10.0)])
     def test_rejects_a_field_out_of_range(self, field, value):
         with pytest.raises(ValueError, match=field):
             l0.ContinuationOptions(**{field: value})
@@ -83,8 +83,8 @@ def test_each_pass_warm_starts_the_inner_dual(monkeypatch):
 
     monkeypatch.setattr(inner, "solve_inner", recording_inner)
     monkeypatch.setattr(outer, "solve_relaxed", counting_relaxed)
-    one_rung = l0.ContinuationOptions(sigma0=1.0, sigma_min=1.0,
-                                      max_passes=2)
+    monkeypatch.setattr(l0, "MAX_PASSES", 2)
+    one_rung = l0.ContinuationOptions(sigma0=1.0, sigma_min=1.0)
     l0.solve_l0(small_lifted(2), gamma=0.5, continuation=one_rung)
     assert len(passes) == 2
     first = [s for s in solves if s[0] == 1]
@@ -105,8 +105,8 @@ def test_the_last_subsolve_is_not_certified_again(monkeypatch,
         return sol
 
     monkeypatch.setattr(outer, "solve_relaxed", counting_relaxed)
-    one_rung = l0.ContinuationOptions(sigma0=1.0, sigma_min=1.0,
-                                      max_passes=2)
+    monkeypatch.setattr(l0, "MAX_PASSES", 2)
+    one_rung = l0.ContinuationOptions(sigma0=1.0, sigma_min=1.0)
     sol = l0.solve_l0(small_lifted(2), gamma=0.5, continuation=one_rung)
     assert sol.certified
     assert stops and len(calls) == len(stops)
@@ -170,11 +170,12 @@ class TestSolveL0:
         assert sol.K[1, 2] == 0.0
         assert sol.status == "converged"
 
-    def test_survives_subproblem_cap(self):
+    def test_survives_subproblem_cap(self, monkeypatch):
         lifted = small_lifted(5)
         opts = outer.SolverOptions(max_outer=4)
+        monkeypatch.setattr(l0, "MAX_PASSES", 3)
         ladder = l0.ContinuationOptions(sigma0=0.5, sigma_min=0.3,
-                                        sigma_decay=0.5, max_passes=3)
+                                        sigma_decay=0.5)
         sol = l0.solve_l0(lifted, gamma=0.5, options=opts,
                           continuation=ladder)
         assert sol.status == "max_iter"

@@ -82,6 +82,15 @@ class TestValidatePlant:
             model.validate_plant(model.PlantData(
                 A=np.eye(2), B2=np.ones((2, 1)), B1=B1, C=C, D=D))
 
+    @pytest.mark.parametrize("a_scale,d_scale", [(1.0, 1e-6), (1e4, 1e-5)])
+    def test_judges_each_condition_on_its_own_scale(self, a_scale, d_scale):
+        # D^T D = d_scale^2 I is positive definite however small d_scale
+        # is, and the size of A has no bearing on it
+        A, B2, B1, C, D = ex1_matrices()
+        vp = model.validate_plant(model.PlantData(
+            A=a_scale * A, B2=B2, B1=B1, C=C, D=d_scale * D))
+        np.testing.assert_allclose(vp.DtD, d_scale ** 2 * np.eye(2))
+
     def test_rejects_an_order_above_the_lyapunov_bound(self):
         # the certificate could not solve its Lyapunov equations, so the
         # plant fails at validation, not after the solve
@@ -231,7 +240,7 @@ class TestLiftedStructure:
                  (ex2_matrices(), ((1, 3),))]
         for mats, forced in cases:
             lp = lift(mats, forced)
-            A, _ = dense_equality_operator(lp.op)
+            A, _ = dense_equality_operator(lp.op, lp.n, lp.m)
             AD = A @ dense_duplication(lp.p)
             gram = AD.T @ AD
             np.testing.assert_array_equal(gram - np.diag(np.diag(gram)), 0.0)

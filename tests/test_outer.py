@@ -21,15 +21,13 @@ class TestSolverOptions:
     @pytest.mark.parametrize("field,value", [
         ("eps1", 0.0), ("eps1", -1.0), ("eps1", float("nan")),
         ("eps2", float("inf")), ("eps2", 0.0), ("max_outer", 0),
-        ("max_outer", -3), ("max_outer", 2.5), ("max_sweeps", 0),
-        ("restart_every", -1), ("restart_every", 1.0)])
+        ("max_outer", -3), ("max_outer", 2.5), ("max_sweeps", 0)])
     def test_rejects_a_field_out_of_range(self, field, value):
         with pytest.raises(ValueError, match=field):
             outer.SolverOptions(**{field: value})
 
     def test_accepts_the_edges(self):
-        outer.SolverOptions(eps1=1e-300, max_outer=1, max_sweeps=1,
-                            restart_every=0)
+        outer.SolverOptions(eps1=1e-300, max_outer=1, max_sweeps=1)
 
 
 class TestRegimeConstructors:
@@ -210,7 +208,7 @@ class TestIterationInvariants:
         # telescoping sums the averages report.
         lifted = ex1_lifted
         regime = outer.regime_l1(10.0)
-        options = outer.SolverOptions(restart_every=0)
+        options = outer.SolverOptions()
         state = outer.init_state(lifted, regime)
         for _ in range(150):
             state = outer.outer_iteration(state, lifted, regime, options)
@@ -241,7 +239,7 @@ class TestCheckConvergence:
     def test_matches_dense_operator(self, forced_zeros):
         # the stop test, taken from the dense A and B of the row layout
         lifted = lift(ex1_matrices(), forced_zeros=forced_zeros)
-        A, B = dense_equality_operator(lifted.op)
+        A, B = dense_equality_operator(lifted.op, lifted.n, lifted.m)
         regime = outer.regime_l1(10.0)
         options = outer.SolverOptions()
         state = outer.init_state(lifted, regime)
@@ -299,11 +297,10 @@ class TestSolveRelaxed:
         assert sol.n_zeros == 2
         assert sol.certified
 
-    def test_restart_cadence_does_not_change_answer(self, ex1_lifted,
-                                                    ex1_g10):
-        sol = outer.solve_relaxed(
-            ex1_lifted, outer.regime_l1(10.0),
-            outer.SolverOptions(restart_every=500))
+    def test_restart_cadence_does_not_change_answer(self, monkeypatch,
+                                                    ex1_lifted, ex1_g10):
+        monkeypatch.setattr(outer, "RESTART_EVERY", 500)
+        sol = outer.solve_relaxed(ex1_lifted, outer.regime_l1(10.0))
         assert sol.J_upper == pytest.approx(ex1_g10.J_upper, rel=1e-4)
         np.testing.assert_allclose(sol.K, ex1_g10.K, atol=1e-3)
 
@@ -334,21 +331,21 @@ class TestSolveRelaxed:
         assert sol.certified
         assert sol.regime == "pq"
 
-    def test_zero_gamma_runs_tiny_penalty(self):
+    def test_zero_gamma_runs_unpenalized(self):
         rng = np.random.default_rng(22)
         plant, _, _ = feasible_instance(rng, 2, 1)
         lifted = model.lift_plant(model.validate_plant(plant))
         sol = outer.solve_relaxed(lifted, outer.regime_l1(0.0))
-        assert sol.gamma == pytest.approx(1e-8)
+        assert sol.gamma == 0.0
         assert sol.n_zeros == 0
 
     def test_zero_gamma_pq_keeps_the_plain_schedule(self):
-        # mu_g is taken from the requested penalty, before gamma = 1e-8
+        # at gamma = 0 the pq penalty is not strongly convex: mu_g = 0
         rng = np.random.default_rng(22)
         plant, _, _ = feasible_instance(rng, 2, 1)
         lifted = model.lift_plant(model.validate_plant(plant))
         sol = outer.solve_relaxed(lifted, outer.regime_pq(0.0))
-        assert sol.gamma == pytest.approx(1e-8)
+        assert sol.gamma == 0.0
         assert sol.final_state.mu_g == 0.0
 
     def test_budget_exhaustion_raises_with_payload(self, ex1_lifted):
@@ -437,21 +434,34 @@ class TestAdaptiveRestart:
         restarts = _restart_iterations(ex1_g10.trace)
         assert restarts and restarts[0] < 2000
 
-    def test_restart_every_zero_turns_every_restart_off(self, ex1_lifted,
-                                                        ex1_g10):
+    def test_restart_every_zero_turns_every_restart_off(self, monkeypatch,
+                                                        ex1_lifted, ex1_g10):
         first = _restart_iterations(ex1_g10.trace)[0]
+        monkeypatch.setattr(outer, "RESTART_EVERY", 0)
         with pytest.raises(NotConverged) as exc:
             outer.solve_relaxed(ex1_lifted, outer.regime_l1(10.0),
-                                outer.SolverOptions(restart_every=0,
-                                                    max_outer=first + 100))
+                                outer.SolverOptions(max_outer=first + 100))
         assert _restart_iterations(exc.value.solution.trace) == []
 
-    def test_pq_restarts_only_on_the_period(self):
+    def test_restart_every_zero_turns_off_both_rules(self, monkeypatch):
+        # k on the period, and the sharp pair inside the primal tolerance
+        # that the averaged pair misses: each rule alone would restart
+        state = outer.OuterState(*(np.zeros(1),) * 5, k=2000,
+                                 sharp_primal_res=0.5, eps_pri=1.0)
+        assert outer._restart_due(state, 2.0)
+        state.k = 2001
+        assert outer._restart_due(state, 2.0)
+        monkeypatch.setattr(outer, "RESTART_EVERY", 0)
+        assert not outer._restart_due(state, 2.0)
+        state.k = 2000
+        assert not outer._restart_due(state, 2.0)
+
+    def test_pq_restarts_only_on_the_period(self, monkeypatch):
         rng = np.random.default_rng(21)
         plant, _, _ = feasible_instance(rng, 2, 1)
         lifted = model.lift_plant(model.validate_plant(plant))
-        sol = outer.solve_relaxed(lifted, outer.regime_pq(1.0),
-                                  outer.SolverOptions(restart_every=50))
+        monkeypatch.setattr(outer, "RESTART_EVERY", 50)
+        sol = outer.solve_relaxed(lifted, outer.regime_pq(1.0))
         restarts = _restart_iterations(sol.trace)
         assert restarts
         assert all(k % 50 == 0 for k in restarts)

@@ -104,7 +104,7 @@ class TestConstraintOperator:
 
     def test_fast_paths_match_matrices(self):
         op = self.op
-        A, B = dense_equality_operator(op)
+        A, B = dense_equality_operator(op, 3, 2)
         rng = np.random.default_rng(6)
         x = rng.standard_normal(25)
         lam = rng.standard_normal(op.n_rows)

@@ -5,8 +5,10 @@ whitespace (newline, indent, dedent) and that is not part of a module,
 class or function docstring, found with ast.  Blank lines, comments and
 docstrings therefore do not count; a string that is not a docstring does.
 
-    python tools/code_lines.py            # the working tree
-    python tools/code_lines.py --rev REV  # the files of a git revision
+    python tools/code_lines.py              # the working tree
+    python tools/code_lines.py --rev REV    # the files of a git revision
+    python tools/code_lines.py --functions  # per top-level function and
+                                            # class, largest first
 """
 
 import argparse
@@ -20,7 +22,8 @@ import tokenize
 PACKAGE = "src/sparselq"
 _SKIPPED = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
             tokenize.DEDENT, tokenize.ENDMARKER, tokenize.ENCODING}
-_OWNERS = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+_DEFINITIONS = (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+_OWNERS = (ast.Module, *_DEFINITIONS)
 
 
 def docstring_lines(tree):
@@ -36,15 +39,33 @@ def docstring_lines(tree):
     return lines
 
 
-def code_lines(source):
-    """Number of code lines in one module's source text."""
-    docs = docstring_lines(ast.parse(source))
+def code_line_numbers(source, tree):
+    """Line numbers of the code lines in one module's source text."""
+    docs = docstring_lines(tree)
     lines = set()
     for tok in tokenize.generate_tokens(io.StringIO(source).readline):
         if tok.type not in _SKIPPED:
             lines.update(n for n in range(tok.start[0], tok.end[0] + 1)
                          if n not in docs)
-    return len(lines)
+    return lines
+
+
+def code_lines(source):
+    """Number of code lines in one module's source text."""
+    return len(code_line_numbers(source, ast.parse(source)))
+
+
+def definition_lines(source):
+    """(name, code lines) of each top-level function and class, decorators
+    included."""
+    tree = ast.parse(source)
+    lines = code_line_numbers(source, tree)
+    for node in tree.body:
+        if isinstance(node, _DEFINITIONS):
+            first = min([node.lineno]
+                        + [d.lineno for d in node.decorator_list])
+            yield node.name, len(lines.intersection(
+                range(first, node.end_lineno + 1)))
 
 
 def sources(rev):
@@ -67,7 +88,16 @@ def sources(rev):
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--rev", help="count a git revision, not the tree")
+    parser.add_argument("--functions", action="store_true",
+                        help="count each top-level function and class")
     args = parser.parse_args(argv)
+    if args.functions:
+        rows = [(count, f"{module}:{name}")
+                for module, source in sources(args.rev)
+                for name, count in definition_lines(source)]
+        for count, name in sorted(rows, key=lambda row: -row[0]):
+            print(f"{count:6d}  {name}")
+        return
     total = 0
     for name, source in sources(args.rev):
         count = code_lines(source)
