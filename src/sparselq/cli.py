@@ -39,6 +39,7 @@ failed with an error row), 4 verification failed.
 
 import argparse
 import csv
+import functools
 import json
 import logging
 import os
@@ -422,12 +423,17 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    # building the parser costs about half of a verify; do it once
+    return build_parser()
+
+
 def run_command(argv):
     level = os.environ.get("SPARSELQ_LOG", "WARNING").upper()
     logging.basicConfig(level=getattr(logging, level, logging.WARNING),
                         format="%(levelname)s %(name)s: %(message)s")
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (SparseLQError, OSError, np.linalg.LinAlgError) as exc:

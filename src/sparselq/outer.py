@@ -33,6 +33,11 @@ KAPPA0 = 1.0
 # Period of the fallback restart of the outer averages; 0 turns every
 # restart off, periodic and adaptive.  Read at call time, as BETA0 is.
 RESTART_EVERY = 2000
+# A strongly convex penalty (mu_g > 0) stops at ACCEL_STOP_SCALE x (eps1,
+# eps2).  Its restarted average is the sharp iterate, which meets the
+# residual tolerances while the objective still falls by about 1e-4
+# (relative) per iteration.
+ACCEL_STOP_SCALE = 0.1
 # Inner tolerance: 0.1 x the last primal residual, clipped to
 # [INNER_TOL_FLOOR, cap].  The accelerated schedule of a strongly convex
 # penalty (mu_g > 0) amplifies inner errors, so it keeps the tight cap;
@@ -221,9 +226,8 @@ def restart_averages(state):
     transient the average carries from the starting point without touching
     the fixed points of the map.  Stopping then reflects the sharp iterate,
     which settles far sooner.  solve_relaxed calls this when the sharp
-    pair already meets the primal tolerance that the average misses
-    (penalties that are not strongly convex only), and every
-    RESTART_EVERY iterations as a fallback.
+    pair already meets the primal tolerance that the average misses, and
+    every RESTART_EVERY iterations as a fallback.
     """
     state.W_tilde = state.v.copy()
     state.w = state.P_tilde.copy()
@@ -258,16 +262,15 @@ def _restart_due(state, primal_res):
     """Periodic restart, or the sharp pair meets the primal tolerance
     that the averaged pair misses.
 
-    The adaptive rule is off for a strongly convex penalty, whose
-    accelerated schedule the averages carry; RESTART_EVERY = 0 turns
-    every restart off.
+    Both rules hold in every regime, the accelerated schedule of a
+    strongly convex penalty included (O'Donoghue & Candes, Found. Comput.
+    Math. 2015); RESTART_EVERY = 0 turns every restart off.
     """
     if not RESTART_EVERY:
         return False
     if state.k % RESTART_EVERY == 0:
         return True
-    return (state.mu_g == 0.0
-            and state.sharp_primal_res <= state.eps_pri < primal_res)
+    return state.sharp_primal_res <= state.eps_pri < primal_res
 
 
 def solve_relaxed(lifted, penalty, options=SolverOptions(), warm=None,
@@ -277,18 +280,20 @@ def solve_relaxed(lifted, penalty, options=SolverOptions(), warm=None,
     penalty is a penalties.Penalty; warm and anchor go to init_state.
     When the residual test passes, analysis.certify judges the averaged
     iterate; the run stops only on a certified point, whose certificate
-    becomes the Solution.  Raises NotConverged (carrying the best-effort
-    Solution) if the iteration budget runs out.
+    becomes the Solution.  A strongly convex penalty meets the residual
+    test at ACCEL_STOP_SCALE x (eps1, eps2).  Raises NotConverged
+    (carrying the best-effort Solution) if the iteration budget runs out.
     """
     state = init_state(lifted, penalty, warm, anchor)
+    scale = ACCEL_STOP_SCALE if state.mu_g > 0.0 else 1.0
+    eps1, eps2 = scale * options.eps1, scale * options.eps2
     trace = []
     t0 = time.perf_counter()
     converged = False
     pr = dr = np.nan
     for _ in range(int(options.max_outer)):
         state = outer_iteration(state, lifted, penalty, options)
-        stop, pr, dr = check_convergence(state, lifted,
-                                         options.eps1, options.eps2)
+        stop, pr, dr = check_convergence(state, lifted, eps1, eps2)
         state.last_primal_res = pr
         P_mat = state.P_tilde.reshape(lifted.m, lifted.n, order="F")
         obj = float(lifted.vec_R() @ state.W_tilde) + penalty.value(P_mat)

@@ -284,6 +284,31 @@ class TestForcedZeroSolve:
         self._solve_and_verify(path, tmp_path, capsys)
 
 
+class TestVerifyHonestPq:
+    """An honest ex1 pq solve passes verify, stationarity included."""
+
+    def _solve_and_verify(self, tmp_path, capsys, gamma, forced_zeros):
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(_ex1_doc(forced_zeros)))
+        out = tmp_path / "run"
+        assert cli.run_command(["solve", "--problem", str(path),
+                                "--relaxation", "pq", "--gamma", gamma,
+                                "--out", str(out)]) == 0
+        capsys.readouterr()
+        code = cli.run_command(["verify", "--problem", str(path),
+                                "--solution", str(out / "solution.json")])
+        captured = capsys.readouterr().out
+        assert code == 0, captured
+        assert "stationarity: ok" in captured
+
+    @pytest.mark.parametrize("gamma", ["5", "10", "20"])
+    def test_ex1(self, tmp_path, capsys, gamma):
+        self._solve_and_verify(tmp_path, capsys, gamma, [])
+
+    def test_ex1_with_a_forced_zero(self, tmp_path, capsys):
+        self._solve_and_verify(tmp_path, capsys, "1", [[0, 1]])
+
+
 class TestVerifyPenaltyParameters:
     """verify re-checks stationarity with the penalty the solve used."""
 

@@ -456,15 +456,43 @@ class TestAdaptiveRestart:
         state.k = 2000
         assert not outer._restart_due(state, 2.0)
 
-    def test_pq_restarts_only_on_the_period(self, monkeypatch):
+    @staticmethod
+    def _pq_instance():
         rng = np.random.default_rng(21)
         plant, _, _ = feasible_instance(rng, 2, 1)
-        lifted = model.lift_plant(model.validate_plant(plant))
+        return model.lift_plant(model.validate_plant(plant))
+
+    def test_pq_restarts_adaptively(self, monkeypatch):
+        # the accelerated schedule of a strongly convex penalty restarts
+        # off the period too
         monkeypatch.setattr(outer, "RESTART_EVERY", 50)
-        sol = outer.solve_relaxed(lifted, outer.regime_pq(1.0))
+        sol = outer.solve_relaxed(self._pq_instance(), outer.regime_pq(1.0))
         restarts = _restart_iterations(sol.trace)
-        assert restarts
-        assert all(k % 50 == 0 for k in restarts)
+        assert sol.certified
+        assert any(k % 50 for k in restarts)
+
+    def test_restart_every_zero_turns_every_pq_restart_off(self,
+                                                           monkeypatch):
+        monkeypatch.setattr(outer, "RESTART_EVERY", 0)
+        with pytest.raises(NotConverged) as exc:
+            outer.solve_relaxed(self._pq_instance(), outer.regime_pq(1.0),
+                                outer.SolverOptions(max_outer=200))
+        assert _restart_iterations(exc.value.solution.trace) == []
+
+    def test_pq_stops_at_a_tenth_of_the_tolerances(self, ex1_lifted):
+        # the last residual test ran at a tenth of the options' eps_pri
+        sol = outer.solve_relaxed(ex1_lifted, outer.regime_pq(5.0))
+        state, options = sol.final_state, outer.SolverOptions()
+        scaled = state.eps_pri
+        outer.check_convergence(state, ex1_lifted, options.eps1,
+                                options.eps2)
+        assert scaled == pytest.approx(0.1 * state.eps_pri)
+
+    def test_default_pq_stop_is_near_the_optimum(self, ex1_lifted):
+        # 4.600193: ex1 pq at gamma 5 solved at eps1 1e-8, eps2 1e-7
+        sol = outer.solve_relaxed(ex1_lifted, outer.regime_pq(5.0))
+        assert sol.certified
+        assert sol.J_upper == pytest.approx(4.600193, rel=1e-4)
 
     def test_anchored_subproblem_restarts_adaptively(self, ex1_lifted):
         lifted = ex1_lifted

@@ -1,0 +1,112 @@
+"""How far default stops lie from tight references.
+
+Each row of tools/accuracy_references.json names a plant, a relaxation
+and a gamma.  The row is solved at the default SolverOptions, and one
+line is printed with the outer iterations, the inner sweeps, the CPU
+seconds, J_upper, the relative distance |J_upper - J_ref| / |J_ref| to
+the row's reference, whether the sparsity pattern equals the
+reference's, `certified`, and whether the stored multiplier passes the
+stationarity check of `sparselq verify`.
+
+A reference is a solve at eps1 = 1e-8 and eps2 = 1e-7 (at most 400,000
+outer iterations).  Its J_upper, pattern and whether it converged are
+pinned in the JSON file.  A row whose reference is null is solved at that
+tolerance first and pinned in the file, so to pin a row again, set its
+reference to null.  The plants are problem documents in the format of
+`sparselq solve --problem`, held in the same file.  It uses whichever
+sparselq is importable, so
+
+    PYTHONPATH=src python tools/accuracy_table.py
+
+measures the working tree, and the same command in another checkout
+measures that one against the same references.  It takes no options.
+"""
+
+import json
+import logging
+import os
+import sys
+import time
+
+from sparselq import analysis, cli, model, outer
+from sparselq.errors import NotConverged
+
+REFERENCES = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                          "accuracy_references.json")
+TIGHT = outer.SolverOptions(eps1=1e-8, eps2=1e-7, max_outer=400000)
+REGIMES = {"l1": outer.regime_l1, "pq": outer.regime_pq}
+
+
+def lifted_plant(doc):
+    plant, forced = cli.parse_problem(json.dumps(doc))
+    return model.lift_plant(model.validate_plant(plant), forced_zeros=forced)
+
+
+def solve(lifted, penalty, options=outer.SolverOptions()):
+    """(Solution, converged, CPU seconds) of one solve."""
+    t0 = time.process_time()
+    try:
+        sol, converged = outer.solve_relaxed(lifted, penalty, options), True
+    except NotConverged as exc:
+        sol, converged = exc.solution, False
+    return sol, converged, time.process_time() - t0
+
+
+def stationary(lifted, sol, penalty):
+    # the check of cmd_verify, on the solution's own W and P
+    cert = analysis.certify(lifted, sol.W, sol.P, sol.status, sol.dual_res)
+    return analysis.stationary(cert, lifted, sol.multiplier, penalty)
+
+
+def write_references(doc):
+    # one problem and one row per line, so that a re-pinned row is a
+    # one-line diff
+    problems = ",\n".join(f"  {json.dumps(name)}: {json.dumps(p)}"
+                           for name, p in doc["problems"].items())
+    rows = ",\n".join(f"  {json.dumps(row)}" for row in doc["rows"])
+    with open(REFERENCES, "w", encoding="utf-8") as fh:
+        fh.write('{\n "problems": {\n' + problems + '\n },\n'
+                 ' "rows": [\n' + rows + "\n ]\n}\n")
+
+
+def label(row):
+    return f"{row['problem']} {row['relaxation']} {row['gamma']:g}"
+
+
+def main():
+    logging.getLogger("sparselq").setLevel(logging.ERROR)
+    with open(REFERENCES, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    plants = {name: lifted_plant(p) for name, p in doc["problems"].items()}
+    rows = doc["rows"]
+    for row in rows:
+        if row["reference"] is None:
+            lifted = plants[row["problem"]]
+            sol, converged, _ = solve(
+                lifted, REGIMES[row["relaxation"]](row["gamma"]), TIGHT)
+            row["reference"] = {"J_upper": round(float(sol.J_upper), 6),
+                                "pattern": sol.pattern.tolist(),
+                                "converged": converged}
+            write_references(doc)
+            print(f"pinned {label(row)}: {row['reference']}")
+
+    print(f"{'row':<16} {'its':>7} {'sweeps':>8} {'cpu_s':>7} "
+          f"{'J_upper':>11} {'distance':>9} pattern certified stationary")
+    for row in rows:
+        lifted, ref = plants[row["problem"]], row["reference"]
+        penalty = REGIMES[row["relaxation"]](row["gamma"])
+        sol, converged, cpu = solve(lifted, penalty)
+        sweeps = sum(r[analysis.TRACE_COLUMNS.index("inner_sweeps")]
+                     for r in sol.trace)
+        dist = abs(sol.J_upper - ref["J_upper"]) / abs(ref["J_upper"])
+        same = "same" if sol.pattern.tolist() == ref["pattern"] else "DIFF"
+        print(f"{label(row):<16} {sol.iterations:>7} {sweeps:>8} {cpu:>7.2f} "
+              f"{sol.J_upper:>11.6f} {dist:>9.1e} {same:<7} "
+              f"{'yes' if sol.certified else 'NO':<9} "
+              f"{'ok' if stationary(lifted, sol, penalty) else 'FAILED'}"
+              f"{'' if converged else ' (not converged)'}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

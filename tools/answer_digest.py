@@ -11,7 +11,9 @@ whichever sparselq is importable, so
     PYTHONPATH=src python tools/answer_digest.py
 
 digests the working tree, and the same command in another checkout
-digests that one.  It takes no options and writes no file.
+digests that one.  With --each it prints one "label digest" line per
+solve instead, each digest over that solve's parts alone, so two trees
+can be compared solve by solve.  It writes no file.
 """
 
 import hashlib
@@ -56,19 +58,29 @@ def solutions(lifted):
         lifted, L0_GAMMA, continuation=LADDER))
 
 
-def main():
+def main(argv):
+    if argv not in ([], ["--each"]):
+        print("usage: answer_digest.py [--each]", file=sys.stderr)
+        return 2
     # the continuation's warnings are not hashed; keep them off stderr
     logging.getLogger("sparselq").setLevel(logging.ERROR)
     lifted = cli.load_problem(PROBLEM)
     wall = {analysis.TRACE_COLUMNS.index("wall_ms")}
     digest = hashlib.sha256()
     for label, sol in solutions(lifted):
+        each = hashlib.sha256()
         for part in (label, np.ascontiguousarray(sol.W, dtype=float).tobytes(),
                      np.ascontiguousarray(sol.P, dtype=float).tobytes(),
                      _rows(sol.trace, wall), _rows(sol.stage_trace)):
-            digest.update(part.encode() if isinstance(part, str) else part)
-    print(digest.hexdigest())
+            part = part.encode() if isinstance(part, str) else part
+            digest.update(part)
+            each.update(part)
+        if argv:
+            print(label, each.hexdigest())
+    if not argv:
+        print(digest.hexdigest())
+    return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))
