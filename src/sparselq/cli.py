@@ -29,10 +29,10 @@ the flags, so a bad flag fails before any work.  sweep solves its gammas
 in a process pool and merges the rows the workers return.
 
 Exit codes: 0 success, 2 bad input (errors.InvalidInput; in verify also
-a regime other than l1, pq or l0, a non-finite stored matrix, and a
-stored gamma, weights or pq_params that penalties.Penalty rejects), a
-file that cannot be read or written (OSError) or a numerical failure
-(also numpy's LinAlgError, such as a W whose blocks overflow), 3
+a regime other than l1, pq or l0, a non-finite stored matrix, a W
+whose products with the plant overflow, and a stored gamma, weights or
+pq_params that penalties.Penalty rejects), a file that cannot be read
+or written (OSError) or a numerical failure (also numpy's LinAlgError), 3
 solver did not converge (in a sweep: some gamma did not converge or
 failed with an error row), 4 verification failed.
 """
@@ -332,11 +332,26 @@ def cmd_simulate(args):
     return 0
 
 
+def _require_finite_products(lifted, W):
+    """Raise InvalidInput naming W when finite entries overflow in what
+    certify forms from W: <R, W>, |A vec(W)| and the vertex blocks."""
+    W_vec = W.reshape(-1, order="F")
+    with np.errstate(over="ignore", invalid="ignore"):
+        products = [lifted.vec_R() @ W_vec,
+                    np.linalg.norm(lifted.op.apply_A(W_vec))]
+        products += [lifted.theta_block(W, i)
+                     for i in range(lifted.n_vertices)]
+    if not all(np.all(np.isfinite(x)) for x in products):
+        raise InvalidInput("W: entries too large: <R, W>, |A vec(W)| or a "
+                           "vertex block F_i W + W F_i' overflows")
+
+
 def cmd_verify(args):
     lifted = load_problem(args.problem)
     with open(args.solution, "r", encoding="utf-8") as fh:
         doc = _json_object(fh.read(), "solution")
     W = _matrix(_field(doc, "W"), lifted.p, lifted.p, "W")
+    _require_finite_products(lifted, W)
     P = _matrix(_field(doc, "P"), lifted.m, lifted.n, "P")
     regime = _field(doc, "regime")
     if regime not in ("l1", "pq", "l0"):

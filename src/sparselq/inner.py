@@ -19,10 +19,11 @@ Every row of A selects a single entry of W, so (AD)'(AD) is diagonal
 (lifted.gram_diag) and so is M: Minv is carried as the vector minv and
 applied entrywise, and (AD)' is sym_svec after A'.
 minv, J_i Minv and the block curvatures H_i = J_i Minv J_i' depend on
-the sigmas alone, and assemble_dual_data rebuilds them on every call,
-one eigendecomposition of H_i per vertex, which gives both the step
+the sigmas alone.  assemble_dual_data builds them with one
+eigendecomposition of H_i per vertex, which gives both the step
 constant rho_i = lambda_max(H_i) and, unless H_i is near singular, its
-inverse.
+inverse, and reuses the previous call's when its sigmas are equal bit
+for bit, as they are on every iteration of the l1 schedule.
 
 Block i of the dual objective is the quadratic with Hessian H_i and
 gradient -g_i, g_i = kq + J_i s, on the PSD cone.  A vertex block whose
@@ -137,8 +138,8 @@ class DualData:
     products J_i Minv, rho_list the largest eigenvalue of each block
     curvature H_i = J_i Minv J_i' and hinv_list its inverse, or None where
     the smallest eigenvalue of H_i is below HINV_FLOOR times the largest.
-    These depend on (sigma1, sigma2) only and are rebuilt on every call of
-    assemble_dual_data, whether the sigmas moved or not.
+    These depend on (sigma1, sigma2) only, so calls of assemble_dual_data
+    that share a cache and a sigma pair share them.
     pd holds, per block (X0 first), whether the block's last update left
     it positive definite.  For X0 and a vertex block without an inverse
     it is a hint that skips the Cholesky test of a block for which it was
@@ -162,18 +163,8 @@ class DualData:
     pd: list
 
 
-def assemble_dual_data(lifted, d_k, w_k, v_tilde_k, alpha_k, theta_k, eta_f_k):
-    """Build the dual problem data, curvature included.
-
-    Returns (data, data.rho_list): the pair stays because
-    bench/tracer.py counts curvature rebuilds from result[1], and a
-    bare DualData would make every traced run raise TypeError.
-    """
-    if not (alpha_k > 0 and theta_k > 0 and eta_f_k > 0):
-        raise ValueError("alpha, theta, eta_f must be positive")
-    sigma1 = alpha_k / (2.0 * theta_k)
-    sigma2 = eta_f_k / (2.0 * alpha_k)
-
+def _curvature(lifted, sigma1, sigma2):
+    """(minv, rho_list, hinv_list, JM_list) of a sigma pair."""
     minv = 1.0 / (2.0 * sigma1 * lifted.gram_diag + 2.0 * sigma2)
     JM_list = [J * minv for J in lifted.J_list]
     rho_list, hinv_list = [], []
@@ -185,6 +176,32 @@ def assemble_dual_data(lifted, d_k, w_k, v_tilde_k, alpha_k, theta_k, eta_f_k):
             # false for NaN and for a singular or zero H_i as well
             hinv_list.append((V / w).dot(V.T) if w[0] > HINV_FLOOR * w[-1]
                              else None)
+    return minv, rho_list, hinv_list, JM_list
+
+
+def assemble_dual_data(lifted, d_k, w_k, v_tilde_k, alpha_k, theta_k, eta_f_k,
+                       cache=None):
+    """Build the dual problem data, curvature included.
+
+    cache, a dict owned by the caller (one solve), holds the curvature
+    of the last sigma pair; a call with the same pair, bit for bit,
+    reuses it, and a call with another pair replaces it.  Returns
+    (data, data.rho_list), with the same rho_list object on reuse: the
+    pair stays because bench/tracer.py counts curvature rebuilds from
+    result[1], and a bare DualData would make every traced run raise
+    TypeError.
+    """
+    if not (alpha_k > 0 and theta_k > 0 and eta_f_k > 0):
+        raise ValueError("alpha, theta, eta_f must be positive")
+    sigma1 = alpha_k / (2.0 * theta_k)
+    sigma2 = eta_f_k / (2.0 * alpha_k)
+
+    cache = {} if cache is None else cache
+    key = (sigma1, sigma2)
+    if key not in cache:
+        cache.clear()
+        cache[key] = _curvature(lifted, sigma1, sigma2)
+    minv, rho_list, hinv_list, JM_list = cache[key]
 
     maps = lifted.svec_p
     g0 = sym_svec(d_k, maps)
@@ -325,7 +342,7 @@ def recover_primal(data, state):
 
 
 def solve_inner(lifted, d_k, w_k, v_tilde_k, alpha_k, theta_k, eta_f_k,
-                eps, max_sweeps, warm_start=None):
+                eps, max_sweeps, warm_start=None, cache=None):
     """Run extrapolated sweeps until a sweep's residual bound drops below eps.
 
     Returns (v, sweeps_used, state) with v = vec(W) rebuilt from the
@@ -333,10 +350,10 @@ def solve_inner(lifted, d_k, w_k, v_tilde_k, alpha_k, theta_k, eta_f_k,
     sweep output, never the extrapolated point, and state.residual < eps
     bounds its dual_residual.  Raises MaxSweepsExceeded at the cap,
     carrying the last sweep output and its exact dual_residual.  The
-    warm start is not written to.
+    warm start is not written to; cache goes to assemble_dual_data.
     """
     data, _ = assemble_dual_data(lifted, d_k, w_k, v_tilde_k,
-                                 alpha_k, theta_k, eta_f_k)
+                                 alpha_k, theta_k, eta_f_k, cache)
     state = warm_start if warm_start is not None else zero_state(lifted)
     # s is affine in X, so s(y) follows the extrapolation from sweep to
     # sweep; only the start needs a fresh s, because q and g0 moved with

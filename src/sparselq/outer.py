@@ -17,7 +17,7 @@ schedule automatically.
 import logging
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -38,12 +38,12 @@ RESTART_EVERY = 2000
 # residual tolerances while the objective still falls by about 1e-4
 # (relative) per iteration.
 ACCEL_STOP_SCALE = 0.1
-# Inner tolerance: 0.1 x the last primal residual, clipped to
-# [INNER_TOL_FLOOR, cap].  The accelerated schedule of a strongly convex
-# penalty (mu_g > 0) amplifies inner errors, so it keeps the tight cap;
-# the O(1/k) schedule (l1, anchored l0 subproblems) tolerates the loose
-# one (Schmidt, Le Roux & Bach, NeurIPS 2011).
-INNER_TOL_CAP = 1e-4
+# Inner tolerance, tied to the outer progress (Schmidt, Le Roux & Bach,
+# NeurIPS 2011); outer_iteration gives the rule.  A strongly convex
+# penalty (pq) reads the relative primal residual, the scale of the inner
+# residual, and needs no cap: its early solves are loose, its late ones
+# tight.  The O(1/k) schedule (l1, anchored l0 subproblems) reads the
+# absolute one, capped at INNER_TOL_CAP_PLAIN.
 INNER_TOL_CAP_PLAIN = 1e-3
 INNER_TOL_FLOOR = 1e-8
 
@@ -95,11 +95,14 @@ class OuterState:
     # solver scratch, not part of the mathematical state
     dual_state: object = None
     last_primal_res: float = None
+    rel_primal_res: float = None
     last_sweeps: int = 0
     last_inner_capped: bool = False
     last_inner_residual: float = np.nan
     sharp_primal_res: float = np.inf
     eps_pri: float = 0.0
+    # one (sigma1, sigma2) -> curvature entry, see inner.assemble_dual_data
+    curvature: dict = field(default_factory=dict)
 
 
 def init_state(lifted, penalty, warm=None, anchor=None):
@@ -107,7 +110,8 @@ def init_state(lifted, penalty, warm=None, anchor=None):
 
     Without warm, W and v sit at the identity and everything else at
     zero.  warm, an OuterState such as a previous solve's final_state,
-    lends copies of its W_tilde, v, P_tilde, w, lam and last_primal_res,
+    lends copies of its W_tilde, v, P_tilde, w, lam and last primal
+    residuals (absolute and relative),
     and its dual_state seeds the first inner solve, which does not write
     to it.  anchor, a pair (vec, weight), adds the proximal term
     (weight/2) ||vec(W) - vec||^2 to f1, so mu_f = weight.
@@ -121,7 +125,8 @@ def init_state(lifted, penalty, warm=None, anchor=None):
         st = OuterState(W_tilde=warm.W_tilde.copy(), v=warm.v.copy(),
                         P_tilde=warm.P_tilde.copy(), w=warm.w.copy(),
                         lam=warm.lam.copy(), dual_state=warm.dual_state,
-                        last_primal_res=warm.last_primal_res)
+                        last_primal_res=warm.last_primal_res,
+                        rel_primal_res=warm.rel_primal_res)
     st.mu_g, st.P_prev = penalty.mu_g, st.P_tilde.copy()
     if anchor is not None:
         vec, st.mu_f = anchor
@@ -150,11 +155,13 @@ def next_schedule(state):
 def outer_iteration(state, lifted, penalty, options=SolverOptions()):
     """Advance the splitting by one iteration (in place) and return state.
 
-    The inner solve stops at 0.1 x the previous primal residual, clipped
-    to [INNER_TOL_FLOOR, cap].  The cap is INNER_TOL_CAP when the penalty
-    is strongly convex (mu_g > 0): its accelerated schedule amplifies
-    inner errors.  Otherwise (l1 and the anchored l0 subproblems) the
-    O(1/k) schedule tolerates the looser INNER_TOL_CAP_PLAIN.
+    The first inner solve stops at INNER_TOL_CAP_PLAIN.  Later ones stop
+    at 0.1 x the previous primal residual, at least INNER_TOL_FLOOR.
+    When the penalty is strongly convex (mu_g > 0) that residual is the
+    relative one, state.rel_primal_res, the scale of the inner residual,
+    and there is no cap.  Otherwise (l1 and the anchored l0 subproblems)
+    it is the absolute state.last_primal_res, capped at
+    INNER_TOL_CAP_PLAIN.
     """
     op = lifted.op
     theta, kappa, beta, mu_f = state.theta, state.kappa, state.beta, state.mu_f
@@ -167,16 +174,18 @@ def outer_iteration(state, lifted, penalty, options=SolverOptions()):
     if state.anchor is not None:
         d = d + mu_f * (u - state.anchor)
 
-    cap = INNER_TOL_CAP if state.mu_g > 0.0 else INNER_TOL_CAP_PLAIN
-    if state.last_primal_res is None:
-        eps_in = cap
+    if state.mu_g > 0.0:
+        res, cap = state.rel_primal_res, math.inf
     else:
-        eps_in = max(INNER_TOL_FLOOR, min(cap, 0.1 * state.last_primal_res))
+        res, cap = state.last_primal_res, INNER_TOL_CAP_PLAIN
+    eps_in = (INNER_TOL_CAP_PLAIN if res is None
+              else max(INNER_TOL_FLOOR, min(cap, 0.1 * res)))
     capped = False
     try:
         v_next, sweeps, dstate = inner.solve_inner(
             lifted, d, state.w, v_tilde, alpha, theta, eta_f, eps_in,
-            options.max_sweeps, warm_start=state.dual_state)
+            options.max_sweeps, warm_start=state.dual_state,
+            cache=state.curvature)
         inner_res = dstate.residual
     except MaxSweepsExceeded as exc:
         log.warning("iteration %d: %s; accepting best iterate", state.k, exc)
@@ -243,18 +252,19 @@ def check_convergence(state, lifted, eps1, eps2):
     """Stopping rule on the coupled feasibility and dual drift residuals.
 
     Returns (stop, primal_res, dual_res) and records the primal
-    tolerance on state.eps_pri.  B is -I on the gain rows and zero
-    elsewhere, and the gain rows read distinct columns of vec(W), so
-    |B P| = |P| and |A' B dP| = |dP|.
+    tolerance on state.eps_pri and the relative primal residual
+    primal_res / (1 + max(|A vec(W)|, |P|)) on state.rel_primal_res.
+    B is -I on the gain rows and zero elsewhere, and the gain rows read
+    distinct columns of vec(W), so |B P| = |P| and |A' B dP| = |dP|.
     """
     op = lifted.op
     pr = _norm(op.residual(state.W_tilde, state.P_tilde))
     dr = _norm(state.P_tilde - state.P_prev)
-    eps_pri = (math.sqrt(op.n_rows) * eps1
-               + eps2 * max(_norm(op.apply_A(state.W_tilde)),
-                            _norm(state.P_tilde)))
+    scale = max(_norm(op.apply_A(state.W_tilde)), _norm(state.P_tilde))
+    eps_pri = math.sqrt(op.n_rows) * eps1 + eps2 * scale
     eps_dua = lifted.p * eps1 + eps2 * _norm(op.apply_At(state.lam))
     state.eps_pri = eps_pri
+    state.rel_primal_res = pr / (1.0 + scale)
     return (pr <= eps_pri and dr <= eps_dua), pr, dr
 
 

@@ -5,6 +5,7 @@ import re
 import shutil
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -12,7 +13,8 @@ import pytest
 from sparselq import analysis, cli, model, outer
 from sparselq.errors import EigFailure, InvalidInput, SparseLQError
 
-from conftest import ex1_matrices, feasible_instance, source_env
+from conftest import (ex1_matrices, ex3_matrices, feasible_instance,
+                      source_env)
 
 
 def small_problem_doc(seed=13, n=2, m=1):
@@ -244,8 +246,8 @@ class TestSolveRoundtrip:
         assert tuple(header) == analysis.STAGE_TRACE_COLUMNS
 
 
-def _ex1_doc(forced_zeros):
-    A, B2, B1, C, D = ex1_matrices()
+def _problem_doc(forced_zeros, matrices=ex1_matrices):
+    A, B2, B1, C, D = matrices()
     return {"n": 3, "m": 2, "A": A.ravel().tolist(),
             "B2": B2.ravel().tolist(), "B1": B1.ravel().tolist(),
             "C": C.ravel().tolist(), "D": D.ravel().tolist(),
@@ -280,16 +282,17 @@ class TestForcedZeroSolve:
         # the gain row of the stored multiplier at a forced zero lies far
         # outside the l1 subdifferential; the pinned entry is exempt
         path = tmp_path / "problem.json"
-        path.write_text(json.dumps(_ex1_doc([[0, 1]])))
+        path.write_text(json.dumps(_problem_doc([[0, 1]])))
         self._solve_and_verify(path, tmp_path, capsys)
 
 
 class TestVerifyHonestPq:
-    """An honest ex1 pq solve passes verify, stationarity included."""
+    """An honest pq solve passes verify, stationarity included."""
 
-    def _solve_and_verify(self, tmp_path, capsys, gamma, forced_zeros):
+    def _solve_and_verify(self, tmp_path, capsys, gamma, forced_zeros,
+                          matrices=ex1_matrices):
         path = tmp_path / "problem.json"
-        path.write_text(json.dumps(_ex1_doc(forced_zeros)))
+        path.write_text(json.dumps(_problem_doc(forced_zeros, matrices)))
         out = tmp_path / "run"
         assert cli.run_command(["solve", "--problem", str(path),
                                 "--relaxation", "pq", "--gamma", gamma,
@@ -307,6 +310,11 @@ class TestVerifyHonestPq:
 
     def test_ex1_with_a_forced_zero(self, tmp_path, capsys):
         self._solve_and_verify(tmp_path, capsys, "1", [[0, 1]])
+
+    def test_ex3(self, tmp_path, capsys):
+        # its multiplier's entries are about 28, so an absolute
+        # stationarity threshold of 1e-3 needs a stop close to the optimum
+        self._solve_and_verify(tmp_path, capsys, "10", [], ex3_matrices)
 
 
 class TestVerifyPenaltyParameters:
@@ -483,15 +491,20 @@ class TestVerifyTrust:
         assert "cost_bound: FAILED" in captured.out
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 def test_verify_survives_a_W_whose_blocks_overflow(problem_file, tmp_path,
                                                    capsys):
-    # every entry finite, but F W and W + W^T overflow to inf
+    # every entry finite, but F W and W + W^T overflow to inf: bad input
+    # named in one line, and no numpy warning on the way
     path, doc = _solve_and_load(problem_file, tmp_path, "--gamma", "0.5")
     doc["W"] = [[1e308] * len(row) for row in doc["W"]]
-    code, captured = _verify(problem_file, path, doc, capsys)
-    assert code in (2, 4)
-    assert code == 4 or captured.err.startswith("error:")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, captured = _verify(problem_file, path, doc, capsys)
+    assert code == 2
+    assert [str(w.message) for w in caught] == []
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: W:")
+    assert "overflow" in lines[0]
 
 
 class TestVerifyMalformedSolution:

@@ -56,6 +56,31 @@ class TestDualData:
             assert again.rho_list == data.rho_list
 
 
+    def test_a_shared_cache_reuses_an_equal_sigma_pair(self):
+        # the curvature of an equal (sigma1, sigma2) pair is the cached
+        # one, equal to a fresh build bit for bit; pd and the parts that
+        # read d, w and v_tilde are built anew; another pair replaces
+        # the single entry
+        lifted, fresh, (d_k, w_k, v_tilde, a, t, e) = assemble(3)
+        cache = {}
+        first, rho_list = inner.assemble_dual_data(
+            lifted, d_k, w_k, v_tilde, a, t, e, cache)
+        for name in ("minv", "rho0", "rho_list", "JM_list", "hinv_list"):
+            np.testing.assert_array_equal(getattr(first, name),
+                                          getattr(fresh, name))
+        first.pd[0] = False
+        again, rho_again = inner.assemble_dual_data(
+            lifted, 1.1 * d_k, w_k, v_tilde, a, t, e, cache)
+        assert rho_again is rho_list
+        assert again.JM_list is first.JM_list
+        assert again.hinv_list is first.hinv_list
+        assert again.pd == [True] * (1 + lifted.n_vertices)
+        np.testing.assert_allclose(again.g0, 1.1 * first.g0, rtol=1e-14)
+        _, rho_other = inner.assemble_dual_data(
+            lifted, d_k, w_k, v_tilde, 2 * a, t, e, cache)
+        assert rho_other is not rho_list and len(cache) == 1
+
+
 class TestCholeskyHint:
     """DualData.pd: for X0 a hint that skips the Cholesky test its last
     projection input failed, which changes work, not results; for a

@@ -77,7 +77,10 @@ class TestHandOff:
         np.testing.assert_array_equal(new.anchor, st.W_tilde)
         assert (new.mu_f, new.mu_g, new.k) == (0.25, 0.0, 0)
         assert new.last_primal_res == st.last_primal_res
+        assert new.rel_primal_res == st.rel_primal_res
         assert new.dual_state is st.dual_state
+        # the curvature cache belongs to one solve
+        assert new.curvature == {} and new.curvature is not st.curvature
 
     def test_a_solve_leaves_the_warm_state_as_it_was(self, ex1_lifted,
                                                      ex1_g10):
@@ -375,22 +378,45 @@ class TestSolveRelaxed:
 
 
 class TestInnerResidualColumn:
-    @pytest.mark.parametrize("regime,cap", [
-        (outer.regime_l1, outer.INNER_TOL_CAP_PLAIN),
-        (outer.regime_pq, outer.INNER_TOL_CAP)], ids=["l1", "pq"])
+    @pytest.mark.parametrize("regime", [outer.regime_l1, outer.regime_pq],
+                             ids=["l1", "pq"])
     def test_each_solve_stopped_below_its_tolerance(self, ex1_lifted, regime,
-                                                    cap):
-        # solve_relaxed sets each inner tolerance from the previous
-        # iteration's primal residual; only the accelerated (pq)
-        # schedule keeps the tight cap
+                                                    monkeypatch):
+        # the first inner solve stops at the plain cap; each later one at
+        # 0.1 x the previous iteration's primal residual: absolute and
+        # capped under l1, relative, |r| / (1 + max(|A W|, |P|)), and
+        # uncapped under the accelerated (pq) schedule
+        op, solve, check = ex1_lifted.op, inner.solve_inner, \
+            outer.check_convergence
+        tolerances, relative = [], []
+
+        def recording_solve(*args, **kwargs):
+            tolerances.append(args[7])
+            return solve(*args, **kwargs)
+
+        def recording_check(state, *args):
+            scale = max(np.linalg.norm(op.apply_A(state.W_tilde)),
+                        np.linalg.norm(state.P_tilde))
+            out = check(state, *args)
+            relative.append(out[1] / (1.0 + scale))
+            return out
+
+        monkeypatch.setattr(inner, "solve_inner", recording_solve)
+        monkeypatch.setattr(outer, "check_convergence", recording_check)
         sol = outer.solve_relaxed(ex1_lifted, regime(10.0))
         col = analysis.TRACE_COLUMNS.index("inner_residual")
-        eps_in = cap
-        for row in sol.trace:
-            assert 0.0 <= row[col] < eps_in
-            eps_in = max(outer.INNER_TOL_FLOOR, min(cap, 0.1 * row[3]))
+        assert len(tolerances) == len(sol.trace) == len(relative)
+        eps_in = outer.INNER_TOL_CAP_PLAIN
+        for row, eps, rel in zip(sol.trace, tolerances, relative):
+            assert eps == pytest.approx(eps_in, rel=1e-12)
+            assert 0.0 <= row[col] < eps
             if regime is outer.regime_pq:
-                assert eps_in <= 1e-4
+                eps_in = max(outer.INNER_TOL_FLOOR, 0.1 * rel)
+            else:
+                eps_in = max(outer.INNER_TOL_FLOOR,
+                             min(outer.INNER_TOL_CAP_PLAIN, 0.1 * row[3]))
+        assert (max(tolerances) > outer.INNER_TOL_CAP_PLAIN) == (
+            regime is outer.regime_pq)
 
     def test_capped_solves_record_the_exact_residual(self, ex1_lifted,
                                                      tmp_path, monkeypatch):

@@ -1,7 +1,8 @@
 """How far default stops lie from tight references.
 
 Each row of tools/accuracy_references.json names a plant, a relaxation
-and a gamma.  The row is solved at the default SolverOptions, and one
+and a gamma, and may add forced zeros (entries of K pinned to zero) to
+the plant's own.  The row is solved at the default SolverOptions, and one
 line is printed with the outer iterations, the inner sweeps, the CPU
 seconds, J_upper, the relative distance |J_upper - J_ref| / |J_ref| to
 the row's reference, whether the sparsity pattern equals the
@@ -37,7 +38,9 @@ TIGHT = outer.SolverOptions(eps1=1e-8, eps2=1e-7, max_outer=400000)
 REGIMES = {"l1": outer.regime_l1, "pq": outer.regime_pq}
 
 
-def lifted_plant(doc):
+def lifted_plant(doc, row):
+    doc = dict(doc, forced_zeros=doc.get("forced_zeros", [])
+               + row.get("forced_zeros", []))
     plant, forced = cli.parse_problem(json.dumps(doc))
     return model.lift_plant(model.validate_plant(plant), forced_zeros=forced)
 
@@ -70,18 +73,19 @@ def write_references(doc):
 
 
 def label(row):
-    return f"{row['problem']} {row['relaxation']} {row['gamma']:g}"
+    zeros = "".join(f" fz({i},{j})" for i, j in row.get("forced_zeros", []))
+    return f"{row['problem']} {row['relaxation']} {row['gamma']:g}{zeros}"
 
 
 def main():
     logging.getLogger("sparselq").setLevel(logging.ERROR)
     with open(REFERENCES, encoding="utf-8") as fh:
         doc = json.load(fh)
-    plants = {name: lifted_plant(p) for name, p in doc["problems"].items()}
     rows = doc["rows"]
-    for row in rows:
+    plants = [lifted_plant(doc["problems"][row["problem"]], row)
+              for row in rows]
+    for row, lifted in zip(rows, plants):
         if row["reference"] is None:
-            lifted = plants[row["problem"]]
             sol, converged, _ = solve(
                 lifted, REGIMES[row["relaxation"]](row["gamma"]), TIGHT)
             row["reference"] = {"J_upper": round(float(sol.J_upper), 6),
@@ -92,8 +96,8 @@ def main():
 
     print(f"{'row':<16} {'its':>7} {'sweeps':>8} {'cpu_s':>7} "
           f"{'J_upper':>11} {'distance':>9} pattern certified stationary")
-    for row in rows:
-        lifted, ref = plants[row["problem"]], row["reference"]
+    for row, lifted in zip(rows, plants):
+        ref = row["reference"]
         penalty = REGIMES[row["relaxation"]](row["gamma"])
         sol, converged, cpu = solve(lifted, penalty)
         sweeps = sum(r[analysis.TRACE_COLUMNS.index("inner_sweeps")]
