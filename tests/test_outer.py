@@ -386,8 +386,8 @@ class TestInnerResidualColumn:
         # 0.1 x the previous iteration's primal residual: absolute and
         # capped under l1, relative, |r| / (1 + max(|A W|, |P|)), and
         # uncapped under the accelerated (pq) schedule
-        op, solve, check = ex1_lifted.op, inner.solve_inner, \
-            outer.check_convergence
+        op = ex1_lifted.op
+        solve, check = inner.solve_inner, outer.check_convergence
         tolerances, relative = [], []
 
         def recording_solve(*args, **kwargs):
