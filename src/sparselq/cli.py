@@ -363,13 +363,15 @@ def cmd_verify(args):
             regime, _converted(float, _field(doc, "gamma"), "gamma"),
             None if weights is None
             else _matrix(weights, lifted.m, lifted.n, "weights"),
-            _matrix(params or penalties.PQ_DEFAULT, 1, 4, "pq_params")[0])
+            penalties.PQ_DEFAULT if params is None
+            else _matrix(params, 1, 4, "pq_params")[0])
     lam = doc.get("multiplier")
     if lam is not None:
         lam = _matrix(lam, 1, lifted.op.n_rows, "multiplier")[0]
+    dual_res = doc.get("dual_res")
     cert = analysis.certify(
         lifted, W, P, _field(doc, "status"),
-        _converted(float, doc.get("dual_res") or 0.0, "dual_res"))
+        _converted(float, 0.0 if dual_res is None else dual_res, "dual_res"))
 
     checks = {name: _converted(lambda v: analysis.agrees(cert, name, v),
                                _field(doc, name), name)

@@ -97,18 +97,20 @@ class NotConverged(SparseLQError):
 # ---------------------------------------------------------- validation
 
 def require_positive(options, *names):
-    """Raise InvalidInput unless each named field is finite and > 0."""
+    """Raise InvalidInput unless each named field is finite and > 0;
+    a bool is not a number here."""
     for name in names:
         value = getattr(options, name)
-        if not (value > 0 and math.isfinite(value)):
+        if isinstance(value, bool) or not (value > 0 and math.isfinite(value)):
             raise InvalidInput(f"{name} must be finite and > 0, "
                                f"got {value!r}")
 
 
 def require_count(options, least, *names):
-    """Raise InvalidInput unless each named field is an integer >= least."""
+    """Raise InvalidInput unless each named field is an integer >= least;
+    a bool is not a count here."""
     for name in names:
         value = getattr(options, name)
-        if not (isinstance(value, int) and value >= least):
+        if not (type(value) is int and value >= least):
             raise InvalidInput(f"{name} must be an integer >= {least}, "
                                f"got {value!r}")

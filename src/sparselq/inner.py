@@ -134,6 +134,8 @@ HINV_FLOOR = 1e-12
 class DualData:
     """Per-outer-iteration data of the dual problem.
 
+    q_k and g0 are the q and g0 of the module docstring, at
+    sigma1 = alpha/(2 theta) and sigma2 = eta_f/(2 alpha).
     minv is the diagonal of Minv, rho0 its largest entry, JM_list the
     products J_i Minv, rho_list the largest eigenvalue of each block
     curvature H_i = J_i Minv J_i' and hinv_list its inverse, or None where
@@ -149,8 +151,6 @@ class DualData:
     """
 
     lifted: object
-    sigma1: float
-    sigma2: float
     minv: np.ndarray
     rho0: float
     rho_list: list
@@ -158,8 +158,6 @@ class DualData:
     JM_list: list
     q_k: np.ndarray
     g0: np.ndarray
-    s_tilde: np.ndarray
-    b_tilde: np.ndarray
     pd: list
 
 
@@ -203,17 +201,13 @@ def assemble_dual_data(lifted, d_k, w_k, v_tilde_k, alpha_k, theta_k, eta_f_k,
         cache[key] = _curvature(lifted, sigma1, sigma2)
     minv, rho_list, hinv_list, JM_list = cache[key]
 
-    maps = lifted.svec_p
-    g0 = sym_svec(d_k, maps)
-    s_tilde = sym_svec(v_tilde_k, maps)
-    b_tilde = lifted.op.apply_B(w_k)
-    ADt_b = sym_svec(lifted.op.apply_At(b_tilde), maps)
-    q = -2.0 * sigma1 * ADt_b + 2.0 * sigma2 * s_tilde
+    maps, op = lifted.svec_p, lifted.op
+    ADt_b = sym_svec(op.apply_At(op.apply_B(w_k)), maps)
+    q = -2.0 * sigma1 * ADt_b + 2.0 * sigma2 * sym_svec(v_tilde_k, maps)
 
-    return DualData(lifted=lifted, sigma1=sigma1, sigma2=sigma2, minv=minv,
-                    rho0=float(minv.max()), rho_list=rho_list,
-                    hinv_list=hinv_list, JM_list=JM_list,
-                    q_k=q, g0=g0, s_tilde=s_tilde, b_tilde=b_tilde,
+    return DualData(lifted=lifted, minv=minv, rho0=float(minv.max()),
+                    rho_list=rho_list, hinv_list=hinv_list, JM_list=JM_list,
+                    q_k=q, g0=sym_svec(d_k, maps),
                     pd=[True] * (1 + len(rho_list))), rho_list
 
 

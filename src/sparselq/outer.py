@@ -27,9 +27,8 @@ from .errors import (MaxSweepsExceeded, NotConverged, require_count,
 
 log = logging.getLogger("sparselq")
 
-# Initial schedule scalars, restored by every restart of the averages.
+# Initial beta of the schedule, restored by every restart of the averages.
 BETA0 = 1.0
-KAPPA0 = 1.0
 # Period of the fallback restart of the outer averages; 0 turns every
 # restart off, periodic and adaptive.  Read at call time, as BETA0 is.
 RESTART_EVERY = 2000
@@ -39,11 +38,9 @@ RESTART_EVERY = 2000
 # (relative) per iteration.
 ACCEL_STOP_SCALE = 0.1
 # Inner tolerance, tied to the outer progress (Schmidt, Le Roux & Bach,
-# NeurIPS 2011); outer_iteration gives the rule.  A strongly convex
-# penalty (pq) reads the relative primal residual, the scale of the inner
-# residual, and needs no cap: its early solves are loose, its late ones
-# tight.  The O(1/k) schedule (l1, anchored l0 subproblems) reads the
-# absolute one, capped at INNER_TOL_CAP_PLAIN.
+# NeurIPS 2011); check_convergence gives the rule.  A strongly convex
+# penalty (pq) needs no cap: its early solves are loose, its late ones
+# tight.
 INNER_TOL_CAP_PLAIN = 1e-3
 INNER_TOL_FLOOR = 1e-8
 
@@ -76,7 +73,17 @@ class SolverOptions:
 
 @dataclass
 class OuterState:
-    """Splitting iterate plus schedule scalars and solver scratch."""
+    """What the next iteration, stop test or restart reads.
+
+    The splitting iterate (W_tilde, v, P_tilde, w, lam), the schedule
+    scalars (theta, kappa, beta) and the iteration count k; the moduli
+    mu_f and mu_g and the anchor of f1; P_prev, the P_tilde before the
+    last iteration, for the dual drift residual.  The rest is solver
+    scratch: dual_state warm-starts the next inner solve, eps_pri is the
+    primal tolerance of the last stop test, which the restart rule
+    reads, and eps_inner the next inner solve's tolerance, which
+    check_convergence sets.
+    """
 
     W_tilde: np.ndarray
     v: np.ndarray
@@ -86,21 +93,14 @@ class OuterState:
     theta: float = 1.0
     kappa: float = 1.0
     beta: float = 1.0
-    alpha: float = 0.0
     k: int = 0
     mu_f: float = 0.0
     mu_g: float = 0.0
     anchor: np.ndarray = None
     P_prev: np.ndarray = None
-    # solver scratch, not part of the mathematical state
     dual_state: object = None
-    last_primal_res: float = None
-    rel_primal_res: float = None
-    last_sweeps: int = 0
-    last_inner_capped: bool = False
-    last_inner_residual: float = np.nan
-    sharp_primal_res: float = np.inf
     eps_pri: float = 0.0
+    eps_inner: float = INNER_TOL_CAP_PLAIN
     # one (sigma1, sigma2) -> curvature entry, see inner.assemble_dual_data
     curvature: dict = field(default_factory=dict)
 
@@ -108,12 +108,12 @@ class OuterState:
 def init_state(lifted, penalty, warm=None, anchor=None):
     """Iterate at the start of a solve, with the schedule at its start.
 
-    Without warm, W and v sit at the identity and everything else at
-    zero.  warm, an OuterState such as a previous solve's final_state,
-    lends copies of its W_tilde, v, P_tilde, w, lam and last primal
-    residuals (absolute and relative),
-    and its dual_state seeds the first inner solve, which does not write
-    to it.  anchor, a pair (vec, weight), adds the proximal term
+    Without warm, W and v sit at the identity, everything else at zero,
+    and the first inner solve stops at INNER_TOL_CAP_PLAIN.  warm, an
+    OuterState such as a previous solve's final_state, lends copies of
+    its W_tilde, v, P_tilde, w and lam and its eps_inner, and its
+    dual_state seeds the first inner solve, which does not write to it.
+    anchor, a pair (vec, weight), adds the proximal term
     (weight/2) ||vec(W) - vec||^2 to f1, so mu_f = weight.
     """
     if warm is None:
@@ -125,8 +125,7 @@ def init_state(lifted, penalty, warm=None, anchor=None):
         st = OuterState(W_tilde=warm.W_tilde.copy(), v=warm.v.copy(),
                         P_tilde=warm.P_tilde.copy(), w=warm.w.copy(),
                         lam=warm.lam.copy(), dual_state=warm.dual_state,
-                        last_primal_res=warm.last_primal_res,
-                        rel_primal_res=warm.rel_primal_res)
+                        eps_inner=warm.eps_inner)
     st.mu_g, st.P_prev = penalty.mu_g, st.P_tilde.copy()
     if anchor is not None:
         vec, st.mu_f = anchor
@@ -135,8 +134,8 @@ def init_state(lifted, penalty, warm=None, anchor=None):
 
 
 def _reset_schedule(state):
-    # BETA0 and KAPPA0 are read at call time, so a patched value holds
-    state.theta, state.kappa, state.beta = 1.0, KAPPA0, BETA0
+    # BETA0 is read at call time, so a patched value holds
+    state.theta, state.kappa, state.beta = 1.0, 1.0, BETA0
     return state
 
 
@@ -153,15 +152,14 @@ def next_schedule(state):
 
 
 def outer_iteration(state, lifted, penalty, options=SolverOptions()):
-    """Advance the splitting by one iteration (in place) and return state.
+    """Advance the splitting by one iteration, in place.
 
-    The first inner solve stops at INNER_TOL_CAP_PLAIN.  Later ones stop
-    at 0.1 x the previous primal residual, at least INNER_TOL_FLOOR.
-    When the penalty is strongly convex (mu_g > 0) that residual is the
-    relative one, state.rel_primal_res, the scale of the inner residual,
-    and there is no cap.  Otherwise (l1 and the anchored l0 subproblems)
-    it is the absolute state.last_primal_res, capped at
-    INNER_TOL_CAP_PLAIN.
+    The inner solve stops at state.eps_inner.  Returns the iteration's
+    record (alpha, sweeps, capped, inner_res, sharp_res): the step, the
+    inner sweeps, whether the inner solve hit max_sweeps and its last
+    iterate was accepted, the residual bound it stopped on (the exact
+    residual of a capped solve), and the primal residual |A v + B w| of
+    the new sharp pair.
     """
     op = lifted.op
     theta, kappa, beta, mu_f = state.theta, state.kappa, state.beta, state.mu_f
@@ -174,16 +172,10 @@ def outer_iteration(state, lifted, penalty, options=SolverOptions()):
     if state.anchor is not None:
         d = d + mu_f * (u - state.anchor)
 
-    if state.mu_g > 0.0:
-        res, cap = state.rel_primal_res, math.inf
-    else:
-        res, cap = state.last_primal_res, INNER_TOL_CAP_PLAIN
-    eps_in = (INNER_TOL_CAP_PLAIN if res is None
-              else max(INNER_TOL_FLOOR, min(cap, 0.1 * res)))
     capped = False
     try:
         v_next, sweeps, dstate = inner.solve_inner(
-            lifted, d, state.w, v_tilde, alpha, theta, eta_f, eps_in,
+            lifted, d, state.w, v_tilde, alpha, theta, eta_f, state.eps_inner,
             options.max_sweeps, warm_start=state.dual_state,
             cache=state.curvature)
         inner_res = dstate.residual
@@ -215,15 +207,10 @@ def outer_iteration(state, lifted, penalty, options=SolverOptions()):
     state.W_tilde, state.v = W_next, v_next
     state.P_tilde, state.w = P_next, w_next
     state.lam = lam_next
-    state.alpha = alpha
     state.theta, state.kappa, state.beta = schedule
     state.k += 1
     state.dual_state = dstate
-    state.last_sweeps = sweeps
-    state.last_inner_capped = capped
-    state.last_inner_residual = inner_res
-    state.sharp_primal_res = _norm(sharp_res)
-    return state
+    return alpha, sweeps, capped, inner_res, _norm(sharp_res)
 
 
 def restart_averages(state):
@@ -251,11 +238,16 @@ def _norm(v):
 def check_convergence(state, lifted, eps1, eps2):
     """Stopping rule on the coupled feasibility and dual drift residuals.
 
-    Returns (stop, primal_res, dual_res) and records the primal
-    tolerance on state.eps_pri and the relative primal residual
-    primal_res / (1 + max(|A vec(W)|, |P|)) on state.rel_primal_res.
-    B is -I on the gain rows and zero elsewhere, and the gain rows read
-    distinct columns of vec(W), so |B P| = |P| and |A' B dP| = |dP|.
+    Returns (stop, primal_res, dual_res), records the primal tolerance
+    on state.eps_pri and sets state.eps_inner, the next inner solve's
+    tolerance: 0.1 x the primal residual, at least INNER_TOL_FLOOR.
+    When the penalty is strongly convex (mu_g > 0) that residual is the
+    relative one, primal_res / (1 + max(|A vec(W)|, |P|)), the scale of
+    the inner residual, and there is no cap.  Otherwise (l1 and the
+    anchored l0 subproblems) it is primal_res, capped at
+    INNER_TOL_CAP_PLAIN.  B is -I on the gain rows and zero elsewhere,
+    and the gain rows read distinct columns of vec(W), so |B P| = |P|
+    and |A' B dP| = |dP|.
     """
     op = lifted.op
     pr = _norm(op.residual(state.W_tilde, state.P_tilde))
@@ -264,13 +256,15 @@ def check_convergence(state, lifted, eps1, eps2):
     eps_pri = math.sqrt(op.n_rows) * eps1 + eps2 * scale
     eps_dua = lifted.p * eps1 + eps2 * _norm(op.apply_At(state.lam))
     state.eps_pri = eps_pri
-    state.rel_primal_res = pr / (1.0 + scale)
+    res, cap = ((pr / (1.0 + scale), math.inf) if state.mu_g > 0.0
+                else (pr, INNER_TOL_CAP_PLAIN))
+    state.eps_inner = max(INNER_TOL_FLOOR, min(cap, 0.1 * res))
     return (pr <= eps_pri and dr <= eps_dua), pr, dr
 
 
-def _restart_due(state, primal_res):
-    """Periodic restart, or the sharp pair meets the primal tolerance
-    that the averaged pair misses.
+def _restart_due(state, primal_res, sharp_res):
+    """Periodic restart, or the sharp pair (primal residual sharp_res)
+    meets the primal tolerance that the averaged pair misses.
 
     Both rules hold in every regime, the accelerated schedule of a
     strongly convex penalty included (O'Donoghue & Candes, Found. Comput.
@@ -280,7 +274,7 @@ def _restart_due(state, primal_res):
         return False
     if state.k % RESTART_EVERY == 0:
         return True
-    return state.sharp_primal_res <= state.eps_pri < primal_res
+    return sharp_res <= state.eps_pri < primal_res
 
 
 def solve_relaxed(lifted, penalty, options=SolverOptions(), warm=None,
@@ -302,14 +296,13 @@ def solve_relaxed(lifted, penalty, options=SolverOptions(), warm=None,
     converged = False
     pr = dr = np.nan
     for _ in range(int(options.max_outer)):
-        state = outer_iteration(state, lifted, penalty, options)
+        alpha, sweeps, capped, inner_res, sharp_res = outer_iteration(
+            state, lifted, penalty, options)
         stop, pr, dr = check_convergence(state, lifted, eps1, eps2)
-        state.last_primal_res = pr
         P_mat = state.P_tilde.reshape(lifted.m, lifted.n, order="F")
         obj = float(lifted.vec_R() @ state.W_tilde) + penalty.value(P_mat)
-        row = (state.k, state.theta, state.alpha, pr, dr, obj,
-               state.last_sweeps, (time.perf_counter() - t0) * 1e3,
-               int(state.last_inner_capped))
+        row = (state.k, state.theta, alpha, pr, dr, obj, sweeps,
+               (time.perf_counter() - t0) * 1e3, int(capped))
         if stop:
             # The residual pair only watches the equality rows; the stop
             # stands only where the averaged iterate is certified.
@@ -321,10 +314,10 @@ def solve_relaxed(lifted, penalty, options=SolverOptions(), warm=None,
                 failed = [c for c, ok in cert["conditions"].items() if not ok]
                 log.info("iteration %d: residuals met but %s failed; "
                          "continuing", state.k, ", ".join(failed))
-        restarted = not converged and _restart_due(state, pr)
+        restarted = not converged and _restart_due(state, pr, sharp_res)
         if restarted:
             restart_averages(state)
-        trace.append(row + (int(restarted), state.last_inner_residual))
+        trace.append(row + (int(restarted), inner_res))
         if converged:
             break
 

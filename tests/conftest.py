@@ -279,27 +279,43 @@ def _ell(state, data):
     return out
 
 
-def dual_objective(state, data):
+def subproblem_terms(lifted, args):
+    """(sigma1, sigma2, s_tilde, b_tilde) of the inner subproblem, worked
+    out from the inputs args = (d_k, w_k, v_tilde, alpha, theta, eta_f)
+    of inner.assemble_dual_data: sigma1 = alpha/(2 theta),
+    sigma2 = eta_f/(2 alpha), s_tilde = svec of the symmetric part of
+    v_tilde and b_tilde = B w_k."""
+    _, w_k, v_tilde, alpha, theta, eta_f = args
+    V = v_tilde.reshape(lifted.p, lifted.p, order="F")
+    return (alpha / (2.0 * theta), eta_f / (2.0 * alpha),
+            vectorize.svec(0.5 * (V + V.T), lifted.svec_p),
+            lifted.op.apply_B(w_k))
+
+
+def dual_objective(state, data, args):
     """Value of the inner dual minimization objective Th(X), constants
-    included."""
+    included, for data assembled from args."""
+    sigma1, sigma2, s_tilde, b_tilde = subproblem_terms(data.lifted, args)
     r = data.q_k - _ell(state, data)
     xsum = np.zeros(data.lifted.svec_n.size)
     for x in state.x_list:
         xsum = xsum + x
     return float(0.5 * r @ (data.minv * r)
                  - data.lifted.kappa_q @ xsum
-                 - data.sigma1 * (data.b_tilde @ data.b_tilde)
-                 - data.sigma2 * (data.s_tilde @ data.s_tilde))
+                 - sigma1 * (b_tilde @ b_tilde)
+                 - sigma2 * (s_tilde @ s_tilde))
 
 
-def primal_objective(data, s):
-    """Inner subproblem objective at isometric coordinates s."""
+def primal_objective(data, s, args):
+    """Inner subproblem objective at isometric coordinates s, for data
+    assembled from args."""
     lifted = data.lifted
+    sigma1, sigma2, s_tilde, b_tilde = subproblem_terms(lifted, args)
     W = vectorize.unsvec(s, lifted.svec_p)
-    res = lifted.op.apply_A(W.reshape(-1, order="F")) + data.b_tilde
-    diff = s - data.s_tilde
-    return float(data.g0 @ s + data.sigma1 * (res @ res)
-                 + data.sigma2 * (diff @ diff))
+    res = lifted.op.apply_A(W.reshape(-1, order="F")) + b_tilde
+    diff = s - s_tilde
+    return float(data.g0 @ s + sigma1 * (res @ res)
+                 + sigma2 * (diff @ diff))
 
 
 class K0NotStabilizing(SparseLQError):

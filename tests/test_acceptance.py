@@ -198,9 +198,10 @@ def test_criterion_6_inner_matches_reference():
         ref, _ = pg_dual_oracle(lifted, data)
         s = inner.recover_primal(data, st)
         s_ref = inner.recover_primal(data, ref)
-        f = primal_objective(data, s)
-        f_ref = primal_objective(data, s_ref)
-        gap = abs(f + dual_objective(st, data))
+        args = (d_k, w_k, v_tilde, a, t, e)
+        f = primal_objective(data, s, args)
+        f_ref = primal_objective(data, s_ref, args)
+        gap = abs(f + dual_objective(st, data, args))
         worst_obj = max(worst_obj, abs(f - f_ref))
         worst_gap = max(worst_gap, gap)
     ok = not failures and worst_obj <= 1e-4 and worst_gap <= 1e-4
@@ -361,7 +362,7 @@ def test_criterion_8_rate_constants_behavioral(ex1_lifted, ex3_pair):
     state = outer.init_state(ex1_lifted, regime)
     worst = 0.0
     for _ in range(150):
-        state = outer.outer_iteration(state, ex1_lifted, regime, options)
+        outer.outer_iteration(state, ex1_lifted, regime, options)
         _, pr, _ = outer.check_convergence(state, ex1_lifted, 1e-5, 1e-4)
         lam_scaled = state.theta * float(np.linalg.norm(state.lam))
         worst = max(worst, abs(pr - lam_scaled) / max(lam_scaled, 1e-30))

@@ -367,7 +367,12 @@ class TestVerifyPenaltyParameters:
 
     @pytest.mark.parametrize("key,value", [("weights", [1.0, 2.0, 3.0]),
                                            ("pq_params", [1.0, 1.0, -1.0]),
-                                           ("weights", ["x", 1.0])])
+                                           ("weights", ["x", 1.0]),
+                                           ("pq_params", []),
+                                           ("pq_params", 0),
+                                           ("pq_params", False),
+                                           ("dual_res", []),
+                                           ("dual_res", "")])
     def test_malformed_fields_are_bad_input(self, problem_file, tmp_path,
                                             capsys, key, value):
         self._solve_and_verify(problem_file, tmp_path, capsys,

@@ -4,8 +4,10 @@ import pytest
 from sparselq import analysis, inner, model, vectorize
 from sparselq.errors import EigFailure, MaxSweepsExceeded
 
-from conftest import (dual_objective, dual_state, feasible_instance,
-                      make_inner_instance, pg_dual_oracle, primal_objective)
+from conftest import (dense_duplication, dense_equality_operator,
+                      dual_objective, dual_state, feasible_instance,
+                      make_inner_instance, pg_dual_oracle, primal_objective,
+                      subproblem_terms)
 
 
 def assemble(rng_seed):
@@ -18,15 +20,22 @@ def assemble(rng_seed):
 
 class TestDualData:
     def test_sigma_values(self):
-        lifted, data, (_, _, _, alpha, theta, eta_f) = assemble(0)
-        assert data.sigma1 == pytest.approx(alpha / (2 * theta))
-        assert data.sigma2 == pytest.approx(eta_f / (2 * alpha))
+        # q = -2 sigma1 (AD)' B w + 2 sigma2 D' v_tilde at
+        # sigma1 = alpha/(2 theta) and sigma2 = eta_f/(2 alpha), with A, B
+        # and the duplication map D taken dense from their layouts
+        lifted, data, (_, w_k, v_tilde, alpha, theta, eta_f) = assemble(0)
+        A, B = dense_equality_operator(lifted.op, lifted.n, lifted.m)
+        D = dense_duplication(lifted.p)
+        q = (-2 * (alpha / (2 * theta)) * D.T @ (A.T @ (B @ w_k))
+             + 2 * (eta_f / (2 * alpha)) * D.T @ v_tilde)
+        np.testing.assert_allclose(data.q_k, q, rtol=1e-12, atol=1e-12)
 
     def test_curvature_is_spd(self):
         # M = 2 sigma1 diag(gram) + 2 sigma2 I is positive and diagonal;
         # minv is its inverse, entry by entry.
-        lifted, data, _ = assemble(1)
-        M = 2 * data.sigma1 * lifted.gram_diag + 2 * data.sigma2
+        lifted, data, args = assemble(1)
+        sigma1, sigma2, _, _ = subproblem_terms(lifted, args)
+        M = 2 * sigma1 * lifted.gram_diag + 2 * sigma2
         assert np.all(data.minv > 0)
         np.testing.assert_allclose(data.minv * M, 1.0, rtol=1e-14)
         assert data.rho0 == data.minv.max()
@@ -136,12 +145,12 @@ class TestCholeskyHint:
 
 class TestSweeps:
     def test_dual_objective_monotone(self):
-        lifted, data, _ = assemble(4)
+        lifted, data, args = assemble(4)
         state = inner.zero_state(lifted)
-        prev = dual_objective(state, data)
+        prev = dual_objective(state, data, args)
         for _ in range(40):
             state, _ = inner.sgs_sweep(state, data)
-            cur = dual_objective(state, data)
+            cur = dual_objective(state, data, args)
             assert cur <= prev + 1e-11 * max(1.0, abs(prev))
             prev = cur
 
@@ -179,23 +188,23 @@ class TestSolveInner:
 
     def test_matches_projected_gradient_oracle(self):
         for seed in (8, 9):
-            lifted, data, (d_k, w_k, v_tilde, a, t, e) = assemble(seed)
-            v, _, state = inner.solve_inner(
-                lifted, d_k, w_k, v_tilde, a, t, e,
-                eps=1e-9, max_sweeps=50000)
+            lifted, data, args = assemble(seed)
+            v, _, state = inner.solve_inner(lifted, *args, eps=1e-9,
+                                            max_sweeps=50000)
             ref_state, steps = pg_dual_oracle(lifted, data, max_steps=300000)
             s = inner.recover_primal(data, state)
             s_ref = inner.recover_primal(data, ref_state)
-            f, f_ref = (primal_objective(data, x) for x in (s, s_ref))
+            f, f_ref = (primal_objective(data, x, args) for x in (s, s_ref))
             assert abs(f - f_ref) <= 1e-6 * max(1.0, abs(f_ref))
             np.testing.assert_allclose(s, s_ref, atol=1e-5)
 
     def test_strong_duality_gap_closes(self):
-        lifted, data, (d_k, w_k, v_tilde, a, t, e) = assemble(10)
-        v, _, state = inner.solve_inner(
-            lifted, d_k, w_k, v_tilde, a, t, e, eps=1e-10, max_sweeps=50000)
+        lifted, data, args = assemble(10)
+        v, _, state = inner.solve_inner(lifted, *args, eps=1e-10,
+                                        max_sweeps=50000)
         s = inner.recover_primal(data, state)
-        gap = primal_objective(data, s) + dual_objective(state, data)
+        gap = (primal_objective(data, s, args)
+               + dual_objective(state, data, args))
         assert abs(gap) <= 1e-6
 
     def test_warm_start_shortcuts(self):
@@ -324,7 +333,8 @@ def interior_instance(seed):
     data, _ = inner.assemble_dual_data(lifted, *args)
     ell = data.g0 + x_star.x_list[0].dot(lifted.J_list[0])
     q_star = inner.svec(W, lifted.svec_p) / data.minv + ell
-    s_tilde = (q_star - data.q_k) / (2.0 * data.sigma2)
+    _, sigma2, _, _ = subproblem_terms(lifted, args)
+    s_tilde = (q_star - data.q_k) / (2.0 * sigma2)
     args[2] = inner.unsvec(s_tilde, lifted.svec_p).reshape(-1, order="F")
     return lifted, tuple(args), x_star
 
@@ -389,16 +399,17 @@ class TestExactStep:
     candidate, and the majorized step a block without an inverse keeps."""
 
     def start(self, seed=23):
-        """Interior-instance data and a state with X0 moved off X0*."""
+        """Interior-instance data, the inputs it was assembled from, and a
+        state with X0 moved off X0*."""
         lifted, args, _ = interior_instance(seed)
         data, _ = inner.assemble_dual_data(lifted, *args)
         G = np.random.default_rng(seed).standard_normal((lifted.p, lifted.p))
         x0 = inner.svec(0.1 * G @ G.T, lifted.svec_p)
         x1 = np.zeros(lifted.svec_n.size)
-        return lifted, data, dual_state(lifted, [x0, x1])
+        return lifted, data, args, dual_state(lifted, [x0, x1])
 
     def test_gradient_vanishes_and_objective_is_no_higher(self):
-        lifted, data, state = self.start()
+        lifted, data, args, state = self.start()
         J, kq = lifted.J_list[0], lifted.kappa_q
         x = state.x_list[0]
         g = kq + J.dot(inner.recover_primal(data, state))
@@ -411,7 +422,8 @@ class TestExactStep:
                  for new in (exact, majorized)]
         g_exact = kq + J.dot(inner.recover_primal(data, after[0]))
         assert np.linalg.norm(g_exact) <= 1e-10 * np.linalg.norm(g)
-        f_exact, f_majorized = (dual_objective(st, data) for st in after)
+        f_exact, f_majorized = (dual_objective(st, data, args)
+                                for st in after)
         assert f_exact <= f_majorized + 1e-12 * abs(f_majorized)
         assert f_exact < f_majorized
 

@@ -21,7 +21,9 @@ class TestSolverOptions:
     @pytest.mark.parametrize("field,value", [
         ("eps1", 0.0), ("eps1", -1.0), ("eps1", float("nan")),
         ("eps2", float("inf")), ("eps2", 0.0), ("max_outer", 0),
-        ("max_outer", -3), ("max_outer", 2.5), ("max_sweeps", 0)])
+        ("max_outer", -3), ("max_outer", 2.5), ("max_sweeps", 0),
+        ("max_outer", True), ("max_sweeps", True), ("eps1", True),
+        ("eps2", True)])
     def test_rejects_a_field_out_of_range(self, field, value):
         with pytest.raises(ValueError, match=field):
             outer.SolverOptions(**{field: value})
@@ -76,8 +78,11 @@ class TestHandOff:
         np.testing.assert_array_equal(new.P_prev, st.P_tilde)
         np.testing.assert_array_equal(new.anchor, st.W_tilde)
         assert (new.mu_f, new.mu_g, new.k) == (0.25, 0.0, 0)
-        assert new.last_primal_res == st.last_primal_res
-        assert new.rel_primal_res == st.rel_primal_res
+        # the next inner tolerance carries over; a cold start begins at
+        # the cap
+        assert new.eps_inner == st.eps_inner < outer.INNER_TOL_CAP_PLAIN
+        assert outer.init_state(ex1_lifted, pen).eps_inner == \
+            outer.INNER_TOL_CAP_PLAIN
         assert new.dual_state is st.dual_state
         # the curvature cache belongs to one solve
         assert new.curvature == {} and new.curvature is not st.curvature
@@ -86,7 +91,7 @@ class TestHandOff:
                                                      ex1_g10):
         st = ex1_g10.final_state
         arrays = {k: getattr(st, k).copy() for k in self.ARRAYS[:-1]}
-        scalars = (st.theta, st.kappa, st.beta, st.k, st.last_primal_res)
+        scalars = (st.theta, st.kappa, st.beta, st.k, st.eps_inner)
         dual, x = st.dual_state, st.dual_state.x.copy()
         sol = outer.solve_relaxed(ex1_lifted, outer.regime_l1(10.0),
                                   warm=st, anchor=(st.W_tilde, 0.1))
@@ -94,26 +99,25 @@ class TestHandOff:
         for k, a in arrays.items():
             np.testing.assert_array_equal(getattr(st, k), a)
         assert (st.theta, st.kappa, st.beta, st.k,
-                st.last_primal_res) == scalars
+                st.eps_inner) == scalars
         assert st.dual_state is dual
         np.testing.assert_array_equal(dual.x, x)
 
     def test_schedule_restarts_from_the_constants(self, ex1_lifted, ex1_g10,
                                                   monkeypatch):
-        # BETA0 and KAPPA0 are read at call time, by init_state and by
-        # restart_averages alike
+        # BETA0 is read at call time, by init_state and by
+        # restart_averages alike; theta and kappa restart at 1
         monkeypatch.setattr(outer, "BETA0", 16.0)
-        monkeypatch.setattr(outer, "KAPPA0", 2.0)
         st = ex1_g10.final_state
-        assert st.theta < 1.0
+        assert st.theta < 1.0 and st.kappa < 1.0
         pen = outer.regime_l1(10.0)
         for new in (outer.init_state(ex1_lifted, pen, warm=st),
                     outer.init_state(ex1_lifted, pen)):
-            assert (new.theta, new.kappa, new.beta) == (1.0, 2.0, 16.0)
-        new = outer.outer_iteration(new, ex1_lifted, pen)
-        assert new.beta != 16.0
+            assert (new.theta, new.kappa, new.beta) == (1.0, 1.0, 16.0)
+        outer.outer_iteration(new, ex1_lifted, pen)
+        assert new.beta != 16.0 and new.kappa < 1.0
         outer.restart_averages(new)
-        assert (new.theta, new.kappa, new.beta) == (1.0, 2.0, 16.0)
+        assert (new.theta, new.kappa, new.beta) == (1.0, 1.0, 16.0)
 
 
 def advance_schedule(mu_f=0.0, mu_g=0.0, steps=300):
@@ -174,9 +178,12 @@ class TestSchedule:
                 return np.zeros_like(Z)
 
         monkeypatch.setattr(inner, "solve_inner", solve_inner)
-        outer.outer_iteration(state, lifted, Recorder())
+        record = outer.outer_iteration(state, lifted, Recorder())
 
         alpha = math.sqrt(0.8 * 0.25)
+        # the prox returned P = 0, so the sharp w is -P_tilde / alpha
+        sharp = np.linalg.norm(op.residual(v_next, -before["P_tilde"] / alpha))
+        assert record == (alpha, 1, False, np.inf, pytest.approx(sharp))
         assert type(seen["alpha"]) is float and type(state.theta) is float
         assert seen["alpha"] == alpha and seen["theta"] == 0.25
         eta_f = 0.5 + 0.3 * alpha
@@ -214,7 +221,7 @@ class TestIterationInvariants:
         options = outer.SolverOptions()
         state = outer.init_state(lifted, regime)
         for _ in range(150):
-            state = outer.outer_iteration(state, lifted, regime, options)
+            outer.outer_iteration(state, lifted, regime, options)
             _, pr, _ = outer.check_convergence(state, lifted, 1e-5, 1e-4)
             lam_scaled = state.theta * np.linalg.norm(state.lam)
             assert pr == pytest.approx(lam_scaled, rel=1e-8)
@@ -227,7 +234,7 @@ class TestIterationInvariants:
         options = outer.SolverOptions()
         state = outer.init_state(lifted, regime)
         for _ in range(20):
-            state = outer.outer_iteration(state, lifted, regime, options)
+            outer.outer_iteration(state, lifted, regime, options)
         v_before = state.v.copy()
         lam_before = state.lam.copy()
         outer.restart_averages(state)
@@ -248,7 +255,7 @@ class TestCheckConvergence:
         state = outer.init_state(lifted, regime)
         stops = set()
         for _ in range(60):
-            state = outer.outer_iteration(state, lifted, regime, options)
+            outer.outer_iteration(state, lifted, regime, options)
             for eps1, eps2 in ((1e-5, 1e-4), (1e-1, 1.0)):
                 AW, BP = A @ state.W_tilde, B @ state.P_tilde
                 dual = A.T @ (B @ (state.P_tilde - state.P_prev))
@@ -264,6 +271,10 @@ class TestCheckConvergence:
                 assert got_dr == pytest.approx(dr, rel=1e-12, abs=1e-300)
                 assert state.eps_pri == pytest.approx(eps_pri, rel=1e-12)
                 assert stop == (pr <= eps_pri and dr <= eps_dua)
+                # the next inner tolerance, the same at every (eps1, eps2)
+                assert state.eps_inner == pytest.approx(
+                    max(outer.INNER_TOL_FLOOR,
+                        min(outer.INNER_TOL_CAP_PLAIN, 0.1 * pr)), rel=1e-12)
                 stops.add(stop)
         assert stops == {True, False}
 
@@ -472,15 +483,14 @@ class TestAdaptiveRestart:
     def test_restart_every_zero_turns_off_both_rules(self, monkeypatch):
         # k on the period, and the sharp pair inside the primal tolerance
         # that the averaged pair misses: each rule alone would restart
-        state = outer.OuterState(*(np.zeros(1),) * 5, k=2000,
-                                 sharp_primal_res=0.5, eps_pri=1.0)
-        assert outer._restart_due(state, 2.0)
+        state = outer.OuterState(*(np.zeros(1),) * 5, k=2000, eps_pri=1.0)
+        assert outer._restart_due(state, 2.0, 0.5)
         state.k = 2001
-        assert outer._restart_due(state, 2.0)
+        assert outer._restart_due(state, 2.0, 0.5)
         monkeypatch.setattr(outer, "RESTART_EVERY", 0)
-        assert not outer._restart_due(state, 2.0)
+        assert not outer._restart_due(state, 2.0, 0.5)
         state.k = 2000
-        assert not outer._restart_due(state, 2.0)
+        assert not outer._restart_due(state, 2.0, 0.5)
 
     @staticmethod
     def _pq_instance():
