@@ -2,15 +2,16 @@
 
 Both regimes solve the same lifted problem; the piecewise quadratic
 penalty is strongly convex near the origin, which switches the scalar
-schedule from the 1/k decay to an accelerated 1/k^2 decay.  At the
-default settings that gap does not show in the iteration counts: under
-l1 the averages are collapsed onto the sharp iterate as soon as it
-meets the primal tolerance, so the l1 run stops first, while the pq
-run keeps its schedule and only the periodic restart at iteration 2000;
-with restarts disabled on a long run, pq needs two orders of magnitude
-fewer iterations (criterion 4 of tests/test_acceptance.py).  The
-script solves a chain of integrators under both regimes and reports
-iteration counts and the log-log slope of the primal residual tail.
+schedule from the 1/k decay to an accelerated 1/k^2 decay.  The script
+solves a chain of integrators under both regimes at gamma 10 and
+reports iteration counts, J_upper and the log-log slope of the primal
+residual tail.  At the default settings both regimes collapse their
+averages onto the sharp iterate as soon as it meets the primal
+tolerance the averages miss, and the pq run stops first: it prints
+1,253 outer iterations for l1 against 204 for pq (ratio 6.1), both
+certified, though the late pq inner subproblems are stiffer.  With
+restarts disabled on a long run, pq needs two orders of magnitude
+fewer iterations (criterion 4 of tests/test_acceptance.py).
 
 Run:  python3 demos/penalty_regimes.py
 """

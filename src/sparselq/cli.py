@@ -21,8 +21,10 @@ ignored.
 verify derives analysis.CERTIFIED_FIELDS from the stored W and P with
 analysis.certify, compares each stored copy, and requires the
 certificate's conditions and, for l1 and pq, stationarity of the stored
-multiplier.  It trusts status, iterations and dual_res; dual_res
-loosens the feasibility tolerance only up to analysis.TOL_CEILING.
+multiplier.  It trusts status and iterations, and reads no dual_res:
+the feasibility tolerance derives from the primal residual of (W, P).
+A number read from either file must be a JSON number, not a string or
+a boolean.
 
 solve and sweep build SolverOptions and ContinuationOptions once from
 the flags, so a bad flag fails before any work.  sweep solves its gammas
@@ -67,22 +69,25 @@ def _converted(convert, value, name):
     """convert(value), with a conversion error reported as bad input."""
     try:
         return convert(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InvalidInput(f"{name}: {exc}") from exc
 
 
-def _integer(value, name):
-    """value as an int; a bool, a non-integral number or a string is bad
-    input (int() would truncate 2.5 and take true as 1)."""
-    if isinstance(value, bool) or not (
-            isinstance(value, int)
-            or isinstance(value, float) and value.is_integer()):
-        raise InvalidInput(f"{name}: expected an integer, got {value!r}")
-    return int(value)
+def _number(value, name, kind=float):
+    """value as a float, or as an int for kind int; a bool, a string or,
+    for an int, a fraction is bad input (float() would take "1", int()
+    would take true as 1 and truncate 2.5)."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or kind is int and value % 1):
+        what = "an integer" if kind is int else "a number"
+        raise InvalidInput(f"{name}: expected {what}, got {value!r}")
+    return _converted(kind, value, name)
 
 
 def _array(flat, name):
-    return _converted(lambda v: np.asarray(v, dtype=float), flat, name)
+    """A float array of JSON numbers, nested in lists."""
+    arr = _converted(lambda v: np.asarray(v, dtype=object), flat, name)
+    return np.array([_number(v, name) for v in arr.flat]).reshape(arr.shape)
 
 
 def _matrix(flat, rows, cols, name):
@@ -114,7 +119,7 @@ def parse_problem(text):
     for key in ("n", "m", "A", "B2"):
         if key not in doc:
             raise InvalidInput(f"problem file is missing {key!r}")
-    n, m = _integer(doc["n"], "n"), _integer(doc["m"], "m")
+    n, m = _number(doc["n"], "n", int), _number(doc["m"], "m", int)
     if n < 1 or m < 1:
         raise InvalidInput("need n >= 1 and m >= 1")
     A = _matrix(doc["A"], n, n, "A")
@@ -155,8 +160,8 @@ def parse_problem(text):
             vertices.append((_matrix(vert["A"], n, n, f"vertex {idx} A"),
                              _matrix(vert["B2"], n, m, f"vertex {idx} B2")))
     forced = _converted(
-        lambda fz: tuple((_integer(i, "forced_zeros"),
-                          _integer(j, "forced_zeros")) for i, j in fz),
+        lambda fz: tuple((_number(i, "forced_zeros", int),
+                          _number(j, "forced_zeros", int)) for i, j in fz),
         doc.get("forced_zeros", ()), "forced_zeros")
     plant = model.PlantData(A=A, B2=B2, B1=B1, C=C, D=D,
                             vertices=vertices)
@@ -360,7 +365,7 @@ def cmd_verify(args):
     if regime != "l0":
         weights, params = doc.get("weights"), doc.get("pq_params")
         penalty = penalties.Penalty(
-            regime, _converted(float, _field(doc, "gamma"), "gamma"),
+            regime, _number(_field(doc, "gamma"), "gamma"),
             None if weights is None
             else _matrix(weights, lifted.m, lifted.n, "weights"),
             penalties.PQ_DEFAULT if params is None
@@ -368,10 +373,7 @@ def cmd_verify(args):
     lam = doc.get("multiplier")
     if lam is not None:
         lam = _matrix(lam, 1, lifted.op.n_rows, "multiplier")[0]
-    dual_res = doc.get("dual_res")
-    cert = analysis.certify(
-        lifted, W, P, _field(doc, "status"),
-        _converted(float, 0.0 if dual_res is None else dual_res, "dual_res"))
+    cert = analysis.certify(lifted, W, P, _field(doc, "status"))
 
     checks = {name: _converted(lambda v: analysis.agrees(cert, name, v),
                                _field(doc, name), name)

@@ -30,11 +30,13 @@ gradient -g_i, g_i = kq + J_i s, on the PSD cone.  A vertex block whose
 last update left it positive definite first tries the unconstrained
 block minimizer x_i + H_i^-1 g_i: if that point passes a Cholesky test
 it lies inside the cone, so it is the exact cone-constrained block
-minimizer, and the block takes it.  Otherwise, and always for X0 (whose
-exact block minimizer x0 - M s is rarely inside the cone) and for a
-block with no stored inverse, the update is the majorized step: a
+minimizer, and the block takes it.  Otherwise, and always for X0 and
+for a block with no stored inverse, the update is the majorized step: a
 projected gradient step with step 1/rho_i, an eigenvalue clamp of
-x_i + g_i/rho_i.  One sweep runs backward over the vertex blocks,
+x_i + g_i/rho_i.  X0 multiplies W >= 0, so complementary slackness
+makes it singular at a solution (X0 W = 0 with W != 0): its exact
+block minimizer x0 - M s is rarely inside the cone, and its projection
+always eigendecomposes.  One sweep runs backward over the vertex blocks,
 updates X0, then runs forward; each update minimizes an upper bound of
 the block objective that is tight at the block's current value, so a
 single sweep never increases the dual objective.  The primal recovers
@@ -142,12 +144,10 @@ class DualData:
     the smallest eigenvalue of H_i is below HINV_FLOOR times the largest.
     These depend on (sigma1, sigma2) only, so calls of assemble_dual_data
     that share a cache and a sigma pair share them.
-    pd holds, per block (X0 first), whether the block's last update left
-    it positive definite.  For X0 and a vertex block without an inverse
-    it is a hint that skips the Cholesky test of a block for which it was
-    not; for a vertex block with an inverse it selects the step: the
-    exact block minimizer is tried only when it is True.  Every call of
-    assemble_dual_data, so every outer iteration, starts it all True.
+    pd holds, per vertex block, whether the block's last update left it
+    positive definite; for a block with an inverse it selects the step:
+    the exact block minimizer is tried only when it is True.  Every call
+    of assemble_dual_data, so every outer iteration, starts it all True.
     """
 
     lifted: object
@@ -208,22 +208,15 @@ def assemble_dual_data(lifted, d_k, w_k, v_tilde_k, alpha_k, theta_k, eta_f_k,
     return DualData(lifted=lifted, minv=minv, rho0=float(minv.max()),
                     rho_list=rho_list, hinv_list=hinv_list, JM_list=JM_list,
                     q_k=q, g0=sym_svec(d_k, maps),
-                    pd=[True] * (1 + len(rho_list))), rho_list
+                    pd=[True] * len(rho_list)), rho_list
 
 
-def _project(x, maps, pd=True):
+def _project(x, maps):
     """PSD projection in isometric coordinates: unpack, clamp, repack.
 
-    Returns the projection and whether x is positive definite.  pd is
-    the hint that it likely is: then a Cholesky test goes first, and a
-    block that passes it is returned without eigendecomposing.  The hint
-    changes the work, not the projection, but for rounding on a block at
-    the edge of the cone.
+    Returns the projection and whether x is positive definite.
     """
-    S = (x * maps.plain_scale)[maps.coord]
-    if pd and positive_definite(S):
-        return x, True
-    w, V = sym_eigh(S)
+    w, V = sym_eigh((x * maps.plain_scale)[maps.coord])
     if w[0] >= 0.0:
         return x, w[0] > 0.0
     return svec((V * np.maximum(w, 0.0)).dot(V.T), maps), False
@@ -257,13 +250,12 @@ def _vertex_step(x, g, i, data):
     the Cholesky test, else the majorized projected step.  Sets the
     block's entry of data.pd.
     """
-    maps, pd, hinv = data.lifted.svec_n, data.pd, data.hinv_list[i]
-    if pd[i + 1] and hinv is not None:
+    maps, hinv = data.lifted.svec_n, data.hinv_list[i]
+    if data.pd[i] and hinv is not None:
         new = x + hinv.dot(g)
         if positive_definite(unsvec(new, maps)):
             return new, True
-    new, pd[i + 1] = _project(x + g / data.rho_list[i], maps,
-                              pd[i + 1] and hinv is None)
+    new, data.pd[i] = _project(x + g / data.rho_list[i], maps)
     return new, False
 
 
@@ -294,8 +286,7 @@ def sgs_sweep(state, data, s=None):
             xs[i + 1] = new
 
         rho0 = data.rho0
-        new, data.pd[0] = _project(xs[0] - s / rho0, data.lifted.svec_p,
-                                   data.pd[0])
+        new, _ = _project(xs[0] - s / rho0, data.lifted.svec_p)
         dx = new - xs[0]
         # z_j = rho_j (y_j - x_j+) - grad_j(P_j) of each block's last
         # update, and 0 after an exact step to an interior point

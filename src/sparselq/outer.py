@@ -308,7 +308,7 @@ def solve_relaxed(lifted, penalty, options=SolverOptions(), warm=None,
             # stands only where the averaged iterate is certified.
             W = lifted.unvec(state.W_tilde)
             cert = analysis.certify(lifted, 0.5 * (W + W.T), P_mat,
-                                    "converged", dr)
+                                    "converged")
             converged = cert["certified"]
             if not converged:
                 failed = [c for c, ok in cert["conditions"].items() if not ok]

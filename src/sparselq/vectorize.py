@@ -96,12 +96,11 @@ class ConstraintOperator:
     A_cols: np.ndarray
     n_diag: int
     n_gain: int
-    n_forced: int
     forced_zeros: tuple
 
     @property
     def n_rows(self):
-        return self.n_diag + self.n_gain + self.n_forced
+        return self.A_cols.size
 
     def apply_A(self, x):
         return x[self.A_cols]
@@ -157,4 +156,4 @@ def assemble_constraint_operator(n, m, forced_zeros=()):
     return ConstraintOperator(p=p,
                               A_cols=np.asarray(cols, dtype=np.int64),
                               n_diag=n_diag, n_gain=m * n,
-                              n_forced=len(fz), forced_zeros=tuple(fz))
+                              forced_zeros=tuple(fz))

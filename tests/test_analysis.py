@@ -298,31 +298,34 @@ class TestCertify:
 
     def test_derives_the_primal_residual(self):
         lifted, W, P = self._feasible()
-        cert = analysis.certify(lifted, W, P, "converged", 0.0)
+        cert = analysis.certify(lifted, W, P, "converged")
         assert cert["certified"]
         assert cert["primal_res"] == pytest.approx(0.0, abs=1e-12)
         P_off = P + 1e-4
-        cert = analysis.certify(lifted, W, P_off, "converged", 0.0)
+        cert = analysis.certify(lifted, W, P_off, "converged")
         assert cert["primal_res"] == pytest.approx(1e-4 * np.sqrt(P.size))
         assert cert["tol"] == pytest.approx(5.0 * cert["primal_res"])
 
-    def test_dual_residual_loosens_the_tolerance_up_to_the_ceiling(self):
+    def test_primal_residual_sets_the_tolerance_up_to_the_ceiling(self):
         lifted, W, P = self._feasible()
-        tol = [analysis.certify(lifted, W, P, "converged", dr)["tol"]
-               for dr in (0.0, 1e-3, 1e6)]
+        # every entry of P moved by d / sqrt(P.size) gives primal_res = d
+        tol = [analysis.certify(lifted, W, P + d / np.sqrt(P.size),
+                                "converged")["tol"] for d in (0.0, 1e-3, 1e6)]
         assert tol == [1e-4, pytest.approx(5e-3), analysis.TOL_CEILING]
-        cert = analysis.certify(lifted, W, P, "converged", 1e6)
-        assert cert["tol"] == analysis.TOL_CEILING
         W_bad = W.copy()
         W_bad[0, 1] = W_bad[1, 0] = 0.5
-        cert = analysis.certify(lifted, W_bad, P, "converged", 1e6)
+        cert = analysis.certify(lifted, W_bad, P + 1e6, "converged")
+        assert cert["tol"] == analysis.TOL_CEILING
         assert not cert["conditions"]["feasible"] and not cert["certified"]
+        # a non-finite residual keeps the floor
+        assert analysis.certify(lifted, W, P + np.inf,
+                                "converged")["tol"] == 1e-4
 
     def test_zero_W1_diagonal_certifies_nothing(self):
         lifted, W, P = self._feasible()
         W = W.copy()
         W[0, 0] = 0.0
-        cert = analysis.certify(lifted, W, P, "converged", 0.0)
+        cert = analysis.certify(lifted, W, P, "converged")
         assert not np.all(np.isfinite(cert["K"]))
         assert np.all(np.isinf(cert["stable"]))
         assert np.all(np.isinf(cert["J_vertex"]))
@@ -331,24 +334,24 @@ class TestCertify:
     def test_singular_lyapunov_operator_certifies_nothing(self,
                                                           monkeypatch):
         lifted, W, P = self._feasible()
-        assert analysis.certify(lifted, W, P, "converged", 0.0)["certified"]
+        assert analysis.certify(lifted, W, P, "converged")["certified"]
 
         def singular(a, b):
             raise np.linalg.LinAlgError("Singular matrix")
 
         monkeypatch.setattr(np.linalg, "solve", singular)
-        cert = analysis.certify(lifted, W, P, "converged", 0.0)
+        cert = analysis.certify(lifted, W, P, "converged")
         assert np.all(np.isinf(cert["J_vertex"]))
         assert not cert["conditions"]["cost_bound"] and not cert["certified"]
 
     def test_status_gates_certified(self):
         lifted, W, P = self._feasible()
-        cert = analysis.certify(lifted, W, P, "max_iter", 0.0)
+        cert = analysis.certify(lifted, W, P, "max_iter")
         assert all(cert["conditions"].values()) and not cert["certified"]
 
     def test_agrees_compares_on_the_scale_of_W(self):
         lifted, W, P = self._feasible()
-        cert = analysis.certify(lifted, W, P, "converged", 0.0)
+        cert = analysis.certify(lifted, W, P, "converged")
         res = cert["primal_res"]
         scale = np.linalg.norm(W)
         # a residual at rounding level may move by rounding of ||W||
@@ -357,9 +360,19 @@ class TestCertify:
         # the gain is compared relative to itself
         assert not analysis.agrees(cert, "K", cert["K"] * (1.0 + 1e-6))
 
+    def test_a_stored_string_never_agrees(self):
+        lifted, W, P = self._feasible()
+        cert = analysis.certify(lifted, W, P, "converged")
+        for name in ("J_upper", "n_zeros", "primal_res"):
+            assert analysis.agrees(cert, name, cert[name])
+            assert not analysis.agrees(cert, name, str(cert[name]))
+        K = cert["K"].tolist()
+        K[0][0] = str(K[0][0])
+        assert not analysis.agrees(cert, "K", K)
+
     def test_agrees_matches_inf_with_inf(self):
         lifted, W, P = self._feasible()
-        cert = analysis.certify(lifted, W, P, "converged", 0.0)
+        cert = analysis.certify(lifted, W, P, "converged")
         costs = cert["J_vertex"].copy()
         costs[0] = np.inf
         cert["J_vertex"] = costs

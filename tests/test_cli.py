@@ -371,8 +371,10 @@ class TestVerifyPenaltyParameters:
                                            ("pq_params", []),
                                            ("pq_params", 0),
                                            ("pq_params", False),
-                                           ("dual_res", []),
-                                           ("dual_res", "")])
+                                           ("gamma", True),
+                                           ("gamma", "0.5"),
+                                           ("weights", [[True, 1.0]]),
+                                           ("pq_params", ["1", 1, -1, 1])])
     def test_malformed_fields_are_bad_input(self, problem_file, tmp_path,
                                             capsys, key, value):
         self._solve_and_verify(problem_file, tmp_path, capsys,
@@ -385,6 +387,29 @@ class TestVerifyPenaltyParameters:
                                 "--solution", str(path)])
         assert code == 2
         assert key in capsys.readouterr().err
+
+
+def _W1_off_its_diagonal(problem_file, tmp_path):
+    path, doc = _solve_and_load(problem_file, tmp_path, "--gamma", "0.5")
+    doc["W"][0][1] = doc["W"][1][0] = 0.5
+    return problem_file, path, doc
+
+
+def _W3_off_its_diagonal(problem_file, tmp_path):
+    """An honest ex1 l1 solution at gamma 1 with 0.01 added off the
+    diagonal of W's bottom-right block and min_eig_W stored to match:
+    A reads no entry of that block and D'D = I, so K, J_upper, J_vertex,
+    the pattern and primal_res stay valid, and W misses the PSD cone by
+    less than 5 x (primal_res + 9e-3)."""
+    problem = tmp_path / "ex1.json"
+    problem.write_text(json.dumps(_problem_doc([])))
+    path, doc = _solve_and_load(str(problem), tmp_path, "--gamma", "1")
+    W = np.array(doc["W"])
+    W[3, 4] += 0.01
+    W[4, 3] += 0.01
+    doc["W"] = W.tolist()
+    doc["feasibility"]["min_eig_W"] = float(np.linalg.eigvalsh(W)[0])
+    return str(problem), path, doc
 
 
 class TestVerifyTrust:
@@ -403,13 +428,17 @@ class TestVerifyTrust:
         checked = "not checked" if relaxation == "l0" else "ok"
         assert f"stationarity: {checked}" in captured.out
 
-    @pytest.mark.parametrize("field", ["primal_res", "dual_res"])
+    @pytest.mark.parametrize("field,value,edit", [
+        pytest.param("primal_res", 1e6, _W1_off_its_diagonal,
+                     id="primal_res"),
+        pytest.param("dual_res", 1e6, _W1_off_its_diagonal, id="dual_res"),
+        pytest.param("dual_res", 9e-3, _W3_off_its_diagonal,
+                     id="dual_res-below_the_ceiling")])
     def test_stored_residuals_do_not_loosen_the_tolerance(
-            self, problem_file, tmp_path, capsys, field):
-        path, doc = _solve_and_load(problem_file, tmp_path, "--gamma", "0.5")
-        doc["W"][0][1] = doc["W"][1][0] = 0.5
-        doc[field] = 1e6
-        code, captured = _verify(problem_file, path, doc, capsys)
+            self, problem_file, tmp_path, capsys, field, value, edit):
+        problem, path, doc = edit(problem_file, tmp_path)
+        doc[field] = value
+        code, captured = _verify(problem, path, doc, capsys)
         assert code == 4
         assert "feasible: FAILED" in captured.out
 
@@ -621,6 +650,21 @@ class TestBadInputs:
                                 "--out", str(tmp_path / "o")])
         assert code == 2
         assert f"{key}: expected an integer" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("key,entry", [("A", "0.222"), ("A", True),
+                                           ("B2", "1"), ("B2", False)])
+    def test_entry_that_is_not_a_number(self, tmp_path, capsys, key, entry):
+        # float() would read "0.222" and true; a JSON number is asked for
+        doc = small_problem_doc()
+        doc[key] = [entry] + doc[key][1:]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code = cli.run_command(["solve", "--problem", str(path),
+                                "--gamma", "1.0",
+                                "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert f"{key}: expected a number" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_integral_float_size_is_accepted(self):

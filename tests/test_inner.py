@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sparselq import analysis, inner, model, vectorize
+from sparselq import analysis, inner, model
 from sparselq.errors import EigFailure, MaxSweepsExceeded
 
 from conftest import (dense_duplication, dense_equality_operator,
@@ -83,7 +83,7 @@ class TestDualData:
         assert rho_again is rho_list
         assert again.JM_list is first.JM_list
         assert again.hinv_list is first.hinv_list
-        assert again.pd == [True] * (1 + lifted.n_vertices)
+        assert again.pd == [True] * lifted.n_vertices
         np.testing.assert_allclose(again.g0, 1.1 * first.g0, rtol=1e-14)
         _, rho_other = inner.assemble_dual_data(
             lifted, d_k, w_k, v_tilde, 2 * a, t, e, cache)
@@ -91,21 +91,9 @@ class TestDualData:
 
 
 class TestCholeskyHint:
-    """DualData.pd: for X0 a hint that skips the Cholesky test its last
-    projection input failed, which changes work, not results; for a
-    vertex block with a stored inverse it selects the step."""
-
-    def test_projection_ignores_the_hint(self):
-        rng = np.random.default_rng(21)
-        maps = vectorize.build_svec_maps(4)
-        with np.errstate(invalid="ignore"):
-            for shift in (-3.0, 0.0, 3.0):
-                G = rng.standard_normal((4, 4))
-                x = inner.svec(0.5 * (G + G.T) + shift * np.eye(4), maps)
-                (a, pd_a), (b, pd_b) = (inner._project(x, maps, hint)
-                                        for hint in (True, False))
-                np.testing.assert_array_equal(a, b)
-                assert pd_a == pd_b
+    """DualData.pd: for a vertex block with a stored inverse, whether its
+    last update left it positive definite, which says whether the exact
+    step and its Cholesky test are tried."""
 
     def test_vertex_flag_selects_the_step(self):
         lifted, args, _ = interior_instance(23)
@@ -115,24 +103,26 @@ class TestCholeskyHint:
             inner.recover_primal(data, inner.zero_state(lifted)))
         with np.errstate(invalid="ignore"):
             exact, took_exact = inner._vertex_step(x, g, 0, data)
-            assert took_exact and data.pd[1]
+            assert took_exact and data.pd[0]
             np.testing.assert_array_equal(exact, x + data.hinv_list[0].dot(g))
-            data.pd[1] = False
+            data.pd[0] = False
             majorized, took_exact = inner._vertex_step(x, g, 0, data)
         assert not took_exact
         np.testing.assert_array_equal(majorized, inner._project(
-            x + g / data.rho_list[0], lifted.svec_n, False)[0])
+            x + g / data.rho_list[0], lifted.svec_n)[0])
         assert not np.allclose(majorized, exact)
         # the flag now says whether the majorized step left the block
         # positive definite, and with it whether the next update tries the
         # exact step
         w = np.linalg.eigvalsh(inner.unsvec(majorized, lifted.svec_n))
-        assert data.pd[1] == (w[0] > 0.0)
+        assert data.pd[0] == (w[0] > 0.0)
 
     def test_set_by_the_sweep_and_reset_by_assembly(self):
-        lifted, data, args = assemble(22)
-        assert data.pd == [True] * (1 + lifted.n_vertices)
-        rng = np.random.default_rng(22)
+        # on this instance the vertex block's unconstrained minimizer
+        # leaves the cone, so the sweep clears its flag
+        lifted, data, args = assemble(0)
+        assert data.pd == [True] * lifted.n_vertices
+        rng = np.random.default_rng(0)
         state = dual_state(lifted, [
             -np.abs(rng.standard_normal(lifted.svec_p.size)),
             *(rng.standard_normal(lifted.svec_n.size)
@@ -140,7 +130,7 @@ class TestCholeskyHint:
         inner.sgs_sweep(state, data)
         assert not all(data.pd)
         again, _ = inner.assemble_dual_data(lifted, *args)
-        assert again.pd == [True] * (1 + lifted.n_vertices)
+        assert again.pd == [True] * lifted.n_vertices
 
 
 class TestSweeps:

@@ -253,4 +253,4 @@ class TestLiftedStructure:
             A=np.eye(2), B2=np.ones((2, 1)), B1=np.eye(2), C=C, D=D))
         lp = model.lift_plant(vp, forced_zeros=((0, 1),))
         assert lp.forced_zeros == ((0, 1),)
-        assert lp.op.n_forced == 1
+        assert len(lp.op.forced_zeros) == 1

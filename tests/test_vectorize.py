@@ -99,7 +99,7 @@ class TestConstraintOperator:
 
     def test_row_counts(self):
         op = self.op
-        assert (op.n_diag, op.n_gain, op.n_forced) == (3, 6, 1)
+        assert (op.n_diag, op.n_gain, len(op.forced_zeros)) == (3, 6, 1)
         assert op.n_rows == 10
 
     def test_fast_paths_match_matrices(self):

@@ -57,7 +57,7 @@ def solve(lifted, penalty, options=outer.SolverOptions()):
 
 def stationary(lifted, sol, penalty):
     # the check of cmd_verify, on the solution's own W and P
-    cert = analysis.certify(lifted, sol.W, sol.P, sol.status, sol.dual_res)
+    cert = analysis.certify(lifted, sol.W, sol.P, sol.status)
     return analysis.stationary(cert, lifted, sol.multiplier, penalty)
 
 
