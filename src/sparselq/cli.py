@@ -14,9 +14,9 @@ The problem file holds flat row-major matrices:
      "vertices": [{"A": [...], "B2": [...]}, ...],
      "forced_zeros": [[0, 2], ...]}
 
-B1 defaults to the identity; C and D default to [I; 0] and [0; I], the
-unit-weight quadratic cost.  Unknown keys are rejected rather than
-ignored.
+B1 (n x k) defaults to the identity; C (k x n) and D default to [I; 0]
+and [0; I], the unit-weight quadratic cost.  Unknown keys, in the
+problem and in each vertex, are rejected rather than ignored.
 
 verify derives analysis.CERTIFIED_FIELDS from the stored W and P with
 analysis.certify, compares each stored copy, and requires the
@@ -24,7 +24,14 @@ certificate's conditions and, for l1 and pq, stationarity of the stored
 multiplier.  It trusts status and iterations, and reads no dual_res:
 the feasibility tolerance derives from the primal residual of (W, P).
 A number read from either file must be a JSON number, not a string or
-a boolean.
+a boolean.  A stored copy must also hold the JSON kind of the derived
+field (analysis.agrees): a bool for a flag, integers for a count or a
+pattern, numbers for the rest.  W must equal its transpose exactly, as
+every W that certify stores does.
+
+simulate steps every disturbance channel at once with one matrix, the
+degree-4 Taylor polynomial of exp(dt A_cl) that one classical RK4 step
+of the linear closed loop applies.
 
 solve and sweep build SolverOptions and ContinuationOptions once from
 the flags, so a bad flag fails before any work.  sweep solves its gammas
@@ -32,7 +39,7 @@ in a process pool and merges the rows the workers return.
 
 Exit codes: 0 success, 2 bad input (errors.InvalidInput; in verify also
 a regime other than l1, pq or l0, a non-finite stored matrix, a W
-whose products with the plant overflow, and a stored gamma, weights or
+that is not symmetric or whose products with the plant overflow, and a stored gamma, weights or
 pq_params that penalties.Penalty rejects), a file that cannot be read
 or written (OSError) or a numerical failure (also numpy's LinAlgError), 3
 solver did not converge (in a sweep: some gamma did not converge or
@@ -55,8 +62,6 @@ from .errors import InvalidInput, NotConverged, SparseLQError
 
 log = logging.getLogger("sparselq")
 
-_PROBLEM_KEYS = {"n", "m", "A", "B2", "B1", "C", "D", "vertices",
-                 "forced_zeros"}
 # Solution fields that stay out of solution.json (trace.csv holds one).
 _NOT_IN_DOCUMENT = ("trace", "final_state")
 # Columns of sweep.csv; each row of sweep.json adds K (and, for a gamma
@@ -91,7 +96,12 @@ def _array(flat, name):
 
 
 def _matrix(flat, rows, cols, name):
+    """flat as a finite rows x cols array.  A dimension given as None is
+    worked out from the entry count, rounded up, so that a count that is
+    not a multiple of the other dimension fails the size check."""
     arr = _array(flat, name)
+    rows = -(-arr.size // cols) if rows is None else rows
+    cols = -(-arr.size // rows) if cols is None else cols
     if arr.size != rows * cols:
         raise InvalidInput(f"{name}: expected {rows * cols} entries "
                          f"({rows}x{cols}), got {arr.size}")
@@ -110,36 +120,35 @@ def _json_object(text, what):
     return doc
 
 
+def _keys(doc, required, optional, what):
+    """Raise InvalidInput unless doc is a JSON object that holds every
+    required key and no key outside required and optional."""
+    if not isinstance(doc, dict):
+        raise InvalidInput(f"{what} is not a JSON object")
+    unknown = set(doc) - set(required) - set(optional)
+    if unknown:
+        raise InvalidInput(f"{what}: unrecognized keys {sorted(unknown)}")
+    for key in required:
+        if key not in doc:
+            raise InvalidInput(f"{what} is missing {key!r}")
+
+
 def parse_problem(text):
     """PlantData and forced zeros from the JSON problem format."""
     doc = _json_object(text, "problem")
-    unknown = set(doc) - _PROBLEM_KEYS
-    if unknown:
-        raise InvalidInput(f"unrecognized problem keys: {sorted(unknown)}")
-    for key in ("n", "m", "A", "B2"):
-        if key not in doc:
-            raise InvalidInput(f"problem file is missing {key!r}")
+    _keys(doc, ("n", "m", "A", "B2"),
+          ("B1", "C", "D", "vertices", "forced_zeros"), "problem")
     n, m = _number(doc["n"], "n", int), _number(doc["m"], "m", int)
     if n < 1 or m < 1:
         raise InvalidInput("need n >= 1 and m >= 1")
     A = _matrix(doc["A"], n, n, "A")
     B2 = _matrix(doc["B2"], n, m, "B2")
-    if "B1" in doc:
-        arr = _array(doc["B1"], "B1")
-        if arr.size % n:
-            raise InvalidInput(f"B1: length {arr.size} is not a multiple of n")
-        B1 = arr.reshape(n, arr.size // n)
-    else:
-        B1 = np.eye(n)
+    B1 = _matrix(doc["B1"], n, None, "B1") if "B1" in doc else np.eye(n)
     if ("C" in doc) != ("D" in doc):
         raise InvalidInput("C and D must be given together")
     if "C" in doc:
-        arrC = _array(doc["C"], "C")
-        if arrC.size % n:
-            raise InvalidInput(f"C: length {arrC.size} is not a multiple of n")
-        q = arrC.size // n
-        C = arrC.reshape(q, n)
-        D = _matrix(doc["D"], q, m, "D")
+        C = _matrix(doc["C"], None, n, "C")
+        D = _matrix(doc["D"], C.shape[0], m, "D")
     else:
         C = np.vstack([np.eye(n), np.zeros((m, n))])
         D = np.vstack([np.zeros((n, m)), np.eye(m)])
@@ -149,14 +158,7 @@ def parse_problem(text):
             raise InvalidInput("vertices must be a nonempty list")
         vertices = []
         for idx, vert in enumerate(doc["vertices"]):
-            if not isinstance(vert, dict):
-                raise InvalidInput(f"vertex {idx} is not a JSON object")
-            extra = set(vert) - {"A", "B2"}
-            if extra:
-                raise InvalidInput(f"vertex {idx}: unrecognized keys "
-                                 f"{sorted(extra)}")
-            if "A" not in vert or "B2" not in vert:
-                raise InvalidInput(f"vertex {idx} needs both A and B2")
+            _keys(vert, ("A", "B2"), (), f"vertex {idx}")
             vertices.append((_matrix(vert["A"], n, n, f"vertex {idx} A"),
                              _matrix(vert["B2"], n, m, f"vertex {idx} B2")))
     forced = _converted(
@@ -194,6 +196,13 @@ def solution_document(sol):
                       for f in fields(sol) if f.name not in _NOT_IN_DOCUMENT})
 
 
+def _write_csv(path, columns, rows):
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        writer.writerows(rows)
+
+
 def write_solution(sol, out_dir):
     os.makedirs(out_dir, exist_ok=True)
     sol_path = os.path.join(out_dir, "solution.json")
@@ -203,11 +212,7 @@ def write_solution(sol, out_dir):
             ("trace.csv", analysis.TRACE_COLUMNS, sol.trace),
             ("stages.csv", analysis.STAGE_TRACE_COLUMNS, sol.stage_trace)):
         if rows:
-            with open(os.path.join(out_dir, name), "w", newline="",
-                      encoding="utf-8") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(columns)
-                writer.writerows(rows)
+            _write_csv(os.path.join(out_dir, name), columns, rows)
     return sol_path
 
 
@@ -296,12 +301,8 @@ def cmd_sweep(args):
     with open(os.path.join(args.out, "sweep.json"), "w",
               encoding="utf-8") as fh:
         json.dump(rows, fh, indent=1)
-    with open(os.path.join(args.out, "sweep.csv"), "w", newline="",
-              encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SWEEP_COLUMNS)
-        writer.writerows([row[name] for name in SWEEP_COLUMNS]
-                         for row in rows)
+    _write_csv(os.path.join(args.out, "sweep.csv"), SWEEP_COLUMNS,
+               ([row[name] for name in SWEEP_COLUMNS] for row in rows))
     for row in rows:
         if row["status"] == "error":
             print(f"gamma={row['gamma']:g}: status=error {row['message']}")
@@ -325,14 +326,9 @@ def cmd_simulate(args):
     t, X = analysis.simulate_impulse(lifted.plant, K, args.horizon, args.dt)
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "impulse.csv")
-    n = X.shape[2]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["channel", "t"] + [f"x{i}" for i in range(n)])
-        for j in range(X.shape[0]):
-            for s in range(X.shape[1]):
-                writer.writerow([j, f"{t[s]:.10g}"]
-                                + [f"{val:.12g}" for val in X[j, s]])
+    _write_csv(path, ["channel", "t"] + [f"x{i}" for i in range(X.shape[2])],
+               ([j, f"{t[s]:.10g}"] + [f"{val:.12g}" for val in X[j, s]]
+                for j in range(X.shape[0]) for s in range(X.shape[1])))
     print(f"wrote {path} ({X.shape[0]} channels, {X.shape[1]} samples)")
     return 0
 
@@ -356,6 +352,8 @@ def cmd_verify(args):
     with open(args.solution, "r", encoding="utf-8") as fh:
         doc = _json_object(fh.read(), "solution")
     W = _matrix(_field(doc, "W"), lifted.p, lifted.p, "W")
+    if not np.array_equal(W, W.T):
+        raise InvalidInput("W: not symmetric; W must equal W' exactly")
     _require_finite_products(lifted, W)
     P = _matrix(_field(doc, "P"), lifted.m, lifted.n, "P")
     regime = _field(doc, "regime")

@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import dataclasses
 import json
@@ -76,6 +77,16 @@ class TestParseProblem:
         doc = small_problem_doc()
         doc["C"] = [1.0, 0.0]
         with pytest.raises(InvalidInput):
+            cli.parse_problem(json.dumps(doc))
+
+    @pytest.mark.parametrize("key,entries", [("B1", 3), ("C", 3),
+                                             ("C", 1)])
+    def test_rejects_a_count_that_leaves_a_free_dimension_short(
+            self, key, entries):
+        # B1 is n x k and C is k x n, k from the entry count (n = 2)
+        doc = _changed(C=[1.0, 0.0, 0.0, 1.0], D=[0.0, 0.0])
+        doc[key] = [1.0] * entries
+        with pytest.raises(InvalidInput, match=f"{key}: expected"):
             cli.parse_problem(json.dumps(doc))
 
     def test_rejects_wrong_size(self):
@@ -395,21 +406,55 @@ def _W1_off_its_diagonal(problem_file, tmp_path):
     return problem_file, path, doc
 
 
+def _ex1_solution(tmp_path):
+    """(problem path, solution path, solution doc) of an honest ex1 l1
+    solve at gamma 1."""
+    problem = tmp_path / "ex1.json"
+    problem.write_text(json.dumps(_problem_doc([])))
+    path, doc = _solve_and_load(str(problem), tmp_path, "--gamma", "1")
+    return str(problem), path, doc
+
+
 def _W3_off_its_diagonal(problem_file, tmp_path):
     """An honest ex1 l1 solution at gamma 1 with 0.01 added off the
     diagonal of W's bottom-right block and min_eig_W stored to match:
     A reads no entry of that block and D'D = I, so K, J_upper, J_vertex,
     the pattern and primal_res stay valid, and W misses the PSD cone by
     less than 5 x (primal_res + 9e-3)."""
-    problem = tmp_path / "ex1.json"
-    problem.write_text(json.dumps(_problem_doc([])))
-    path, doc = _solve_and_load(str(problem), tmp_path, "--gamma", "1")
+    problem, path, doc = _ex1_solution(tmp_path)
     W = np.array(doc["W"])
     W[3, 4] += 0.01
     W[4, 3] += 0.01
     doc["W"] = W.tolist()
     doc["feasibility"]["min_eig_W"] = float(np.linalg.eigvalsh(W)[0])
-    return str(problem), path, doc
+    return problem, path, doc
+
+
+class TestVerifyJsonKinds:
+    """A stored certified field must hold the JSON kind of the derived
+    one: a bool for a flag, integers for a count or a pattern."""
+
+    @pytest.mark.parametrize("field,edit", [
+        pytest.param("certified", lambda flag: 1, id="certified_1"),
+        pytest.param("feasibility", lambda report: {**report, "feasible": 1},
+                     id="feasible_1"),
+        pytest.param("n_zeros", lambda zeros: 0.0, id="n_zeros_0.0"),
+        pytest.param("n_zeros", lambda zeros: False, id="n_zeros_false"),
+        pytest.param("pattern", lambda rows: [[float(v) for v in row]
+                                              for row in rows],
+                     id="pattern_floats"),
+        pytest.param("pattern", lambda rows: [[bool(v) for v in row]
+                                              for row in rows],
+                     id="pattern_bools")])
+    def test_a_value_of_another_kind_fails(self, tmp_path, capsys, field,
+                                           edit):
+        problem, path, doc = _ex1_solution(tmp_path)
+        # each edit keeps the value: 1 == True, 0.0 == False == n_zeros
+        assert doc["certified"] is True and doc["n_zeros"] == 0
+        doc[field] = edit(doc[field])
+        code, captured = _verify(problem, path, doc, capsys)
+        assert code == 4
+        assert f"{field}: FAILED" in captured.out
 
 
 class TestVerifyTrust:
@@ -542,7 +587,8 @@ def test_verify_survives_a_W_whose_blocks_overflow(problem_file, tmp_path,
 
 
 class TestVerifyMalformedSolution:
-    """A solution file with a missing or wrong-size field is bad input."""
+    """A solution file with a missing, wrong-size or non-finite field,
+    or a W that is not symmetric, is bad input."""
 
     @pytest.mark.parametrize("key,value", [
         ("W", [[1.0]]), ("multiplier", [0.0, 0.0]), ("P", None),
@@ -565,6 +611,16 @@ class TestVerifyMalformedSolution:
                                 "--solution", str(path)])
         assert code == 2
         assert key in capsys.readouterr().err
+
+    def test_W_that_is_not_symmetric(self, tmp_path, capsys):
+        # the W3 block enters no derived quantity: A reads none of it, R
+        # only its diagonal, and the vertex blocks only the first n rows
+        problem, path, doc = _ex1_solution(tmp_path)
+        doc["W"][3][4] += 5.0
+        doc["W"][4][3] -= 5.0
+        code, captured = _verify(problem, path, doc, capsys)
+        assert code == 2
+        assert captured.err.startswith("error: W: not symmetric")
 
 
 class TestBadInputs:
@@ -827,6 +883,21 @@ class TestSweep:
         assert len(rows) == 2
         assert all(row["status"] == "converged" for row in rows)
 
+
+    def test_pool_that_cannot_start_solves_in_process(
+            self, problem_file, tmp_path, monkeypatch, caplog):
+        def no_pool(*args, **kwargs):
+            raise OSError("no process can start")
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            no_pool)
+        out = tmp_path / "sws"
+        code = cli.run_command(["sweep", "--problem", problem_file,
+                                "--gammas", "0.6,0.2", "--out", str(out)])
+        assert code == 0
+        rows = json.loads((out / "sweep.json").read_text())
+        assert [row["gamma"] for row in rows] == [0.6, 0.2]
+        assert all(row["status"] == "converged" for row in rows)
+        assert "parallel sweep unavailable" in caplog.text
 
     def test_worker_error_is_not_rerun_serially(self, problem_file, tmp_path,
                                                 monkeypatch, caplog):
