@@ -235,9 +235,11 @@ def feasibility_report(lifted, W, P, tol=1e-4):
 
 
 def certify(lifted, W, P, status):
-    """Every certified field of a solution, derived from symmetric W and P.
+    """Every certified field of a solution, derived from W and P.
 
-    Returns a dict of W, P, the CERTIFIED_FIELDS, the feasibility
+    W is symmetrized here, as 0.5 (W + W'), which leaves an exactly
+    symmetric W as it is.  Returns a dict of that W, P, the
+    CERTIFIED_FIELDS, the feasibility
     tolerance tol and the conditions that certified requires besides
     status "converged".  K = P / diag(W1) keeps the exact zeros of the
     prox; a zero on that diagonal leaves K non-finite and nothing
@@ -246,6 +248,7 @@ def certify(lifted, W, P, status):
     given.  tol is min(TOL_CEILING, max(1e-4, 5 primal_res)), 1e-4 for a
     non-finite residual.
     """
+    W = 0.5 * (W + W.T)
     W_vec = W.reshape(-1, order="F")
     with np.errstate(divide="ignore", invalid="ignore"):
         K = P / np.diag(W[:lifted.n, :lifted.n])
@@ -310,9 +313,8 @@ def stationary(cert, lifted, lam, penalty):
     """Whether the multiplier's gain rows lie in the subdifferential of
     the penalty at P, to max(1e-3, 2 tol).  A forced zero adds the
     indicator of P_ij = 0, whose subdifferential there is the real line."""
-    op, P = lifted.op, cert["P"]
-    lam_g = lam[op.n_diag:op.n_diag + op.n_gain].reshape(P.shape, order="F")
-    lo, hi = penalty.subdifferential(P)
+    lam_g = -lifted.op.apply_Bt(lam).reshape(cert["P"].shape, order="F")
+    lo, hi = penalty.subdifferential(cert["P"])
     for (i, j) in lifted.forced_zeros:
         lo[i, j], hi[i, j] = -np.inf, np.inf
     viol = float(np.max(np.maximum(lo - lam_g, lam_g - hi), initial=0.0))
@@ -320,24 +322,23 @@ def stationary(cert, lifted, lam, penalty):
 
 
 def build_solution(lifted, W_vec, P_vec, trace, status, regime, gamma,
-                   dual_res, multiplier=None, iterations=None, weights=None,
-                   pq_params=None, cert=None):
+                   dual_res, multiplier=None, weights=None, pq_params=None,
+                   cert=None):
     """Assemble a Solution from raw solver state and its certificate.
 
     cert, certify's result for this (W, P) and status, is taken as
     given; without it the iterate is certified here, and SingularW1 is
-    raised when the gain cannot be recovered.  dual_res is stored, not
+    raised when the gain cannot be recovered.  iterations is the number
+    of trace rows, one per outer iteration.  dual_res is stored, not
     judged.
     """
     if cert is None:
-        W = lifted.unvec(W_vec)
-        cert = certify(lifted, 0.5 * (W + W.T),
+        cert = certify(lifted, lifted.unvec(W_vec),
                        P_vec.reshape(lifted.m, lifted.n, order="F"), status)
         if not np.all(np.isfinite(cert["K"])):
             raise SingularW1("leading block has a zero diagonal entry")
     return Solution(**{k: cert[k] for k in ("W", "P", *CERTIFIED_FIELDS)},
                     trace=trace or [], status=status, regime=regime,
-                    gamma=gamma, iterations=len(trace or ())
-                    if iterations is None else iterations,
+                    gamma=gamma, iterations=len(trace or ()),
                     dual_res=dual_res, multiplier=multiplier,
                     weights=weights, pq_params=pq_params)

@@ -16,7 +16,11 @@ The problem file holds flat row-major matrices:
 
 B1 (n x k) defaults to the identity; C (k x n) and D default to [I; 0]
 and [0; I], the unit-weight quadratic cost.  Unknown keys, in the
-problem and in each vertex, are rejected rather than ignored.
+problem, in each vertex and in a solution file that verify or simulate
+reads, are rejected rather than ignored.  A solution file holds the
+fields of solution.json; verify requires those it reads (W, P, regime,
+status, the certified fields, and gamma for l1 and pq) and simulate
+requires K.
 
 verify derives analysis.CERTIFIED_FIELDS from the stored W and P with
 analysis.certify, compares each stored copy, and requires the
@@ -110,14 +114,12 @@ def _matrix(flat, rows, cols, name):
     return arr.reshape(rows, cols)
 
 
-def _json_object(text, what):
+def _json_document(text, what):
+    """The JSON value in text; _keys checks that it is an object."""
     try:
-        doc = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise InvalidInput(f"{what} file is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise InvalidInput(f"{what} file must hold a JSON object")
-    return doc
 
 
 def _keys(doc, required, optional, what):
@@ -135,7 +137,7 @@ def _keys(doc, required, optional, what):
 
 def parse_problem(text):
     """PlantData and forced zeros from the JSON problem format."""
-    doc = _json_object(text, "problem")
+    doc = _json_document(text, "problem")
     _keys(doc, ("n", "m", "A", "B2"),
           ("B1", "C", "D", "vertices", "forced_zeros"), "problem")
     n, m = _number(doc["n"], "n", int), _number(doc["m"], "m", int)
@@ -312,17 +314,20 @@ def cmd_sweep(args):
     return max(code for code, _ in results)
 
 
-def _field(doc, key):
-    if key not in doc:
-        raise InvalidInput(f"solution file is missing {key!r}")
-    return doc[key]
+def _read_solution(path, required):
+    """The solution file at path, checked by _keys: every key in required
+    and no key outside the fields of solution.json."""
+    with open(path, "r", encoding="utf-8") as fh:
+        doc = _json_document(fh.read(), "solution")
+    _keys(doc, required, [f.name for f in fields(analysis.Solution)
+                          if f.name not in _NOT_IN_DOCUMENT], "solution")
+    return doc
 
 
 def cmd_simulate(args):
     lifted = load_problem(args.problem)
-    with open(args.solution, "r", encoding="utf-8") as fh:
-        doc = _json_object(fh.read(), "solution")
-    K = _matrix(_field(doc, "K"), lifted.m, lifted.n, "K")
+    doc = _read_solution(args.solution, ("K",))
+    K = _matrix(doc["K"], lifted.m, lifted.n, "K")
     t, X = analysis.simulate_impulse(lifted.plant, K, args.horizon, args.dt)
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "impulse.csv")
@@ -349,21 +354,21 @@ def _require_finite_products(lifted, W):
 
 def cmd_verify(args):
     lifted = load_problem(args.problem)
-    with open(args.solution, "r", encoding="utf-8") as fh:
-        doc = _json_object(fh.read(), "solution")
-    W = _matrix(_field(doc, "W"), lifted.p, lifted.p, "W")
+    doc = _read_solution(args.solution, ("W", "P", "regime", "status",
+                                         *analysis.CERTIFIED_FIELDS))
+    W = _matrix(doc["W"], lifted.p, lifted.p, "W")
     if not np.array_equal(W, W.T):
         raise InvalidInput("W: not symmetric; W must equal W' exactly")
     _require_finite_products(lifted, W)
-    P = _matrix(_field(doc, "P"), lifted.m, lifted.n, "P")
-    regime = _field(doc, "regime")
+    P = _matrix(doc["P"], lifted.m, lifted.n, "P")
+    regime = doc["regime"]
     if regime not in ("l1", "pq", "l0"):
         raise InvalidInput(f"regime: expected l1, pq or l0, got {regime!r}")
     penalty = None
     if regime != "l0":
         weights, params = doc.get("weights"), doc.get("pq_params")
         penalty = penalties.Penalty(
-            regime, _number(_field(doc, "gamma"), "gamma"),
+            regime, _number(doc.get("gamma"), "gamma"),
             None if weights is None
             else _matrix(weights, lifted.m, lifted.n, "weights"),
             penalties.PQ_DEFAULT if params is None
@@ -371,10 +376,10 @@ def cmd_verify(args):
     lam = doc.get("multiplier")
     if lam is not None:
         lam = _matrix(lam, 1, lifted.op.n_rows, "multiplier")[0]
-    cert = analysis.certify(lifted, W, P, _field(doc, "status"))
+    cert = analysis.certify(lifted, W, P, doc["status"])
 
     checks = {name: _converted(lambda v: analysis.agrees(cert, name, v),
-                               _field(doc, name), name)
+                               doc[name], name)
               for name in analysis.CERTIFIED_FIELDS}
     checks.update(cert["conditions"])
     if penalty is not None and lam is not None:

@@ -17,7 +17,9 @@ X = (X0, X1, ..., XM) is a convex quadratic on a product of PSD cones,
 
 Every row of A selects a single entry of W, so (AD)'(AD) is diagonal
 (lifted.gram_diag) and so is M: Minv is carried as the vector minv and
-applied entrywise, and (AD)' is sym_svec after A'.
+applied entrywise.  b = B w_k is -w_k on the gain rows, which read the
+entries W[n + i, j] below the diagonal, so -2 sigma1 (AD)' b adds
+2 sigma1 (sqrt(2)/2) w_k to the svec coordinates of those entries.
 minv, J_i Minv and the block curvatures H_i = J_i Minv J_i' depend on
 the sigmas alone.  assemble_dual_data builds them with one
 eigendecomposition of H_i per vertex, which gives both the step
@@ -53,13 +55,13 @@ restarts at t = 1 (O'Donoghue & Candes, Found. Comput. Math. 2015).
 Only sweep outputs are tested, returned or warm-started from: y may lie
 outside the cones, a sweep output never does.
 
-A DualState is one contiguous vector x = (x0, x1, ..., xM), and its
-blocks are views into it, so the restart test and the extrapolation are
-one vector expression each on d = x+ - x.  The sweep carries the primal
-s = Minv (q - L(X)) rather than L(X): a vertex gradient is
--(kq + J_i s), the X0 gradient is s itself, and a block update dx_i
-moves s by -dx_i' (J_i Minv), the product assemble_dual_data forms for
-rho_i anyway.  s is affine in X, so s(y) follows the same extrapolation,
+A DualState is one contiguous vector x = (x0, x1, ..., xM), and
+blocks() is its one view by block, a list of views into x, so the
+restart test and the extrapolation are one vector expression each on
+d = x+ - x.  The sweep carries the primal s = Minv (q - L(X)) rather
+than L(X): a vertex gradient is -(kq + J_i s), the X0 gradient is s
+itself, and a block update dx_i moves s by -dx_i' (J_i Minv), the
+product assemble_dual_data forms for rho_i anyway.  s is affine in X, so s(y) follows the same extrapolation,
 a solve evaluates s afresh only at its start, and the primal it returns
 is the s it carries.
 
@@ -99,22 +101,15 @@ class DualState:
     """PSD multipliers in isometric svec coordinates, stored flat.
 
     x is the concatenation (x0, x1, ..., xM), held as given, not copied,
-    and slices gives each block's place in it; x0 (length p(p+1)/2) and
-    each entry of x_list (length n(n+1)/2) are views into x.  residual
+    and slices gives each block's place in it.  blocks() is the one view
+    by block: [x0, x1, ..., xM], views into x of length p(p+1)/2 for X0
+    and n(n+1)/2 for each vertex block.  residual
     is an upper bound on dual_residual(self, data) for the data of the
     sweep that produced the state; inf for any other state.
     """
 
     def __init__(self, x, slices, residual=np.inf):
         self.x, self.slices, self.residual = x, slices, residual
-
-    @property
-    def x0(self):
-        return self.x[self.slices[0]]
-
-    @property
-    def x_list(self):
-        return [self.x[sl] for sl in self.slices[1:]]
 
     def blocks(self):
         return [self.x[sl] for sl in self.slices]
@@ -201,9 +196,10 @@ def assemble_dual_data(lifted, d_k, w_k, v_tilde_k, alpha_k, theta_k, eta_f_k,
         cache[key] = _curvature(lifted, sigma1, sigma2)
     minv, rho_list, hinv_list, JM_list = cache[key]
 
-    maps, op = lifted.svec_p, lifted.op
-    ADt_b = sym_svec(op.apply_At(op.apply_B(w_k)), maps)
-    q = -2.0 * sigma1 * ADt_b + 2.0 * sigma2 * sym_svec(v_tilde_k, maps)
+    maps, n = lifted.svec_p, lifted.n
+    q = 2.0 * sigma2 * sym_svec(v_tilde_k, maps)
+    q[maps.coord[n:, :n].ravel(order="F")] += (
+        2.0 * sigma1 * (w_k * math.sqrt(0.5)))
 
     return DualData(lifted=lifted, minv=minv, rho0=float(minv.max()),
                     rho_list=rho_list, hinv_list=hinv_list, JM_list=JM_list,
@@ -311,7 +307,7 @@ def dual_residual(state, data):
     """Relative fixed-point error of the projected optimality map."""
     lifted = data.lifted
     grads = _gradients(data, recover_primal(data, state))
-    maps = [lifted.svec_p] + [lifted.svec_n] * len(state.x_list)
+    maps = [lifted.svec_p] + [lifted.svec_n] * len(lifted.J_list)
     with np.errstate(invalid="ignore"):
         return _relative_error((x - _project(x - g, m)[0], x, g)
                                for x, g, m in zip(state.blocks(), grads, maps))
@@ -320,8 +316,9 @@ def dual_residual(state, data):
 def recover_primal(data, state):
     """Primal solution in isometric coordinates: s = Minv (q - L(X)),
     with L(X) = g0 - x0 + sum_i J_i' x_i."""
-    ell = data.g0 - state.x0
-    for J, x in zip(data.lifted.J_list, state.x_list):
+    x0, *xs = state.blocks()
+    ell = data.g0 - x0
+    for J, x in zip(data.lifted.J_list, xs):
         ell = ell + x.dot(J)
     return data.minv * (data.q_k - ell)
 
@@ -345,14 +342,11 @@ def solve_inner(lifted, d_k, w_k, v_tilde_k, alpha_k, theta_k, eta_f_k,
     # the outer step
     s = recover_primal(data, state)
     y, s_y, t = state, s, 1.0
-    sweeps = 0
-    converged = False
-    while sweeps < max_sweeps:
+    for sweeps in range(1, max_sweeps + 1):
         new, s_new = sgs_sweep(y, data, s_y)
-        sweeps += 1
         if new.residual < eps:
-            state, s, converged = new, s_new, True
-            break
+            v = unsvec(s_new, lifted.svec_p).reshape(-1, order="F")
+            return v, sweeps, new
         d = new.x - state.x
         if (y.x - new.x).dot(d) > 0.0:
             y, s_y, t = new, s_new, 1.0
@@ -364,7 +358,5 @@ def solve_inner(lifted, d_k, w_k, v_tilde_k, alpha_k, theta_k, eta_f_k,
             t = t_next
         state, s = new, s_new
     v = unsvec(s, lifted.svec_p).reshape(-1, order="F")
-    if converged:
-        return v, sweeps, state
     raise MaxSweepsExceeded(v=v, residual=dual_residual(state, data),
-                            state=state, sweeps=sweeps)
+                            state=state, sweeps=max_sweeps)

@@ -95,11 +95,9 @@ def solve_l0(lifted, gamma, options=outer.SolverOptions(),
     gamma, no weights, stage_trace rows (sigma, pass, h_sigma, nnz), and
     the iterations of all subproblems summed.
     """
-    m, n = lifted.m, lifted.n
     stage_trace = []
     total_iters = 0
-    sol = None
-    P_mat = np.zeros((m, n))
+    P_mat = np.zeros((lifted.m, lifted.n))
     mu_f = 1.0 / continuation.prox_weight
     warm, anchor = None, (np.eye(lifted.p).reshape(-1, order="F"), mu_f)
 
@@ -116,7 +114,7 @@ def solve_l0(lifted, gamma, options=outer.SolverOptions(),
                             "iteration cap", sigma, pass_i)
             st = sol.final_state
             total_iters += sol.iterations
-            P_mat = st.P_tilde.reshape(m, n, order="F")
+            P_mat = sol.P
             warm, anchor = st, (st.W_tilde, mu_f)
             h_cur = h_sigma_objective(lifted, st.W_tilde, P_mat, gamma, sigma)
             nnz = int(np.count_nonzero(sol.pattern))

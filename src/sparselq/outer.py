@@ -294,7 +294,6 @@ def solve_relaxed(lifted, penalty, options=SolverOptions(), warm=None,
     trace = []
     t0 = time.perf_counter()
     converged = False
-    pr = dr = np.nan
     for _ in range(int(options.max_outer)):
         alpha, sweeps, capped, inner_res, sharp_res = outer_iteration(
             state, lifted, penalty, options)
@@ -306,9 +305,8 @@ def solve_relaxed(lifted, penalty, options=SolverOptions(), warm=None,
         if stop:
             # The residual pair only watches the equality rows; the stop
             # stands only where the averaged iterate is certified.
-            W = lifted.unvec(state.W_tilde)
-            cert = analysis.certify(lifted, 0.5 * (W + W.T), P_mat,
-                                    "converged")
+            cert = analysis.certify(lifted, lifted.unvec(state.W_tilde),
+                                    P_mat, "converged")
             converged = cert["certified"]
             if not converged:
                 failed = [c for c, ok in cert["conditions"].items() if not ok]
@@ -325,7 +323,7 @@ def solve_relaxed(lifted, penalty, options=SolverOptions(), warm=None,
     sol = analysis.build_solution(
         lifted, state.W_tilde, state.P_tilde, trace, status,
         penalty.kind, penalty.gamma, dr, multiplier=state.lam.copy(),
-        iterations=state.k, weights=penalty.weights,
+        weights=penalty.weights,
         pq_params=penalty.pq_params if penalty.kind == "pq" else None,
         cert=cert if converged else None)
     sol.final_state = state

@@ -15,6 +15,9 @@ unsvec, sums the two triangles.
 
 The equality operator of the lift only selects entries of vec(W), so it
 is stored as the column index each row reads and applied as a gather.
+Its row layout, which is also the layout of the splitting's multiplier
+lambda (diagonal rows, gain rows, forced zeros), is kept here alone:
+every other module reaches lambda's rows through ConstraintOperator.
 """
 
 from dataclasses import dataclass, field
@@ -108,11 +111,6 @@ class ConstraintOperator:
     def apply_At(self, lam):
         return np.bincount(self.A_cols, weights=lam,
                            minlength=self.p * self.p)
-
-    def apply_B(self, w):
-        out = np.zeros(self.n_rows)
-        out[self.n_diag:self.n_diag + self.n_gain] = -w
-        return out
 
     def apply_Bt(self, lam):
         return -lam[self.n_diag:self.n_diag + self.n_gain]

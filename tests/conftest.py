@@ -2,13 +2,41 @@
 the acceptance report hook that prints one line per criterion at the end
 of the run."""
 
+import importlib.util
 import os
+import pathlib
+import sys
 
 import numpy as np
 import pytest
 
 from sparselq import analysis, model, outer, vectorize
 from sparselq.errors import EigFailure, SparseLQError
+
+
+BENCH = pathlib.Path(__file__).resolve().parents[1] / "bench"
+
+
+def _load_bench(name):
+    spec = importlib.util.spec_from_file_location(name, BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def load_workloads():
+    """bench/workloads.py, loaded by path; bench/ is not changed.  It
+    imports its checker as the top-level module "check", which is
+    registered only while it loads."""
+    saved = sys.modules.get("check")
+    sys.modules["check"] = _load_bench("check")
+    try:
+        return _load_bench("workloads")
+    finally:
+        if saved is None:
+            del sys.modules["check"]
+        else:
+            sys.modules["check"] = saved
 
 
 def source_env():
@@ -174,13 +202,13 @@ def dense_equality_operator(op, n, m):
     then one row per forced zero."""
     p = op.p
     assert p == n + m
-    cols = [i + j * p for i in range(n) for j in range(i + 1, n)]
-    cols += [(n + i) + j * p for j in range(n) for i in range(m)]
+    diag = [i + j * p for i in range(n) for j in range(i + 1, n)]
+    cols = diag + [(n + i) + j * p for j in range(n) for i in range(m)]
     cols += [(n + i) + j * p for (i, j) in op.forced_zeros]
     A = np.zeros((len(cols), p * p))
     A[np.arange(len(cols)), cols] = 1.0
     B = np.zeros((len(cols), m * n))
-    B[op.n_diag + np.arange(m * n), np.arange(m * n)] = -1.0
+    B[len(diag) + np.arange(m * n), np.arange(m * n)] = -1.0
     return A, B
 
 
@@ -273,8 +301,9 @@ def min_eigenvalue(S):
 
 def _ell(state, data):
     """L(X) = g0 - x0 + sum_i J_i' x_i of the inner dual problem."""
-    out = data.g0 - state.x0
-    for J, x in zip(data.lifted.J_list, state.x_list):
+    x0, *xs = state.blocks()
+    out = data.g0 - x0
+    for J, x in zip(data.lifted.J_list, xs):
         out = out + x.dot(J)
     return out
 
@@ -284,12 +313,12 @@ def subproblem_terms(lifted, args):
     out from the inputs args = (d_k, w_k, v_tilde, alpha, theta, eta_f)
     of inner.assemble_dual_data: sigma1 = alpha/(2 theta),
     sigma2 = eta_f/(2 alpha), s_tilde = svec of the symmetric part of
-    v_tilde and b_tilde = B w_k."""
+    v_tilde and b_tilde = B w_k, with B dense from its layout."""
     _, w_k, v_tilde, alpha, theta, eta_f = args
     V = v_tilde.reshape(lifted.p, lifted.p, order="F")
+    _, B = dense_equality_operator(lifted.op, lifted.n, lifted.m)
     return (alpha / (2.0 * theta), eta_f / (2.0 * alpha),
-            vectorize.svec(0.5 * (V + V.T), lifted.svec_p),
-            lifted.op.apply_B(w_k))
+            vectorize.svec(0.5 * (V + V.T), lifted.svec_p), B @ w_k)
 
 
 def dual_objective(state, data, args):
@@ -298,7 +327,7 @@ def dual_objective(state, data, args):
     sigma1, sigma2, s_tilde, b_tilde = subproblem_terms(data.lifted, args)
     r = data.q_k - _ell(state, data)
     xsum = np.zeros(data.lifted.svec_n.size)
-    for x in state.x_list:
+    for x in state.blocks()[1:]:
         xsum = xsum + x
     return float(0.5 * r @ (data.minv * r)
                  - data.lifted.kappa_q @ xsum

@@ -11,26 +11,18 @@ answer on purpose regenerates the file with
 and lists every changed line.  bench/ is loaded by path and not changed.
 """
 
-import importlib.util
+import importlib
 import json
 import pathlib
-import sys
 import types
 
 import pytest
 
-ROOT = pathlib.Path(__file__).resolve().parents[1]
-BENCH = ROOT / "bench"
+from conftest import load_workloads
+
 ANSWERS = pathlib.Path(__file__).with_name("answers.json")
 SEED = 1
 MODULES = ("cli", "model", "outer", "l0", "inner", "errors")
-
-
-def _load(name):
-    spec = importlib.util.spec_from_file_location(name, BENCH / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def run_round(name, workdir):
@@ -39,16 +31,7 @@ def run_round(name, workdir):
     The sweep counter wraps inner.sgs_sweep for the round and is
     removed again afterwards.
     """
-    # workloads.py imports its checker as the top-level module "check"
-    saved = sys.modules.get("check")
-    sys.modules["check"] = _load("check")
-    try:
-        workloads = _load("workloads")
-    finally:
-        if saved is None:
-            del sys.modules["check"]
-        else:
-            sys.modules["check"] = saved
+    workloads = load_workloads()
     sl = types.SimpleNamespace(**{
         m: importlib.import_module(f"sparselq.{m}") for m in MODULES})
     sweep = sl.inner.sgs_sweep

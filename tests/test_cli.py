@@ -623,6 +623,46 @@ class TestVerifyMalformedSolution:
         assert captured.err.startswith("error: W: not symmetric")
 
 
+class TestSolutionKeys:
+    """A solution file that verify or simulate reads holds only fields of
+    solution.json, and the keys that command reads."""
+
+    @staticmethod
+    def _run(command, problem_file, path, tmp_path):
+        out = ["--out", str(tmp_path / "sim")] if command == "simulate" else []
+        return cli.run_command([command, "--problem", problem_file,
+                                "--solution", str(path), *out])
+
+    @pytest.mark.parametrize("command", ["verify", "simulate"])
+    def test_unknown_key_exits_2_naming_it(self, problem_file, tmp_path,
+                                           capsys, command):
+        path, doc = _solve_and_load(problem_file, tmp_path, "--gamma", "0.5")
+        doc["J_uper"] = doc.pop("J_upper") if command == "verify" else 1.0
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert self._run(command, problem_file, path, tmp_path) == 2
+        err = capsys.readouterr().err
+        assert "solution: unrecognized keys ['J_uper']" in err
+
+    @pytest.mark.parametrize("command", ["verify", "simulate"])
+    def test_a_file_that_is_not_an_object_exits_2(self, problem_file,
+                                                  tmp_path, capsys, command):
+        path = tmp_path / "solution.json"
+        path.write_text("[1, 2]")
+        assert self._run(command, problem_file, path, tmp_path) == 2
+        assert "solution is not a JSON object" in capsys.readouterr().err
+
+    def test_a_file_without_the_optional_fields_verifies(
+            self, problem_file, tmp_path, capsys):
+        path, doc = _solve_and_load(problem_file, tmp_path, "--gamma", "0.5")
+        for key in ("multiplier", "weights", "pq_params", "iterations",
+                    "dual_res", "stage_trace"):
+            del doc[key]
+        code, captured = _verify(problem_file, path, doc, capsys)
+        assert code == 0
+        assert "stationarity: not checked" in captured.out
+
+
 class TestBadInputs:
     def test_missing_file(self, tmp_path):
         code = cli.run_command(["solve", "--problem",

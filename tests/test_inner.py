@@ -5,9 +5,9 @@ from sparselq import analysis, inner, model
 from sparselq.errors import EigFailure, MaxSweepsExceeded
 
 from conftest import (dense_duplication, dense_equality_operator,
-                      dual_objective, dual_state, feasible_instance,
-                      make_inner_instance, pg_dual_oracle, primal_objective,
-                      subproblem_terms)
+                      dual_objective, dual_state, ex1_matrices,
+                      feasible_instance, lift, make_inner_instance,
+                      pg_dual_oracle, primal_objective, subproblem_terms)
 
 
 def assemble(rng_seed):
@@ -29,6 +29,26 @@ class TestDualData:
         q = (-2 * (alpha / (2 * theta)) * D.T @ (A.T @ (B @ w_k))
              + 2 * (eta_f / (2 * alpha)) * D.T @ v_tilde)
         np.testing.assert_allclose(data.q_k, q, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("forced_zeros", [(), ((0, 1), (1, 2))],
+                             ids=["unforced", "forced"])
+    def test_q_equals_the_dense_formula_bit_for_bit(self, forced_zeros):
+        # q = -2 sigma1 sym_svec(A' B w) + 2 sigma2 sym_svec(v_tilde) with
+        # A and B dense from their layout: a forced-zero row reads a gain
+        # entry but adds nothing, since B is zero there
+        lifted = lift(ex1_matrices(), forced_zeros)
+        A, B = dense_equality_operator(lifted.op, lifted.n, lifted.m)
+        rng = np.random.default_rng(9)
+        p, maps = lifted.p, lifted.svec_p
+        d_k, v_tilde = (rng.standard_normal(p * p) for _ in range(2))
+        w_k = rng.standard_normal(lifted.m * lifted.n)
+        alpha, theta, eta_f = 0.3, 0.7, 1.9
+        data, _ = inner.assemble_dual_data(lifted, d_k, w_k, v_tilde,
+                                           alpha, theta, eta_f)
+        sigma1, sigma2 = alpha / (2.0 * theta), eta_f / (2.0 * alpha)
+        q = (-2.0 * sigma1 * inner.sym_svec(A.T @ (B @ w_k), maps)
+             + 2.0 * sigma2 * inner.sym_svec(v_tilde, maps))
+        np.testing.assert_array_equal(data.q_k, q)
 
     def test_curvature_is_spd(self):
         # M = 2 sigma1 diag(gram) + 2 sigma2 I is positive and diagonal;
@@ -98,7 +118,7 @@ class TestCholeskyHint:
     def test_vertex_flag_selects_the_step(self):
         lifted, args, _ = interior_instance(23)
         data, _ = inner.assemble_dual_data(lifted, *args)
-        x = inner.zero_state(lifted).x_list[0]
+        x = inner.zero_state(lifted).blocks()[1]
         g = lifted.kappa_q + lifted.J_list[0].dot(
             inner.recover_primal(data, inner.zero_state(lifted)))
         with np.errstate(invalid="ignore"):
@@ -158,9 +178,10 @@ class TestSweeps:
         state = inner.zero_state(lifted)
         for _ in range(10):
             state, _ = inner.sgs_sweep(state, data)
-            S0 = inner.unsvec(state.x0, lifted.svec_p)
+            x0, *xs = state.blocks()
+            S0 = inner.unsvec(x0, lifted.svec_p)
             assert np.linalg.eigvalsh(S0)[0] >= -1e-10
-            for x in state.x_list:
+            for x in xs:
                 S = inner.unsvec(x, lifted.svec_n)
                 assert np.linalg.eigvalsh(S)[0] >= -1e-10
 
@@ -321,7 +342,7 @@ def interior_instance(seed):
     d_k = (d_k + d_k.T).reshape(-1, order="F")
     args = [d_k, rng.standard_normal(2 * 3), np.zeros(p * p), 5.0, 0.01, 1.3]
     data, _ = inner.assemble_dual_data(lifted, *args)
-    ell = data.g0 + x_star.x_list[0].dot(lifted.J_list[0])
+    ell = data.g0 + x_star.blocks()[1].dot(lifted.J_list[0])
     q_star = inner.svec(W, lifted.svec_p) / data.minv + ell
     _, sigma2, _, _ = subproblem_terms(lifted, args)
     s_tilde = (q_star - data.q_k) / (2.0 * sigma2)
@@ -330,8 +351,9 @@ def interior_instance(seed):
 
 
 def assert_in_cones(lifted, state):
-    assert np.linalg.eigvalsh(inner.unsvec(state.x0, lifted.svec_p))[0] >= -1e-10
-    for x in state.x_list:
+    x0, *xs = state.blocks()
+    assert np.linalg.eigvalsh(inner.unsvec(x0, lifted.svec_p))[0] >= -1e-10
+    for x in xs:
         assert np.linalg.eigvalsh(inner.unsvec(x, lifted.svec_n))[0] >= -1e-10
 
 
@@ -401,14 +423,14 @@ class TestExactStep:
     def test_gradient_vanishes_and_objective_is_no_higher(self):
         lifted, data, args, state = self.start()
         J, kq = lifted.J_list[0], lifted.kappa_q
-        x = state.x_list[0]
+        x0, x = state.blocks()
         g = kq + J.dot(inner.recover_primal(data, state))
         with np.errstate(invalid="ignore"):
             exact, took_exact = inner._vertex_step(x, g, 0, data)
             majorized = inner._project(x + g / data.rho_list[0],
                                        lifted.svec_n)[0]
         assert took_exact
-        after = [dual_state(lifted, [state.x0, new])
+        after = [dual_state(lifted, [x0, new])
                  for new in (exact, majorized)]
         g_exact = kq + J.dot(inner.recover_primal(data, after[0]))
         assert np.linalg.norm(g_exact) <= 1e-10 * np.linalg.norm(g)
@@ -450,9 +472,10 @@ def vertex_instance(seed, n_vertices):
 
 
 def outside_cones(lifted, state):
-    eigs = [np.linalg.eigvalsh(inner.unsvec(state.x0, lifted.svec_p))[0]]
+    x0, *xs = state.blocks()
+    eigs = [np.linalg.eigvalsh(inner.unsvec(x0, lifted.svec_p))[0]]
     eigs += [np.linalg.eigvalsh(inner.unsvec(x, lifted.svec_n))[0]
-             for x in state.x_list]
+             for x in xs]
     return min(eigs) < -1e-6
 
 
@@ -510,7 +533,7 @@ class TestResidualBound:
         rng = np.random.default_rng(24)
         G = rng.standard_normal((lifted.p, lifted.p))
         x0 = inner.svec(0.1 * G @ G.T, lifted.svec_p)
-        start = dual_state(lifted, [x0, x_star.x_list[0]
+        start = dual_state(lifted, [x0, x_star.blocks()[1]
                                     + 0.1 * rng.standard_normal(
                                         lifted.svec_n.size)])
         taken, step = [], inner._vertex_step

@@ -111,11 +111,10 @@ class TestConstraintOperator:
         w = rng.standard_normal(6)
         np.testing.assert_allclose(op.apply_A(x), A @ x)
         np.testing.assert_allclose(op.apply_At(lam), A.T @ lam)
-        np.testing.assert_allclose(op.apply_B(w), B @ w)
         np.testing.assert_allclose(op.apply_Bt(lam), B.T @ lam)
         np.testing.assert_allclose(op.residual(x, w), A @ x + B @ w)
         np.testing.assert_array_equal(op.residual(x, w),
-                                      op.apply_A(x) + op.apply_B(w))
+                                      op.apply_A(x) + B @ w)
 
     def test_gain_rows_extract_lower_left_block(self):
         op = self.op
@@ -144,11 +143,12 @@ class TestConstraintOperator:
                           atol=1e-10)
 
     def test_norm_B_is_exact(self):
-        # the outer step takes ||B||_2 = 1, with or without forced zeros
+        # the outer step takes ||B||_2 = 1, with or without forced zeros;
+        # B' is read off apply_Bt, the map the outer step applies
         for op in (self.op, vectorize.assemble_constraint_operator(3, 2)):
-            dense = np.column_stack([op.apply_B(e)
-                                     for e in np.eye(op.n_gain)])
-            assert np.isclose(np.linalg.norm(dense, 2), 1.0)
+            dense_t = np.column_stack([op.apply_Bt(e)
+                                       for e in np.eye(op.n_rows)])
+            assert np.isclose(np.linalg.norm(dense_t, 2), 1.0)
 
 
 def test_forced_zero_out_of_range():

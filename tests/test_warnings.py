@@ -43,7 +43,8 @@ def test_sweep_on_indefinite_blocks():
     for _ in range(5):
         state, _ = inner.sgs_sweep(state, data)
     # the sweep's output lies in the cones, so it clamped
-    assert np.linalg.eigvalsh(inner.unsvec(state.x0, lifted.svec_p))[0] > -1e-12
+    x0 = state.blocks()[0]
+    assert np.linalg.eigvalsh(inner.unsvec(x0, lifted.svec_p))[0] > -1e-12
 
 
 def test_dual_residual_on_indefinite_blocks():
