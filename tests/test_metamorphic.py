@@ -42,12 +42,10 @@ def _solve(plant, penalty, forced_zeros=()):
         return exc.solution
 
 
-def _ex1(A=None, B2=None, B1=None, C=None, D=None):
-    """ex1 with the given matrices replaced."""
+def _ex1(**replaced):
+    """ex1 with the named matrices replaced."""
     mats = dict(zip(("A", "B2", "B1", "C", "D"), ex1_matrices()))
-    given = dict(A=A, B2=B2, B1=B1, C=C, D=D)
-    mats.update({k: v for k, v in given.items() if v is not None})
-    return model.PlantData(**mats)
+    return model.PlantData(**{**mats, **replaced})
 
 
 def _orthogonal(rng, d):
