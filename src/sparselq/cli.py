@@ -452,8 +452,10 @@ def _parser():
 
 
 def run_command(argv):
-    level = os.environ.get("SPARSELQ_LOG", "WARNING").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING),
+    # a level name gives its number; anything else reads as WARNING
+    level = logging.getLevelName(os.environ.get("SPARSELQ_LOG", "").upper())
+    logging.basicConfig(level=level if isinstance(level, int) else
+                        logging.WARNING,
                         format="%(levelname)s %(name)s: %(message)s")
     args = _parser().parse_args(argv)
     try:

@@ -75,7 +75,8 @@ class MaxSweepsExceeded(SparseLQError):
 
 
 class NotConverged(SparseLQError):
-    """Outer loop exhausted its iteration budget.
+    """Outer loop exhausted its iteration budget (for solve_l0, that of
+    the last subproblem).
 
     Attributes
     ----------

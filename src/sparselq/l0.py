@@ -7,7 +7,8 @@ current gain parameter, leaving a weighted l1 problem whose weights are
 the surrogate derivatives; an anchor on the W side keeps each subproblem
 strongly convex.  Stages walk sigma down a geometric ladder, each stage
 alternating weight updates with warm-started subproblem solves until the
-stage objective settles.
+stage objective settles.  The stage objective reads each subsolve's
+certificate, so every pass is judged by analysis.certify's rule alone.
 """
 
 import logging
@@ -15,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import analysis, outer
+from . import outer
 from .errors import InvalidInput, NotConverged, require_positive
 
 log = logging.getLogger("sparselq")
@@ -25,8 +26,6 @@ log = logging.getLogger("sparselq")
 # holds).
 PASS_TOL = 1e-5
 MAX_PASSES = 50
-# h_sigma is inf where (W, P) is infeasible beyond this tolerance.
-FEAS_TOL = 1e-3
 
 
 @dataclass(frozen=True)
@@ -65,20 +64,17 @@ def surrogate_weights(P, sigma):
     return np.maximum(np.exp(-x / sigma) / sigma, np.finfo(float).tiny)
 
 
-def h_sigma_objective(lifted, W_vec, P, gamma, sigma):
-    """Stage objective <R, W> + gamma * sum(1 - exp(-|P|/sigma)).
+def h_sigma_objective(sol, gamma, sigma):
+    """Stage objective of a subsolve's Solution: its J_upper = <R, W>
+    plus gamma * sum(1 - exp(-|P|/sigma)).
 
-    Returns inf when (W, P) is infeasible beyond FEAS_TOL, so that an
-    unconverged subproblem cannot masquerade as progress.
+    Returns inf when the subsolve's certificate finds (W, P) infeasible,
+    so that an unconverged subproblem cannot masquerade as progress.
     """
-    W = lifted.unvec(W_vec)
-    W = 0.5 * (W + W.T)
-    P = np.asarray(P, dtype=float)
-    rep = analysis.feasibility_report(lifted, W, P, tol=FEAS_TOL)
-    if not rep["feasible"]:
+    if not sol.feasibility["feasible"]:
         return np.inf
-    surrogate = gamma * float(np.sum(1.0 - np.exp(-np.abs(P) / sigma)))
-    return float(lifted.vec_R() @ W_vec) + surrogate
+    surrogate = float(np.sum(1.0 - np.exp(-np.abs(sol.P) / sigma)))
+    return sol.J_upper + gamma * surrogate
 
 
 def _sigma_ladder(opts):
@@ -93,10 +89,13 @@ def solve_l0(lifted, gamma, options=outer.SolverOptions(),
     """Run the continuation and return the last subsolve's Solution,
     relabelled rather than certified again: regime "l0", the requested
     gamma, no weights, stage_trace rows (sigma, pass, h_sigma, nnz), and
-    the iterations of all subproblems summed.
+    the iterations of all subproblems summed.  h_sigma is the
+    subsolve's J_upper plus the surrogate, inf where its certificate is
+    infeasible.  Raises NotConverged, carrying that relabelled Solution
+    and the last subsolve's residuals, when the last subsolve did not
+    converge.
     """
-    stage_trace = []
-    total_iters = 0
+    stage_trace, total_iters = [], 0
     P_mat = np.zeros((lifted.m, lifted.n))
     mu_f = 1.0 / continuation.prox_weight
     warm, anchor = None, (np.eye(lifted.p).reshape(-1, order="F"), mu_f)
@@ -106,19 +105,17 @@ def solve_l0(lifted, gamma, options=outer.SolverOptions(),
         for pass_i in range(MAX_PASSES):
             penalty = outer.regime_l1(gamma, surrogate_weights(P_mat, sigma))
             try:
-                sol = outer.solve_relaxed(lifted, penalty, options, warm,
-                                          anchor)
+                sol, capped = outer.solve_relaxed(lifted, penalty, options,
+                                                  warm, anchor), None
             except NotConverged as exc:
-                sol = exc.solution
+                sol, capped = exc.solution, exc
                 log.warning("sigma=%.3g pass %d: subproblem hit the "
                             "iteration cap", sigma, pass_i)
-            st = sol.final_state
             total_iters += sol.iterations
             P_mat = sol.P
-            warm, anchor = st, (st.W_tilde, mu_f)
-            h_cur = h_sigma_objective(lifted, st.W_tilde, P_mat, gamma, sigma)
-            nnz = int(np.count_nonzero(sol.pattern))
-            stage_trace.append((sigma, pass_i, h_cur, nnz))
+            warm, anchor = sol.final_state, (sol.final_state.W_tilde, mu_f)
+            h_cur = h_sigma_objective(sol, gamma, sigma)
+            stage_trace.append((sigma, pass_i, h_cur, int(sol.pattern.sum())))
             if h_prev is not None:
                 if h_cur > h_prev + 1e-9 * max(1.0, abs(h_prev)):
                     log.warning("sigma=%.3g pass %d: stage objective rose "
@@ -130,5 +127,8 @@ def solve_l0(lifted, gamma, options=outer.SolverOptions(),
         else:
             log.warning("sigma=%.3g: pass budget exhausted", sigma)
 
-    return replace(sol, regime="l0", gamma=gamma, weights=None,
-                   stage_trace=stage_trace, iterations=total_iters)
+    sol = replace(sol, regime="l0", gamma=gamma, weights=None,
+                  stage_trace=stage_trace, iterations=total_iters)
+    if capped is not None:
+        raise NotConverged(sol, capped.primal_res, capped.dual_res)
+    return sol

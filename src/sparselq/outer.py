@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import analysis, inner, penalties
-from .errors import (MaxSweepsExceeded, NotConverged, require_count,
-                     require_positive)
+from .errors import (InvalidInput, MaxSweepsExceeded, NotConverged,
+                     require_count, require_positive)
 
 log = logging.getLogger("sparselq")
 
@@ -285,9 +285,15 @@ def solve_relaxed(lifted, penalty, options=SolverOptions(), warm=None,
     When the residual test passes, analysis.certify judges the averaged
     iterate; the run stops only on a certified point, whose certificate
     becomes the Solution.  A strongly convex penalty meets the residual
-    test at ACCEL_STOP_SCALE x (eps1, eps2).  Raises NotConverged
-    (carrying the best-effort Solution) if the iteration budget runs out.
+    test at ACCEL_STOP_SCALE x (eps1, eps2).  Raises InvalidInput unless
+    the penalty's weights (if any) have the gain's shape (m, n), and
+    NotConverged (carrying the best-effort Solution) if the iteration
+    budget runs out.
     """
+    shape = (lifted.m, lifted.n)
+    if penalty.weights is not None and penalty.weights.shape != shape:
+        raise InvalidInput(f"weights: expected shape {shape}, got "
+                           f"{penalty.weights.shape}")
     state = init_state(lifted, penalty, warm, anchor)
     scale = ACCEL_STOP_SCALE if state.mu_g > 0.0 else 1.0
     eps1, eps2 = scale * options.eps1, scale * options.eps2

@@ -233,6 +233,20 @@ class TestSolveRoundtrip:
         assert doc["status"] == "max_iter"
         assert doc["certified"] is False
 
+    def test_unconverged_l0_exit_code_still_writes(self, problem_file,
+                                                   tmp_path):
+        # every subsolve stops at its budget, the last one too
+        out = tmp_path / "short_l0"
+        code = cli.run_command(["solve", "--problem", problem_file,
+                                "--relaxation", "l0", "--gamma", "1",
+                                "--max-outer", "1", "--sigma0", "0.2",
+                                "--sigma-decay", "0.3", "--out", str(out)])
+        assert code == 3
+        doc = json.loads((out / "solution.json").read_text())
+        assert (doc["regime"], doc["status"]) == ("l0", "max_iter")
+        assert doc["certified"] is False
+        assert (out / "stages.csv").exists()
+
     def test_pq_regime(self, problem_file, tmp_path):
         out = str(tmp_path / "pq")
         code = cli.run_command(["solve", "--problem", problem_file,
@@ -924,6 +938,19 @@ class TestSweep:
         assert all(row["status"] == "converged" for row in rows)
 
 
+    def test_unconverged_l0_gamma_exits_3(self, problem_file, tmp_path):
+        out = tmp_path / "swl0"
+        code = cli.run_command(["sweep", "--problem", problem_file,
+                                "--relaxation", "l0", "--gammas", "0.3,1",
+                                "--max-outer", "1", "--sigma0", "0.2",
+                                "--sigma-decay", "0.3", "--out", str(out)])
+        assert code == 3
+        rows = json.loads((out / "sweep.json").read_text())
+        assert [row["gamma"] for row in rows] == [0.3, 1.0]
+        assert all(row["status"] == "max_iter" and row["certified"] is False
+                   for row in rows)
+        assert (out / "sweep.csv").exists()
+
     def test_pool_that_cannot_start_solves_in_process(
             self, problem_file, tmp_path, monkeypatch, caplog):
         def no_pool(*args, **kwargs):
@@ -1034,3 +1061,23 @@ def test_console_script_help():
     res = subprocess.run(cmd, capture_output=True, text=True, env=env)
     assert res.returncode == 0
     assert "solve" in res.stdout and "sweep" in res.stdout
+
+
+@pytest.mark.parametrize("value,level", [
+    ("basic_format", "WARNING"), ("_styles", "WARNING"),
+    ("nonsense", "WARNING"), ("info", "INFO")])
+def test_log_level_reads_only_level_names(tmp_path, value, level):
+    # SPARSELQ_LOG names a level; any other value falls back to WARNING
+    # and the command still runs
+    code = ("import logging, sys\n"
+            "from sparselq import cli\n"
+            "code = cli.run_command(['verify', '--problem', sys.argv[1],\n"
+            "                        '--solution', sys.argv[1]])\n"
+            "print(code, logging.getLevelName(logging.getLogger().level))")
+    env = dict(source_env(), SPARSELQ_LOG=value)
+    res = subprocess.run([sys.executable, "-c", code,
+                          str(tmp_path / "missing.json")],
+                         capture_output=True, text=True, env=env)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split() == ["2", level]
+    assert "Traceback" not in res.stderr

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from sparselq import inner, l0, model, outer, penalties
+from sparselq import analysis, inner, l0, model, outer, penalties
+from sparselq.errors import NotConverged
 
 from conftest import feasible_instance
 
@@ -11,6 +12,14 @@ def small_lifted(seed, n=2, m=1, forced_zeros=()):
     plant, _, _ = feasible_instance(rng, n, m)
     return model.lift_plant(model.validate_plant(plant),
                             forced_zeros=forced_zeros)
+
+
+def solution_at(lifted, W, P):
+    """The Solution of (W, P) with its certificate, as a converged
+    subsolve would return it."""
+    return analysis.build_solution(lifted, W.reshape(-1, order="F"),
+                                   P.reshape(-1, order="F"), [],
+                                   "converged", "l1", 1.0, 0.0)
 
 
 FAST_LADDER = l0.ContinuationOptions(sigma0=1.0, sigma_min=0.05,
@@ -35,17 +44,40 @@ class TestSurrogatePieces:
         plant, W, K = feasible_instance(rng, 3, 2)
         lifted = model.lift_plant(model.validate_plant(plant))
         P = W[3:, :3]
-        h = l0.h_sigma_objective(lifted, W.reshape(-1, order="F"), P,
-                                 gamma=2.0, sigma=0.7)
+        sol = solution_at(lifted, W, P)
+        assert sol.feasibility["feasible"]
+        h = l0.h_sigma_objective(sol, gamma=2.0, sigma=0.7)
         expected = (np.sum(lifted.R * W)
                     + 2.0 * np.sum(1.0 - np.exp(-np.abs(P) / 0.7)))
         assert h == pytest.approx(expected)
 
     def test_objective_inf_when_infeasible(self):
         lifted = small_lifted(1)
-        W_vec = np.eye(lifted.p).reshape(-1, order="F")
+        W = np.eye(lifted.p)
         P = np.ones((lifted.m, lifted.n))  # violates the coupling rows
-        assert l0.h_sigma_objective(lifted, W_vec, P, 1.0, 1.0) == np.inf
+        sol = solution_at(lifted, W, P)
+        assert not sol.feasibility["feasible"]
+        assert l0.h_sigma_objective(sol, 1.0, 1.0) == np.inf
+
+    def test_objective_follows_the_certificate_tolerance(self):
+        # a gain-coupling gap above 1e-3 but within the certificate's own
+        # tolerance (5 x the primal residual) is feasible, and h_sigma is
+        # finite: J_upper plus the surrogate
+        rng = np.random.default_rng(0)
+        plant, W, K = feasible_instance(rng, 3, 2)
+        lifted = model.lift_plant(model.validate_plant(plant))
+        P = W[3:, :3].copy()
+        P[0, 0] += 2e-3
+        sol = solution_at(lifted, W, P)
+        gap = sol.feasibility["gain_coupling_gap"]
+        assert 1e-3 < gap <= 5.0 * sol.primal_res
+        assert sol.feasibility["feasible"]
+        assert not analysis.feasibility_report(lifted, sol.W, P,
+                                               tol=1e-3)["feasible"]
+        h = l0.h_sigma_objective(sol, gamma=2.0, sigma=0.7)
+        surrogate = np.sum(1.0 - np.exp(-np.abs(P) / 0.7))
+        assert np.isfinite(h)
+        assert h == pytest.approx(sol.J_upper + 2.0 * surrogate)
 
 
 class TestContinuationOptions:
@@ -176,7 +208,11 @@ class TestSolveL0:
         monkeypatch.setattr(l0, "MAX_PASSES", 3)
         ladder = l0.ContinuationOptions(sigma0=0.5, sigma_min=0.3,
                                         sigma_decay=0.5)
-        sol = l0.solve_l0(lifted, gamma=0.5, options=opts,
-                          continuation=ladder)
-        assert sol.status == "max_iter"
+        with pytest.raises(NotConverged) as info:
+            l0.solve_l0(lifted, gamma=0.5, options=opts, continuation=ladder)
+        sol = info.value.solution
+        assert (sol.regime, sol.status) == ("l0", "max_iter")
         assert not sol.certified
+        assert sol.stage_trace
+        assert sol.iterations == 4 * len(sol.stage_trace)
+        assert np.isfinite(info.value.primal_res)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from sparselq import analysis, cli, inner, model, outer, penalties
-from sparselq.errors import MaxSweepsExceeded, NotConverged
+from sparselq.errors import InvalidInput, MaxSweepsExceeded, NotConverged
 
 from conftest import (dense_equality_operator, ex1_matrices,
                       feasible_instance, lift)
@@ -280,6 +280,14 @@ class TestCheckConvergence:
 
 
 class TestSolveRelaxed:
+    @pytest.mark.parametrize("weights", [[1.0, 2.0, 3.0],
+                                         [1.0, 2.0, 3.0, 4.0]])
+    def test_weights_of_another_shape_are_invalid(self, ex1_lifted, weights):
+        # ex1's gain is 2x3: a 3-vector would broadcast over it, a
+        # 4-vector fail inside the prox
+        with pytest.raises(InvalidInput, match="weights"):
+            outer.solve_relaxed(ex1_lifted, outer.regime_l1(1.0, weights))
+
     def test_reference_optimum_gamma10(self, ex1_g10):
         # Reference optimum computed independently by an SDP solver at
         # tight tolerance.

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sparselq import l0, model, outer, penalties
+from sparselq import analysis, l0, model, outer, penalties
 from sparselq.errors import InvalidInput
 
 from conftest import feasible_instance
@@ -195,10 +195,11 @@ class TestPenaltyValue:
         plant, W, _ = feasible_instance(np.random.default_rng(0), 2, 2)
         lifted = model.lift_plant(model.validate_plant(plant))
         P = W[2:, :2]
-        W_vec = W.reshape(-1, order="F")
-        h = l0.h_sigma_objective(lifted, W_vec, P, gamma=3.0, sigma=1e-9)
-        assert h - float(lifted.vec_R() @ W_vec) == pytest.approx(
-            3.0 * np.count_nonzero(P))
+        sol = analysis.build_solution(lifted, W.reshape(-1, order="F"),
+                                      P.reshape(-1, order="F"), [],
+                                      "converged", "l1", 3.0, 0.0)
+        h = l0.h_sigma_objective(sol, gamma=3.0, sigma=1e-9)
+        assert h - sol.J_upper == pytest.approx(3.0 * np.count_nonzero(P))
 
 
 class TestSubdifferential:
