@@ -6,10 +6,10 @@ schedule from the 1/k decay to an accelerated 1/k^2 decay.  The script
 solves a chain of integrators under both regimes at gamma 10 and
 reports iteration counts, J_upper and the log-log slope of the primal
 residual tail.  At the default settings both regimes collapse their
-averages onto the sharp iterate as soon as it meets the primal
-tolerance the averages miss, and the pq run stops first: it prints
-1,253 outer iterations for l1 against 204 for pq (ratio 6.1), both
-certified, though the late pq inner subproblems are stiffer.  With
+averages onto the sharp iterate once its KKT error has decayed since
+the last restart, and the pq run stops first: it prints 404 outer
+iterations for l1 against 99 for pq (ratio 4.1), both certified,
+though the late pq inner subproblems are stiffer.  With
 restarts disabled on a long run, pq needs two orders of magnitude
 fewer iterations (criterion 4 of tests/test_acceptance.py).
 

@@ -20,8 +20,15 @@ Every row of A selects a single entry of W, so (AD)'(AD) is diagonal
 applied entrywise.  b = B w_k is -w_k on the gain rows, which read the
 entries W[n + i, j] below the diagonal, so -2 sigma1 (AD)' b adds
 2 sigma1 (sqrt(2)/2) w_k to the svec coordinates of those entries.
-minv, J_i Minv and the block curvatures H_i = J_i Minv J_i' depend on
-the sigmas alone.  assemble_dual_data builds them with one
+
+The lift asks W1 to be diagonal, and the subproblem keeps it so exactly:
+its variable is s on the free coordinates, W1's diagonal, W2 and W3,
+with W1's n(n-1)/2 off-diagonal coordinates held at zero.  The dual
+above is that problem's once Minv is M^-1 on the free coordinates and 0
+on the held ones, so minv carries those zeros: s = Minv (q - L(X)) is
+0.0 there for every X, and so is every average of such s.  The block
+curvatures H_i = J_i Minv J_i' sum over the free columns of J_i alone.
+minv, J_i Minv and H_i depend on the sigmas alone.  assemble_dual_data builds them with one
 eigendecomposition of H_i per vertex, which gives both the step
 constant rho_i = lambda_max(H_i) and, unless H_i is near singular, its
 inverse, and reuses the previous call's when its sigmas are equal bit
@@ -159,6 +166,8 @@ class DualData:
 def _curvature(lifted, sigma1, sigma2):
     """(minv, rho_list, hinv_list, JM_list) of a sigma pair."""
     minv = 1.0 / (2.0 * sigma1 * lifted.gram_diag + 2.0 * sigma2)
+    # W1's off-diagonal coordinates are held at zero: s is 0.0 there
+    minv[lifted.svec_p.coord[np.triu_indices(lifted.n, 1)]] = 0.0
     JM_list = [J * minv for J in lifted.J_list]
     rho_list, hinv_list = [], []
     # NaN data gives NaN factors, or EigFailure where LAPACK fails on it

@@ -153,7 +153,7 @@ class LiftedProblem:
     vectorization maps, the equality operator, and the data of the
     inner solver in isometric coordinates: gram_diag is the diagonal of
     the Gram matrix of A unsvec (A the equality operator; each row reads
-    one entry of W, so the Gram matrix is diagonal), J_list the
+    one entry of W2, so the Gram matrix is diagonal), J_list the
     per-vertex maps sending svec(W) to svec of V2 (F_i W + W F_i^T) V2^T,
     and kappa_q = svec(B1 B1^T), the constant part of the constraint
     block.

@@ -32,6 +32,12 @@ BETA0 = 1.0
 # Period of the fallback restart of the outer averages; 0 turns every
 # restart off, periodic and adaptive.  Read at call time, as BETA0 is.
 RESTART_EVERY = 2000
+# The adaptive restart fires when the sharp pair's KKT error has fallen
+# to RESTART_SUFFICIENT x its value at the last restart, or to
+# RESTART_NECESSARY x it and rose since the previous iteration, or when
+# the last restart lies RESTART_ARTIFICIAL x k or more iterations back:
+# the factors of PDLP (Applegate, Hinder, Lu & Lubin, Math. Program. 2023).
+RESTART_SUFFICIENT, RESTART_NECESSARY, RESTART_ARTIFICIAL = 0.2, 0.8, 0.36
 # A strongly convex penalty (mu_g > 0) stops at ACCEL_STOP_SCALE x (eps1,
 # eps2).  Its restarted average is the sharp iterate, which meets the
 # residual tolerances while the objective still falls by about 1e-4
@@ -78,11 +84,13 @@ class OuterState:
     The splitting iterate (W_tilde, v, P_tilde, w, lam), the schedule
     scalars (theta, kappa, beta) and the iteration count k; the moduli
     mu_f and mu_g and the anchor of f1; P_prev, the P_tilde before the
-    last iteration, for the dual drift residual.  The rest is solver
-    scratch: dual_state warm-starts the next inner solve, eps_pri is the
-    primal tolerance of the last stop test, which the restart rule
-    reads, and eps_inner the next inner solve's tolerance, which
-    check_convergence sets.
+    last iteration, for the dual drift residual.  v_r, w_r and k_r are
+    the sharp pair and the iteration at the start or the last restart,
+    kkt_r the sharp pair's KKT error there and kkt its KKT error after the
+    last iteration (inf before the first).  The rest is solver scratch:
+    dual_state warm-starts the next inner solve, eps_pri is the primal
+    tolerance of the last stop test, and eps_inner the next inner solve's
+    tolerance, which check_convergence sets.
     """
 
     W_tilde: np.ndarray
@@ -98,6 +106,11 @@ class OuterState:
     mu_g: float = 0.0
     anchor: np.ndarray = None
     P_prev: np.ndarray = None
+    v_r: np.ndarray = None
+    w_r: np.ndarray = None
+    k_r: int = 0
+    kkt_r: float = math.inf
+    kkt: float = math.inf
     dual_state: object = None
     eps_pri: float = 0.0
     eps_inner: float = INNER_TOL_CAP_PLAIN
@@ -136,6 +149,9 @@ def init_state(lifted, penalty, warm=None, anchor=None):
 def _reset_schedule(state):
     # BETA0 is read at call time, so a patched value holds
     state.theta, state.kappa, state.beta = 1.0, 1.0, BETA0
+    # the iteration rebinds v and w, never writes into them
+    state.v_r, state.w_r, state.k_r, state.kkt_r = (state.v, state.w,
+                                                    state.k, state.kkt)
     return state
 
 
@@ -155,11 +171,13 @@ def outer_iteration(state, lifted, penalty, options=SolverOptions()):
     """Advance the splitting by one iteration, in place.
 
     The inner solve stops at state.eps_inner.  Returns the iteration's
-    record (alpha, sweeps, capped, inner_res, sharp_res): the step, the
-    inner sweeps, whether the inner solve hit max_sweeps and its last
-    iterate was accepted, the residual bound it stopped on (the exact
-    residual of a capped solve), and the primal residual |A v + B w| of
-    the new sharp pair.
+    record (alpha, sweeps, capped, inner_res, kkt): the step, the inner
+    sweeps, whether the inner solve hit max_sweeps and its last iterate
+    was accepted, the residual bound it stopped on (the exact residual of
+    a capped solve), and the KKT error of the new sharp pair,
+    max(|A v + B w|, |v - v_prev|, |w - w_prev|): its primal residual and
+    the movements that, on the l1 schedule, equal its stationarity
+    residuals in W and in P.
     """
     op = lifted.op
     theta, kappa, beta, mu_f = state.theta, state.kappa, state.beta, state.mu_f
@@ -202,6 +220,8 @@ def outer_iteration(state, lifted, penalty, options=SolverOptions()):
     w_next = P_next + (P_next - state.P_tilde) / alpha
     sharp_res = op.residual(v_next, w_next)
     lam_next = state.lam + (alpha / theta) * sharp_res
+    kkt = max(_norm(sharp_res), _norm(v_next - state.v),
+              _norm(w_next - state.w))
 
     state.P_prev = state.P_tilde
     state.W_tilde, state.v = W_next, v_next
@@ -210,7 +230,7 @@ def outer_iteration(state, lifted, penalty, options=SolverOptions()):
     state.theta, state.kappa, state.beta = schedule
     state.k += 1
     state.dual_state = dstate
-    return alpha, sweeps, capped, inner_res, _norm(sharp_res)
+    return alpha, sweeps, capped, inner_res, kkt
 
 
 def restart_averages(state):
@@ -221,9 +241,8 @@ def restart_averages(state):
     and the schedule scalars to their initial values discards the O(1/k)
     transient the average carries from the starting point without touching
     the fixed points of the map.  Stopping then reflects the sharp iterate,
-    which settles far sooner.  solve_relaxed calls this when the sharp
-    pair already meets the primal tolerance that the average misses, and
-    every RESTART_EVERY iterations as a fallback.
+    which settles far sooner.  solve_relaxed calls this when _restart_due
+    says so and after every stop that the certificate rejects.
     """
     state.W_tilde = state.v.copy()
     state.w = state.P_tilde.copy()
@@ -237,6 +256,14 @@ def _norm(v):
 
 def check_convergence(state, lifted, eps1, eps2):
     """Stopping rule on the coupled feasibility and dual drift residuals.
+
+    The averaged pair must also meet eps_pri with its ergodic
+    stationarity residual theta max(|v - v_r|, |w - w_r|): on the l1
+    schedule theta = 1/(k - k_r + 1), and the sum of the sharp pair's
+    stationarity residuals since the last restart telescopes to the
+    movement of the sharp pair, so this is their mean.  It keeps a stop
+    off an average that still swings with the sharp pair, as the
+    residuals of the gain rows alone do not.
 
     Returns (stop, primal_res, dual_res), records the primal tolerance
     on state.eps_pri and sets state.eps_inner, the next inner solve's
@@ -259,22 +286,25 @@ def check_convergence(state, lifted, eps1, eps2):
     res, cap = ((pr / (1.0 + scale), math.inf) if state.mu_g > 0.0
                 else (pr, INNER_TOL_CAP_PLAIN))
     state.eps_inner = max(INNER_TOL_FLOOR, min(cap, 0.1 * res))
-    return (pr <= eps_pri and dr <= eps_dua), pr, dr
+    ergodic = state.theta * max(_norm(state.v - state.v_r),
+                                _norm(state.w - state.w_r))
+    return (pr <= eps_pri and dr <= eps_dua and ergodic <= eps_pri), pr, dr
 
 
-def _restart_due(state, primal_res, sharp_res):
-    """Periodic restart, or the sharp pair (primal residual sharp_res)
-    meets the primal tolerance that the averaged pair misses.
+def _restart_due(state, kkt):
+    """Periodic restart, or one of the three tests of RESTART_SUFFICIENT
+    on kkt, the sharp pair's KKT error after this iteration.
 
-    Both rules hold in every regime, the accelerated schedule of a
+    The rules hold in every regime, the accelerated schedule of a
     strongly convex penalty included (O'Donoghue & Candes, Found. Comput.
     Math. 2015); RESTART_EVERY = 0 turns every restart off.
     """
     if not RESTART_EVERY:
         return False
-    if state.k % RESTART_EVERY == 0:
-        return True
-    return sharp_res <= state.eps_pri < primal_res
+    return (state.k % RESTART_EVERY == 0
+            or kkt <= RESTART_SUFFICIENT * state.kkt_r
+            or state.kkt < kkt <= RESTART_NECESSARY * state.kkt_r
+            or state.k - state.k_r >= RESTART_ARTIFICIAL * state.k)
 
 
 def solve_relaxed(lifted, penalty, options=SolverOptions(), warm=None,
@@ -301,7 +331,7 @@ def solve_relaxed(lifted, penalty, options=SolverOptions(), warm=None,
     t0 = time.perf_counter()
     converged = False
     for _ in range(int(options.max_outer)):
-        alpha, sweeps, capped, inner_res, sharp_res = outer_iteration(
+        alpha, sweeps, capped, inner_res, kkt = outer_iteration(
             state, lifted, penalty, options)
         stop, pr, dr = check_convergence(state, lifted, eps1, eps2)
         P_mat = state.P_tilde.reshape(lifted.m, lifted.n, order="F")
@@ -318,7 +348,10 @@ def solve_relaxed(lifted, penalty, options=SolverOptions(), warm=None,
                 failed = [c for c, ok in cert["conditions"].items() if not ok]
                 log.info("iteration %d: residuals met but %s failed; "
                          "continuing", state.k, ", ".join(failed))
-        restarted = not converged and _restart_due(state, pr, sharp_res)
+        # a rejected stop restarts too: the average still carries the
+        # loose early iterates that the certificate rejected
+        restarted = not converged and (stop or _restart_due(state, kkt))
+        state.kkt = kkt
         if restarted:
             restart_averages(state)
         trace.append(row + (int(restarted), inner_res))

@@ -16,8 +16,10 @@ unsvec, sums the two triangles.
 The equality operator of the lift only selects entries of vec(W), so it
 is stored as the column index each row reads and applied as a gather.
 Its row layout, which is also the layout of the splitting's multiplier
-lambda (diagonal rows, gain rows, forced zeros), is kept here alone:
-every other module reaches lambda's rows through ConstraintOperator.
+lambda, is kept here alone: m*n gain rows, then one row per forced
+zero.  Every other module reaches lambda's rows through
+ConstraintOperator.  W1's diagonal structure has no rows: the inner
+solve holds W1's off-diagonal coordinates at zero (see inner).
 """
 
 from dataclasses import dataclass, field
@@ -87,17 +89,14 @@ def sym_svec(v, maps):
 class ConstraintOperator:
     """The stacked equality operator A vec(W) + B P = 0 as a gather.
 
-    Row layout: N = n(n-1)/2 diagonal-constraint rows (the strict upper
-    triangle W[i, j], i < j, of the leading n x n block, row-major), then
-    m*n gain-extraction rows equal to vec of the bottom-left block, then
-    one row per forced-zero entry.  Every row of A has a single unit
+    Row layout: m*n gain-extraction rows equal to vec of the bottom-left
+    block, then one row per forced-zero entry.  Every row of A has a single unit
     entry, in column A_cols[row] of vec(W), and p is the order of W; B
     is zero except for -I on the gain rows.
     """
 
     p: int
     A_cols: np.ndarray
-    n_diag: int
     n_gain: int
     forced_zeros: tuple
 
@@ -113,12 +112,12 @@ class ConstraintOperator:
                            minlength=self.p * self.p)
 
     def apply_Bt(self, lam):
-        return -lam[self.n_diag:self.n_diag + self.n_gain]
+        return -lam[:self.n_gain]
 
     def residual(self, x, w):
         """A x + B w, formed from one gather."""
         out = x[self.A_cols]
-        out[self.n_diag:self.n_diag + self.n_gain] -= w
+        out[:self.n_gain] -= w
         return out
 
 
@@ -138,11 +137,6 @@ def assemble_constraint_operator(n, m, forced_zeros=()):
         fz.append((i, j))
 
     cols = []
-    # Diagonal-constraint rows: W[i, j], i < j, within the leading block.
-    for i in range(n):
-        for j in range(i + 1, n):
-            cols.append(i + j * p)
-    n_diag = len(cols)
     # Gain rows: vec of the bottom-left m x n block, column-major.
     for j in range(n):
         for i in range(m):
@@ -153,5 +147,5 @@ def assemble_constraint_operator(n, m, forced_zeros=()):
 
     return ConstraintOperator(p=p,
                               A_cols=np.asarray(cols, dtype=np.int64),
-                              n_diag=n_diag, n_gain=m * n,
+                              n_gain=m * n,
                               forced_zeros=tuple(fz))

@@ -197,18 +197,16 @@ def make_inner_instance(rng, n=2, m=1):
 
 def dense_equality_operator(op, n, m):
     """Dense A and B of the equality operator of an n-state, m-input
-    lift, built from its documented row layout: strict upper triangle of
-    the leading block (row-major), then vec of the bottom-left block,
-    then one row per forced zero."""
+    lift, built from its documented row layout: vec of the bottom-left
+    block, then one row per forced zero."""
     p = op.p
     assert p == n + m
-    diag = [i + j * p for i in range(n) for j in range(i + 1, n)]
-    cols = diag + [(n + i) + j * p for j in range(n) for i in range(m)]
+    cols = [(n + i) + j * p for j in range(n) for i in range(m)]
     cols += [(n + i) + j * p for (i, j) in op.forced_zeros]
     A = np.zeros((len(cols), p * p))
     A[np.arange(len(cols)), cols] = 1.0
     B = np.zeros((len(cols), m * n))
-    B[len(diag) + np.arange(m * n), np.arange(m * n)] = -1.0
+    B[np.arange(m * n), np.arange(m * n)] = -1.0
     return A, B
 
 

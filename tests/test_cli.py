@@ -605,7 +605,7 @@ class TestVerifyMalformedSolution:
     or a W that is not symmetric, is bad input."""
 
     @pytest.mark.parametrize("key,value", [
-        ("W", [[1.0]]), ("multiplier", [0.0, 0.0]), ("P", None),
+        ("W", [[1.0]]), ("multiplier", [0.0, 0.0, 0.0]), ("P", None),
         ("W", [[float("nan"), 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
         ("P", [[float("inf"), 0.0]])])
     def test_exits_2_naming_the_field(self, problem_file, tmp_path, capsys,

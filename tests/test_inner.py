@@ -52,13 +52,22 @@ class TestDualData:
 
     def test_curvature_is_spd(self):
         # M = 2 sigma1 diag(gram) + 2 sigma2 I is positive and diagonal;
-        # minv is its inverse, entry by entry.
-        lifted, data, args = assemble(1)
-        sigma1, sigma2, _, _ = subproblem_terms(lifted, args)
-        M = 2 * sigma1 * lifted.gram_diag + 2 * sigma2
-        assert np.all(data.minv > 0)
-        np.testing.assert_allclose(data.minv * M, 1.0, rtol=1e-14)
-        assert data.rho0 == data.minv.max()
+        # minv is its inverse, entry by entry, on the free coordinates,
+        # and 0 on W1's off-diagonal ones, which the inner solve holds at 0
+        for n in (2, 3):
+            rng = np.random.default_rng(1)
+            lifted, *args = make_inner_instance(rng, n=n)
+            data, _ = inner.assemble_dual_data(lifted, *args)
+            sigma1, sigma2, _, _ = subproblem_terms(lifted, args)
+            M = 2 * sigma1 * lifted.gram_diag + 2 * sigma2
+            fixed = np.zeros(lifted.svec_p.size, dtype=bool)
+            fixed[lifted.svec_p.coord[:n, :n][~np.eye(n, dtype=bool)]] = True
+            assert fixed.sum() == n * (n - 1) // 2
+            assert np.all(data.minv[fixed] == 0.0)
+            assert np.all(data.minv[~fixed] > 0)
+            np.testing.assert_allclose(data.minv[~fixed] * M[~fixed], 1.0,
+                                       rtol=1e-14)
+            assert data.rho0 == data.minv.max()
 
     def test_rejects_nonpositive_parameters(self):
         rng = np.random.default_rng(2)
@@ -326,14 +335,18 @@ def interior_instance(seed):
 
     W* = [[W1, W1 K'], [K W1, K W1 K' + I]], with W1 the Gramian of the
     stabilized loop A - B2 K, is positive definite and makes the vertex
-    block Theta(W*) vanish; v_tilde is then chosen so that
-    s* = svec(W*) = Minv (q - L(X*)).  Returns (lifted, args, X*).
+    block Theta(W*) vanish.  That loop is -diag(d) with B1 = I, so W1 is
+    diagonal, as the inner solve keeps it; the rounding off its diagonal
+    is dropped.  v_tilde is then chosen so that s* = svec(W*) =
+    Minv (q - L(X*)); on W1's off-diagonal coordinates minv is 0, and
+    any q serves.  Returns (lifted, args, X*).
     """
     rng = np.random.default_rng(seed)
     plant, _, K = feasible_instance(rng, 3, 2)
     lifted = model.lift_plant(model.validate_plant(plant))
     p = lifted.p
-    W1 = analysis.solve_lyapunov(plant.A - plant.B2 @ K, plant.B1 @ plant.B1.T)
+    W1 = np.diag(np.diag(analysis.solve_lyapunov(plant.A - plant.B2 @ K,
+                                                 plant.B1 @ plant.B1.T)))
     W = np.block([[W1, W1 @ K.T], [K @ W1, K @ W1 @ K.T + np.eye(2)]])
     G = rng.standard_normal((3, 3))
     x_star = dual_state(lifted, [np.zeros(lifted.svec_p.size),
@@ -343,7 +356,10 @@ def interior_instance(seed):
     args = [d_k, rng.standard_normal(2 * 3), np.zeros(p * p), 5.0, 0.01, 1.3]
     data, _ = inner.assemble_dual_data(lifted, *args)
     ell = data.g0 + x_star.blocks()[1].dot(lifted.J_list[0])
-    q_star = inner.svec(W, lifted.svec_p) / data.minv + ell
+    free = data.minv > 0
+    q_star = data.q_k.copy()
+    q_star[free] = (inner.svec(W, lifted.svec_p)[free] / data.minv[free]
+                    + ell[free])
     _, sigma2, _, _ = subproblem_terms(lifted, args)
     s_tilde = (q_star - data.q_k) / (2.0 * sigma2)
     args[2] = inner.unsvec(s_tilde, lifted.svec_p).reshape(-1, order="F")
@@ -396,9 +412,9 @@ class TestAcceleratedSolve:
 
     def test_interior_vertex_block_takes_the_exact_step(self):
         # the random instance above ends with its vertex block on the
-        # cone's boundary, where no exact step passes: 96 sweeps both with
+        # cone's boundary, where no exact step passes: 143 sweeps both with
         # and without it.  Where the block ends inside the cone, the
-        # majorized step alone needed 1,442 sweeps on this instance
+        # majorized step alone needed 2,361 sweeps on this instance
         lifted, args, x_star = interior_instance(23)
         _, sweeps, state = inner.solve_inner(lifted, *args, eps=self.eps,
                                              max_sweeps=50000)

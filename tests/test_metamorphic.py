@@ -128,10 +128,6 @@ def test_transforms_that_keep_the_cost(transform):
     np.testing.assert_array_equal(moved.pattern, base.pattern)
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "known: on ex1 l1 at gamma 5 the default stop leaves J_upper about "
-    "2e-4 (relative) above the reference, more than the bound; forcing "
-    "(1, 0) stops at 4.291114 against 4.291634 unforced (1.2e-4)"))
 def test_forcing_a_zero_the_solve_already_has():
     penalty = outer.regime_l1(5.0)
     base = _solve(_ex1(), penalty)

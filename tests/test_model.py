@@ -229,7 +229,7 @@ class TestLiftedStructure:
         v = W.reshape(-1, order="F")
         np.testing.assert_array_equal(lp.unvec(v), W)
         np.testing.assert_array_equal(
-            op.apply_A(v)[op.n_diag:op.n_diag + op.n_gain],
+            op.apply_A(v)[:op.n_gain],
             W[lp.n:, :lp.n].reshape(-1, order="F"))
 
     def test_gram_consistency(self):

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from sparselq import analysis, cli, inner, model, outer, penalties
+from sparselq import analysis, cli, inner, l0, model, outer, penalties
 from sparselq.errors import InvalidInput, MaxSweepsExceeded, NotConverged
 
 from conftest import (dense_equality_operator, ex1_matrices,
@@ -181,9 +181,13 @@ class TestSchedule:
         record = outer.outer_iteration(state, lifted, Recorder())
 
         alpha = math.sqrt(0.8 * 0.25)
-        # the prox returned P = 0, so the sharp w is -P_tilde / alpha
-        sharp = np.linalg.norm(op.residual(v_next, -before["P_tilde"] / alpha))
-        assert record == (alpha, 1, False, np.inf, pytest.approx(sharp))
+        # the prox returned P = 0, so the sharp w is -P_tilde / alpha; the
+        # KKT error is the largest of its residual and the two movements
+        w_next = -before["P_tilde"] / alpha
+        kkt = max(np.linalg.norm(op.residual(v_next, w_next)),
+                  np.linalg.norm(v_next - before["v"]),
+                  np.linalg.norm(w_next - before["w"]))
+        assert record == (alpha, 1, False, np.inf, pytest.approx(kkt))
         assert type(seen["alpha"]) is float and type(state.theta) is float
         assert seen["alpha"] == alpha and seen["theta"] == 0.25
         eta_f = 0.5 + 0.3 * alpha
@@ -253,6 +257,7 @@ class TestCheckConvergence:
         regime = outer.regime_l1(10.0)
         options = outer.SolverOptions()
         state = outer.init_state(lifted, regime)
+        start = np.eye(lifted.p).reshape(-1, order="F")
         stops = set()
         for _ in range(60):
             outer.outer_iteration(state, lifted, regime, options)
@@ -265,12 +270,17 @@ class TestCheckConvergence:
                 eps_dua = (lifted.p * eps1
                            + eps2 * np.linalg.norm(A.T @ state.lam))
                 pr, dr = np.linalg.norm(AW + BP), np.linalg.norm(dual)
+                # no restart ran, so the sharp pair moved from the start
+                # (I, 0), and theta = 1/(k + 1)
+                ergodic = max(np.linalg.norm(state.v - start),
+                              np.linalg.norm(state.w)) / (state.k + 1.0)
                 stop, got_pr, got_dr = outer.check_convergence(
                     state, lifted, eps1, eps2)
                 assert got_pr == pytest.approx(pr, rel=1e-12, abs=1e-300)
                 assert got_dr == pytest.approx(dr, rel=1e-12, abs=1e-300)
                 assert state.eps_pri == pytest.approx(eps_pri, rel=1e-12)
-                assert stop == (pr <= eps_pri and dr <= eps_dua)
+                assert stop == (pr <= eps_pri and dr <= eps_dua
+                                and ergodic <= eps_pri * (1.0 + 1e-12))
                 # the next inner tolerance, the same at every (eps1, eps2)
                 assert state.eps_inner == pytest.approx(
                     max(outer.INNER_TOL_FLOOR,
@@ -489,16 +499,23 @@ class TestAdaptiveRestart:
         assert _restart_iterations(exc.value.solution.trace) == []
 
     def test_restart_every_zero_turns_off_both_rules(self, monkeypatch):
-        # k on the period, and the sharp pair inside the primal tolerance
-        # that the averaged pair misses: each rule alone would restart
-        state = outer.OuterState(*(np.zeros(1),) * 5, k=2000, eps_pri=1.0)
-        assert outer._restart_due(state, 2.0, 0.5)
-        state.k = 2001
-        assert outer._restart_due(state, 2.0, 0.5)
+        # k on the period, and each test of the KKT decay since the last
+        # restart (at iteration k_r, KKT error kkt_r; kkt the previous
+        # iteration's): each rule alone would restart
+        state = outer.OuterState(*(np.zeros(1),) * 5, k=2000, k_r=1990,
+                                 kkt_r=1.0, kkt=0.5)
+        cases = [(2000, 1990, 0.9),    # the period
+                 (2001, 1990, 0.1),    # fell to 0.2 x kkt_r
+                 (2001, 1990, 0.7),    # below 0.8 x kkt_r, and rose
+                 (2001, 1000, 0.9)]    # the last restart 0.36 k back
+        for state.k, state.k_r, kkt in cases:
+            assert outer._restart_due(state, kkt)
+        # fell since the last iteration, but not to 0.2 x kkt_r
+        state.k, state.k_r = 2001, 1990
+        assert not outer._restart_due(state, 0.4)
         monkeypatch.setattr(outer, "RESTART_EVERY", 0)
-        assert not outer._restart_due(state, 2.0, 0.5)
-        state.k = 2000
-        assert not outer._restart_due(state, 2.0, 0.5)
+        for state.k, state.k_r, kkt in cases:
+            assert not outer._restart_due(state, kkt)
 
     @staticmethod
     def _pq_instance():
@@ -563,20 +580,55 @@ def test_capped_last_inner_solve_does_not_skip_the_cone_check(ex1_lifted):
         assert sol.certified
 
 
-def test_converged_implies_certified(ex1_lifted, monkeypatch, caplog):
-    # With BETA0 = 16 the first stop of ex1 l1 at gamma 20 meets the
-    # residuals and the cones, but its J_upper sits below a vertex cost
-    # by more than the slack; the run must go on to a certified stop.
-    monkeypatch.setattr(outer, "BETA0", 16.0)
+def test_converged_implies_certified(ex3_lifted, caplog):
+    # The first stop of ex3 pq at gamma 10 meets the residuals, but its
+    # averaged W misses the cones by more than the certificate's
+    # tolerance; the run must go on to a certified stop.
     caplog.set_level(logging.INFO, logger="sparselq")
-    sol = outer.solve_relaxed(ex1_lifted, outer.regime_l1(20.0))
+    sol = outer.solve_relaxed(ex3_lifted, outer.regime_pq(10.0))
     assert sol.status == "converged"
     assert sol.certified
     rejected = [r.getMessage() for r in caplog.records
                 if "residuals met" in r.getMessage()]
-    assert rejected and all("cost_bound failed" in m for m in rejected)
+    assert rejected and all("feasible failed" in m for m in rejected)
+    assert sol.feasibility["feasible"]
     slack = 1e-3 * max(1.0, sol.J_upper)
     assert sol.J_upper >= sol.J_vertex.max() - slack
+
+
+def test_a_rejected_stop_restarts_the_averages(ex1_lifted, monkeypatch):
+    # the certificate rejects the first stop; the adaptive rule is not
+    # consulted on a stop, so the restart on that iteration's row is the
+    # rejection's, and it collapses the average onto the sharp pair
+    certify, check = analysis.certify, outer.check_convergence
+    seen, rejected, collapsed = [], [], []
+
+    def recorded_check(state, *args):
+        seen.append(state)
+        return check(state, *args)
+
+    def reject_first(lifted, W, P, status):
+        cert = certify(lifted, W, P, status)
+        if not rejected:
+            rejected.append(seen[-1].k)
+            cert["certified"] = cert["conditions"]["feasible"] = False
+        return cert
+
+    def recorded_restart(state):
+        out = restart(state)
+        np.testing.assert_array_equal(out.W_tilde, out.v)
+        collapsed.append(state.k)
+        return out
+
+    restart = outer.restart_averages
+    monkeypatch.setattr(outer, "check_convergence", recorded_check)
+    monkeypatch.setattr(analysis, "certify", reject_first)
+    monkeypatch.setattr(outer, "restart_averages", recorded_restart)
+    sol = outer.solve_relaxed(ex1_lifted, outer.regime_l1(5.0))
+    assert sol.certified and len(rejected) == 1
+    assert rejected[0] in collapsed
+    assert rejected[0] in _restart_iterations(sol.trace)
+    assert sol.iterations > rejected[0]
 
 
 @pytest.mark.parametrize("regime", [outer.regime_l1, outer.regime_pq])
@@ -586,3 +638,28 @@ def test_a_converged_solve_certifies_once_per_stop(ex1_lifted, regime,
     sol = outer.solve_relaxed(ex1_lifted, regime(5.0))
     assert sol.certified
     assert stops and calls == ["converged"] * len(stops)
+
+
+@pytest.mark.parametrize("regime", ["l1", "pq", "l0"])
+def test_w1_off_diagonal_is_exactly_zero(ex1_lifted, monkeypatch, regime):
+    # the inner solve holds W1's off-diagonal coordinates at zero, so
+    # every inner primal, every average of them and the stored W are
+    # diagonal there, in each regime, the anchored l0 subsolves included
+    lifted, solve = ex1_lifted, inner.solve_inner
+    off = ~np.eye(lifted.n, dtype=bool)
+    primals = []
+
+    def recorded(*args, **kwargs):
+        v, sweeps, state = solve(*args, **kwargs)
+        primals.append(lifted.unvec(v)[:lifted.n, :lifted.n][off])
+        return v, sweeps, state
+
+    monkeypatch.setattr(inner, "solve_inner", recorded)
+    if regime == "l0":
+        sol = l0.solve_l0(lifted, 1.0, continuation=l0.ContinuationOptions(
+            sigma0=1.0, sigma_min=0.5, sigma_decay=0.5))
+    else:
+        sol = outer.solve_relaxed(lifted,
+                                  getattr(outer, f"regime_{regime}")(5.0))
+    assert primals and all(np.all(x == 0.0) for x in primals)
+    assert np.all(sol.W[:lifted.n, :lifted.n][off] == 0.0)

@@ -78,18 +78,14 @@ def test_duplication_is_isometry_adjoint():
                       atol=1e-12)
 
 
-def test_diag_constraint_pairs_pick_strict_upper():
-    # The diagonal-constraint rows of apply_A read the strict upper
-    # triangle of the leading block, row-major.
+def test_no_row_reads_the_leading_block():
+    # W1's diagonal structure has no rows: the inner solve holds W1's
+    # off-diagonal coordinates at zero, so every row reads the gain block.
     n, m = 3, 2
     p = n + m
-    op = vectorize.assemble_constraint_operator(n, m)
-    assert op.n_diag == n * (n - 1) // 2
-    rng = np.random.default_rng(5)
-    W = rng.standard_normal((p, p))
-    seen = op.apply_A(W.reshape(-1, order="F"))[:op.n_diag]
-    expected = [W[i, j] for i in range(n) for j in range(i + 1, n)]
-    np.testing.assert_array_equal(seen, expected)
+    op = vectorize.assemble_constraint_operator(n, m, forced_zeros=((1, 2),))
+    rows, cols = np.unravel_index(op.A_cols, (p, p), order="F")
+    assert np.all(rows >= n) and np.all(cols < n)
 
 
 class TestConstraintOperator:
@@ -99,8 +95,8 @@ class TestConstraintOperator:
 
     def test_row_counts(self):
         op = self.op
-        assert (op.n_diag, op.n_gain, len(op.forced_zeros)) == (3, 6, 1)
-        assert op.n_rows == 10
+        assert (op.n_gain, len(op.forced_zeros)) == (6, 1)
+        assert op.n_rows == 7
 
     def test_fast_paths_match_matrices(self):
         op = self.op
@@ -122,7 +118,7 @@ class TestConstraintOperator:
         W = rng.standard_normal((5, 5))
         x = W.reshape(-1, order="F")
         rows = op.apply_A(x)
-        gain = rows[op.n_diag:op.n_diag + op.n_gain]
+        gain = rows[:op.n_gain]
         np.testing.assert_allclose(gain, W[3:, :3].reshape(-1, order="F"))
 
     def test_forced_row_repeats_gain_entry(self):
