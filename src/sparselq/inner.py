@@ -28,11 +28,12 @@ above is that problem's once Minv is M^-1 on the free coordinates and 0
 on the held ones, so minv carries those zeros: s = Minv (q - L(X)) is
 0.0 there for every X, and so is every average of such s.  The block
 curvatures H_i = J_i Minv J_i' sum over the free columns of J_i alone.
-minv, J_i Minv and H_i depend on the sigmas alone.  assemble_dual_data builds them with one
-eigendecomposition of H_i per vertex, which gives both the step
-constant rho_i = lambda_max(H_i) and, unless H_i is near singular, its
-inverse, and reuses the previous call's when its sigmas are equal bit
-for bit, as they are on every iteration of the l1 schedule.
+minv, J_i Minv and H_i depend on the sigmas alone.  assemble_dual_data
+builds them with one eigendecomposition of H_i per vertex, which gives
+both the step constant rho_i = lambda_max(H_i) and, unless H_i is near
+singular, its inverse, and reuses the previous call's when its sigmas
+are equal bit for bit, as they are on every iteration of the l1
+schedule.
 
 Block i of the dual objective is the quadratic with Hessian H_i and
 gradient -g_i, g_i = kq + J_i s, on the PSD cone.  A vertex block whose

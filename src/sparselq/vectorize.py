@@ -90,9 +90,9 @@ class ConstraintOperator:
     """The stacked equality operator A vec(W) + B P = 0 as a gather.
 
     Row layout: m*n gain-extraction rows equal to vec of the bottom-left
-    block, then one row per forced-zero entry.  Every row of A has a single unit
-    entry, in column A_cols[row] of vec(W), and p is the order of W; B
-    is zero except for -I on the gain rows.
+    block, then one row per forced-zero entry.  Every row of A has a
+    single unit entry, in column A_cols[row] of vec(W), and p is the
+    order of W; B is zero except for -I on the gain rows.
     """
 
     p: int
