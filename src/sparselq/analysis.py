@@ -310,10 +310,11 @@ def agrees(cert, name, stored):
 
 
 def stationary(cert, lifted, lam, penalty):
-    """Whether the multiplier's gain rows lie in the subdifferential of
-    the penalty at P, to max(1e-3, 2 tol).  A forced zero adds the
-    indicator of P_ij = 0, whose subdifferential there is the real line."""
-    lam_g = -lifted.op.apply_Bt(lam).reshape(cert["P"].shape, order="F")
+    """Whether the multiplier, -B' lam = lam in P's column-major order,
+    lies in the subdifferential of the penalty at P, to max(1e-3, 2 tol).
+    A forced zero adds the indicator of P_ij = 0, whose subdifferential
+    there is the real line."""
+    lam_g = lam.reshape(cert["P"].shape, order="F")
     lo, hi = penalty.subdifferential(cert["P"])
     for (i, j) in lifted.forced_zeros:
         lo[i, j], hi[i, j] = -np.inf, np.inf

@@ -150,13 +150,15 @@ class LiftedProblem:
     """All derived operators of the convex parameterization.
 
     Beyond the block matrices (F_list, R), this carries the
-    vectorization maps, the equality operator, and the data of the
-    inner solver in isometric coordinates: gram_diag is the diagonal of
-    the Gram matrix of A unsvec (A the equality operator; each row reads
-    one entry of W2, so the Gram matrix is diagonal), J_list the
-    per-vertex maps sending svec(W) to svec of V2 (F_i W + W F_i^T) V2^T,
-    and kappa_q = svec(B1 B1^T), the constant part of the constraint
-    block.
+    vectorization maps, the equality operator, the forced zeros (0-based
+    (i, j) gain entries pinned to 0) and the data of the inner solver in
+    isometric coordinates: held lists the svec coordinates of W the
+    inner solve keeps at zero, W1's off-diagonal entries and the entry
+    W[n + i, j] of each forced zero; gram_diag is the diagonal of the
+    Gram matrix of A unsvec (A the equality operator; each row reads one
+    entry of W2, so the Gram matrix is diagonal), J_list the per-vertex
+    maps sending svec(W) to svec of V2 (F_i W + W F_i^T) V2^T, and
+    kappa_q = svec(B1 B1^T), the constant part of the constraint block.
     """
 
     plant: ValidatedPlant
@@ -168,13 +170,11 @@ class LiftedProblem:
     svec_p: vectorize.SvecMaps
     svec_n: vectorize.SvecMaps
     op: vectorize.ConstraintOperator
+    forced_zeros: tuple
+    held: np.ndarray = field(repr=False)
     gram_diag: np.ndarray = field(repr=False)
     J_list: tuple = field(repr=False)
     kappa_q: np.ndarray = field(repr=False)
-
-    @property
-    def forced_zeros(self):
-        return self.op.forced_zeros
 
     @property
     def n_vertices(self):
@@ -198,10 +198,19 @@ def _vertex_block(F, W, n):
 
 
 def lift_plant(vplant, forced_zeros=()):
-    """Build the LiftedProblem for a validated plant."""
+    """Build the LiftedProblem for a validated plant.
+
+    forced_zeros is an iterable of 0-based (i, j) pairs in the gain index
+    set {0..m-1} x {0..n-1}; a pair outside it raises InvalidInput.
+    """
     plant = vplant.plant
     n, m = plant.n, plant.m
     p = n + m
+    fz = tuple((int(i), int(j)) for i, j in forced_zeros)
+    for i, j in fz:
+        if not (0 <= i < m and 0 <= j < n):
+            raise InvalidInput(
+                f"forced_zeros: ({i}, {j}) lies outside the {m} x {n} gain")
 
     F_list = []
     for Av, Bv in plant.vertices:
@@ -216,14 +225,16 @@ def lift_plant(vplant, forced_zeros=()):
 
     svec_p = vectorize.build_svec_maps(p)
     svec_n = vectorize.build_svec_maps(n)
-    op = vectorize.assemble_constraint_operator(n, m, forced_zeros)
+    op = vectorize.assemble_constraint_operator(n, m)
+    held = np.array([*svec_p.coord[np.triu_indices(n, 1)],
+                     *(svec_p.coord[n + i, j] for i, j in fz)], dtype=np.int64)
 
-    # Row k of A unsvec reads coordinate coord[A_cols[k]] at plain_scale,
-    # so column r of the Gram matrix holds plain_scale[r]^2 once per row
-    # that reads coordinate r, and no entry off the diagonal.
-    reads = np.bincount(svec_p.coord.ravel(order="F")[op.A_cols],
-                        minlength=svec_p.size)
-    gram_diag = reads * svec_p.plain_scale ** 2
+    # Row k of A unsvec reads gain coordinate coord[A_cols[k]] at
+    # plain_scale, and no two rows read the same one, so the Gram matrix
+    # is diagonal: plain_scale^2 on the gain coordinates, 0 elsewhere.
+    gain = svec_p.coord[n:, :n]
+    gram_diag = np.zeros(svec_p.size)
+    gram_diag[gain] = svec_p.plain_scale[gain] ** 2
 
     # Column r of J_i is svec of the vertex block of unsvec(e_r); the
     # transpose of the stacked rows is Fortran-ordered, as the sweep reads it.
@@ -237,5 +248,5 @@ def lift_plant(vplant, forced_zeros=()):
     return LiftedProblem(plant=vplant, n=n, m=m, p=p,
                          F_list=tuple(F_list), R=R,
                          svec_p=svec_p, svec_n=svec_n, op=op,
-                         gram_diag=gram_diag,
+                         forced_zeros=fz, held=held, gram_diag=gram_diag,
                          J_list=tuple(J_list), kappa_q=kappa_q)

@@ -133,7 +133,7 @@ def init_state(lifted, penalty, warm=None, anchor=None):
         W0 = np.eye(lifted.p).reshape(-1, order="F")
         mn = lifted.m * lifted.n
         st = OuterState(W_tilde=W0, v=W0.copy(), P_tilde=np.zeros(mn),
-                        w=np.zeros(mn), lam=np.zeros(lifted.op.n_rows))
+                        w=np.zeros(mn), lam=np.zeros(mn))
     else:
         st = OuterState(W_tilde=warm.W_tilde.copy(), v=warm.v.copy(),
                         P_tilde=warm.P_tilde.copy(), w=warm.w.copy(),
@@ -158,8 +158,7 @@ def _reset_schedule(state):
 def next_schedule(state):
     """(alpha, (theta, kappa, beta) of the next iteration), as floats.
 
-    alpha = sqrt(beta theta) / ||B||, and ||B|| = 1: B is -I on the gain
-    rows.
+    alpha = sqrt(beta theta) / ||B||, and ||B|| = 1: B = -I.
     """
     alpha = math.sqrt(state.beta * state.theta)
     return alpha, (state.theta / (1.0 + alpha),
@@ -209,11 +208,12 @@ def outer_iteration(state, lifted, penalty, options=SolverOptions()):
     eta_g = (alpha + 1.0) * beta + state.mu_g * alpha
     tau = alpha * alpha / eta_g
     y_tilde = state.P_tilde + (alpha * beta / eta_g) * (state.w - state.P_tilde)
-    Z = y_tilde - tau * op.apply_Bt(lam_bar)
+    Z = y_tilde + tau * lam_bar
     P = penalty.prox(Z.reshape(lifted.m, lifted.n, order="F"), 1.0 / tau)
     # a fixed topology adds the indicator of the pinned set to the
-    # penalty; its prox zeroes those entries outright, which is what
-    # keeps them exact in the averaged iterate rather than merely small
+    # penalty; its prox zeroes those entries outright, and with W held
+    # at zero there by the inner solve, the gain row's residual and so
+    # lambda stay exactly 0 there too
     for (i, j) in lifted.forced_zeros:
         P[i, j] = 0.0
     P_next = P.reshape(-1, order="F")
@@ -272,16 +272,15 @@ def check_convergence(state, lifted, eps1, eps2):
     relative one, primal_res / (1 + max(|A vec(W)|, |P|)), the scale of
     the inner residual, and there is no cap.  Otherwise (l1 and the
     anchored l0 subproblems) it is primal_res, capped at
-    INNER_TOL_CAP_PLAIN.  B is -I on the gain rows and zero elsewhere,
-    and the gain rows read distinct columns of vec(W), so |B P| = |P|
-    and |A' B dP| = |dP|.
+    INNER_TOL_CAP_PLAIN.  B = -I and the rows read distinct columns of
+    vec(W), so |B P| = |P|, |A' B dP| = |dP| and |A' lam| = |lam|.
     """
     op = lifted.op
     pr = _norm(op.residual(state.W_tilde, state.P_tilde))
     dr = _norm(state.P_tilde - state.P_prev)
     scale = max(_norm(op.apply_A(state.W_tilde)), _norm(state.P_tilde))
     eps_pri = math.sqrt(op.n_rows) * eps1 + eps2 * scale
-    eps_dua = lifted.p * eps1 + eps2 * _norm(op.apply_At(state.lam))
+    eps_dua = lifted.p * eps1 + eps2 * _norm(state.lam)
     state.eps_pri = eps_pri
     res, cap = ((pr / (1.0 + scale), math.inf) if state.mu_g > 0.0
                 else (pr, INNER_TOL_CAP_PLAIN))

@@ -15,18 +15,16 @@ unsvec, sums the two triangles.
 
 The equality operator of the lift only selects entries of vec(W), so it
 is stored as the column index each row reads and applied as a gather.
-Its row layout, which is also the layout of the splitting's multiplier
-lambda, is kept here alone: m*n gain rows, then one row per forced
-zero.  Every other module reaches lambda's rows through
-ConstraintOperator.  W1's diagonal structure has no rows: the inner
-solve holds W1's off-diagonal coordinates at zero (see inner).
+It has the m*n gain rows alone, W[n + i, j] - P[i, j] = 0 in the
+column-major order of P, so the splitting's multiplier lambda has P's
+shape and B = -I.  Neither W1's diagonal structure nor a forced zero
+has rows: the inner solve holds those coordinates of W at zero (see
+inner and model.lift_plant).
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from .errors import InvalidInput
 
 _SQRT2 = np.sqrt(2.0)
 
@@ -87,18 +85,15 @@ def sym_svec(v, maps):
 
 @dataclass(frozen=True)
 class ConstraintOperator:
-    """The stacked equality operator A vec(W) + B P = 0 as a gather.
+    """The equality operator A vec(W) + B P = 0 as a gather.
 
-    Row layout: m*n gain-extraction rows equal to vec of the bottom-left
-    block, then one row per forced-zero entry.  Every row of A has a
-    single unit entry, in column A_cols[row] of vec(W), and p is the
-    order of W; B is zero except for -I on the gain rows.
+    Row k reads vec(W) at A_cols[k], the entry W[n + i, j] of the gain
+    entry P[i, j] at column-major index k, and B = -I; p is the order
+    of W.
     """
 
     p: int
     A_cols: np.ndarray
-    n_gain: int
-    forced_zeros: tuple
 
     @property
     def n_rows(self):
@@ -111,41 +106,14 @@ class ConstraintOperator:
         return np.bincount(self.A_cols, weights=lam,
                            minlength=self.p * self.p)
 
-    def apply_Bt(self, lam):
-        return -lam[:self.n_gain]
-
     def residual(self, x, w):
-        """A x + B w, formed from one gather."""
-        out = x[self.A_cols]
-        out[:self.n_gain] -= w
-        return out
+        """A x + B w."""
+        return x[self.A_cols] - w
 
 
-def assemble_constraint_operator(n, m, forced_zeros=()):
-    """Assemble the equality operator for gain shape m x n, order p = n + m.
-
-    forced_zeros is an iterable of 0-based (i, j) pairs in the gain index
-    set {0..m-1} x {0..n-1}; each adds a row pinning that gain entry to 0.
-    """
+def assemble_constraint_operator(n, m):
+    """Assemble the equality operator for gain shape m x n, order p = n + m."""
     p = n + m
-    fz = []
-    for pair in forced_zeros:
-        i, j = int(pair[0]), int(pair[1])
-        if not (0 <= i < m and 0 <= j < n):
-            raise InvalidInput(
-                f"forced_zeros: ({i}, {j}) lies outside the {m} x {n} gain")
-        fz.append((i, j))
-
-    cols = []
-    # Gain rows: vec of the bottom-left m x n block, column-major.
-    for j in range(n):
-        for i in range(m):
-            cols.append((n + i) + j * p)
-    # Forced-zero rows repeat the matching gain row.
-    for (i, j) in fz:
-        cols.append((n + i) + j * p)
-
-    return ConstraintOperator(p=p,
-                              A_cols=np.asarray(cols, dtype=np.int64),
-                              n_gain=m * n,
-                              forced_zeros=tuple(fz))
+    # vec of the bottom-left m x n block, column-major
+    cols = (np.arange(n, p) + p * np.arange(n)[:, None]).ravel()
+    return ConstraintOperator(p=p, A_cols=cols)

@@ -198,16 +198,13 @@ def make_inner_instance(rng, n=2, m=1):
 def dense_equality_operator(op, n, m):
     """Dense A and B of the equality operator of an n-state, m-input
     lift, built from its documented row layout: vec of the bottom-left
-    block, then one row per forced zero."""
+    block, and B = -I."""
     p = op.p
     assert p == n + m
     cols = [(n + i) + j * p for j in range(n) for i in range(m)]
-    cols += [(n + i) + j * p for (i, j) in op.forced_zeros]
     A = np.zeros((len(cols), p * p))
     A[np.arange(len(cols)), cols] = 1.0
-    B = np.zeros((len(cols), m * n))
-    B[np.arange(m * n), np.arange(m * n)] = -1.0
-    return A, B
+    return A, -np.eye(m * n)
 
 
 def dense_duplication(d):

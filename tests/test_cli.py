@@ -304,8 +304,9 @@ class TestForcedZeroSolve:
                                "--relaxation", relaxation)
 
     def test_ex1_l1(self, tmp_path, capsys):
-        # the gain row of the stored multiplier at a forced zero lies far
-        # outside the l1 subdifferential; the pinned entry is exempt
+        # the inner solve holds the forced entry at zero, so the stored
+        # multiplier is exactly 0 there, inside the l1 subdifferential;
+        # stationarity exempts the pinned entry all the same
         path = tmp_path / "problem.json"
         path.write_text(json.dumps(_problem_doc([[0, 1]])))
         self._solve_and_verify(path, tmp_path, capsys)
@@ -604,12 +605,24 @@ class TestVerifyMalformedSolution:
     """A solution file with a missing, wrong-size or non-finite field,
     or a W that is not symmetric, is bad input."""
 
-    @pytest.mark.parametrize("key,value", [
-        ("W", [[1.0]]), ("multiplier", [0.0, 0.0, 0.0]), ("P", None),
-        ("W", [[float("nan"), 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
-        ("P", [[float("inf"), 0.0]])])
+    @pytest.mark.parametrize("key,value,forced_zeros", [
+        pytest.param("W", [[1.0]], [], id="W-value0"),
+        pytest.param("multiplier", [0.0, 0.0, 0.0], [],
+                     id="multiplier-value1"),
+        pytest.param("P", None, [], id="P-None"),
+        pytest.param("W", [[float("nan"), 0.0, 0.0], [0.0, 1.0, 0.0],
+                           [0.0, 0.0, 1.0]], [], id="W-value3"),
+        pytest.param("P", [[float("inf"), 0.0]], [], id="P-value4"),
+        # a forced-zero file written while forced zeros had multiplier
+        # rows: m*n + 1 entries
+        pytest.param("multiplier", [0.0, 0.0, 0.0], [[0, 1]],
+                     id="multiplier-forced-zero-rows")])
     def test_exits_2_naming_the_field(self, problem_file, tmp_path, capsys,
-                                      key, value):
+                                      key, value, forced_zeros):
+        with open(problem_file) as fh:
+            problem = dict(json.load(fh), forced_zeros=forced_zeros)
+        with open(problem_file, "w") as fh:
+            json.dump(problem, fh)
         out = tmp_path / "run"
         assert cli.run_command(["solve", "--problem", problem_file,
                                 "--gamma", "0.5", "--out", str(out)]) == 0

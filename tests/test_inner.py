@@ -34,8 +34,8 @@ class TestDualData:
                              ids=["unforced", "forced"])
     def test_q_equals_the_dense_formula_bit_for_bit(self, forced_zeros):
         # q = -2 sigma1 sym_svec(A' B w) + 2 sigma2 sym_svec(v_tilde) with
-        # A and B dense from their layout: a forced-zero row reads a gain
-        # entry but adds nothing, since B is zero there
+        # A and B dense from their layout: a forced zero adds no row, and
+        # its coordinate of q is formed as any other (minv holds s at 0)
         lifted = lift(ex1_matrices(), forced_zeros)
         A, B = dense_equality_operator(lifted.op, lifted.n, lifted.m)
         rng = np.random.default_rng(9)

@@ -221,36 +221,48 @@ class TestLiftedStructure:
             np.sum(lp.R * W))
 
     def test_gain_part_and_unvec(self, ex1_lifted):
-        # the gain rows of the equality operator read the bottom-left
-        # m x n block of W
+        # the equality operator's rows read the bottom-left m x n block
+        # of W, one row per gain entry
         lp, op = ex1_lifted, ex1_lifted.op
         rng = np.random.default_rng(4)
         W = rng.standard_normal((lp.p, lp.p))
         v = W.reshape(-1, order="F")
         np.testing.assert_array_equal(lp.unvec(v), W)
         np.testing.assert_array_equal(
-            op.apply_A(v)[:op.n_gain],
-            W[lp.n:, :lp.n].reshape(-1, order="F"))
+            op.apply_A(v), W[lp.n:, :lp.n].reshape(-1, order="F"))
 
     def test_gram_consistency(self):
         # Each equality row reads one entry of W, so the Gram matrix of
         # A D (D the isometric duplication map) is exactly diagonal, and
-        # gram_diag is its diagonal, with and without forced zeros.
-        cases = [(ex1_matrices(), ()), (ex1_matrices(), ((0, 1), (1, 2))),
-                 (ex2_matrices(), ((1, 3),))]
-        for mats, forced in cases:
-            lp = lift(mats, forced)
+        # gram_diag is its diagonal: 1/2 on the m*n gain coordinates, 0
+        # elsewhere.  Forced zeros add no rows, so they leave it as it is.
+        for mats, forced in [(ex1_matrices(), ((0, 1), (1, 2))),
+                             (ex2_matrices(), ((1, 3),))]:
+            lp, plain = lift(mats, forced), lift(mats)
             A, _ = dense_equality_operator(lp.op, lp.n, lp.m)
             AD = A @ dense_duplication(lp.p)
             gram = AD.T @ AD
             np.testing.assert_array_equal(gram - np.diag(np.diag(gram)), 0.0)
             np.testing.assert_array_equal(np.diag(gram), lp.gram_diag)
-            assert set(np.round(lp.gram_diag, 12)) <= {0.0, 0.5, 1.0}
+            np.testing.assert_array_equal(lp.gram_diag, plain.gram_diag)
+            assert np.count_nonzero(lp.gram_diag) == lp.m * lp.n
+            assert set(np.round(lp.gram_diag, 12)) == {0.0, 0.5}
 
     def test_forced_zeros_threaded(self):
+        # a forced zero adds no row; its W entry joins W1's off-diagonal
+        # coordinates in the set the inner solve holds at zero
         C, D = unit_cost(2, 1)
         vp = model.validate_plant(model.PlantData(
             A=np.eye(2), B2=np.ones((2, 1)), B1=np.eye(2), C=C, D=D))
         lp = model.lift_plant(vp, forced_zeros=((0, 1),))
         assert lp.forced_zeros == ((0, 1),)
-        assert len(lp.op.forced_zeros) == 1
+        assert lp.op.n_rows == 2
+        np.testing.assert_array_equal(
+            lp.held, [lp.svec_p.coord[0, 1], lp.svec_p.coord[2, 1]])
+
+
+def test_forced_zero_out_of_range():
+    with pytest.raises(InvalidInput, match=r"forced_zeros: \(2, 0\)"):
+        lift(ex1_matrices(), forced_zeros=((2, 0),))
+    with pytest.raises(InvalidInput, match=r"forced_zeros: \(0, 3\)"):
+        lift(ex1_matrices(), forced_zeros=((0, 3),))

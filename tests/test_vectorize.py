@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sparselq import vectorize
-from sparselq.errors import InvalidInput
 
 from conftest import dense_duplication, dense_equality_operator, source_env
 
@@ -79,24 +78,22 @@ def test_duplication_is_isometry_adjoint():
 
 
 def test_no_row_reads_the_leading_block():
-    # W1's diagonal structure has no rows: the inner solve holds W1's
-    # off-diagonal coordinates at zero, so every row reads the gain block.
+    # Neither W1's diagonal structure nor a forced zero has rows: the
+    # inner solve holds those coordinates at zero, so every row reads the
+    # gain block.
     n, m = 3, 2
     p = n + m
-    op = vectorize.assemble_constraint_operator(n, m, forced_zeros=((1, 2),))
+    op = vectorize.assemble_constraint_operator(n, m)
     rows, cols = np.unravel_index(op.A_cols, (p, p), order="F")
     assert np.all(rows >= n) and np.all(cols < n)
 
 
 class TestConstraintOperator:
     def setup_method(self):
-        self.op = vectorize.assemble_constraint_operator(3, 2,
-                                                         forced_zeros=((1, 2),))
+        self.op = vectorize.assemble_constraint_operator(3, 2)
 
     def test_row_counts(self):
-        op = self.op
-        assert (op.n_gain, len(op.forced_zeros)) == (6, 1)
-        assert op.n_rows == 7
+        assert self.op.n_rows == 6
 
     def test_fast_paths_match_matrices(self):
         op = self.op
@@ -107,7 +104,6 @@ class TestConstraintOperator:
         w = rng.standard_normal(6)
         np.testing.assert_allclose(op.apply_A(x), A @ x)
         np.testing.assert_allclose(op.apply_At(lam), A.T @ lam)
-        np.testing.assert_allclose(op.apply_Bt(lam), B.T @ lam)
         np.testing.assert_allclose(op.residual(x, w), A @ x + B @ w)
         np.testing.assert_array_equal(op.residual(x, w),
                                       op.apply_A(x) + B @ w)
@@ -117,16 +113,8 @@ class TestConstraintOperator:
         rng = np.random.default_rng(7)
         W = rng.standard_normal((5, 5))
         x = W.reshape(-1, order="F")
-        rows = op.apply_A(x)
-        gain = rows[:op.n_gain]
-        np.testing.assert_allclose(gain, W[3:, :3].reshape(-1, order="F"))
-
-    def test_forced_row_repeats_gain_entry(self):
-        op = self.op
-        rng = np.random.default_rng(8)
-        W = rng.standard_normal((5, 5))
-        rows = op.apply_A(W.reshape(-1, order="F"))
-        assert rows[-1] == W[3 + 1, 2]
+        np.testing.assert_allclose(op.apply_A(x),
+                                   W[3:, :3].reshape(-1, order="F"))
 
     @given(st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=25, deadline=None)
@@ -139,19 +127,13 @@ class TestConstraintOperator:
                           atol=1e-10)
 
     def test_norm_B_is_exact(self):
-        # the outer step takes ||B||_2 = 1, with or without forced zeros;
-        # B' is read off apply_Bt, the map the outer step applies
-        for op in (self.op, vectorize.assemble_constraint_operator(3, 2)):
-            dense_t = np.column_stack([op.apply_Bt(e)
-                                       for e in np.eye(op.n_rows)])
-            assert np.isclose(np.linalg.norm(dense_t, 2), 1.0)
-
-
-def test_forced_zero_out_of_range():
-    with pytest.raises(InvalidInput, match=r"forced_zeros: \(2, 0\)"):
-        vectorize.assemble_constraint_operator(3, 2, forced_zeros=((2, 0),))
-    with pytest.raises(InvalidInput, match=r"forced_zeros: \(0, 3\)"):
-        vectorize.assemble_constraint_operator(3, 2, forced_zeros=((0, 3),))
+        # the outer step takes ||B||_2 = 1; B is read off residual at
+        # x = 0, B w = residual(0, w)
+        op = self.op
+        dense = np.column_stack([op.residual(np.zeros(25), e)
+                                 for e in np.eye(op.n_rows)])
+        np.testing.assert_array_equal(dense, -np.eye(op.n_rows))
+        assert np.isclose(np.linalg.norm(dense, 2), 1.0)
 
 
 def test_import_leaves_scipy_sparse_unloaded():
