@@ -32,9 +32,10 @@ H_i = J_i Minv J_i' sum over the free columns of J_i alone.
 minv, J_i Minv and H_i depend on the sigmas alone.  assemble_dual_data
 builds them with one eigendecomposition of H_i per vertex, which gives
 both the step constant rho_i = lambda_max(H_i) and, unless H_i is near
-singular, its inverse, and reuses the previous call's when its sigmas
-are equal bit for bit, as they are on every iteration of the l1
-schedule.
+singular, its inverse, and reuses those of an earlier call of the same
+solve whose sigmas are equal bit for bit: on the l1 schedule they are
+equal on every iteration, and every restart of the accelerated schedule
+replays the pairs it met before.
 
 Block i of the dual objective is the quadratic with Hessian H_i and
 gradient -g_i, g_i = kq + J_i s, on the PSD cone.  A vertex block whose
@@ -90,10 +91,16 @@ x_j+ = Pi(x_j+ + z_j), and Pi is nonexpansive, so at the sweep output X+
     |x_j+ - Pi(x_j+ - grad_j Th(X+))| <= |z_j + grad_j Th(X+)|,
 
 whatever y_j is, in the cones or not.  sgs_sweep divides the right-hand
-side by the same denominator and returns the max as X+.residual, an
-upper bound on dual_residual(X+); solve_inner stops when it drops below
-eps.  dual_residual stays the exact reference, computed only for the
-residual a capped solve reports.
+side by the same denominator and returns the max over the blocks as
+X+.residual, an upper bound on dual_residual(X+); solve_inner stops when
+it drops below eps.  Only a bound below eps is read, so given eps the
+sweep scores X0's term first, its gradient being the s it holds, then
+the vertex blocks in forward order, and stops at the first term >= eps:
+that term is X+.residual, the blocks after it are not scored, and a
+failing sweep most often skips every vertex gradient.  A sweep with no
+term >= eps scores every block and reports the full max.  dual_residual
+stays the exact reference, computed only for the residual a capped
+solve reports.
 """
 
 import math
@@ -112,9 +119,11 @@ class DualState:
     x is the concatenation (x0, x1, ..., xM), held as given, not copied,
     and slices gives each block's place in it.  blocks() is the one view
     by block: [x0, x1, ..., xM], views into x of length p(p+1)/2 for X0
-    and n(n+1)/2 for each vertex block.  residual
-    is an upper bound on dual_residual(self, data) for the data of the
-    sweep that produced the state; inf for any other state.
+    and n(n+1)/2 for each vertex block.  For the output of a sweep on
+    data, residual below the sweep's eps (or from a sweep given none) is
+    the full bound, an upper bound on dual_residual(self, data); any
+    other is the term of some block that is >= eps (see sgs_sweep).  It
+    is inf for a state no sweep produced.
     """
 
     def __init__(self, x, slices, residual=np.inf):
@@ -134,6 +143,9 @@ def zero_state(lifted):
 # Below this ratio of its extreme eigenvalues a block curvature is
 # treated as singular: the block keeps the majorized step.
 HINV_FLOOR = 1e-12
+# Bytes of curvature arrays one solve's cache may hold, see
+# assemble_dual_data; read at call time.
+CURVATURE_CACHE_BYTES = 1 << 20
 
 
 @dataclass
@@ -166,7 +178,7 @@ class DualData:
 
 
 def _curvature(lifted, sigma1, sigma2):
-    """(minv, rho_list, hinv_list, JM_list) of a sigma pair."""
+    """(minv, rho0, rho_list, hinv_list, JM_list) of a sigma pair."""
     minv = 1.0 / (2.0 * sigma1 * lifted.gram_diag + 2.0 * sigma2)
     # the held coordinates stay at zero: s is 0.0 there
     minv[lifted.held] = 0.0
@@ -180,20 +192,24 @@ def _curvature(lifted, sigma1, sigma2):
             # false for NaN and for a singular or zero H_i as well
             hinv_list.append((V / w).dot(V.T) if w[0] > HINV_FLOOR * w[-1]
                              else None)
-    return minv, rho_list, hinv_list, JM_list
+    return minv, float(minv.max()), rho_list, hinv_list, JM_list
 
 
 def assemble_dual_data(lifted, d_k, w_k, v_tilde_k, alpha_k, theta_k, eta_f_k,
                        cache=None):
     """Build the dual problem data, curvature included.
 
-    cache, a dict owned by the caller (one solve), holds the curvature
-    of the last sigma pair; a call with the same pair, bit for bit,
-    reuses it, and a call with another pair replaces it.  Returns
-    (data, data.rho_list), with the same rho_list object on reuse: the
-    pair stays because bench/tracer.py counts curvature rebuilds from
-    result[1], and a bare DualData would make every traced run raise
-    TypeError.
+    cache, a dict owned by the caller (one solve), holds one curvature
+    entry per sigma pair the solve has met: a restart replays the pairs
+    of the schedule, and a call with a pair met before, bit for bit,
+    reuses its entry.  The cache holds at most CURVATURE_CACHE_BYTES of
+    arrays, counting each entry at the size of minv, every J_i Minv and
+    every H_i^-1; a new entry that would overflow it clears it first, so
+    where one entry is above the budget the cache keeps the last pair
+    alone.  Returns (data, data.rho_list), with the same rho_list object
+    on reuse: the pair stays because bench/tracer.py counts curvature
+    rebuilds from result[1], and a bare DualData would make every traced
+    run raise TypeError.
     """
     if not (alpha_k > 0 and theta_k > 0 and eta_f_k > 0):
         raise ValueError("alpha, theta, eta_f must be positive")
@@ -203,16 +219,18 @@ def assemble_dual_data(lifted, d_k, w_k, v_tilde_k, alpha_k, theta_k, eta_f_k,
     cache = {} if cache is None else cache
     key = (sigma1, sigma2)
     if key not in cache:
-        cache.clear()
+        t_p, t_n = lifted.svec_p.size, lifted.svec_n.size
+        entry_bytes = 8 * (t_p + lifted.n_vertices * t_n * (t_p + t_n))
+        if (len(cache) + 1) * entry_bytes > CURVATURE_CACHE_BYTES:
+            cache.clear()
         cache[key] = _curvature(lifted, sigma1, sigma2)
-    minv, rho_list, hinv_list, JM_list = cache[key]
+    minv, rho0, rho_list, hinv_list, JM_list = cache[key]
 
-    maps, n = lifted.svec_p, lifted.n
+    maps = lifted.svec_p
     q = 2.0 * sigma2 * sym_svec(v_tilde_k, maps)
-    q[maps.coord[n:, :n].ravel(order="F")] += (
-        2.0 * sigma1 * (w_k * math.sqrt(0.5)))
+    q[lifted.gain_coords] += 2.0 * sigma1 * (w_k * math.sqrt(0.5))
 
-    return DualData(lifted=lifted, minv=minv, rho0=float(minv.max()),
+    return DualData(lifted=lifted, minv=minv, rho0=rho0,
                     rho_list=rho_list, hinv_list=hinv_list, JM_list=JM_list,
                     q_k=q, g0=sym_svec(d_k, maps),
                     pd=[True] * len(rho_list)), rho_list
@@ -231,20 +249,29 @@ def _project(x, maps):
 
 def _gradients(data, s):
     """Block gradients of the dual objective at a state X with primal
-    s = Minv (q - L(X)): [grad_0, grad_1, ..., grad_M]."""
+    s = Minv (q - L(X)), formed as they are iterated: grad_0, grad_1,
+    ..., grad_M."""
+    yield s
     kq = data.lifted.kappa_q
-    return [s] + [-(kq + J.dot(s)) for J in data.lifted.J_list]
+    for J in data.lifted.J_list:
+        yield -(kq + J.dot(s))
 
 
-def _relative_error(triples):
+def _relative_error(triples, eps=None):
     """max over blocks of |r| / (1 + |x| + |g|), for (r, x, g) triples.
 
-    A NaN anywhere gives NaN, which no tolerance test passes.
+    Given eps, the first term >= eps instead, and the triples after it
+    are not drawn.  A NaN anywhere in a max gives NaN, which no
+    tolerance test passes.
     """
-    # each norm is sqrt(v . v), the value np.linalg.norm returns
-    errs = [math.sqrt(r.dot(r))
-            / (1.0 + math.sqrt(x.dot(x)) + math.sqrt(g.dot(g)))
-            for r, x, g in triples]
+    errs = []
+    for r, x, g in triples:
+        # each norm is sqrt(v . v), the value np.linalg.norm returns
+        err = (math.sqrt(r.dot(r))
+               / (1.0 + math.sqrt(x.dot(x)) + math.sqrt(g.dot(g))))
+        if eps is not None and err >= eps:
+            return err
+        errs.append(err)
     # max() keeps a NaN only in first place; the sum keeps it anywhere
     return math.nan if math.isnan(sum(errs)) else max(errs)
 
@@ -266,14 +293,19 @@ def _vertex_step(x, g, i, data):
     return new, False
 
 
-def sgs_sweep(state, data, s=None):
+def sgs_sweep(state, data, s=None, eps=None):
     """One backward pass over the vertex blocks, an X0 update, one forward pass.
 
     s is recover_primal(data, state) when the caller already has it.
-    Returns (X+, s(X+)); X+.residual bounds dual_residual(X+, data) from
-    above (see the module docstring), at no eigendecomposition beyond the
-    sweep's own.  Neither state nor s is written to.  A NaN in the data
-    gives a NaN bound, or EigFailure where LAPACK fails on it.
+    Returns (X+, s(X+)).  Without eps, X+.residual bounds
+    dual_residual(X+, data) from above (see the module docstring), at no
+    eigendecomposition beyond the sweep's own.  Given eps, the bound is
+    scored X0 first, then the vertex blocks forward, only up to the
+    first block term >= eps, which is then X+.residual; a bound below
+    eps is the full one.  eps leaves X+, s(X+) and data.pd as they are
+    without it.  Neither state nor s is written to.  A NaN in the data
+    gives a NaN bound, unless a block term before it is >= eps, or
+    EigFailure where LAPACK fails on it.
     """
     # .dot rather than @ on this hot path: the same BLAS call, about 1 us
     # less overhead per product on blocks this small
@@ -309,8 +341,8 @@ def sgs_sweep(state, data, s=None):
             zs.append(0.0 if exact else g - rho * dx)
             xs[i + 1] = new
 
-    bound = _relative_error((z + g, x, g) for z, x, g
-                            in zip(zs, xs, _gradients(data, s)))
+    bound = _relative_error(((z + g, x, g) for z, x, g
+                             in zip(zs, xs, _gradients(data, s))), eps)
     return DualState(np.concatenate(xs), state.slices, bound), s
 
 
@@ -353,8 +385,11 @@ def solve_inner(lifted, d_k, w_k, v_tilde_k, alpha_k, theta_k, eta_f_k,
     # the outer step
     s = recover_primal(data, state)
     y, s_y, t = state, s, 1.0
+    # every extrapolated point is written into one buffer: a sweep reads
+    # its input and keeps no reference to it
+    y_buf = DualState(np.empty_like(state.x), state.slices)
     for sweeps in range(1, max_sweeps + 1):
-        new, s_new = sgs_sweep(y, data, s_y)
+        new, s_new = sgs_sweep(y, data, s_y, eps)
         if new.residual < eps:
             v = unsvec(s_new, lifted.svec_p).reshape(-1, order="F")
             return v, sweeps, new
@@ -364,9 +399,10 @@ def solve_inner(lifted, d_k, w_k, v_tilde_k, alpha_k, theta_k, eta_f_k,
         else:
             t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
             beta = (t - 1.0) / t_next
-            y = DualState(new.x + beta * d, new.slices)
-            s_y = s_new + beta * (s_new - s)
-            t = t_next
+            # beta d + x+ rounds as x+ + beta d does
+            np.multiply(d, beta, out=y_buf.x)
+            y_buf.x += new.x
+            y, s_y, t = y_buf, s_new + beta * (s_new - s), t_next
         state, s = new, s_new
     v = unsvec(s, lifted.svec_p).reshape(-1, order="F")
     raise MaxSweepsExceeded(v=v, residual=dual_residual(state, data),

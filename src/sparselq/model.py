@@ -154,7 +154,9 @@ class LiftedProblem:
     (i, j) gain entries pinned to 0) and the data of the inner solver in
     isometric coordinates: held lists the svec coordinates of W the
     inner solve keeps at zero, W1's off-diagonal entries and the entry
-    W[n + i, j] of each forced zero; gram_diag is the diagonal of the
+    W[n + i, j] of each forced zero; gain_coords lists the svec
+    coordinate of the entry W[n + i, j] of each gain entry (i, j), in the
+    column-major order of the gain; gram_diag is the diagonal of the
     Gram matrix of A unsvec (A the equality operator; each row reads one
     entry of W2, so the Gram matrix is diagonal), J_list the per-vertex
     maps sending svec(W) to svec of V2 (F_i W + W F_i^T) V2^T, and
@@ -172,6 +174,7 @@ class LiftedProblem:
     op: vectorize.ConstraintOperator
     forced_zeros: tuple
     held: np.ndarray = field(repr=False)
+    gain_coords: np.ndarray = field(repr=False)
     gram_diag: np.ndarray = field(repr=False)
     J_list: tuple = field(repr=False)
     kappa_q: np.ndarray = field(repr=False)
@@ -232,7 +235,7 @@ def lift_plant(vplant, forced_zeros=()):
     # Row k of A unsvec reads gain coordinate coord[A_cols[k]] at
     # plain_scale, and no two rows read the same one, so the Gram matrix
     # is diagonal: plain_scale^2 on the gain coordinates, 0 elsewhere.
-    gain = svec_p.coord[n:, :n]
+    gain = svec_p.coord[n:, :n].ravel(order="F")
     gram_diag = np.zeros(svec_p.size)
     gram_diag[gain] = svec_p.plain_scale[gain] ** 2
 
@@ -248,5 +251,6 @@ def lift_plant(vplant, forced_zeros=()):
     return LiftedProblem(plant=vplant, n=n, m=m, p=p,
                          F_list=tuple(F_list), R=R,
                          svec_p=svec_p, svec_n=svec_n, op=op,
-                         forced_zeros=fz, held=held, gram_diag=gram_diag,
+                         forced_zeros=fz, held=held, gain_coords=gain,
+                         gram_diag=gram_diag,
                          J_list=tuple(J_list), kappa_q=kappa_q)

@@ -114,7 +114,8 @@ class OuterState:
     dual_state: object = None
     eps_pri: float = 0.0
     eps_inner: float = INNER_TOL_CAP_PLAIN
-    # one (sigma1, sigma2) -> curvature entry, see inner.assemble_dual_data
+    # (sigma1, sigma2) -> curvature, one entry per pair this solve has
+    # met, within inner.CURVATURE_CACHE_BYTES; see inner.assemble_dual_data
     curvature: dict = field(default_factory=dict)
 
 
@@ -276,9 +277,11 @@ def check_convergence(state, lifted, eps1, eps2):
     vec(W), so |B P| = |P|, |A' B dP| = |dP| and |A' lam| = |lam|.
     """
     op = lifted.op
-    pr = _norm(op.residual(state.W_tilde, state.P_tilde))
+    # A vec(W) + B P = A vec(W) - P, with A vec(W) gathered once
+    AW = op.apply_A(state.W_tilde)
+    pr = _norm(AW - state.P_tilde)
     dr = _norm(state.P_tilde - state.P_prev)
-    scale = max(_norm(op.apply_A(state.W_tilde)), _norm(state.P_tilde))
+    scale = max(_norm(AW), _norm(state.P_tilde))
     eps_pri = math.sqrt(op.n_rows) * eps1 + eps2 * scale
     eps_dua = lifted.p * eps1 + eps2 * _norm(state.lam)
     state.eps_pri = eps_pri
@@ -315,14 +318,31 @@ def solve_relaxed(lifted, penalty, options=SolverOptions(), warm=None,
     iterate; the run stops only on a certified point, whose certificate
     becomes the Solution.  A strongly convex penalty meets the residual
     test at ACCEL_STOP_SCALE x (eps1, eps2).  Raises InvalidInput unless
-    the penalty's weights (if any) have the gain's shape (m, n), and
-    NotConverged (carrying the best-effort Solution) if the iteration
-    budget runs out.
+    the penalty's weights (if any) have the gain's shape (m, n) and warm
+    (if given) fits the lift: p^2 entries in W_tilde and v, m n in
+    P_tilde, w and lam, and a dual_state with the blocks of
+    inner.zero_state(lifted).  Raises NotConverged (carrying the
+    best-effort Solution) if the iteration budget runs out.
     """
     shape = (lifted.m, lifted.n)
     if penalty.weights is not None and penalty.weights.shape != shape:
         raise InvalidInput(f"weights: expected shape {shape}, got "
                            f"{penalty.weights.shape}")
+    if warm is not None:
+        p2, mn = lifted.p ** 2, lifted.m * lifted.n
+        for name, size in (("W_tilde", p2), ("v", p2), ("P_tilde", mn),
+                           ("w", mn), ("lam", mn)):
+            got = getattr(warm, name).size
+            if got != size:
+                raise InvalidInput(f"warm: {name} has {got} entries, the "
+                                   f"lift needs {size}")
+        dual, fit = warm.dual_state, inner.zero_state(lifted)
+        if dual is not None and (dual.x.size, dual.slices) != (fit.x.size,
+                                                               fit.slices):
+            raise InvalidInput(
+                f"warm: dual_state has {len(dual.slices)} blocks in "
+                f"{dual.x.size} entries, the lift needs {len(fit.slices)} "
+                f"in {fit.x.size}")
     state = init_state(lifted, penalty, warm, anchor)
     scale = ACCEL_STOP_SCALE if state.mu_g > 0.0 else 1.0
     eps1, eps2 = scale * options.eps1, scale * options.eps2

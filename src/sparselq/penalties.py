@@ -69,7 +69,10 @@ class Penalty:
         P = np.asarray(P, dtype=float)
         phi = np.abs(P) if self.kind == "l1" else pq_scalar_value(
             P, self.pq_params)
-        return self.gamma * float(np.sum(_weights_like(self.weights, P) * phi))
+        if self.weights is not None:
+            phi = _weights_like(self.weights, P) * phi
+        # the method sums as np.sum does, without its dispatch
+        return self.gamma * float(phi.sum())
 
     def subdifferential(self, P):
         """Entrywise bounds (lo, hi) of the subdifferential of h at P."""

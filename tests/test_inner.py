@@ -6,8 +6,9 @@ from sparselq.errors import EigFailure, MaxSweepsExceeded
 
 from conftest import (dense_duplication, dense_equality_operator,
                       dual_objective, dual_state, ex1_matrices,
-                      feasible_instance, lift, make_inner_instance,
-                      pg_dual_oracle, primal_objective, subproblem_terms)
+                      feasible_instance, lift, load_workloads,
+                      make_inner_instance, pg_dual_oracle, primal_objective,
+                      subproblem_terms)
 
 
 def assemble(rng_seed):
@@ -97,8 +98,8 @@ class TestDualData:
     def test_a_shared_cache_reuses_an_equal_sigma_pair(self):
         # the curvature of an equal (sigma1, sigma2) pair is the cached
         # one, equal to a fresh build bit for bit; pd and the parts that
-        # read d, w and v_tilde are built anew; another pair replaces
-        # the single entry
+        # read d, w and v_tilde are built anew; another pair adds a
+        # second entry
         lifted, fresh, (d_k, w_k, v_tilde, a, t, e) = assemble(3)
         cache = {}
         first, rho_list = inner.assemble_dual_data(
@@ -116,7 +117,47 @@ class TestDualData:
         np.testing.assert_allclose(again.g0, 1.1 * first.g0, rtol=1e-14)
         _, rho_other = inner.assemble_dual_data(
             lifted, d_k, w_k, v_tilde, 2 * a, t, e, cache)
-        assert rho_other is not rho_list and len(cache) == 1
+        assert rho_other is not rho_list and len(cache) == 2
+
+    def test_an_earlier_sigma_pair_reuses_its_entry(self, monkeypatch):
+        # a restart replays the schedule's sigma pairs: a pair met before
+        # reads its entry and builds nothing
+        lifted, _, (d_k, w_k, v_tilde, a, t, e) = assemble(3)
+        builds, build = [], inner._curvature
+
+        def counted(*args):
+            builds.append(args[1:])
+            return build(*args)
+        monkeypatch.setattr(inner, "_curvature", counted)
+        cache = {}
+        _, first = inner.assemble_dual_data(lifted, d_k, w_k, v_tilde,
+                                            a, t, e, cache)
+        _, other = inner.assemble_dual_data(lifted, d_k, w_k, v_tilde,
+                                            2 * a, t, e, cache)
+        again, rho_again = inner.assemble_dual_data(
+            lifted, 1.1 * d_k, w_k, v_tilde, a, t, e, cache)
+        assert rho_again is first and other is not first
+        assert len(builds) == 2 and len(cache) == 2
+        assert again.rho0 == again.minv.max()
+
+    def test_a_reduced_budget_clears_the_cache_and_keeps_the_newest(
+            self, monkeypatch):
+        # an entry counts at the size of minv, every J_i Minv and every
+        # H_i^-1; one that would overflow the budget clears the cache
+        lifted, data, (d_k, w_k, v_tilde, a, t, e) = assemble(3)
+        entry = data.minv.nbytes + sum(JM.nbytes + 8 * JM.shape[0] ** 2
+                                       for JM in data.JM_list)
+        monkeypatch.setattr(inner, "CURVATURE_CACHE_BYTES", 2 * entry)
+        cache = {}
+        for alpha in (a, 2 * a, 3 * a):
+            inner.assemble_dual_data(lifted, d_k, w_k, v_tilde, alpha, t, e,
+                                     cache)
+        assert list(cache) == [(3 * a / (2 * t), e / (2 * 3 * a))]
+        # below one entry the cache keeps the last pair alone
+        monkeypatch.setattr(inner, "CURVATURE_CACHE_BYTES", entry - 1)
+        inner.assemble_dual_data(lifted, d_k, w_k, v_tilde, 4 * a, t, e,
+                                 cache)
+        assert list(cache) == [(4 * a / (2 * t), e / (2 * 4 * a))]
 
 
 class TestCholeskyHint:
@@ -596,3 +637,81 @@ class TestResidualBound:
             inner.solve_inner(lifted, *args, eps=1e-14, max_sweeps=5)
         assert exc.value.residual == inner.dual_residual(exc.value.state,
                                                          data)
+
+
+@pytest.fixture(params=["ex1", "ladder"])
+def stiff_plant_instance(request):
+    """ex1 or the two-vertex plant of the ladder workload (both 3 states,
+    2 inputs) with random subproblem data at sigma1 = alpha/(2 theta) =
+    250, where a solve takes many sweeps."""
+    if request.param == "ex1":
+        lifted = lift(ex1_matrices())
+    else:
+        workloads = load_workloads()
+        p = workloads.seeded_plant(workloads.Ladder.plant_seed)
+        lifted = model.lift_plant(model.validate_plant(model.PlantData(
+            A=p["A"], B2=p["B2"], B1=p["B1"], C=p["C"], D=p["D"],
+            vertices=p["vertices"])))
+    _, d_k, w_k, v_tilde, _, _, eta_f = make_inner_instance(
+        np.random.default_rng(31), 3, 2)
+    return lifted, (d_k, w_k, v_tilde, 5.0, 0.01, eta_f)
+
+
+class TestEarlyExit:
+    """sgs_sweep given eps scores its bound X0 first, then the vertex
+    blocks forward, and stops at the first term >= eps."""
+
+    def test_eps_moves_nothing_and_scores_up_to_the_first_failing_term(
+            self, stiff_plant_instance, monkeypatch):
+        lifted, args = stiff_plant_instance
+        plain, _ = inner.assemble_dual_data(lifted, *args)
+        scored, _ = inner.assemble_dual_data(lifted, *args)
+        # the terms of every block a sweep scored, in scoring order
+        scorings, score = [], inner._relative_error
+
+        def recorded(triples, eps=None):
+            drawn = []
+
+            def tap():
+                for triple in triples:
+                    drawn.append(score([triple]))
+                    yield triple
+            scorings.append(drawn)
+            return score(tap(), eps)
+        monkeypatch.setattr(inner, "_relative_error", recorded)
+
+        # eps between the bounds of a plain chain, so that sweeps both
+        # fail and pass
+        state, s = inner.zero_state(lifted), None
+        for _ in range(40):
+            state, s = inner.sgs_sweep(state, plain, s)
+        eps = state.residual
+        plain, _ = inner.assemble_dual_data(lifted, *args)
+        a = b = inner.zero_state(lifted)
+        s_a = s_b = None
+        outcomes = set()
+        for _ in range(60):
+            a, s_a = inner.sgs_sweep(a, plain, s_a)
+            full = scorings[-1]
+            b, s_b = inner.sgs_sweep(b, scored, s_b, eps)
+            partial = scorings[-1]
+            np.testing.assert_array_equal(b.x, a.x)
+            np.testing.assert_array_equal(s_b, s_a)
+            assert scored.pd == plain.pd
+            assert len(full) == lifted.n_vertices + 1
+            assert a.residual == max(full)
+            failing = [j for j, term in enumerate(full) if term >= eps]
+            if failing:
+                # the first failing term, and no block after it, is scored
+                assert partial == full[:failing[0] + 1]
+                assert b.residual == full[failing[0]] >= eps
+                outcomes.add(min(failing[0], 1))
+            else:
+                # a passing sweep reports exactly the full bound
+                assert partial == full
+                assert b.residual == a.residual < eps
+                outcomes.add("passed")
+        # X0 decides failing sweeps on both plants; on the ladder plant a
+        # vertex block decides some as well
+        assert {0, "passed"} <= outcomes
+        assert 1 in outcomes or lifted.n_vertices == 1
