@@ -89,8 +89,12 @@ class OuterState:
     kkt_r the sharp pair's KKT error there and kkt its KKT error after the
     last iteration (inf before the first).  The rest is solver scratch:
     dual_state warm-starts the next inner solve, eps_pri is the primal
-    tolerance of the last stop test, and eps_inner the next inner solve's
-    tolerance, which check_convergence sets.
+    tolerance of the last stop test, eps_inner the next inner solve's
+    tolerance, which check_convergence sets, and curvature the inner
+    solves' cache: one entry per (sigma1, sigma2) pair this solve has
+    met, within inner.CURVATURE_CACHE_BYTES (see
+    inner.assemble_dual_data).  init_state starts it empty, so no cache
+    passes from one solve, or one l0 pass, to the next.
     """
 
     W_tilde: np.ndarray
@@ -114,8 +118,6 @@ class OuterState:
     dual_state: object = None
     eps_pri: float = 0.0
     eps_inner: float = INNER_TOL_CAP_PLAIN
-    # (sigma1, sigma2) -> curvature, one entry per pair this solve has
-    # met, within inner.CURVATURE_CACHE_BYTES; see inner.assemble_dual_data
     curvature: dict = field(default_factory=dict)
 
 

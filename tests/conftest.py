@@ -106,6 +106,16 @@ def ex3_lifted():
     return lift(ex3_matrices())
 
 
+@pytest.fixture(scope="session")
+def ladder_lifted():
+    """The two-vertex plant of the ladder workload (3 states, 2 inputs)."""
+    workloads = load_workloads()
+    p = workloads.seeded_plant(workloads.Ladder.plant_seed)
+    return model.lift_plant(model.validate_plant(model.PlantData(
+        A=p["A"], B2=p["B2"], B1=p["B1"], C=p["C"], D=p["D"],
+        vertices=p["vertices"])))
+
+
 @pytest.fixture()
 def certify_calls_and_stops(monkeypatch):
     """Lists that grow by one per analysis.certify call (by its status)

@@ -6,9 +6,8 @@ from sparselq.errors import EigFailure, MaxSweepsExceeded
 
 from conftest import (dense_duplication, dense_equality_operator,
                       dual_objective, dual_state, ex1_matrices,
-                      feasible_instance, lift, load_workloads,
-                      make_inner_instance, pg_dual_oracle, primal_objective,
-                      subproblem_terms)
+                      feasible_instance, lift, make_inner_instance,
+                      pg_dual_oracle, primal_objective, subproblem_terms)
 
 
 def assemble(rng_seed):
@@ -644,14 +643,7 @@ def stiff_plant_instance(request):
     """ex1 or the two-vertex plant of the ladder workload (both 3 states,
     2 inputs) with random subproblem data at sigma1 = alpha/(2 theta) =
     250, where a solve takes many sweeps."""
-    if request.param == "ex1":
-        lifted = lift(ex1_matrices())
-    else:
-        workloads = load_workloads()
-        p = workloads.seeded_plant(workloads.Ladder.plant_seed)
-        lifted = model.lift_plant(model.validate_plant(model.PlantData(
-            A=p["A"], B2=p["B2"], B1=p["B1"], C=p["C"], D=p["D"],
-            vertices=p["vertices"])))
+    lifted = request.getfixturevalue(f"{request.param}_lifted")
     _, d_k, w_k, v_tilde, _, _, eta_f = make_inner_instance(
         np.random.default_rng(31), 3, 2)
     return lifted, (d_k, w_k, v_tilde, 5.0, 0.01, eta_f)

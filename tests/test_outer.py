@@ -9,7 +9,7 @@ from sparselq import analysis, cli, inner, l0, model, outer, penalties
 from sparselq.errors import InvalidInput, MaxSweepsExceeded, NotConverged
 
 from conftest import (dense_equality_operator, ex1_matrices,
-                      feasible_instance, lift, load_workloads)
+                      feasible_instance, lift)
 
 
 @pytest.fixture(scope="module")
@@ -354,19 +354,15 @@ class TestSolveRelaxed:
         assert sol.iterations < ex1_g10.iterations / 3
         assert sol.J_upper == pytest.approx(ex1_g10.J_upper, rel=1e-3)
 
-    def test_a_warm_state_of_another_lift_is_invalid(self, ex1_g10,
-                                                     ex2_lifted, ex3_lifted):
+    def test_a_warm_state_of_another_lift_is_invalid(
+            self, ex1_g10, ex2_lifted, ex3_lifted, ladder_lifted):
         # ex1's state has one vertex block where the ladder plant (also 3
         # states, 2 inputs) has two, and W of order 5 where ex2 has 7;
         # ex3 has ex1's shapes, so ex1's state warm-starts it
         warm = ex1_g10.final_state
-        workloads = load_workloads()
-        p = workloads.seeded_plant(workloads.Ladder.plant_seed)
-        ladder = model.lift_plant(model.validate_plant(model.PlantData(
-            A=p["A"], B2=p["B2"], B1=p["B1"], C=p["C"], D=p["D"],
-            vertices=p["vertices"])))
         with pytest.raises(InvalidInput, match="warm: dual_state"):
-            outer.solve_relaxed(ladder, outer.regime_l1(0.8), warm=warm)
+            outer.solve_relaxed(ladder_lifted, outer.regime_l1(0.8),
+                                warm=warm)
         with pytest.raises(InvalidInput, match="warm: W_tilde"):
             outer.solve_relaxed(ex2_lifted, outer.regime_l1(10.0), warm=warm)
         sol = outer.solve_relaxed(ex3_lifted, outer.regime_l1(10.0),
