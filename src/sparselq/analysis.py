@@ -262,7 +262,7 @@ def certify(lifted, W, P, status):
             J_vertex = np.full(lifted.n_vertices, np.inf)
     J_upper = float(lifted.vec_R() @ W_vec)
     primal_res = float(np.linalg.norm(
-        lifted.op.residual(W_vec, P.ravel(order="F"))))
+        W_vec[lifted.gain_cols] - P.ravel(order="F")))
     tol = min(TOL_CEILING, max(1e-4, 5.0 * primal_res
                                if math.isfinite(primal_res) else 0.0))
     feas = feasibility_report(lifted, W, P, tol=tol)

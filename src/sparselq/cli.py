@@ -179,23 +179,17 @@ def load_problem(path):
     return model.lift_plant(vplant, forced_zeros=forced)
 
 
-def _jsonable(obj):
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer, np.bool_)):
-        return obj.item()
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    return obj
+def _json_default(obj):
+    """json's hook for what it cannot write: an array as a list, a numpy
+    scalar as its Python value (np.float64 is a float, written as one)."""
+    return obj.tolist() if isinstance(obj, np.ndarray) else obj.item()
 
 
 def solution_document(sol):
-    """JSON-ready dict of the Solution fields in their order; traces and
-    timing stay out."""
-    return _jsonable({f.name: getattr(sol, f.name)
-                      for f in fields(sol) if f.name not in _NOT_IN_DOCUMENT})
+    """The Solution fields in their order, for json.dump with
+    default=_json_default; traces and timing stay out."""
+    return {f.name: getattr(sol, f.name)
+            for f in fields(sol) if f.name not in _NOT_IN_DOCUMENT}
 
 
 def _write_csv(path, columns, rows):
@@ -209,7 +203,7 @@ def write_solution(sol, out_dir):
     os.makedirs(out_dir, exist_ok=True)
     sol_path = os.path.join(out_dir, "solution.json")
     with open(sol_path, "w", encoding="utf-8") as fh:
-        json.dump(solution_document(sol), fh, indent=1)
+        json.dump(solution_document(sol), fh, indent=1, default=_json_default)
     for name, columns, rows in (
             ("trace.csv", analysis.TRACE_COLUMNS, sol.trace),
             ("stages.csv", analysis.STAGE_TRACE_COLUMNS, sol.stage_trace)):
@@ -272,7 +266,7 @@ def _sweep_worker(payload):
                    "message": str(exc)}
     row = {name: getattr(sol, name, None) for name in SWEEP_COLUMNS}
     row.update(gamma=gamma, J_worst=float(np.max(sol.J_vertex)), K=sol.K)
-    return code, _jsonable(row)
+    return code, row
 
 
 def cmd_sweep(args):
@@ -302,7 +296,7 @@ def cmd_sweep(args):
     os.makedirs(args.out, exist_ok=True)
     with open(os.path.join(args.out, "sweep.json"), "w",
               encoding="utf-8") as fh:
-        json.dump(rows, fh, indent=1)
+        json.dump(rows, fh, indent=1, default=_json_default)
     _write_csv(os.path.join(args.out, "sweep.csv"), SWEEP_COLUMNS,
                ([row[name] for name in SWEEP_COLUMNS] for row in rows))
     for row in rows:
@@ -344,7 +338,7 @@ def _require_finite_products(lifted, W):
     W_vec = W.reshape(-1, order="F")
     with np.errstate(over="ignore", invalid="ignore"):
         products = [lifted.vec_R() @ W_vec,
-                    np.linalg.norm(lifted.op.apply_A(W_vec))]
+                    np.linalg.norm(W_vec[lifted.gain_cols])]
         products += [lifted.theta_block(W, i)
                      for i in range(lifted.n_vertices)]
     if not all(np.all(np.isfinite(x)) for x in products):
@@ -375,7 +369,7 @@ def cmd_verify(args):
             else _matrix(params, 1, 4, "pq_params")[0])
     lam = doc.get("multiplier")
     if lam is not None:
-        lam = _matrix(lam, 1, lifted.op.n_rows, "multiplier")[0]
+        lam = _matrix(lam, 1, lifted.m * lifted.n, "multiplier")[0]
     cert = analysis.certify(lifted, W, P, doc["status"])
 
     checks = {name: _converted(lambda v: analysis.agrees(cert, name, v),

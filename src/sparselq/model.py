@@ -149,18 +149,21 @@ def validate_plant(plant):
 class LiftedProblem:
     """All derived operators of the convex parameterization.
 
-    Beyond the block matrices (F_list, R), this carries the
-    vectorization maps, the equality operator, the forced zeros (0-based
-    (i, j) gain entries pinned to 0) and the data of the inner solver in
-    isometric coordinates: held lists the svec coordinates of W the
-    inner solve keeps at zero, W1's off-diagonal entries and the entry
-    W[n + i, j] of each forced zero; gain_coords lists the svec
-    coordinate of the entry W[n + i, j] of each gain entry (i, j), in the
-    column-major order of the gain; gram_diag is the diagonal of the
-    Gram matrix of A unsvec (A the equality operator; each row reads one
-    entry of W2, so the Gram matrix is diagonal), J_list the per-vertex
-    maps sending svec(W) to svec of V2 (F_i W + W F_i^T) V2^T, and
-    kappa_q = svec(B1 B1^T), the constant part of the constraint block.
+    Beyond the block matrices (F_list, R), this carries the vectorization
+    maps, the equality constraint, the forced zeros (0-based (i, j) gain
+    entries pinned to 0) and the data of the inner solver in isometric
+    coordinates.  The equality constraint A vec(W) + B P = 0 is W[n + i, j]
+    = P[i, j] for each gain entry (i, j), so B = -I and A vec(W) is the
+    gather vec(W)[gain_cols]: gain_cols lists the vec index of W[n + i, j]
+    and gain_coords its svec coordinate, both in the column-major order of
+    the gain, and the multiplier lambda has P's shape.  Neither W1's
+    diagonal structure nor a forced zero adds a row: held lists the svec
+    coordinates of W the inner solve keeps at zero instead, W1's
+    off-diagonal entries and the entry W[n + i, j] of each forced zero;
+    gram_diag is the diagonal of the Gram matrix of A unsvec (each row of A
+    reads one entry of W2, so the Gram matrix is diagonal), J_list the
+    per-vertex maps sending svec(W) to svec of V2 (F_i W + W F_i^T) V2^T,
+    and kappa_q = svec(B1 B1^T), the constant part of the constraint block.
     """
 
     plant: ValidatedPlant
@@ -171,9 +174,9 @@ class LiftedProblem:
     R: np.ndarray
     svec_p: vectorize.SvecMaps
     svec_n: vectorize.SvecMaps
-    op: vectorize.ConstraintOperator
     forced_zeros: tuple
     held: np.ndarray = field(repr=False)
+    gain_cols: np.ndarray = field(repr=False)
     gain_coords: np.ndarray = field(repr=False)
     gram_diag: np.ndarray = field(repr=False)
     J_list: tuple = field(repr=False)
@@ -228,13 +231,14 @@ def lift_plant(vplant, forced_zeros=()):
 
     svec_p = vectorize.build_svec_maps(p)
     svec_n = vectorize.build_svec_maps(n)
-    op = vectorize.assemble_constraint_operator(n, m)
     held = np.array([*svec_p.coord[np.triu_indices(n, 1)],
                      *(svec_p.coord[n + i, j] for i, j in fz)], dtype=np.int64)
 
-    # Row k of A unsvec reads gain coordinate coord[A_cols[k]] at
-    # plain_scale, and no two rows read the same one, so the Gram matrix
-    # is diagonal: plain_scale^2 on the gain coordinates, 0 elsewhere.
+    # vec index of the bottom-left m x n block, column-major
+    gain_cols = (np.arange(n, p) + p * np.arange(n)[:, None]).ravel()
+    # Row k of A unsvec reads gain coordinate gain[k] at plain_scale, and
+    # no two rows read the same one, so the Gram matrix is diagonal:
+    # plain_scale^2 on the gain coordinates, 0 elsewhere.
     gain = svec_p.coord[n:, :n].ravel(order="F")
     gram_diag = np.zeros(svec_p.size)
     gram_diag[gain] = svec_p.plain_scale[gain] ** 2
@@ -250,7 +254,8 @@ def lift_plant(vplant, forced_zeros=()):
 
     return LiftedProblem(plant=vplant, n=n, m=m, p=p,
                          F_list=tuple(F_list), R=R,
-                         svec_p=svec_p, svec_n=svec_n, op=op,
-                         forced_zeros=fz, held=held, gain_coords=gain,
+                         svec_p=svec_p, svec_n=svec_n,
+                         forced_zeros=fz, held=held, gain_cols=gain_cols,
+                         gain_coords=gain,
                          gram_diag=gram_diag,
                          J_list=tuple(J_list), kappa_q=kappa_q)

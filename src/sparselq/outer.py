@@ -29,9 +29,6 @@ log = logging.getLogger("sparselq")
 
 # Initial beta of the schedule, restored by every restart of the averages.
 BETA0 = 1.0
-# Period of the fallback restart of the outer averages; 0 turns every
-# restart off, periodic and adaptive.  Read at call time, as BETA0 is.
-RESTART_EVERY = 2000
 # The adaptive restart fires when the sharp pair's KKT error has fallen
 # to RESTART_SUFFICIENT x its value at the last restart, or to
 # RESTART_NECESSARY x it and rose since the previous iteration, or when
@@ -88,9 +85,8 @@ class OuterState:
     the sharp pair and the iteration at the start or the last restart,
     kkt_r the sharp pair's KKT error there and kkt its KKT error after the
     last iteration (inf before the first).  The rest is solver scratch:
-    dual_state warm-starts the next inner solve, eps_pri is the primal
-    tolerance of the last stop test, eps_inner the next inner solve's
-    tolerance, which check_convergence sets, and curvature the inner
+    dual_state warm-starts the next inner solve, eps_inner the next inner
+    solve's tolerance, which check_convergence sets, and curvature the inner
     solves' cache: one entry per (sigma1, sigma2) pair this solve has
     met, within inner.CURVATURE_CACHE_BYTES (see
     inner.assemble_dual_data).  init_state starts it empty, so no cache
@@ -116,7 +112,6 @@ class OuterState:
     kkt_r: float = math.inf
     kkt: float = math.inf
     dual_state: object = None
-    eps_pri: float = 0.0
     eps_inner: float = INNER_TOL_CAP_PLAIN
     curvature: dict = field(default_factory=dict)
 
@@ -181,14 +176,16 @@ def outer_iteration(state, lifted, penalty, options=SolverOptions()):
     the movements that, on the l1 schedule, equal its stationarity
     residuals in W and in P.
     """
-    op = lifted.op
+    cols = lifted.gain_cols
     theta, kappa, beta, mu_f = state.theta, state.kappa, state.beta, state.mu_f
     alpha, schedule = next_schedule(state)
     u = (state.W_tilde + alpha * state.v) / (1.0 + alpha)
     eta_f = kappa + mu_f * alpha
     v_tilde = (kappa * state.v + mu_f * alpha * u) / eta_f
 
-    d = lifted.vec_R() + op.apply_At(state.lam)
+    # A' lam: lam scattered onto the gain entries of vec(W)
+    d = lifted.vec_R() + np.bincount(cols, weights=state.lam,
+                                     minlength=lifted.p ** 2)
     if state.anchor is not None:
         d = d + mu_f * (u - state.anchor)
 
@@ -206,7 +203,7 @@ def outer_iteration(state, lifted, penalty, options=SolverOptions()):
         capped = True
 
     W_next = (state.W_tilde + alpha * v_next) / (1.0 + alpha)
-    lam_bar = state.lam + (alpha / theta) * op.residual(v_next, state.w)
+    lam_bar = state.lam + (alpha / theta) * (v_next[cols] - state.w)
 
     eta_g = (alpha + 1.0) * beta + state.mu_g * alpha
     tau = alpha * alpha / eta_g
@@ -221,7 +218,7 @@ def outer_iteration(state, lifted, penalty, options=SolverOptions()):
         P[i, j] = 0.0
     P_next = P.reshape(-1, order="F")
     w_next = P_next + (P_next - state.P_tilde) / alpha
-    sharp_res = op.residual(v_next, w_next)
+    sharp_res = v_next[cols] - w_next
     lam_next = state.lam + (alpha / theta) * sharp_res
     kkt = max(_norm(sharp_res), _norm(v_next - state.v),
               _norm(w_next - state.w))
@@ -245,7 +242,8 @@ def restart_averages(state):
     transient the average carries from the starting point without touching
     the fixed points of the map.  Stopping then reflects the sharp iterate,
     which settles far sooner.  solve_relaxed calls this when _restart_due
-    says so and after every stop that the certificate rejects.
+    says so and after every stop that the certificate rejects; these are
+    the only restarts.
     """
     state.W_tilde = state.v.copy()
     state.w = state.P_tilde.copy()
@@ -260,33 +258,32 @@ def _norm(v):
 def check_convergence(state, lifted, eps1, eps2):
     """Stopping rule on the coupled feasibility and dual drift residuals.
 
-    The averaged pair must also meet eps_pri with its ergodic
-    stationarity residual theta max(|v - v_r|, |w - w_r|): on the l1
-    schedule theta = 1/(k - k_r + 1), and the sum of the sharp pair's
-    stationarity residuals since the last restart telescopes to the
-    movement of the sharp pair, so this is their mean.  It keeps a stop
-    off an average that still swings with the sharp pair, as the
-    residuals of the gain rows alone do not.
+    The primal residual |A vec(W) + B P| must meet eps_pri = sqrt(m n)
+    eps1 + eps2 max(|A vec(W)|, |P|), and the dual drift |P - P_prev|
+    eps_dua = p eps1 + eps2 |lam|.  The averaged pair must also meet
+    eps_pri with its ergodic stationarity residual theta max(|v - v_r|,
+    |w - w_r|): on the l1 schedule theta = 1/(k - k_r + 1), and the sum
+    of the sharp pair's stationarity residuals since the last restart
+    telescopes to the movement of the sharp pair, so this is their mean.
+    It keeps a stop off an average that still swings with the sharp
+    pair, as the residuals of the gain rows alone do not.
 
-    Returns (stop, primal_res, dual_res), records the primal tolerance
-    on state.eps_pri and sets state.eps_inner, the next inner solve's
-    tolerance: 0.1 x the primal residual, at least INNER_TOL_FLOOR.
-    When the penalty is strongly convex (mu_g > 0) that residual is the
-    relative one, primal_res / (1 + max(|A vec(W)|, |P|)), the scale of
-    the inner residual, and there is no cap.  Otherwise (l1 and the
-    anchored l0 subproblems) it is primal_res, capped at
+    Returns (stop, primal_res, dual_res) and sets state.eps_inner, the next
+    inner solve's tolerance: 0.1 x the primal residual, at least
+    INNER_TOL_FLOOR.  When the penalty is strongly convex (mu_g > 0) that
+    residual is the relative one, primal_res / (1 + max(|A vec(W)|, |P|)),
+    the scale of the inner residual, and there is no cap.  Otherwise (l1
+    and the anchored l0 subproblems) it is primal_res, capped at
     INNER_TOL_CAP_PLAIN.  B = -I and the rows read distinct columns of
     vec(W), so |B P| = |P|, |A' B dP| = |dP| and |A' lam| = |lam|.
     """
-    op = lifted.op
     # A vec(W) + B P = A vec(W) - P, with A vec(W) gathered once
-    AW = op.apply_A(state.W_tilde)
+    AW = state.W_tilde[lifted.gain_cols]
     pr = _norm(AW - state.P_tilde)
     dr = _norm(state.P_tilde - state.P_prev)
     scale = max(_norm(AW), _norm(state.P_tilde))
-    eps_pri = math.sqrt(op.n_rows) * eps1 + eps2 * scale
+    eps_pri = math.sqrt(AW.size) * eps1 + eps2 * scale
     eps_dua = lifted.p * eps1 + eps2 * _norm(state.lam)
-    state.eps_pri = eps_pri
     res, cap = ((pr / (1.0 + scale), math.inf) if state.mu_g > 0.0
                 else (pr, INNER_TOL_CAP_PLAIN))
     state.eps_inner = max(INNER_TOL_FLOOR, min(cap, 0.1 * res))
@@ -296,17 +293,15 @@ def check_convergence(state, lifted, eps1, eps2):
 
 
 def _restart_due(state, kkt):
-    """Periodic restart, or one of the three tests of RESTART_SUFFICIENT
-    on kkt, the sharp pair's KKT error after this iteration.
+    """Whether one of PDLP's three tests, sufficient, necessary or
+    artificial (see RESTART_SUFFICIENT), holds on kkt, the sharp pair's
+    KKT error after this iteration.
 
     The rules hold in every regime, the accelerated schedule of a
     strongly convex penalty included (O'Donoghue & Candes, Found. Comput.
-    Math. 2015); RESTART_EVERY = 0 turns every restart off.
+    Math. 2015).
     """
-    if not RESTART_EVERY:
-        return False
-    return (state.k % RESTART_EVERY == 0
-            or kkt <= RESTART_SUFFICIENT * state.kkt_r
+    return (kkt <= RESTART_SUFFICIENT * state.kkt_r
             or state.kkt < kkt <= RESTART_NECESSARY * state.kkt_r
             or state.k - state.k_r >= RESTART_ARTIFICIAL * state.k)
 

@@ -1,4 +1,4 @@
-"""Vectorization bookkeeping for symmetric matrices and the equality operator.
+"""Vectorization bookkeeping for symmetric matrices.
 
 Symmetric matrices are half-vectorized in one convention, the isometric
 one: off-diagonal coordinates are scaled by sqrt(2), so the Euclidean
@@ -12,14 +12,6 @@ vectorization ``vec`` is always column-major.  Every map between the two
 is applied through the index arrays of SvecMaps: svec gathers the lower
 triangle, unsvec gathers through coord, and sym_svec, the adjoint of
 unsvec, sums the two triangles.
-
-The equality operator of the lift only selects entries of vec(W), so it
-is stored as the column index each row reads and applied as a gather.
-It has the m*n gain rows alone, W[n + i, j] - P[i, j] = 0 in the
-column-major order of P, so the splitting's multiplier lambda has P's
-shape and B = -I.  Neither W1's diagonal structure nor a forced zero
-has rows: the inner solve holds those coordinates of W at zero (see
-inner and model.lift_plant).
 """
 
 from dataclasses import dataclass, field
@@ -81,39 +73,3 @@ def sym_svec(v, maps):
     """svec of the symmetric part of G, vec(G) = v, in which G[i, j] and
     G[j, i] sit at upper[r] and lower[r] of column-major v."""
     return (v[maps.upper] + v[maps.lower]) * (0.5 * maps.iso_scale)
-
-
-@dataclass(frozen=True)
-class ConstraintOperator:
-    """The equality operator A vec(W) + B P = 0 as a gather.
-
-    Row k reads vec(W) at A_cols[k], the entry W[n + i, j] of the gain
-    entry P[i, j] at column-major index k, and B = -I; p is the order
-    of W.
-    """
-
-    p: int
-    A_cols: np.ndarray
-
-    @property
-    def n_rows(self):
-        return self.A_cols.size
-
-    def apply_A(self, x):
-        return x[self.A_cols]
-
-    def apply_At(self, lam):
-        return np.bincount(self.A_cols, weights=lam,
-                           minlength=self.p * self.p)
-
-    def residual(self, x, w):
-        """A x + B w."""
-        return x[self.A_cols] - w
-
-
-def assemble_constraint_operator(n, m):
-    """Assemble the equality operator for gain shape m x n, order p = n + m."""
-    p = n + m
-    # vec of the bottom-left m x n block, column-major
-    cols = (np.arange(n, p) + p * np.arange(n)[:, None]).ravel()
-    return ConstraintOperator(p=p, A_cols=cols)

@@ -205,12 +205,11 @@ def make_inner_instance(rng, n=2, m=1):
     return lifted, d_k, w_k, v_tilde, alpha, theta, eta_f
 
 
-def dense_equality_operator(op, n, m):
+def dense_equality_operator(n, m):
     """Dense A and B of the equality operator of an n-state, m-input
     lift, built from its documented row layout: vec of the bottom-left
     block, and B = -I."""
-    p = op.p
-    assert p == n + m
+    p = n + m
     cols = [(n + i) + j * p for j in range(n) for i in range(m)]
     A = np.zeros((len(cols), p * p))
     A[np.arange(len(cols)), cols] = 1.0
@@ -321,7 +320,7 @@ def subproblem_terms(lifted, args):
     v_tilde and b_tilde = B w_k, with B dense from its layout."""
     _, w_k, v_tilde, alpha, theta, eta_f = args
     V = v_tilde.reshape(lifted.p, lifted.p, order="F")
-    _, B = dense_equality_operator(lifted.op, lifted.n, lifted.m)
+    _, B = dense_equality_operator(lifted.n, lifted.m)
     return (alpha / (2.0 * theta), eta_f / (2.0 * alpha),
             vectorize.svec(0.5 * (V + V.T), lifted.svec_p), B @ w_k)
 
@@ -346,7 +345,7 @@ def primal_objective(data, s, args):
     lifted = data.lifted
     sigma1, sigma2, s_tilde, b_tilde = subproblem_terms(lifted, args)
     W = vectorize.unsvec(s, lifted.svec_p)
-    res = lifted.op.apply_A(W.reshape(-1, order="F")) + b_tilde
+    res = W[lifted.n:, :lifted.n].reshape(-1, order="F") + b_tilde
     diff = s - s_tilde
     return float(data.g0 @ s + sigma1 * (res @ res)
                  + sigma2 * (diff @ diff))

@@ -74,7 +74,7 @@ def ex2_g10(ex2_lifted):
 def ex3_pair(ex3_lifted):
     # subgradient-rate regime: long run, no restarts, plain l1 penalty
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(outer, "RESTART_EVERY", 0)
+        mp.setattr(outer, "_restart_due", lambda state, kkt: False)
         slow, _ = _solve(ex3_lifted, outer.regime_l1(10.0),
                          outer.SolverOptions(max_outer=250000))
     # strongly convex regime: accelerated schedule at default options

@@ -24,7 +24,7 @@ class TestDualData:
         # sigma1 = alpha/(2 theta) and sigma2 = eta_f/(2 alpha), with A, B
         # and the duplication map D taken dense from their layouts
         lifted, data, (_, w_k, v_tilde, alpha, theta, eta_f) = assemble(0)
-        A, B = dense_equality_operator(lifted.op, lifted.n, lifted.m)
+        A, B = dense_equality_operator(lifted.n, lifted.m)
         D = dense_duplication(lifted.p)
         q = (-2 * (alpha / (2 * theta)) * D.T @ (A.T @ (B @ w_k))
              + 2 * (eta_f / (2 * alpha)) * D.T @ v_tilde)
@@ -37,7 +37,7 @@ class TestDualData:
         # A and B dense from their layout: a forced zero adds no row, and
         # its coordinate of q is formed as any other (minv holds s at 0)
         lifted = lift(ex1_matrices(), forced_zeros)
-        A, B = dense_equality_operator(lifted.op, lifted.n, lifted.m)
+        A, B = dense_equality_operator(lifted.n, lifted.m)
         rng = np.random.default_rng(9)
         p, maps = lifted.p, lifted.svec_p
         d_k, v_tilde = (rng.standard_normal(p * p) for _ in range(2))

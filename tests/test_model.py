@@ -223,13 +223,28 @@ class TestLiftedStructure:
     def test_gain_part_and_unvec(self, ex1_lifted):
         # the equality operator's rows read the bottom-left m x n block
         # of W, one row per gain entry
-        lp, op = ex1_lifted, ex1_lifted.op
+        lp = ex1_lifted
         rng = np.random.default_rng(4)
         W = rng.standard_normal((lp.p, lp.p))
         v = W.reshape(-1, order="F")
         np.testing.assert_array_equal(lp.unvec(v), W)
         np.testing.assert_array_equal(
-            op.apply_A(v), W[lp.n:, :lp.n].reshape(-1, order="F"))
+            v[lp.gain_cols], W[lp.n:, :lp.n].reshape(-1, order="F"))
+
+    def test_gain_indexes_agree(self, ladder_lifted):
+        # outer gathers vec(W) at gain_cols and inner reads svec(W) at
+        # gain_coords: entry k of both names W[n + i, j] for the gain
+        # entry (i, j) at column-major index k, so every row reads the
+        # gain block; a forced zero adds no row
+        forced = lift(ex1_matrices(), ((0, 1), (1, 2)))
+        for lp in (lift(ex1_matrices()), forced, ladder_lifted):
+            assert lp.gain_cols.size == lp.gain_coords.size == lp.m * lp.n
+            r, c = np.unravel_index(lp.gain_cols, (lp.p, lp.p), order="F")
+            assert np.all(r >= lp.n) and np.all(c < lp.n)
+            np.testing.assert_array_equal((r - lp.n) + lp.m * c,
+                                          np.arange(lp.m * lp.n))
+            np.testing.assert_array_equal(lp.svec_p.coord[r, c],
+                                          lp.gain_coords)
 
     def test_gram_consistency(self):
         # Each equality row reads one entry of W, so the Gram matrix of
@@ -239,7 +254,7 @@ class TestLiftedStructure:
         for mats, forced in [(ex1_matrices(), ((0, 1), (1, 2))),
                              (ex2_matrices(), ((1, 3),))]:
             lp, plain = lift(mats, forced), lift(mats)
-            A, _ = dense_equality_operator(lp.op, lp.n, lp.m)
+            A, _ = dense_equality_operator(lp.n, lp.m)
             AD = A @ dense_duplication(lp.p)
             gram = AD.T @ AD
             np.testing.assert_array_equal(gram - np.diag(np.diag(gram)), 0.0)
@@ -256,7 +271,7 @@ class TestLiftedStructure:
             A=np.eye(2), B2=np.ones((2, 1)), B1=np.eye(2), C=C, D=D))
         lp = model.lift_plant(vp, forced_zeros=((0, 1),))
         assert lp.forced_zeros == ((0, 1),)
-        assert lp.op.n_rows == 2
+        assert lp.gain_cols.size == 2
         np.testing.assert_array_equal(
             lp.held, [lp.svec_p.coord[0, 1], lp.svec_p.coord[2, 1]])
 

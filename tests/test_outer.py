@@ -150,7 +150,8 @@ class TestSchedule:
     def test_formulas_by_hand(self, ex1_lifted, monkeypatch):
         # one outer_iteration from a state with every scalar and vector
         # set, its inner solve and prox replaced by recorders
-        lifted, op = ex1_lifted, ex1_lifted.op
+        lifted = ex1_lifted
+        A, B = dense_equality_operator(lifted.n, lifted.m)
         rng = np.random.default_rng(0)
         anchor = rng.standard_normal(lifted.p ** 2)
         state = outer.init_state(lifted, outer.regime_l1(1.0),
@@ -159,7 +160,7 @@ class TestSchedule:
         state.W_tilde = state.W_tilde + 0.1 * rng.standard_normal(lifted.p ** 2)
         state.v = state.v + 0.1 * rng.standard_normal(lifted.p ** 2)
         state.P_tilde, state.w = rng.standard_normal((2, mn))
-        state.lam = rng.standard_normal(op.n_rows)
+        state.lam = rng.standard_normal(A.shape[0])
         state.theta, state.kappa, state.beta, state.mu_g = 0.25, 0.5, 0.8, 0.7
         before = {k: getattr(state, k).copy()
                   for k in ("W_tilde", "v", "P_tilde", "w", "lam")}
@@ -184,7 +185,7 @@ class TestSchedule:
         # the prox returned P = 0, so the sharp w is -P_tilde / alpha; the
         # KKT error is the largest of its residual and the two movements
         w_next = -before["P_tilde"] / alpha
-        kkt = max(np.linalg.norm(op.residual(v_next, w_next)),
+        kkt = max(np.linalg.norm(A @ v_next + B @ w_next),
                   np.linalg.norm(v_next - before["v"]),
                   np.linalg.norm(w_next - before["w"]))
         assert record == (alpha, 1, False, np.inf, pytest.approx(kkt))
@@ -196,15 +197,15 @@ class TestSchedule:
         np.testing.assert_allclose(
             seen["v_tilde"], (0.5 * before["v"] + 0.3 * alpha * u) / eta_f)
         np.testing.assert_allclose(
-            seen["d"], lifted.vec_R() + op.apply_At(before["lam"])
+            seen["d"], lifted.vec_R() + A.T @ before["lam"]
             + 0.3 * (u - anchor))
         eta_g = (alpha + 1.0) * 0.8 + 0.7 * alpha
         tau = alpha ** 2 / eta_g
         assert seen["rho"] == pytest.approx(1.0 / tau)
         y_tilde = before["P_tilde"] + (alpha * 0.8 / eta_g) * (
             before["w"] - before["P_tilde"])
-        lam_bar = before["lam"] + (alpha / 0.25) * op.residual(v_next,
-                                                               before["w"])
+        lam_bar = before["lam"] + (alpha / 0.25) * (A @ v_next
+                                                    + B @ before["w"])
         # B = -I, so -tau B' lam_bar = tau lam_bar
         np.testing.assert_allclose(seen["Z"], y_tilde + tau * lam_bar)
         np.testing.assert_allclose(
@@ -253,7 +254,7 @@ class TestCheckConvergence:
     def test_matches_dense_operator(self, forced_zeros):
         # the stop test, taken from the dense A and B of the row layout
         lifted = lift(ex1_matrices(), forced_zeros=forced_zeros)
-        A, B = dense_equality_operator(lifted.op, lifted.n, lifted.m)
+        A, B = dense_equality_operator(lifted.n, lifted.m)
         regime = outer.regime_l1(10.0)
         options = outer.SolverOptions()
         state = outer.init_state(lifted, regime)
@@ -278,7 +279,6 @@ class TestCheckConvergence:
                     state, lifted, eps1, eps2)
                 assert got_pr == pytest.approx(pr, rel=1e-12, abs=1e-300)
                 assert got_dr == pytest.approx(dr, rel=1e-12, abs=1e-300)
-                assert state.eps_pri == pytest.approx(eps_pri, rel=1e-12)
                 assert stop == (pr <= eps_pri and dr <= eps_dua
                                 and ergodic <= eps_pri * (1.0 + 1e-12))
                 # the next inner tolerance, the same at every (eps1, eps2)
@@ -328,13 +328,6 @@ class TestSolveRelaxed:
         assert sol.J_upper == pytest.approx(9.5038, rel=1e-3)
         assert sol.n_zeros == 2
         assert sol.certified
-
-    def test_restart_cadence_does_not_change_answer(self, monkeypatch,
-                                                    ex1_lifted, ex1_g10):
-        monkeypatch.setattr(outer, "RESTART_EVERY", 500)
-        sol = outer.solve_relaxed(ex1_lifted, outer.regime_l1(10.0))
-        assert sol.J_upper == pytest.approx(ex1_g10.J_upper, rel=1e-4)
-        np.testing.assert_allclose(sol.K, ex1_g10.K, atol=1e-3)
 
     def test_converges_within_default_budget(self, ex1_g10):
         assert ex1_g10.iterations <= 20000
@@ -430,7 +423,6 @@ class TestInnerResidualColumn:
         # 0.1 x the previous iteration's primal residual: absolute and
         # capped under l1, relative, |r| / (1 + max(|A W|, |P|)), and
         # uncapped under the accelerated (pq) schedule
-        op = ex1_lifted.op
         solve, check = inner.solve_inner, outer.check_convergence
         tolerances, relative = [], []
 
@@ -439,7 +431,8 @@ class TestInnerResidualColumn:
             return solve(*args, **kwargs)
 
         def recording_check(state, *args):
-            scale = max(np.linalg.norm(op.apply_A(state.W_tilde)),
+            AW = ex1_lifted.unvec(state.W_tilde)[ex1_lifted.n:, :ex1_lifted.n]
+            scale = max(np.linalg.norm(AW),
                         np.linalg.norm(state.P_tilde))
             out = check(state, *args)
             relative.append(out[1] / (1.0 + scale))
@@ -507,20 +500,19 @@ class TestAdaptiveRestart:
     def test_restart_every_zero_turns_every_restart_off(self, monkeypatch,
                                                         ex1_lifted, ex1_g10):
         first = _restart_iterations(ex1_g10.trace)[0]
-        monkeypatch.setattr(outer, "RESTART_EVERY", 0)
+        monkeypatch.setattr(outer, "_restart_due", lambda state, kkt: False)
         with pytest.raises(NotConverged) as exc:
             outer.solve_relaxed(ex1_lifted, outer.regime_l1(10.0),
                                 outer.SolverOptions(max_outer=first + 100))
         assert _restart_iterations(exc.value.solution.trace) == []
 
-    def test_restart_every_zero_turns_off_both_rules(self, monkeypatch):
-        # k on the period, and each test of the KKT decay since the last
-        # restart (at iteration k_r, KKT error kkt_r; kkt the previous
-        # iteration's): each rule alone would restart
-        state = outer.OuterState(*(np.zeros(1),) * 5, k=2000, k_r=1990,
+    def test_each_adaptive_rule_restarts(self):
+        # each test of the KKT decay since the last restart (at iteration
+        # k_r, KKT error kkt_r; kkt the previous iteration's) restarts on
+        # its own, and no iteration count does
+        state = outer.OuterState(*(np.zeros(1),) * 5, k=2001, k_r=1990,
                                  kkt_r=1.0, kkt=0.5)
-        cases = [(2000, 1990, 0.9),    # the period
-                 (2001, 1990, 0.1),    # fell to 0.2 x kkt_r
+        cases = [(2001, 1990, 0.1),    # fell to 0.2 x kkt_r
                  (2001, 1990, 0.7),    # below 0.8 x kkt_r, and rose
                  (2001, 1000, 0.9)]    # the last restart 0.36 k back
         for state.k, state.k_r, kkt in cases:
@@ -528,9 +520,9 @@ class TestAdaptiveRestart:
         # fell since the last iteration, but not to 0.2 x kkt_r
         state.k, state.k_r = 2001, 1990
         assert not outer._restart_due(state, 0.4)
-        monkeypatch.setattr(outer, "RESTART_EVERY", 0)
-        for state.k, state.k_r, kkt in cases:
-            assert not outer._restart_due(state, kkt)
+        # k = 2000 with no test met
+        state.k = 2000
+        assert not outer._restart_due(state, 0.9)
 
     @staticmethod
     def _pq_instance():
@@ -538,31 +530,37 @@ class TestAdaptiveRestart:
         plant, _, _ = feasible_instance(rng, 2, 1)
         return model.lift_plant(model.validate_plant(plant))
 
-    def test_pq_restarts_adaptively(self, monkeypatch):
+    def test_pq_restarts_adaptively(self):
         # the accelerated schedule of a strongly convex penalty restarts
-        # off the period too
-        monkeypatch.setattr(outer, "RESTART_EVERY", 50)
+        # too
         sol = outer.solve_relaxed(self._pq_instance(), outer.regime_pq(1.0))
         restarts = _restart_iterations(sol.trace)
         assert sol.certified
-        assert any(k % 50 for k in restarts)
+        assert restarts
 
     def test_restart_every_zero_turns_every_pq_restart_off(self,
                                                            monkeypatch):
-        monkeypatch.setattr(outer, "RESTART_EVERY", 0)
+        monkeypatch.setattr(outer, "_restart_due", lambda state, kkt: False)
         with pytest.raises(NotConverged) as exc:
             outer.solve_relaxed(self._pq_instance(), outer.regime_pq(1.0),
                                 outer.SolverOptions(max_outer=200))
         assert _restart_iterations(exc.value.solution.trace) == []
 
-    def test_pq_stops_at_a_tenth_of_the_tolerances(self, ex1_lifted):
-        # the last residual test ran at a tenth of the options' eps_pri
+    def test_pq_stops_at_a_tenth_of_the_tolerances(self, ex1_lifted,
+                                                   monkeypatch):
+        # every residual test ran at a tenth of the options' (eps1, eps2)
+        check, seen = outer.check_convergence, set()
+
+        def recording_check(state, lifted, eps1, eps2):
+            seen.add((eps1, eps2))
+            return check(state, lifted, eps1, eps2)
+
+        monkeypatch.setattr(outer, "check_convergence", recording_check)
         sol = outer.solve_relaxed(ex1_lifted, outer.regime_pq(5.0))
-        state, options = sol.final_state, outer.SolverOptions()
-        scaled = state.eps_pri
-        outer.check_convergence(state, ex1_lifted, options.eps1,
-                                options.eps2)
-        assert scaled == pytest.approx(0.1 * state.eps_pri)
+        options = outer.SolverOptions()
+        assert sol.certified and len(seen) == 1
+        assert seen.pop() == pytest.approx((0.1 * options.eps1,
+                                            0.1 * options.eps2))
 
     def test_default_pq_stop_is_near_the_optimum(self, ex1_lifted):
         # 4.600193: ex1 pq at gamma 5 solved at eps1 1e-8, eps2 1e-7

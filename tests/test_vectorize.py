@@ -3,11 +3,10 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from sparselq import vectorize
 
-from conftest import dense_duplication, dense_equality_operator, source_env
+from conftest import dense_duplication, source_env
 
 
 def random_sym(rng, d):
@@ -75,65 +74,6 @@ def test_duplication_is_isometry_adjoint():
     t = rng.standard_normal(maps.size)
     assert np.isclose(np.sum(vectorize.unsvec(t, maps) * G), t @ lhs,
                       atol=1e-12)
-
-
-def test_no_row_reads_the_leading_block():
-    # Neither W1's diagonal structure nor a forced zero has rows: the
-    # inner solve holds those coordinates at zero, so every row reads the
-    # gain block.
-    n, m = 3, 2
-    p = n + m
-    op = vectorize.assemble_constraint_operator(n, m)
-    rows, cols = np.unravel_index(op.A_cols, (p, p), order="F")
-    assert np.all(rows >= n) and np.all(cols < n)
-
-
-class TestConstraintOperator:
-    def setup_method(self):
-        self.op = vectorize.assemble_constraint_operator(3, 2)
-
-    def test_row_counts(self):
-        assert self.op.n_rows == 6
-
-    def test_fast_paths_match_matrices(self):
-        op = self.op
-        A, B = dense_equality_operator(op, 3, 2)
-        rng = np.random.default_rng(6)
-        x = rng.standard_normal(25)
-        lam = rng.standard_normal(op.n_rows)
-        w = rng.standard_normal(6)
-        np.testing.assert_allclose(op.apply_A(x), A @ x)
-        np.testing.assert_allclose(op.apply_At(lam), A.T @ lam)
-        np.testing.assert_allclose(op.residual(x, w), A @ x + B @ w)
-        np.testing.assert_array_equal(op.residual(x, w),
-                                      op.apply_A(x) + B @ w)
-
-    def test_gain_rows_extract_lower_left_block(self):
-        op = self.op
-        rng = np.random.default_rng(7)
-        W = rng.standard_normal((5, 5))
-        x = W.reshape(-1, order="F")
-        np.testing.assert_allclose(op.apply_A(x),
-                                   W[3:, :3].reshape(-1, order="F"))
-
-    @given(st.integers(0, 2 ** 32 - 1))
-    @settings(max_examples=25, deadline=None)
-    def test_adjoint_identity(self, seed):
-        op = self.op
-        rng = np.random.default_rng(seed)
-        x = rng.standard_normal(25)
-        lam = rng.standard_normal(op.n_rows)
-        assert np.isclose(op.apply_A(x) @ lam, x @ op.apply_At(lam),
-                          atol=1e-10)
-
-    def test_norm_B_is_exact(self):
-        # the outer step takes ||B||_2 = 1; B is read off residual at
-        # x = 0, B w = residual(0, w)
-        op = self.op
-        dense = np.column_stack([op.residual(np.zeros(25), e)
-                                 for e in np.eye(op.n_rows)])
-        np.testing.assert_array_equal(dense, -np.eye(op.n_rows))
-        assert np.isclose(np.linalg.norm(dense, 2), 1.0)
 
 
 def test_import_leaves_scipy_sparse_unloaded():
