@@ -278,14 +278,14 @@ def cmd_sweep(args):
         _check_gamma(gamma)
     options = _options(args)
     payloads = [(args.problem, args.relaxation, g, *options) for g in gammas]
-    # Only a pool that cannot start falls back to solving in this
-    # process; an error inside a worker surfaces from result() below.
+    # Only a pool that cannot start (OSError, NotImplementedError) solves in
+    # this process; an error inside a worker surfaces from result() below.
     try:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=min(len(payloads),
                                                  os.cpu_count() or 1)) as ex:
             futures = [ex.submit(_sweep_worker, p) for p in payloads]
-    except (OSError, ImportError) as exc:
+    except (OSError, NotImplementedError) as exc:
         log.warning("parallel sweep unavailable (%s); solving in this "
                     "process", exc)
         results = [_sweep_worker(p) for p in payloads]

@@ -23,6 +23,7 @@ certifies that u = -K x stabilizes every vertex and that <R, W> upper
 bounds every vertex cost.
 """
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -61,16 +62,13 @@ class PlantData:
     vertices: tuple = None
 
     def __post_init__(self):
+        def matrix(M):
+            return np.atleast_2d(np.asarray(M, dtype=float))
         for name in ("A", "B2", "B1", "C", "D"):
-            object.__setattr__(self, name,
-                               np.atleast_2d(np.asarray(getattr(self, name), dtype=float)))
-        if self.vertices is None:
-            object.__setattr__(self, "vertices", ((self.A, self.B2),))
-        else:
-            vs = tuple((np.atleast_2d(np.asarray(Av, dtype=float)),
-                        np.atleast_2d(np.asarray(Bv, dtype=float)))
-                       for Av, Bv in self.vertices)
-            object.__setattr__(self, "vertices", vs)
+            object.__setattr__(self, name, matrix(getattr(self, name)))
+        vs = ((self.A, self.B2),) if self.vertices is None else tuple(
+            (matrix(Av), matrix(Bv)) for Av, Bv in self.vertices)
+        object.__setattr__(self, "vertices", vs)
 
     @property
     def n(self):
@@ -98,9 +96,10 @@ class ValidatedPlant:
 def validate_plant(plant):
     """Check dimensions and the structural assumptions of the cost.
 
-    Raises InvalidInput for inconsistent shapes, an order above
-    MAX_LYAPUNOV_ORDER, a non-finite entry, C^T D != 0, singular D^T D,
-    or singular B1 B1^T, the last three to 1e-12 relative.
+    Raises InvalidInput for inconsistent shapes, an empty vertex list, an
+    order above MAX_LYAPUNOV_ORDER, a non-finite entry, C^T D != 0,
+    singular D^T D, or singular B1 B1^T, the last three to 1e-12
+    relative.
     Stabilizability is not checked here; it is certified a posteriori
     from the solved parameter matrix.
     """
@@ -121,6 +120,8 @@ def validate_plant(plant):
         raise InvalidInput(f"C cols {C.shape[1]} != n {n}")
     if D.shape != (C.shape[0], B2.shape[1]):
         raise InvalidInput(f"D shape {D.shape} != (q, m)")
+    if not plant.vertices:
+        raise InvalidInput("vertices must be a nonempty list")
     for k, (Av, Bv) in enumerate(plant.vertices):
         if Av.shape != A.shape or Bv.shape != B2.shape:
             raise InvalidInput(f"vertex {k} shapes {Av.shape}, {Bv.shape}")
@@ -207,16 +208,19 @@ def lift_plant(vplant, forced_zeros=()):
     """Build the LiftedProblem for a validated plant.
 
     forced_zeros is an iterable of 0-based (i, j) pairs in the gain index
-    set {0..m-1} x {0..n-1}; a pair outside it raises InvalidInput.
+    set {0..m-1} x {0..n-1}; a pair outside it, or with an index that is
+    not an integer (a bool, a string or a float is not), raises
+    InvalidInput.
     """
     plant = vplant.plant
     n, m = plant.n, plant.m
     p = n + m
-    fz = tuple((int(i), int(j)) for i, j in forced_zeros)
+    fz = tuple(map(tuple, forced_zeros))
     for i, j in fz:
-        if not (0 <= i < m and 0 <= j < n):
-            raise InvalidInput(
-                f"forced_zeros: ({i}, {j}) lies outside the {m} x {n} gain")
+        if not (all(isinstance(k, numbers.Integral) and not isinstance(k, bool)
+                    for k in (i, j)) and 0 <= i < m and 0 <= j < n):
+            raise InvalidInput(f"forced_zeros: ({i!r}, {j!r}) is not an "
+                               f"integer pair inside the {m} x {n} gain")
 
     F_list = []
     for Av, Bv in plant.vertices:

@@ -41,10 +41,10 @@ RESTART_SUFFICIENT, RESTART_NECESSARY, RESTART_ARTIFICIAL = 0.2, 0.8, 0.36
 # (relative) per iteration.
 ACCEL_STOP_SCALE = 0.1
 # Inner tolerance, tied to the outer progress (Schmidt, Le Roux & Bach,
-# NeurIPS 2011); check_convergence gives the rule.  A strongly convex
-# penalty (pq) needs no cap: its early solves are loose, its late ones
-# tight.
-INNER_TOL_CAP_PLAIN = 1e-3
+# NeurIPS 2011) by one rule for every penalty, which check_convergence
+# gives.  A run's first inner solve, before any residual exists, stops at
+# INNER_TOL_START; no later one stops below INNER_TOL_FLOOR.
+INNER_TOL_START = 1e-3
 INNER_TOL_FLOOR = 1e-8
 
 
@@ -85,12 +85,12 @@ class OuterState:
     the sharp pair and the iteration at the start or the last restart,
     kkt_r the sharp pair's KKT error there and kkt its KKT error after the
     last iteration (inf before the first).  The rest is solver scratch:
-    dual_state warm-starts the next inner solve, eps_inner the next inner
-    solve's tolerance, which check_convergence sets, and curvature the inner
-    solves' cache: one entry per (sigma1, sigma2) pair this solve has
-    met, within inner.CURVATURE_CACHE_BYTES (see
-    inner.assemble_dual_data).  init_state starts it empty, so no cache
-    passes from one solve, or one l0 pass, to the next.
+    dual_state warm-starts the next inner solve, eps_inner is the next
+    inner solve's tolerance, which check_convergence sets, and curvature
+    the inner solves' cache: one entry per (sigma1, sigma2) pair this
+    solve has met, within inner.CURVATURE_CACHE_BYTES (see
+    inner.assemble_dual_data).  init_state starts it empty, and
+    solve_relaxed empties it before it hands the state out as final_state.
     """
 
     W_tilde: np.ndarray
@@ -112,7 +112,7 @@ class OuterState:
     kkt_r: float = math.inf
     kkt: float = math.inf
     dual_state: object = None
-    eps_inner: float = INNER_TOL_CAP_PLAIN
+    eps_inner: float = INNER_TOL_START
     curvature: dict = field(default_factory=dict)
 
 
@@ -120,7 +120,7 @@ def init_state(lifted, penalty, warm=None, anchor=None):
     """Iterate at the start of a solve, with the schedule at its start.
 
     Without warm, W and v sit at the identity, everything else at zero,
-    and the first inner solve stops at INNER_TOL_CAP_PLAIN.  warm, an
+    and the first inner solve stops at INNER_TOL_START.  warm, an
     OuterState such as a previous solve's final_state, lends copies of
     its W_tilde, v, P_tilde, w and lam and its eps_inner, and its
     dual_state seeds the first inner solve, which does not write to it.
@@ -269,13 +269,11 @@ def check_convergence(state, lifted, eps1, eps2):
     pair, as the residuals of the gain rows alone do not.
 
     Returns (stop, primal_res, dual_res) and sets state.eps_inner, the next
-    inner solve's tolerance: 0.1 x the primal residual, at least
-    INNER_TOL_FLOOR.  When the penalty is strongly convex (mu_g > 0) that
-    residual is the relative one, primal_res / (1 + max(|A vec(W)|, |P|)),
-    the scale of the inner residual, and there is no cap.  Otherwise (l1
-    and the anchored l0 subproblems) it is primal_res, capped at
-    INNER_TOL_CAP_PLAIN.  B = -I and the rows read distinct columns of
-    vec(W), so |B P| = |P|, |A' B dP| = |dP| and |A' lam| = |lam|.
+    inner solve's tolerance, for every penalty: 0.1 x the relative primal
+    residual primal_res / (1 + max(|A vec(W)|, |P|)), the scale of the
+    inner residual, at least INNER_TOL_FLOOR.  B = -I and the rows read
+    distinct columns of vec(W), so |B P| = |P|, |A' B dP| = |dP| and
+    |A' lam| = |lam|.
     """
     # A vec(W) + B P = A vec(W) - P, with A vec(W) gathered once
     AW = state.W_tilde[lifted.gain_cols]
@@ -284,9 +282,7 @@ def check_convergence(state, lifted, eps1, eps2):
     scale = max(_norm(AW), _norm(state.P_tilde))
     eps_pri = math.sqrt(AW.size) * eps1 + eps2 * scale
     eps_dua = lifted.p * eps1 + eps2 * _norm(state.lam)
-    res, cap = ((pr / (1.0 + scale), math.inf) if state.mu_g > 0.0
-                else (pr, INNER_TOL_CAP_PLAIN))
-    state.eps_inner = max(INNER_TOL_FLOOR, min(cap, 0.1 * res))
+    state.eps_inner = max(INNER_TOL_FLOOR, 0.1 * (pr / (1.0 + scale)))
     ergodic = state.theta * max(_norm(state.v - state.v_r),
                                 _norm(state.w - state.w_r))
     return (pr <= eps_pri and dr <= eps_dua and ergodic <= eps_pri), pr, dr
@@ -343,9 +339,7 @@ def solve_relaxed(lifted, penalty, options=SolverOptions(), warm=None,
     state = init_state(lifted, penalty, warm, anchor)
     scale = ACCEL_STOP_SCALE if state.mu_g > 0.0 else 1.0
     eps1, eps2 = scale * options.eps1, scale * options.eps2
-    trace = []
-    t0 = time.perf_counter()
-    converged = False
+    trace, t0, converged = [], time.perf_counter(), False
     for _ in range(int(options.max_outer)):
         alpha, sweeps, capped, inner_res, kkt = outer_iteration(
             state, lifted, penalty, options)
@@ -381,6 +375,7 @@ def solve_relaxed(lifted, penalty, options=SolverOptions(), warm=None,
         weights=penalty.weights,
         pq_params=penalty.pq_params if penalty.kind == "pq" else None,
         cert=cert if converged else None)
+    state.curvature.clear()
     sol.final_state = state
     if not converged:
         raise NotConverged(sol, pr, dr)

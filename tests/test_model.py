@@ -117,6 +117,14 @@ class TestValidatePlant:
                 A=np.eye(2), B2=np.ones((2, 1)), B1=np.eye(2), C=C, D=D,
                 vertices=((np.eye(2), np.ones((2, 1))), vertex)))
 
+    def test_rejects_an_empty_vertex_list(self):
+        # it would lift, then fail inside the first feasibility report
+        C, D = unit_cost(2, 1)
+        with pytest.raises(InvalidInput, match=r"vertices"):
+            model.validate_plant(model.PlantData(
+                A=np.eye(2), B2=np.ones((2, 1)), B1=np.eye(2), C=C, D=D,
+                vertices=[]))
+
     def test_default_vertex_is_nominal(self):
         C, D = unit_cost(2, 1)
         vp = model.validate_plant(model.PlantData(
@@ -281,3 +289,11 @@ def test_forced_zero_out_of_range():
         lift(ex1_matrices(), forced_zeros=((2, 0),))
     with pytest.raises(InvalidInput, match=r"forced_zeros: \(0, 3\)"):
         lift(ex1_matrices(), forced_zeros=((0, 3),))
+    # an index that is not an integer is rejected, not truncated by int()
+    for pair in ((0.9, 1), ("1", "2"), (True, 0), (1, 1.0)):
+        with pytest.raises(InvalidInput, match=r"forced_zeros: .* not an "
+                           r"integer pair"):
+            lift(ex1_matrices(), forced_zeros=(pair,))
+    # a numpy integer, as np.argwhere gives, is an integer
+    lp = lift(ex1_matrices(), forced_zeros=(tuple(np.array([1, 2])),))
+    assert lp.forced_zeros == ((1, 2),)

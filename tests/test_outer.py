@@ -79,13 +79,22 @@ class TestHandOff:
         np.testing.assert_array_equal(new.anchor, st.W_tilde)
         assert (new.mu_f, new.mu_g, new.k) == (0.25, 0.0, 0)
         # the next inner tolerance carries over; a cold start begins at
-        # the cap
-        assert new.eps_inner == st.eps_inner < outer.INNER_TOL_CAP_PLAIN
+        # INNER_TOL_START
+        assert new.eps_inner == st.eps_inner < outer.INNER_TOL_START
         assert outer.init_state(ex1_lifted, pen).eps_inner == \
-            outer.INNER_TOL_CAP_PLAIN
+            outer.INNER_TOL_START
         assert new.dual_state is st.dual_state
         # the curvature cache belongs to one solve
         assert new.curvature == {} and new.curvature is not st.curvature
+
+    def test_a_returned_state_holds_no_curvature(self, ex1_lifted):
+        # one cache entry can hold megabytes, and no later solve reads it
+        sol = outer.solve_relaxed(ex1_lifted, outer.regime_pq(5.0))
+        assert sol.final_state.curvature == {}
+        with pytest.raises(NotConverged) as exc:
+            outer.solve_relaxed(ex1_lifted, outer.regime_pq(5.0),
+                                outer.SolverOptions(max_outer=3))
+        assert exc.value.solution.final_state.curvature == {}
 
     def test_a_solve_leaves_the_warm_state_as_it_was(self, ex1_lifted,
                                                      ex1_g10):
@@ -265,9 +274,8 @@ class TestCheckConvergence:
             for eps1, eps2 in ((1e-5, 1e-4), (1e-1, 1.0)):
                 AW, BP = A @ state.W_tilde, B @ state.P_tilde
                 dual = A.T @ (B @ (state.P_tilde - state.P_prev))
-                eps_pri = (np.sqrt(A.shape[0]) * eps1
-                           + eps2 * max(np.linalg.norm(AW),
-                                        np.linalg.norm(BP)))
+                scale = max(np.linalg.norm(AW), np.linalg.norm(BP))
+                eps_pri = np.sqrt(A.shape[0]) * eps1 + eps2 * scale
                 eps_dua = (lifted.p * eps1
                            + eps2 * np.linalg.norm(A.T @ state.lam))
                 pr, dr = np.linalg.norm(AW + BP), np.linalg.norm(dual)
@@ -281,10 +289,11 @@ class TestCheckConvergence:
                 assert got_dr == pytest.approx(dr, rel=1e-12, abs=1e-300)
                 assert stop == (pr <= eps_pri and dr <= eps_dua
                                 and ergodic <= eps_pri * (1.0 + 1e-12))
-                # the next inner tolerance, the same at every (eps1, eps2)
+                # the next inner tolerance, the same at every (eps1, eps2):
+                # 0.1 x the relative primal residual, uncapped
                 assert state.eps_inner == pytest.approx(
-                    max(outer.INNER_TOL_FLOOR,
-                        min(outer.INNER_TOL_CAP_PLAIN, 0.1 * pr)), rel=1e-12)
+                    max(outer.INNER_TOL_FLOOR, 0.1 * pr / (1.0 + scale)),
+                    rel=1e-12)
                 stops.add(stop)
         assert stops == {True, False}
 
@@ -419,10 +428,9 @@ class TestInnerResidualColumn:
                              ids=["l1", "pq"])
     def test_each_solve_stopped_below_its_tolerance(self, ex1_lifted, regime,
                                                     monkeypatch):
-        # the first inner solve stops at the plain cap; each later one at
-        # 0.1 x the previous iteration's primal residual: absolute and
-        # capped under l1, relative, |r| / (1 + max(|A W|, |P|)), and
-        # uncapped under the accelerated (pq) schedule
+        # the first inner solve stops at INNER_TOL_START; each later one,
+        # under every penalty, at 0.1 x the previous iteration's relative
+        # primal residual, |r| / (1 + max(|A W|, |P|)), uncapped
         solve, check = inner.solve_inner, outer.check_convergence
         tolerances, relative = [], []
 
@@ -443,17 +451,11 @@ class TestInnerResidualColumn:
         sol = outer.solve_relaxed(ex1_lifted, regime(10.0))
         col = analysis.TRACE_COLUMNS.index("inner_residual")
         assert len(tolerances) == len(sol.trace) == len(relative)
-        eps_in = outer.INNER_TOL_CAP_PLAIN
+        eps_in = outer.INNER_TOL_START
         for row, eps, rel in zip(sol.trace, tolerances, relative):
             assert eps == pytest.approx(eps_in, rel=1e-12)
             assert 0.0 <= row[col] < eps
-            if regime is outer.regime_pq:
-                eps_in = max(outer.INNER_TOL_FLOOR, 0.1 * rel)
-            else:
-                eps_in = max(outer.INNER_TOL_FLOOR,
-                             min(outer.INNER_TOL_CAP_PLAIN, 0.1 * row[3]))
-        assert (max(tolerances) > outer.INNER_TOL_CAP_PLAIN) == (
-            regime is outer.regime_pq)
+            eps_in = max(outer.INNER_TOL_FLOOR, 0.1 * rel)
 
     def test_capped_solves_record_the_exact_residual(self, ex1_lifted,
                                                      tmp_path, monkeypatch):

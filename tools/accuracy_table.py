@@ -7,7 +7,8 @@ line is printed with the outer iterations, the inner sweeps, the CPU
 seconds, J_upper, the relative distance |J_upper - J_ref| / |J_ref| to
 the row's reference, whether the sparsity pattern equals the
 reference's, `certified`, and whether the stored multiplier passes the
-stationarity check of `sparselq verify`.
+stationarity check of `sparselq verify`.  The table ends with one line
+per relaxation: its outer iterations and sweeps summed over its rows.
 
 A reference is a solve at eps1 = 1e-8 and eps2 = 1e-7 (at most 400,000
 outer iterations).  Its J_upper, pattern and whether it converged are
@@ -96,6 +97,7 @@ def main():
 
     print(f"{'row':<16} {'its':>7} {'sweeps':>8} {'cpu_s':>7} "
           f"{'J_upper':>11} {'distance':>9} pattern certified stationary")
+    totals = {}
     for row, lifted in zip(rows, plants):
         ref = row["reference"]
         penalty = REGIMES[row["relaxation"]](row["gamma"])
@@ -109,6 +111,11 @@ def main():
               f"{'yes' if sol.certified else 'NO':<9} "
               f"{'ok' if stationary(lifted, sol, penalty) else 'FAILED'}"
               f"{'' if converged else ' (not converged)'}")
+        total = totals.setdefault(row["relaxation"], [0, 0])
+        total[0] += sol.iterations
+        total[1] += sweeps
+    for relaxation, (its, sweeps) in totals.items():
+        print(f"{'total ' + relaxation:<16} {its:>7} {sweeps:>8}")
     return 0
 
 
