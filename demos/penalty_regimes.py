@@ -7,8 +7,8 @@ solves a chain of integrators under both regimes at gamma 10 and
 reports iteration counts, J_upper and the log-log slope of the primal
 residual tail.  At the default settings both regimes collapse their
 averages onto the sharp iterate once its KKT error has decayed since
-the last restart, and the pq run stops first: it prints 157 outer
-iterations for l1 against 99 for pq (ratio 1.6), both certified,
+the last restart, and the pq run stops no later: it prints 71 outer
+iterations for l1 against 70 for pq (ratio 1.0), both certified,
 though the late pq inner subproblems are stiffer.  With
 restarts disabled on a long run, pq needs two orders of magnitude
 fewer iterations (criterion 4 of tests/test_acceptance.py).

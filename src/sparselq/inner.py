@@ -10,10 +10,19 @@ In isometric half-vectorization coordinates s = svec(W) this reads
 as a map from s to vec(W), and its Lagrange dual over the PSD multipliers
 X = (X0, X1, ..., XM) is a convex quadratic on a product of PSD cones,
 
-    minimize  Th(X) = (1/2) (q - L(X))' Minv (q - L(X)) - <kq, sum_i x_i> + c,
+    minimize  Th(X) = (1/2) (q - L(X))' Minv (q - L(X))
+                      - sum_i <kq_i, x_i> + c,
     with      L(X) = g0 - x0 + sum_i J_i' x_i,
               M = 2 sigma1 (AD)'(AD) + 2 sigma2 I,
               q = -2 sigma1 (AD)' b + 2 sigma2 st.
+
+J_i = lifted.J_list[i] and kq_i, row i of lifted.kappa_q, state vertex
+i's constraint in the conditioned form S_i Theta_i(W) S_i^T <= 0 of
+model.LiftedProblem: x_i is that block's multiplier, and
+X_i = S_i' unsvec(x_i) S_i the multiplier of Theta_i(W) <= 0.  The lift
+picks S_i to condition the block curvature H_i below, so every step of
+this module, the majorized one included, runs in those coordinates, at
+no extra cost per sweep.
 
 Every row of A selects a single entry of W, so (AD)'(AD) is diagonal
 (lifted.gram_diag) and so is M: Minv is carried as the vector minv and
@@ -38,7 +47,7 @@ equal on every iteration, and every restart of the accelerated schedule
 replays the pairs it met before.
 
 Block i of the dual objective is the quadratic with Hessian H_i and
-gradient -g_i, g_i = kq + J_i s, on the PSD cone.  A vertex block whose
+gradient -g_i, g_i = kq_i + J_i s, on the PSD cone.  A vertex block whose
 last update left it positive definite first tries the unconstrained
 block minimizer x_i + H_i^-1 g_i: if that point passes a Cholesky test
 it lies inside the cone, so it is the exact cone-constrained block
@@ -69,7 +78,7 @@ A DualState is one contiguous vector x = (x0, x1, ..., xM), and
 blocks() is its one view by block, a list of views into x, so the
 restart test and the extrapolation are one vector expression each on
 d = x+ - x.  The sweep carries the primal s = Minv (q - L(X)) rather
-than L(X): a vertex gradient is -(kq + J_i s), the X0 gradient is s
+than L(X): a vertex gradient is -(kq_i + J_i s), the X0 gradient is s
 itself, and a block update dx_i moves s by -dx_i' (J_i Minv), the
 product assemble_dual_data forms for rho_i anyway.  s is affine in X, so s(y) follows the same extrapolation,
 a solve evaluates s afresh only at its start, and the primal it returns
@@ -252,8 +261,7 @@ def _gradients(data, s):
     s = Minv (q - L(X)), formed as they are iterated: grad_0, grad_1,
     ..., grad_M."""
     yield s
-    kq = data.lifted.kappa_q
-    for J in data.lifted.J_list:
+    for kq, J in zip(data.lifted.kappa_q, data.lifted.J_list):
         yield -(kq + J.dot(s))
 
 
@@ -277,7 +285,7 @@ def _relative_error(triples, eps=None):
 
 
 def _vertex_step(x, g, i, data):
-    """Update of vertex block i from x, with g = kq + J_i s.
+    """Update of vertex block i from x, with g = kq_i + J_i s.
 
     Returns (x+, exact): the exact block minimizer x + H_i^-1 g when the
     block's last update left it positive definite and this point passes
@@ -320,7 +328,7 @@ def sgs_sweep(state, data, s=None, eps=None):
     with np.errstate(invalid="ignore"):
         for i in reversed(range(len(rho_list))):
             x = xs[i + 1]
-            new, _ = _vertex_step(x, kq + J_list[i].dot(s), i, data)
+            new, _ = _vertex_step(x, kq[i] + J_list[i].dot(s), i, data)
             s -= (new - x).dot(JM_list[i])
             xs[i + 1] = new
 
@@ -334,7 +342,7 @@ def sgs_sweep(state, data, s=None, eps=None):
         xs[0] = new
 
         for i, rho in enumerate(rho_list):
-            g = kq + J_list[i].dot(s)
+            g = kq[i] + J_list[i].dot(s)
             new, exact = _vertex_step(xs[i + 1], g, i, data)
             dx = new - xs[i + 1]
             s -= dx.dot(JM_list[i])

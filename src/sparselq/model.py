@@ -23,17 +23,24 @@ certifies that u = -K x stabilizes every vertex and that <R, W> upper
 bounds every vertex cost.
 """
 
+import functools
+import math
 import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .cones import sym_eigh
 from .errors import InvalidInput
 from . import vectorize
 
 # Largest plant order the package takes: analysis.solve_lyapunov's dense
 # operator has order**4 entries, 20 MB here.
 MAX_LYAPUNOV_ORDER = 40
+# A guard on _congruence's scaling loop, which stops on its own once
+# rounding stalls it: after 41 to 216 steps on the plants measured, up to
+# n = 40.  It could bind only on a plant that no congruence scales.
+MAX_SCALING_STEPS = 1000
 
 
 @dataclass(frozen=True)
@@ -162,9 +169,22 @@ class LiftedProblem:
     coordinates of W the inner solve keeps at zero instead, W1's
     off-diagonal entries and the entry W[n + i, j] of each forced zero;
     gram_diag is the diagonal of the Gram matrix of A unsvec (each row of A
-    reads one entry of W2, so the Gram matrix is diagonal), J_list the
-    per-vertex maps sending svec(W) to svec of V2 (F_i W + W F_i^T) V2^T,
-    and kappa_q = svec(B1 B1^T), the constant part of the constraint block.
+    reads one entry of W2, so the Gram matrix is diagonal).
+
+    The inner solve reads each vertex constraint Theta_i(W) <= 0 in the
+    congruent form S_i Theta_i(W) S_i^T <= 0, which holds exactly when
+    Theta_i(W) <= 0 does, since S_i (S_list[i]) is invertible.  J_list[i]
+    sends svec(W) to svec of S_i V2 (F_i W + W F_i^T) V2^T S_i^T, and row
+    i of kappa_q is svec(S_i B1 B1^T S_i^T), the constant part of that
+    block.  S_i conditions the block curvature G_i = J_i diag(free) J_i^T
+    (free is 0 on held), see _congruence, and is scaled so that G_i keeps
+    its Frobenius norm at S_i = I; the inner sweep's step constants come
+    from these better conditioned blocks.  A multiplier Y_i of the
+    conditioned block is the multiplier X_i = S_i^T Y_i S_i of
+    Theta_i(W) <= 0.  The three are built on first use, so a lift that
+    only certifies (as sparselq verify does) does not build them.
+    F_list, R and theta_block stay in the plant's units, and the
+    certificate reads those.
     """
 
     plant: ValidatedPlant
@@ -180,8 +200,47 @@ class LiftedProblem:
     gain_cols: np.ndarray = field(repr=False)
     gain_coords: np.ndarray = field(repr=False)
     gram_diag: np.ndarray = field(repr=False)
-    J_list: tuple = field(repr=False)
-    kappa_q: np.ndarray = field(repr=False)
+
+    @functools.cached_property
+    def _vertex_maps(self):
+        """(J_list, kappa_q, S_list), see the class docstring."""
+        n, svec_p, svec_n = self.n, self.svec_p, self.svec_n
+        free = np.ones(svec_p.size, dtype=bool)
+        free[self.held] = False
+        # block r is the vertex block of the basis matrix unsvec(e_r)
+        basis = (np.eye(svec_p.size) * svec_p.plain_scale)[:, svec_p.coord]
+        J_list, kappa_q, S_list = [], [], []
+        for F in self.F_list:
+            blocks = _vertex_block(F, basis, n)
+            M = blocks[free]
+            S = _congruence(M)
+            # the transpose of the stacked rows is Fortran-ordered, as the
+            # sweep reads it
+            J = ((S @ blocks @ S.T).reshape(svec_p.size, n * n)
+                 .take(svec_n.lower, axis=1) * svec_n.iso_scale).T
+            # ||G_i||_F before and after, from the Gram matrices of the
+            # free columns; both are 0 where every free column is
+            M = M.reshape(len(M), n * n)
+            norms = (np.linalg.norm(M.dot(M.T)),
+                     np.linalg.norm(J[:, free].T.dot(J[:, free])))
+            scale = math.sqrt(norms[0] / norms[1]) if norms[1] > 0 else 1.0
+            J_list.append(J * scale)
+            kappa_q.append(vectorize.svec(S @ self.plant.B1B1t @ S.T, svec_n)
+                           * scale)
+            S_list.append(S * math.sqrt(scale))
+        return tuple(J_list), np.array(kappa_q), tuple(S_list)
+
+    @property
+    def J_list(self):
+        return self._vertex_maps[0]
+
+    @property
+    def kappa_q(self):
+        return self._vertex_maps[1]
+
+    @property
+    def S_list(self):
+        return self._vertex_maps[2]
 
     @property
     def n_vertices(self):
@@ -202,6 +261,40 @@ def _vertex_block(F, W, n):
     """V2 (F W + W F^T) V2^T, for one W or a stack of them."""
     M = F @ W
     return (M + M.swapaxes(-1, -2))[..., :n, :n]
+
+
+def _congruence(M):
+    """The congruence S that conditions G = sum_r svec(M_r) svec(M_r)^T,
+    for the stack M of symmetric blocks, or the identity where G has no
+    positive definite Kronecker factor.
+
+    Rearranged (Van Loan & Pitsianis 1993), G is the map
+    V -> sum_r M_r V M_r, and its image of the identity, C = sum_r M_r^2,
+    is a Kronecker factor of G: exact, C0 times tr(C0), where G is
+    C0 (x) C0.  S scales the map as Gurvits' operator scaling does: it
+    repeats S <- C~^(-1/4) S, C~ = sum_r (S M_r S^T)^2, the factor of the
+    conditioned G, while the spread of C~'s eigenvalues falls, so that
+    it ends with C~ a multiple of the identity to rounding.  One step
+    from S = I is S = C^(-1/4); the fixed point conditions G further.
+    (The nearest Kronecker factor, the map's top eigenvector, picks the
+    heaviest of G's Kronecker terms instead, and conditioned G worse on
+    half the plants tried.)
+    """
+    n = M.shape[-1]
+    flat = M.reshape(len(M), -1)
+    # R[(i, k), (j, l)] = sum_r M_r[i, j] M_r[k, l] maps vec(V) to
+    # vec(sum_r M_r V M_r), row-major
+    R = flat.T.dot(flat).reshape(n, n, n, n).transpose(0, 2, 1, 3)
+    R = R.reshape(n * n, n * n)
+    S, spread = np.eye(n), math.inf
+    for _ in range(MAX_SCALING_STEPS):
+        C = S.dot(R.dot(S.T.dot(S).ravel()).reshape(n, n)).dot(S.T)
+        w, U = sym_eigh(C)
+        if not (w[0] > 0.0 and w[-1] < spread * w[0]):
+            break
+        spread = w[-1] / w[0]
+        S = (U * w ** -0.25).dot(U.T).dot(S)
+    return S
 
 
 def lift_plant(vplant, forced_zeros=()):
@@ -247,19 +340,9 @@ def lift_plant(vplant, forced_zeros=()):
     gram_diag = np.zeros(svec_p.size)
     gram_diag[gain] = svec_p.plain_scale[gain] ** 2
 
-    # Column r of J_i is svec of the vertex block of unsvec(e_r); the
-    # transpose of the stacked rows is Fortran-ordered, as the sweep reads it.
-    basis = (np.eye(svec_p.size) * svec_p.plain_scale)[:, svec_p.coord]
-    J_list = []
-    for F in F_list:
-        blocks = _vertex_block(F, basis, n).reshape(svec_p.size, n * n)
-        J_list.append((blocks.take(svec_n.lower, axis=1) * svec_n.iso_scale).T)
-    kappa_q = vectorize.svec(vplant.B1B1t, svec_n)
-
     return LiftedProblem(plant=vplant, n=n, m=m, p=p,
                          F_list=tuple(F_list), R=R,
                          svec_p=svec_p, svec_n=svec_n,
                          forced_zeros=fz, held=held, gain_cols=gain_cols,
                          gain_coords=gain,
-                         gram_diag=gram_diag,
-                         J_list=tuple(J_list), kappa_q=kappa_q)
+                         gram_diag=gram_diag)

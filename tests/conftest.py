@@ -249,7 +249,7 @@ def pg_dual_oracle(lifted, data, max_steps=10 ** 6, move_tol=1e-13):
     T = np.hstack([-np.eye(sp.size)] + [J.T for J in lifted.J_list])
     H = T.T @ (data.minv[:, None] * T)
     L = float(np.linalg.eigvalsh(H)[-1])
-    c = np.concatenate([np.zeros(sp.size)] + [lifted.kappa_q] * nv)
+    c = np.concatenate([np.zeros(sp.size), *lifted.kappa_q])
     q0 = data.q_k - data.g0
     z = np.zeros(sp.size + nv * sn.size)
 
@@ -330,11 +330,9 @@ def dual_objective(state, data, args):
     included, for data assembled from args."""
     sigma1, sigma2, s_tilde, b_tilde = subproblem_terms(data.lifted, args)
     r = data.q_k - _ell(state, data)
-    xsum = np.zeros(data.lifted.svec_n.size)
-    for x in state.blocks()[1:]:
-        xsum = xsum + x
-    return float(0.5 * r @ (data.minv * r)
-                 - data.lifted.kappa_q @ xsum
+    kx = sum(kq @ x for kq, x in zip(data.lifted.kappa_q,
+                                     state.blocks()[1:], strict=True))
+    return float(0.5 * r @ (data.minv * r) - kx
                  - sigma1 * (b_tilde @ b_tilde)
                  - sigma2 * (s_tilde @ s_tilde))
 

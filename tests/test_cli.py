@@ -233,11 +233,13 @@ class TestSolveRoundtrip:
         assert doc["status"] == "max_iter"
         assert doc["certified"] is False
 
-    def test_unconverged_l0_exit_code_still_writes(self, problem_file,
-                                                   tmp_path):
-        # every subsolve stops at its budget, the last one too
+    def test_unconverged_l0_exit_code_still_writes(self, tmp_path):
+        # every subsolve stops at its budget, the last one too: on ex3 no
+        # subsolve can stop within one outer iteration
+        problem_file = tmp_path / "ex3.json"
+        problem_file.write_text(json.dumps(_problem_doc([], ex3_matrices)))
         out = tmp_path / "short_l0"
-        code = cli.run_command(["solve", "--problem", problem_file,
+        code = cli.run_command(["solve", "--problem", str(problem_file),
                                 "--relaxation", "l0", "--gamma", "1",
                                 "--max-outer", "1", "--sigma0", "0.2",
                                 "--sigma-decay", "0.3", "--out", str(out)])
@@ -951,9 +953,12 @@ class TestSweep:
         assert all(row["status"] == "converged" for row in rows)
 
 
-    def test_unconverged_l0_gamma_exits_3(self, problem_file, tmp_path):
+    def test_unconverged_l0_gamma_exits_3(self, tmp_path):
+        # on ex3 no l0 subsolve can stop within one outer iteration
+        problem_file = tmp_path / "ex3.json"
+        problem_file.write_text(json.dumps(_problem_doc([], ex3_matrices)))
         out = tmp_path / "swl0"
-        code = cli.run_command(["sweep", "--problem", problem_file,
+        code = cli.run_command(["sweep", "--problem", str(problem_file),
                                 "--relaxation", "l0", "--gammas", "0.3,1",
                                 "--max-outer", "1", "--sigma0", "0.2",
                                 "--sigma-decay", "0.3", "--out", str(out)])

@@ -168,7 +168,7 @@ class TestCholeskyHint:
         lifted, args, _ = interior_instance(23)
         data, _ = inner.assemble_dual_data(lifted, *args)
         x = inner.zero_state(lifted).blocks()[1]
-        g = lifted.kappa_q + lifted.J_list[0].dot(
+        g = lifted.kappa_q[0] + lifted.J_list[0].dot(
             inner.recover_primal(data, inner.zero_state(lifted)))
         with np.errstate(invalid="ignore"):
             exact, took_exact = inner._vertex_step(x, g, 0, data)
@@ -182,9 +182,14 @@ class TestCholeskyHint:
         assert not np.allclose(majorized, exact)
         # the flag now says whether the majorized step left the block
         # positive definite, and with it whether the next update tries the
-        # exact step
+        # exact step: the step x + g / rho stays as it is where it is
+        # positive definite, and is clamped to a singular point otherwise,
+        # whose smallest eigenvalue is zero up to rounding of either sign
+        step = np.linalg.eigvalsh(inner.unsvec(x + g / data.rho_list[0],
+                                               lifted.svec_n))
         w = np.linalg.eigvalsh(inner.unsvec(majorized, lifted.svec_n))
-        assert data.pd[0] == (w[0] > 0.0)
+        assert data.pd[0] == (step[0] > 0.0)
+        assert data.pd[0] == (w[0] > 1e-12 * w[-1])
 
     def test_set_by_the_sweep_and_reset_by_assembly(self):
         # on this instance the vertex block's unconstrained minimizer
@@ -478,7 +483,7 @@ class TestExactStep:
 
     def test_gradient_vanishes_and_objective_is_no_higher(self):
         lifted, data, args, state = self.start()
-        J, kq = lifted.J_list[0], lifted.kappa_q
+        J, kq = lifted.J_list[0], lifted.kappa_q[0]
         x0, x = state.blocks()
         g = kq + J.dot(inner.recover_primal(data, state))
         with np.errstate(invalid="ignore"):

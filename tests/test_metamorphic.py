@@ -15,9 +15,13 @@ bounds are fixed in advance, not fitted to what the solver gives:
   J_upper within 1e-4 relative and the same pattern;
 - a forced zero on an entry the unforced solve already zeroes: J_upper
   within 1e-4 relative;
-- J_upper does not decrease along the ex1 l1 gamma grid.
+- J_upper does not decrease along the ex1 l1 gamma grid;
+- the lift's congruence S_i of each vertex block, replaced by the
+  identity, which leaves the problem as it is and changes only the
+  inner solve's coordinates: the same pattern and J_upper within 1e-3
+  relative, on the ladder plant and on ex2.
 
-Only ex1 and the ladder plant are solved.  bench/workloads.py is loaded
+Only ex1, ex2 and the ladder plant are solved.  bench/workloads.py is loaded
 by path, as in tests/test_answers.py, and not changed.
 """
 
@@ -27,10 +31,11 @@ import pytest
 from sparselq import model, outer
 from sparselq.errors import NotConverged
 
-from conftest import ex1_matrices, load_workloads
+from conftest import ex1_matrices, ex2_matrices, load_workloads
 
 K_TOL = 1e-9
 J_RTOL = 1e-4
+CONGRUENCE_J_RTOL = 1e-3
 GAMMAS = (1e-8, 1.0, 5.0, 10.0, 20.0, 50.0)
 
 
@@ -141,3 +146,20 @@ def test_forcing_a_zero_the_solve_already_has():
 def test_cost_bound_does_not_decrease_along_the_gamma_grid():
     J = [_solve(_ex1(), outer.regime_l1(g)).J_upper for g in GAMMAS]
     assert all(b >= a for a, b in zip(J, J[1:])), J
+
+
+@pytest.mark.parametrize("case", ["ladder-l1-0.8", "ex2-l1-10"])
+def test_the_congruence_leaves_the_answer(ladder_plant, monkeypatch, case):
+    plant, penalty = {
+        "ladder-l1-0.8": (_ladder(ladder_plant, ladder_plant["vertices"]),
+                          outer.regime_l1(0.8)),
+        "ex2-l1-10": (model.PlantData(*ex2_matrices()),
+                      outer.regime_l1(10.0))}[case]
+    base = _solve(plant, penalty)
+    monkeypatch.setattr(model, "_congruence",
+                        lambda M: np.eye(M.shape[-1]))
+    plain = _solve(plant, penalty)
+    assert base.certified and plain.certified
+    np.testing.assert_array_equal(plain.pattern, base.pattern)
+    assert (abs(plain.J_upper - base.J_upper)
+            <= CONGRUENCE_J_RTOL * abs(base.J_upper))

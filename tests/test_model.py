@@ -188,27 +188,69 @@ class TestLiftedStructure:
             np.linalg.eigvalsh(-expected)[0], abs=1e-12)
 
     def test_vertex_maps_in_iso_coordinates(self, ex2_lifted):
-        # J_list[i] @ svec(W) must be svec of V2 (F_i W + W F_i^T) V2^T,
-        # and adding kappa_q = svec(B1 B1^T) gives the certificate's block,
-        # on ex2 and on every vertex of a two-vertex plant.
+        # Vertex i enters conditioned: J_list[i] @ svec(W) + kappa_q[i] is
+        # svec of S_i Theta_i(W) S_i^T, the certificate's block under the
+        # congruence S_i, on ex2 and on every vertex of a two-vertex
+        # plant; S_i is invertible, so the conditioned block is negative
+        # semidefinite exactly when Theta_i(W) is.
         rng = np.random.default_rng(2)
         for lp in (ex2_lifted, two_vertex_lifted()):
-            S = rng.standard_normal((lp.p, lp.p))
-            W = 0.5 * (S + S.T)
+            X = rng.standard_normal((lp.p, lp.p))
+            W = 0.5 * (X + X.T)
             s = vectorize.svec(W, lp.svec_p)
-            B1 = lp.plant.plant.B1
-            np.testing.assert_allclose(
-                vectorize.unsvec(lp.kappa_q, lp.svec_n), B1 @ B1.T,
-                atol=1e-14)
-            for i, F in enumerate(lp.F_list):
-                blk = (F @ W + W @ F.T)[:lp.n, :lp.n]
+            assert lp.kappa_q.shape == (lp.n_vertices, lp.svec_n.size)
+            assert len(lp.S_list) == lp.n_vertices
+            for i, S in enumerate(lp.S_list):
+                assert np.linalg.cond(S) < 1e6
+                expected = vectorize.svec(S @ lp.theta_block(W, i) @ S.T,
+                                          lp.svec_n)
                 np.testing.assert_allclose(
-                    lp.J_list[i] @ s,
-                    vectorize.svec(blk, lp.svec_n), atol=1e-12)
+                    lp.J_list[i] @ s + lp.kappa_q[i], expected,
+                    atol=1e-12 * max(1.0, np.abs(expected).max()))
                 np.testing.assert_allclose(
-                    lp.J_list[i] @ s + lp.kappa_q,
-                    vectorize.svec(lp.theta_block(W, i), lp.svec_n),
-                    atol=1e-12)
+                    vectorize.unsvec(lp.kappa_q[i], lp.svec_n),
+                    S @ lp.plant.B1B1t @ S.T, atol=1e-12)
+
+    def test_congruence_conditions_the_block_curvature(self, ex2_lifted,
+                                                       ladder_lifted):
+        # G_i = J_i diag(free) J_i^T, free = 0 on held, before and after
+        # the congruence: the Frobenius norm is kept and the condition
+        # number on G_i's range does not rise.  G_i before is built from
+        # its definition, column r the vertex block of the basis matrix
+        # E_r; ex2's G_i is singular, so the ratio is taken over the
+        # nonzero eigenvalues, which must keep their number.
+        for lp in (ex2_lifted, ladder_lifted):
+            free = np.ones(lp.svec_p.size, dtype=bool)
+            free[lp.held] = False
+            basis = [vectorize.unsvec(e, lp.svec_p)
+                     for e in np.eye(lp.svec_p.size)[free]]
+            for i, J in enumerate(lp.J_list):
+                J0 = np.stack([vectorize.svec(
+                    lp.theta_block(E, i) - lp.plant.B1B1t, lp.svec_n)
+                    for E in basis], axis=1)
+                G0, G = J0 @ J0.T, J[:, free] @ J[:, free].T
+                assert np.linalg.norm(G) == pytest.approx(
+                    np.linalg.norm(G0), rel=1e-12)
+                conds = []
+                for H in (G0, G):
+                    w = np.linalg.eigvalsh(H)
+                    w = w[w > 1e-10 * w[-1]]
+                    conds.append((w.size, w[-1] / w[0]))
+                assert conds[1][0] == conds[0][0]
+                assert conds[1][1] <= conds[0][1]
+
+    def test_congruence_falls_back_to_the_identity(self):
+        # A = 0 and B2 = 0 give a zero curvature, which has no positive
+        # definite Kronecker factor: the block stays as lifted, with no
+        # NaN from the Frobenius scaling
+        C, D = unit_cost(2, 1)
+        lp = model.lift_plant(model.validate_plant(model.PlantData(
+            A=np.zeros((2, 2)), B2=np.zeros((2, 1)), B1=np.eye(2), C=C,
+            D=D)))
+        np.testing.assert_array_equal(lp.S_list[0], np.eye(2))
+        np.testing.assert_array_equal(lp.J_list[0], 0.0)
+        np.testing.assert_array_equal(
+            lp.kappa_q[0], vectorize.svec(np.eye(2), lp.svec_n))
 
     def test_two_vertex_lift(self, ex1_lifted):
         assert ex1_lifted.n_vertices == 1

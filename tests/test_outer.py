@@ -595,12 +595,12 @@ def test_capped_last_inner_solve_does_not_skip_the_cone_check(ex1_lifted):
         assert sol.certified
 
 
-def test_converged_implies_certified(ex3_lifted, caplog):
-    # The first stop of ex3 pq at gamma 10 meets the residuals, but its
+def test_converged_implies_certified(ex2_lifted, caplog):
+    # The first stop of ex2 pq at gamma 10 meets the residuals, but its
     # averaged W misses the cones by more than the certificate's
     # tolerance; the run must go on to a certified stop.
     caplog.set_level(logging.INFO, logger="sparselq")
-    sol = outer.solve_relaxed(ex3_lifted, outer.regime_pq(10.0))
+    sol = outer.solve_relaxed(ex2_lifted, outer.regime_pq(10.0))
     assert sol.status == "converged"
     assert sol.certified
     rejected = [r.getMessage() for r in caplog.records

@@ -9,6 +9,13 @@ the row's reference, whether the sparsity pattern equals the
 reference's, `certified`, and whether the stored multiplier passes the
 stationarity check of `sparselq verify`.  The table ends with one line
 per relaxation: its outer iterations and sweeps summed over its rows.
+Then three solve_l0 lines follow, for the two-vertex plant of the
+benchmark's ladder workload at gamma 0.8 on that workload's sigma
+ladder, and for ex1 at gamma 1 with and without the forced zero (0, 1)
+on the default ContinuationOptions.  Each gives the outer iterations and
+sweeps summed over all subsolves, the passes, how many passes logged
+"stage objective rose", J_upper, `certified` and the pattern.  The
+ladder plant is loaded from bench/workloads.py by path.
 
 A reference is a solve at eps1 = 1e-8 and eps2 = 1e-7 (at most 400,000
 outer iterations).  Its J_upper, pattern and whether it converged are
@@ -24,14 +31,17 @@ measures the working tree, and the same command in another checkout
 measures that one against the same references.  It takes no options.
 """
 
+import contextlib
 import json
 import logging
 import os
 import sys
 import time
 
-from sparselq import analysis, cli, model, outer
+from sparselq import analysis, cli, l0, model, outer
 from sparselq.errors import NotConverged
+
+from answer_digest import LADDER, VERTEX_GAMMA, ladder_plant
 
 REFERENCES = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                           "accuracy_references.json")
@@ -60,6 +70,69 @@ def stationary(lifted, sol, penalty):
     # the check of cmd_verify, on the solution's own W and P
     cert = analysis.certify(lifted, sol.W, sol.P, sol.status)
     return analysis.stationary(cert, lifted, sol.multiplier, penalty)
+
+
+def sweeps_of(sol):
+    return sum(r[analysis.TRACE_COLUMNS.index("inner_sweeps")]
+               for r in sol.trace)
+
+
+@contextlib.contextmanager
+def l0_counts():
+    """Counts {"sweeps", "rises"} over every subsolve of the solve_l0
+    calls made inside, read from each subsolve's trace and from the
+    continuation's "stage objective rose" warnings."""
+    counts = {"sweeps": 0, "rises": 0}
+    relaxed, logger = outer.solve_relaxed, logging.getLogger("sparselq")
+
+    def counted(*args, **kwargs):
+        try:
+            sol = relaxed(*args, **kwargs)
+        except NotConverged as exc:
+            counts["sweeps"] += sweeps_of(exc.solution)
+            raise
+        counts["sweeps"] += sweeps_of(sol)
+        return sol
+
+    class Rises(logging.Handler):
+        def emit(self, record):
+            counts["rises"] += "stage objective rose" in record.getMessage()
+
+    # the warnings reach this handler alone, not stderr
+    saved = logger.level, logger.propagate
+    handler = Rises()
+    outer.solve_relaxed = counted
+    logger.addHandler(handler)
+    logger.setLevel(logging.WARNING)
+    logger.propagate = False
+    try:
+        yield counts
+    finally:
+        outer.solve_relaxed = relaxed
+        logger.removeHandler(handler)
+        logger.level, logger.propagate = saved
+
+
+def l0_lines(ex1):
+    """One line per solve_l0 solve, in the order of the module docstring,
+    for the problem document ex1."""
+    solves = (("ladder l0 0.8", ladder_plant(), VERTEX_GAMMA, LADDER),
+              ("ex1 l0 1", lifted_plant(ex1, {}), 1.0,
+               l0.ContinuationOptions()),
+              ("ex1 l0 1 fz(0,1)",
+               lifted_plant(ex1, {"forced_zeros": [[0, 1]]}), 1.0,
+               l0.ContinuationOptions()))
+    for name, lifted, gamma, ladder in solves:
+        with l0_counts() as counts:
+            try:
+                sol = l0.solve_l0(lifted, gamma, continuation=ladder)
+            except NotConverged as exc:
+                sol = exc.solution
+        yield (f"{name:<16} {sol.iterations:>7} {counts['sweeps']:>8} "
+               f"passes {len(sol.stage_trace)} rises {counts['rises']} "
+               f"J_upper {sol.J_upper:.6f} "
+               f"{'certified' if sol.certified else 'NOT certified'} "
+               f"{sol.pattern.tolist()}")
 
 
 def write_references(doc):
@@ -102,8 +175,7 @@ def main():
         ref = row["reference"]
         penalty = REGIMES[row["relaxation"]](row["gamma"])
         sol, converged, cpu = solve(lifted, penalty)
-        sweeps = sum(r[analysis.TRACE_COLUMNS.index("inner_sweeps")]
-                     for r in sol.trace)
+        sweeps = sweeps_of(sol)
         dist = abs(sol.J_upper - ref["J_upper"]) / abs(ref["J_upper"])
         same = "same" if sol.pattern.tolist() == ref["pattern"] else "DIFF"
         print(f"{label(row):<16} {sol.iterations:>7} {sweeps:>8} {cpu:>7.2f} "
@@ -116,6 +188,8 @@ def main():
         total[1] += sweeps
     for relaxation, (its, sweeps) in totals.items():
         print(f"{'total ' + relaxation:<16} {its:>7} {sweeps:>8}")
+    for line in l0_lines(doc["problems"]["ex1"]):
+        print(line)
     return 0
 
 

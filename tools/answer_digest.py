@@ -66,10 +66,10 @@ def solutions(lifted):
     yield f"l1 {FORCED_GAMMA:g} forced {FORCED_ZERO}", _solve(
         lambda: outer.solve_relaxed(forced, outer.regime_l1(FORCED_GAMMA)))
     yield f"ladder l1 {VERTEX_GAMMA:g}", _solve(lambda: outer.solve_relaxed(
-        _ladder_plant(), outer.regime_l1(VERTEX_GAMMA)))
+        ladder_plant(), outer.regime_l1(VERTEX_GAMMA)))
 
 
-def _ladder_plant():
+def ladder_plant():
     """The lifted two-vertex plant of the ladder workload."""
     # workloads.py imports its checker as the top-level module "check"
     sys.path.insert(0, BENCH)
