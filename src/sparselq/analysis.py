@@ -159,7 +159,7 @@ def h2_cost(plant, K):
     A_i - B2_i K is not Hurwitz, which solve_lyapunov reports.
     """
     vp = _as_validated(plant)
-    K = np.asarray(K, dtype=float)
+    K = _gain(vp.plant, K)
     CDK = vp.plant.C - vp.plant.D @ K
     out = np.full(len(vp.plant.vertices), np.inf)
     for idx, (Av, Bv) in enumerate(vp.plant.vertices):
@@ -169,6 +169,15 @@ def h2_cost(plant, K):
             continue
         out[idx] = float(np.trace(CDK @ Wc @ CDK.T))
     return out
+
+
+def _gain(plant, K):
+    """K as a float array, or InvalidInput naming K unless it is m x n."""
+    K = np.asarray(K, dtype=float)
+    if K.shape != (plant.m, plant.n):
+        raise InvalidInput(f"K: expected shape {(plant.m, plant.n)}, got "
+                           f"{K.shape}")
+    return K
 
 
 def sparsity_report(P_or_K):
@@ -201,7 +210,7 @@ def simulate_impulse(plant, K, horizon, dt):
                            f"above the limit of {MAX_SAMPLES}")
     nt = int(nt)
     plant = _as_validated(plant).plant
-    h = dt * (plant.A - plant.B2 @ np.asarray(K, dtype=float))
+    h = dt * (plant.A - plant.B2 @ _gain(plant, K))
     eye = np.eye(plant.n)
     step = eye + h @ (eye + h @ (eye + h @ (eye + h / 4) / 3) / 2)
     X = np.empty((plant.l, nt, plant.n))

@@ -21,6 +21,7 @@ verify exits 4 when it reads the file but rejects the solution.
 """
 
 import math
+import numbers
 
 
 class SparseLQError(Exception):
@@ -97,12 +98,18 @@ class NotConverged(SparseLQError):
 
 # ---------------------------------------------------------- validation
 
+def is_number(value):
+    """Whether value is a real number: a bool is not one here, nor is a
+    string, which float() would take."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def require_positive(options, *names):
-    """Raise InvalidInput unless each named field is finite and > 0;
-    a bool is not a number here."""
+    """Raise InvalidInput unless each named field is a number (see
+    is_number), finite and > 0."""
     for name in names:
         value = getattr(options, name)
-        if isinstance(value, bool) or not (value > 0 and math.isfinite(value)):
+        if not (is_number(value) and value > 0 and math.isfinite(value)):
             raise InvalidInput(f"{name} must be finite and > 0, "
                                f"got {value!r}")
 

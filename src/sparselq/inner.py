@@ -38,13 +38,15 @@ Minv is M^-1 on the free coordinates and 0 on the held ones, so minv
 carries those zeros: s = Minv (q - L(X)) is 0.0 there for every X, and
 so is every average of such s.  The block curvatures
 H_i = J_i Minv J_i' sum over the free columns of J_i alone.
-minv, J_i Minv and H_i depend on the sigmas alone.  assemble_dual_data
-builds them with one eigendecomposition of H_i per vertex, which gives
-both the step constant rho_i = lambda_max(H_i) and, unless H_i is near
-singular, its inverse, and reuses those of an earlier call of the same
-solve whose sigmas are equal bit for bit: on the l1 schedule they are
-equal on every iteration, and every restart of the accelerated schedule
-replays the pairs it met before.
+minv, J_i Minv and H_i depend on the lift and the sigmas alone.
+assemble_dual_data builds them with one eigendecomposition of H_i per
+vertex, which gives both the step constant rho_i = lambda_max(H_i) and,
+unless H_i is near singular, its inverse, and keeps them in the lift's
+memo lifted.curvature: a later call on the same lift whose sigmas are
+equal bit for bit reuses them, in the same solve or in another.  On the
+l1 schedule the sigmas are equal on every iteration, every restart of
+the accelerated schedule replays the pairs it met before, and the
+anchored passes of the l0 continuation meet the same pairs again.
 
 Block i of the dual objective is the quadratic with Hessian H_i and
 gradient -g_i, g_i = kq_i + J_i s, on the PSD cone.  A vertex block whose
@@ -152,7 +154,7 @@ def zero_state(lifted):
 # Below this ratio of its extreme eigenvalues a block curvature is
 # treated as singular: the block keeps the majorized step.
 HINV_FLOOR = 1e-12
-# Bytes of curvature arrays one solve's cache may hold, see
+# Bytes of curvature arrays one lift's memo may hold, see
 # assemble_dual_data; read at call time.
 CURVATURE_CACHE_BYTES = 1 << 20
 
@@ -167,8 +169,8 @@ class DualData:
     products J_i Minv, rho_list the largest eigenvalue of each block
     curvature H_i = J_i Minv J_i' and hinv_list its inverse, or None where
     the smallest eigenvalue of H_i is below HINV_FLOOR times the largest.
-    These depend on (sigma1, sigma2) only, so calls of assemble_dual_data
-    that share a cache and a sigma pair share them.
+    These depend on the lift and (sigma1, sigma2) only, so calls of
+    assemble_dual_data on one lift with one sigma pair share them.
     pd holds, per vertex block, whether the block's last update left it
     positive definite; for a block with an inverse it selects the step:
     the exact block minimizer is tried only when it is True.  Every call
@@ -204,36 +206,33 @@ def _curvature(lifted, sigma1, sigma2):
     return minv, float(minv.max()), rho_list, hinv_list, JM_list
 
 
-def assemble_dual_data(lifted, d_k, w_k, v_tilde_k, alpha_k, theta_k, eta_f_k,
-                       cache=None):
+def assemble_dual_data(lifted, d_k, w_k, v_tilde_k, alpha_k, theta_k, eta_f_k):
     """Build the dual problem data, curvature included.
 
-    cache, a dict owned by the caller (one solve), holds one curvature
-    entry per sigma pair the solve has met: a restart replays the pairs
-    of the schedule, and a call with a pair met before, bit for bit,
-    reuses its entry.  The cache holds at most CURVATURE_CACHE_BYTES of
-    arrays, counting each entry at the size of minv, every J_i Minv and
-    every H_i^-1; a new entry that would overflow it clears it first, so
-    where one entry is above the budget the cache keeps the last pair
-    alone.  Returns (data, data.rho_list), with the same rho_list object
-    on reuse: the pair stays because bench/tracer.py counts curvature
-    rebuilds from result[1], and a bare DualData would make every traced
-    run raise TypeError.
+    The curvature comes from the lift's memo, lifted.curvature, which
+    holds one entry per sigma pair met on the lift: a call with a pair
+    met before, bit for bit, reuses its entry.  The memo holds at most
+    CURVATURE_CACHE_BYTES of arrays, counting each entry at the size of
+    minv, every J_i Minv and every H_i^-1; a new entry that would
+    overflow it clears it first, so where one entry is above the budget
+    the memo keeps the last pair alone.  Returns (data, data.rho_list),
+    with the same rho_list object on reuse: the pair stays because
+    bench/tracer.py counts curvature rebuilds from result[1], and a bare
+    DualData would make every traced run raise TypeError.
     """
     if not (alpha_k > 0 and theta_k > 0 and eta_f_k > 0):
         raise ValueError("alpha, theta, eta_f must be positive")
     sigma1 = alpha_k / (2.0 * theta_k)
     sigma2 = eta_f_k / (2.0 * alpha_k)
 
-    cache = {} if cache is None else cache
-    key = (sigma1, sigma2)
-    if key not in cache:
+    memo, key = lifted.curvature, (sigma1, sigma2)
+    if key not in memo:
         t_p, t_n = lifted.svec_p.size, lifted.svec_n.size
         entry_bytes = 8 * (t_p + lifted.n_vertices * t_n * (t_p + t_n))
-        if (len(cache) + 1) * entry_bytes > CURVATURE_CACHE_BYTES:
-            cache.clear()
-        cache[key] = _curvature(lifted, sigma1, sigma2)
-    minv, rho0, rho_list, hinv_list, JM_list = cache[key]
+        if (len(memo) + 1) * entry_bytes > CURVATURE_CACHE_BYTES:
+            memo.clear()
+        memo[key] = _curvature(lifted, sigma1, sigma2)
+    minv, rho0, rho_list, hinv_list, JM_list = memo[key]
 
     maps = lifted.svec_p
     q = 2.0 * sigma2 * sym_svec(v_tilde_k, maps)
@@ -375,7 +374,7 @@ def recover_primal(data, state):
 
 
 def solve_inner(lifted, d_k, w_k, v_tilde_k, alpha_k, theta_k, eta_f_k,
-                eps, max_sweeps, warm_start=None, cache=None):
+                eps, max_sweeps, warm_start=None):
     """Run extrapolated sweeps until a sweep's residual bound drops below eps.
 
     Returns (v, sweeps_used, state) with v = vec(W) rebuilt from the
@@ -383,10 +382,10 @@ def solve_inner(lifted, d_k, w_k, v_tilde_k, alpha_k, theta_k, eta_f_k,
     sweep output, never the extrapolated point, and state.residual < eps
     bounds its dual_residual.  Raises MaxSweepsExceeded at the cap,
     carrying the last sweep output and its exact dual_residual.  The
-    warm start is not written to; cache goes to assemble_dual_data.
+    warm start is not written to.
     """
     data, _ = assemble_dual_data(lifted, d_k, w_k, v_tilde_k,
-                                 alpha_k, theta_k, eta_f_k, cache)
+                                 alpha_k, theta_k, eta_f_k)
     state = warm_start if warm_start is not None else zero_state(lifted)
     # s is affine in X, so s(y) follows the extrapolation from sweep to
     # sweep; only the start needs a fresh s, because q and g0 moved with

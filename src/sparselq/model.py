@@ -185,6 +185,12 @@ class LiftedProblem:
     only certifies (as sparselq verify does) does not build them.
     F_list, R and theta_block stay in the plant's units, and the
     certificate reads those.
+
+    curvature is the inner solver's memo of the sigma-dependent dual
+    curvature, one entry per (sigma1, sigma2) pair, which depends on the
+    lift and the pair alone; inner.assemble_dual_data fills it and keeps
+    it within inner.CURVATURE_CACHE_BYTES.  Every solve on the lift
+    shares it.
     """
 
     plant: ValidatedPlant
@@ -200,6 +206,7 @@ class LiftedProblem:
     gain_cols: np.ndarray = field(repr=False)
     gain_coords: np.ndarray = field(repr=False)
     gram_diag: np.ndarray = field(repr=False)
+    curvature: dict = field(default_factory=dict, repr=False, compare=False)
 
     @functools.cached_property
     def _vertex_maps(self):
@@ -301,19 +308,24 @@ def lift_plant(vplant, forced_zeros=()):
     """Build the LiftedProblem for a validated plant.
 
     forced_zeros is an iterable of 0-based (i, j) pairs in the gain index
-    set {0..m-1} x {0..n-1}; a pair outside it, or with an index that is
-    not an integer (a bool, a string or a float is not), raises
-    InvalidInput.
+    set {0..m-1} x {0..n-1}; an entry that is not a pair, a pair outside
+    the set, or one with an index that is not an integer (a bool, a
+    string or a float is not), raises InvalidInput.
     """
     plant = vplant.plant
     n, m = plant.n, plant.m
     p = n + m
-    fz = tuple(map(tuple, forced_zeros))
-    for i, j in fz:
-        if not (all(isinstance(k, numbers.Integral) and not isinstance(k, bool)
-                    for k in (i, j)) and 0 <= i < m and 0 <= j < n):
-            raise InvalidInput(f"forced_zeros: ({i!r}, {j!r}) is not an "
-                               f"integer pair inside the {m} x {n} gain")
+    try:
+        fz = tuple(map(tuple, forced_zeros))
+    except TypeError:
+        raise InvalidInput(f"forced_zeros: {forced_zeros!r} is not a list "
+                           f"of pairs") from None
+    for z in fz:
+        if not (len(z) == 2 and all(isinstance(k, numbers.Integral)
+                                    and not isinstance(k, bool) for k in z)
+                and 0 <= z[0] < m and 0 <= z[1] < n):
+            raise InvalidInput(f"forced_zeros: {z!r} is not an integer pair "
+                               f"inside the {m} x {n} gain")
 
     F_list = []
     for Av, Bv in plant.vertices:

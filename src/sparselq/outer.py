@@ -17,7 +17,7 @@ schedule automatically.
 import logging
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -85,12 +85,9 @@ class OuterState:
     the sharp pair and the iteration at the start or the last restart,
     kkt_r the sharp pair's KKT error there and kkt its KKT error after the
     last iteration (inf before the first).  The rest is solver scratch:
-    dual_state warm-starts the next inner solve, eps_inner is the next
-    inner solve's tolerance, which check_convergence sets, and curvature
-    the inner solves' cache: one entry per (sigma1, sigma2) pair this
-    solve has met, within inner.CURVATURE_CACHE_BYTES (see
-    inner.assemble_dual_data).  init_state starts it empty, and
-    solve_relaxed empties it before it hands the state out as final_state.
+    dual_state warm-starts the next inner solve, and eps_inner is the next
+    inner solve's tolerance, which check_convergence sets.  The inner
+    solves' curvature is memoized on the lift (model.LiftedProblem).
     """
 
     W_tilde: np.ndarray
@@ -113,7 +110,6 @@ class OuterState:
     kkt: float = math.inf
     dual_state: object = None
     eps_inner: float = INNER_TOL_START
-    curvature: dict = field(default_factory=dict)
 
 
 def init_state(lifted, penalty, warm=None, anchor=None):
@@ -193,8 +189,7 @@ def outer_iteration(state, lifted, penalty, options=SolverOptions()):
     try:
         v_next, sweeps, dstate = inner.solve_inner(
             lifted, d, state.w, v_tilde, alpha, theta, eta_f, state.eps_inner,
-            options.max_sweeps, warm_start=state.dual_state,
-            cache=state.curvature)
+            options.max_sweeps, warm_start=state.dual_state)
         inner_res = dstate.residual
     except MaxSweepsExceeded as exc:
         log.warning("iteration %d: %s; accepting best iterate", state.k, exc)
@@ -315,7 +310,10 @@ def solve_relaxed(lifted, penalty, options=SolverOptions(), warm=None,
     (if given) fits the lift: p^2 entries in W_tilde and v, m n in
     P_tilde, w and lam, and a dual_state with the blocks of
     inner.zero_state(lifted).  Raises NotConverged (carrying the
-    best-effort Solution) if the iteration budget runs out.
+    best-effort Solution) if the iteration budget runs out.  The
+    Solution's final_state is the last OuterState, which a later solve
+    may take as warm; the inner curvature stays on the lift, in its memo
+    shared by every solve on it.
     """
     shape = (lifted.m, lifted.n)
     if penalty.weights is not None and penalty.weights.shape != shape:
@@ -375,7 +373,6 @@ def solve_relaxed(lifted, penalty, options=SolverOptions(), warm=None,
         weights=penalty.weights,
         pq_params=penalty.pq_params if penalty.kind == "pq" else None,
         cert=cert if converged else None)
-    state.curvature.clear()
     sol.final_state = state
     if not converged:
         raise NotConverged(sol, pr, dr)

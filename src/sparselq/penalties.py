@@ -9,11 +9,12 @@ around zero.  The cardinality regime of sparselq.l0 solves a sequence of
 weighted l1 problems.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInput
+from .errors import InvalidInput, is_number
 
 PQ_DEFAULT = (1.0, 1.0, -1.0, 1.0)
 
@@ -23,9 +24,10 @@ class Penalty:
     """h(P) = gamma * sum(w_ij phi(P_ij)): phi = |t| under kind "l1", the
     piecewise quadratic of pq_params = (a1, a2, b1, b2) under "pq".
 
-    Raises InvalidInput naming the field unless gamma is finite and >= 0,
+    Raises InvalidInput naming the field unless gamma is a finite number
+    >= 0 (a bool or a string is not a number, see errors.is_number),
     weights (None: unit weights) are finite and > 0 and, under "pq",
-    a1, a2 > 0 and b1 < 0 < b2.
+    pq_params are four finite numbers with a1, a2 > 0 and b1 < 0 < b2.
     """
 
     kind: str
@@ -36,19 +38,20 @@ class Penalty:
     def __post_init__(self):
         if self.kind not in ("l1", "pq"):
             raise InvalidInput(f"unknown penalty kind: {self.kind!r}")
-        gamma = float(self.gamma)
-        if not (np.isfinite(gamma) and gamma >= 0):
-            raise InvalidInput(f"gamma must be finite and >= 0, got {gamma}")
-        object.__setattr__(self, "gamma", gamma)
+        gamma = self.gamma
+        if not (is_number(gamma) and math.isfinite(gamma) and gamma >= 0):
+            raise InvalidInput(f"gamma must be a finite number >= 0, got "
+                               f"{gamma!r}")
+        object.__setattr__(self, "gamma", float(gamma))
         if self.weights is not None:
             w = np.asarray(self.weights, dtype=float)
             if not np.all(np.isfinite(w) & (w > 0)):
                 raise InvalidInput("weights must be finite and > 0")
             object.__setattr__(self, "weights", w)
-        params = tuple(float(x) for x in self.pq_params)
         if self.kind == "pq":
-            _check_pq(params)
-        object.__setattr__(self, "pq_params", params)
+            _check_pq(self.pq_params)
+        object.__setattr__(self, "pq_params",
+                           tuple(float(x) for x in self.pq_params))
 
     @property
     def mu_g(self):
@@ -86,6 +89,13 @@ class Penalty:
 
 
 def _check_pq(pq_params):
+    # four finite numbers first: three would not unpack, and a2 = inf
+    # gives a NaN prox at gamma = 0
+    if not (isinstance(pq_params, (tuple, list, np.ndarray))
+            and len(pq_params) == 4
+            and all(is_number(x) and math.isfinite(x) for x in pq_params)):
+        raise InvalidInput(f"pq_params: need four finite numbers, got "
+                           f"{pq_params!r}")
     a1, a2, b1, b2 = pq_params
     if not (a1 > 0 and a2 > 0 and b1 < 0 < b2):
         raise InvalidInput(

@@ -106,14 +106,20 @@ def ex3_lifted():
     return lift(ex3_matrices())
 
 
-@pytest.fixture(scope="session")
-def ladder_lifted():
-    """The two-vertex plant of the ladder workload (3 states, 2 inputs)."""
+def ladder_lift():
+    """A fresh lift of the two-vertex plant of the ladder workload (3
+    states, 2 inputs)."""
     workloads = load_workloads()
     p = workloads.seeded_plant(workloads.Ladder.plant_seed)
     return model.lift_plant(model.validate_plant(model.PlantData(
         A=p["A"], B2=p["B2"], B1=p["B1"], C=p["C"], D=p["D"],
         vertices=p["vertices"])))
+
+
+@pytest.fixture(scope="session")
+def ladder_lifted():
+    """ladder_lift(), shared by the session."""
+    return ladder_lift()
 
 
 @pytest.fixture()

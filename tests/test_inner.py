@@ -95,68 +95,66 @@ class TestDualData:
 
 
     def test_a_shared_cache_reuses_an_equal_sigma_pair(self):
-        # the curvature of an equal (sigma1, sigma2) pair is the cached
-        # one, equal to a fresh build bit for bit; pd and the parts that
-        # read d, w and v_tilde are built anew; another pair adds a
-        # second entry
-        lifted, fresh, (d_k, w_k, v_tilde, a, t, e) = assemble(3)
-        cache = {}
-        first, rho_list = inner.assemble_dual_data(
-            lifted, d_k, w_k, v_tilde, a, t, e, cache)
+        # the curvature of an equal (sigma1, sigma2) pair is the one the
+        # lift memoized, equal to a build on a fresh lift bit for bit; pd
+        # and the parts that read d, w and v_tilde are built anew; another
+        # pair adds a second entry
+        lifted, first, (d_k, w_k, v_tilde, a, t, e) = assemble(3)
+        other_lift, fresh, _ = assemble(3)
+        assert other_lift is not lifted and len(lifted.curvature) == 1
+        rho_list = first.rho_list
         for name in ("minv", "rho0", "rho_list", "JM_list", "hinv_list"):
             np.testing.assert_array_equal(getattr(first, name),
                                           getattr(fresh, name))
         first.pd[0] = False
         again, rho_again = inner.assemble_dual_data(
-            lifted, 1.1 * d_k, w_k, v_tilde, a, t, e, cache)
+            lifted, 1.1 * d_k, w_k, v_tilde, a, t, e)
         assert rho_again is rho_list
         assert again.JM_list is first.JM_list
         assert again.hinv_list is first.hinv_list
         assert again.pd == [True] * lifted.n_vertices
         np.testing.assert_allclose(again.g0, 1.1 * first.g0, rtol=1e-14)
         _, rho_other = inner.assemble_dual_data(
-            lifted, d_k, w_k, v_tilde, 2 * a, t, e, cache)
-        assert rho_other is not rho_list and len(cache) == 2
+            lifted, d_k, w_k, v_tilde, 2 * a, t, e)
+        assert rho_other is not rho_list and len(lifted.curvature) == 2
 
     def test_an_earlier_sigma_pair_reuses_its_entry(self, monkeypatch):
         # a restart replays the schedule's sigma pairs: a pair met before
-        # reads its entry and builds nothing
-        lifted, _, (d_k, w_k, v_tilde, a, t, e) = assemble(3)
+        # reads its entry and builds nothing; the lift is built here, so
+        # its memo starts empty
+        lifted, d_k, w_k, v_tilde, a, t, e = make_inner_instance(
+            np.random.default_rng(3))
         builds, build = [], inner._curvature
 
         def counted(*args):
             builds.append(args[1:])
             return build(*args)
         monkeypatch.setattr(inner, "_curvature", counted)
-        cache = {}
         _, first = inner.assemble_dual_data(lifted, d_k, w_k, v_tilde,
-                                            a, t, e, cache)
+                                            a, t, e)
         _, other = inner.assemble_dual_data(lifted, d_k, w_k, v_tilde,
-                                            2 * a, t, e, cache)
+                                            2 * a, t, e)
         again, rho_again = inner.assemble_dual_data(
-            lifted, 1.1 * d_k, w_k, v_tilde, a, t, e, cache)
+            lifted, 1.1 * d_k, w_k, v_tilde, a, t, e)
         assert rho_again is first and other is not first
-        assert len(builds) == 2 and len(cache) == 2
+        assert len(builds) == 2 and len(lifted.curvature) == 2
         assert again.rho0 == again.minv.max()
 
     def test_a_reduced_budget_clears_the_cache_and_keeps_the_newest(
             self, monkeypatch):
         # an entry counts at the size of minv, every J_i Minv and every
-        # H_i^-1; one that would overflow the budget clears the cache
+        # H_i^-1; one that would overflow the budget clears the memo
         lifted, data, (d_k, w_k, v_tilde, a, t, e) = assemble(3)
         entry = data.minv.nbytes + sum(JM.nbytes + 8 * JM.shape[0] ** 2
                                        for JM in data.JM_list)
         monkeypatch.setattr(inner, "CURVATURE_CACHE_BYTES", 2 * entry)
-        cache = {}
         for alpha in (a, 2 * a, 3 * a):
-            inner.assemble_dual_data(lifted, d_k, w_k, v_tilde, alpha, t, e,
-                                     cache)
-        assert list(cache) == [(3 * a / (2 * t), e / (2 * 3 * a))]
-        # below one entry the cache keeps the last pair alone
+            inner.assemble_dual_data(lifted, d_k, w_k, v_tilde, alpha, t, e)
+        assert list(lifted.curvature) == [(3 * a / (2 * t), e / (2 * 3 * a))]
+        # below one entry the memo keeps the last pair alone
         monkeypatch.setattr(inner, "CURVATURE_CACHE_BYTES", entry - 1)
-        inner.assemble_dual_data(lifted, d_k, w_k, v_tilde, 4 * a, t, e,
-                                 cache)
-        assert list(cache) == [(4 * a / (2 * t), e / (2 * 4 * a))]
+        inner.assemble_dual_data(lifted, d_k, w_k, v_tilde, 4 * a, t, e)
+        assert list(lifted.curvature) == [(4 * a / (2 * t), e / (2 * 4 * a))]
 
 
 class TestCholeskyHint:

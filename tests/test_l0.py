@@ -4,7 +4,7 @@ import pytest
 from sparselq import analysis, inner, l0, model, outer, penalties
 from sparselq.errors import NotConverged
 
-from conftest import feasible_instance
+from conftest import feasible_instance, ladder_lift, load_workloads
 
 
 def small_lifted(seed, n=2, m=1, forced_zeros=()):
@@ -145,6 +145,22 @@ def test_the_last_subsolve_is_not_certified_again(monkeypatch,
     assert (sol.regime, sol.gamma, sol.weights) == ("l0", 0.5, None)
     assert sol.iterations == sum(iterations)
     assert len(sol.stage_trace) == len(iterations)
+
+
+def test_the_ladder_builds_no_sigma_pair_twice(monkeypatch):
+    # the anchored passes of the continuation meet their sigma pairs
+    # again, and the lift's memo builds each once; the lift is built
+    # here, so its memo starts empty
+    pairs, build = [], inner._curvature
+
+    def counted(*args):
+        pairs.append(args[1:])
+        return build(*args)
+    monkeypatch.setattr(inner, "_curvature", counted)
+    w = load_workloads().Ladder
+    l0.solve_l0(ladder_lift(), w.gamma, continuation=l0.ContinuationOptions(
+        sigma0=w.sigma0, sigma_min=w.sigma_min, sigma_decay=w.sigma_decay))
+    assert pairs and len(set(pairs)) == len(pairs)
 
 
 @pytest.fixture(scope="module")

@@ -336,6 +336,11 @@ def test_forced_zero_out_of_range():
         with pytest.raises(InvalidInput, match=r"forced_zeros: .* not an "
                            r"integer pair"):
             lift(ex1_matrices(), forced_zeros=(pair,))
+    # an entry that is not a pair, or forced zeros that are no list of
+    # pairs, is rejected, not left to unpacking or to tuple()
+    for bad in ([(0, 1, 2)], [(0,)], [5], [None], None, 5):
+        with pytest.raises(InvalidInput, match=r"forced_zeros: .* not a"):
+            lift(ex1_matrices(), forced_zeros=bad)
     # a numpy integer, as np.argwhere gives, is an integer
     lp = lift(ex1_matrices(), forced_zeros=(tuple(np.array([1, 2])),))
     assert lp.forced_zeros == ((1, 2),)

@@ -23,7 +23,7 @@ class TestSolverOptions:
         ("eps2", float("inf")), ("eps2", 0.0), ("max_outer", 0),
         ("max_outer", -3), ("max_outer", 2.5), ("max_sweeps", 0),
         ("max_outer", True), ("max_sweeps", True), ("eps1", True),
-        ("eps2", True)])
+        ("eps2", True), ("eps1", "1"), ("eps2", None)])
     def test_rejects_a_field_out_of_range(self, field, value):
         with pytest.raises(ValueError, match=field):
             outer.SolverOptions(**{field: value})
@@ -84,17 +84,6 @@ class TestHandOff:
         assert outer.init_state(ex1_lifted, pen).eps_inner == \
             outer.INNER_TOL_START
         assert new.dual_state is st.dual_state
-        # the curvature cache belongs to one solve
-        assert new.curvature == {} and new.curvature is not st.curvature
-
-    def test_a_returned_state_holds_no_curvature(self, ex1_lifted):
-        # one cache entry can hold megabytes, and no later solve reads it
-        sol = outer.solve_relaxed(ex1_lifted, outer.regime_pq(5.0))
-        assert sol.final_state.curvature == {}
-        with pytest.raises(NotConverged) as exc:
-            outer.solve_relaxed(ex1_lifted, outer.regime_pq(5.0),
-                                outer.SolverOptions(max_outer=3))
-        assert exc.value.solution.final_state.curvature == {}
 
     def test_a_solve_leaves_the_warm_state_as_it_was(self, ex1_lifted,
                                                      ex1_g10):
@@ -127,6 +116,60 @@ class TestHandOff:
         assert new.beta != 16.0 and new.kappa < 1.0
         outer.restart_averages(new)
         assert (new.theta, new.kappa, new.beta) == (1.0, 1.0, 16.0)
+
+
+class TestCurvatureMemo:
+    """The lift's memo of the inner curvature, one entry per sigma pair,
+    shared by every solve on the lift.  Each test builds its own lift:
+    the session's lifts carry entries from earlier tests."""
+
+    def test_repeated_solves_on_one_lift_agree_bit_for_bit(self,
+                                                            monkeypatch):
+        # an entry depends on the lift and the sigma pair alone, so a
+        # solve that reads the memo gives the bits of one that builds it
+        builds, build = [], inner._curvature
+
+        def counted(*args):
+            builds.append(args[1:])
+            return build(*args)
+        monkeypatch.setattr(inner, "_curvature", counted)
+        shared = lift(ex1_matrices())
+        runs = []
+        for lifted in (shared, shared, lift(ex1_matrices())):
+            before = len(builds)
+            sol = outer.solve_relaxed(lifted, outer.regime_pq(5.0))
+            runs.append((sol, len(builds) - before))
+        assert runs[0][1] > 0 and runs[1][1] == 0 and runs[2][1] == runs[0][1]
+        wall = analysis.TRACE_COLUMNS.index("wall_ms")
+
+        def bits(sol):
+            trace = np.delete(np.array(sol.trace, dtype=float), wall, axis=1)
+            return sol.W.tobytes(), sol.P.tobytes(), trace.tobytes()
+        assert bits(runs[0][0]) == bits(runs[1][0]) == bits(runs[2][0])
+
+    def test_the_memo_stays_within_its_budget(self, monkeypatch):
+        # with the budget at one entry, the memo holds one pair at most,
+        # over an l1 solve and a pq solve on one lift, which meet several
+        lifted = lift(ex1_matrices())
+        t_p, t_n = lifted.svec_p.size, lifted.svec_n.size
+        entry = 8 * (t_p + lifted.n_vertices * t_n * (t_p + t_n))
+        monkeypatch.setattr(inner, "CURVATURE_CACHE_BYTES", entry)
+        held, pairs, assemble = [], set(), inner.assemble_dual_data
+
+        def measured(*args, **kwargs):
+            out = assemble(*args, **kwargs)
+            pairs.update(lifted.curvature)
+            held.append(sum(a.nbytes for minv, _, _, hinv_list, JM_list
+                            in lifted.curvature.values()
+                            for a in [minv, *JM_list,
+                                      *(h for h in hinv_list
+                                        if h is not None)]))
+            return out
+        monkeypatch.setattr(inner, "assemble_dual_data", measured)
+        for regime in (outer.regime_l1, outer.regime_pq):
+            outer.solve_relaxed(lifted, regime(5.0))
+        assert len(pairs) > 1 and len(lifted.curvature) == 1
+        assert max(held) <= inner.CURVATURE_CACHE_BYTES
 
 
 def advance_schedule(mu_f=0.0, mu_g=0.0, steps=300):

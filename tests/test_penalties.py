@@ -159,6 +159,26 @@ class TestPenaltyConfig:
         with pytest.raises(ValueError, match="gamma"):
             make(gamma)
 
+    @pytest.mark.parametrize("kind", ["l1", "pq"])
+    @pytest.mark.parametrize("gamma", ["1", True, np.True_, None, [1.0]])
+    def test_gamma_must_be_a_number(self, kind, gamma):
+        # a bool or a string is not a number, though float() takes both
+        with pytest.raises(InvalidInput, match="gamma"):
+            penalties.Penalty(kind, gamma)
+
+    @pytest.mark.parametrize("params", [
+        (1.0, 1.0, -1.0), (1.0, 1.0, -1.0, 1.0, 2.0), (1.0, np.inf, -1.0, 1.0),
+        (np.nan, 1.0, -1.0, 1.0), (1.0, "1", -1.0, 1.0),
+        (True, 1.0, -1.0, 1.0), None, "abcd"])
+    def test_pq_params_must_be_four_finite_numbers(self, params):
+        # three entries would not unpack; a2 = inf gave a NaN prox at
+        # gamma = 0 and an infinite value at gamma = 1
+        with pytest.raises(InvalidInput, match="pq_params"):
+            penalties.Penalty("pq", 1.0, pq_params=params)
+        with pytest.raises(InvalidInput, match="pq_params"):
+            penalties.prox_piecewise_quadratic(np.ones(1), 1.0, None,
+                                               params, 1.0)
+
     @pytest.mark.parametrize("make", [outer.regime_l1, outer.regime_pq])
     @pytest.mark.parametrize("bad", [np.nan, 0.0, -1.0, np.inf])
     def test_rejects_bad_weights(self, make, bad):

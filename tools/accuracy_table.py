@@ -14,8 +14,10 @@ benchmark's ladder workload at gamma 0.8 on that workload's sigma
 ladder, and for ex1 at gamma 1 with and without the forced zero (0, 1)
 on the default ContinuationOptions.  Each gives the outer iterations and
 sweeps summed over all subsolves, the passes, how many passes logged
-"stage objective rose", J_upper, `certified` and the pattern.  The
-ladder plant is loaded from bench/workloads.py by path.
+"stage objective rose", how many curvature builds (calls of
+inner._curvature) the solve made on the fresh lift the table builds for
+it, J_upper, `certified` and the pattern.  The ladder plant is loaded
+from bench/workloads.py by path.
 
 A reference is a solve at eps1 = 1e-8 and eps2 = 1e-7 (at most 400,000
 outer iterations).  Its J_upper, pattern and whether it converged are
@@ -38,7 +40,7 @@ import os
 import sys
 import time
 
-from sparselq import analysis, cli, l0, model, outer
+from sparselq import analysis, cli, inner, l0, model, outer
 from sparselq.errors import NotConverged
 
 from answer_digest import LADDER, VERTEX_GAMMA, ladder_plant
@@ -79,11 +81,13 @@ def sweeps_of(sol):
 
 @contextlib.contextmanager
 def l0_counts():
-    """Counts {"sweeps", "rises"} over every subsolve of the solve_l0
-    calls made inside, read from each subsolve's trace and from the
-    continuation's "stage objective rose" warnings."""
-    counts = {"sweeps": 0, "rises": 0}
+    """Counts {"sweeps", "rises", "builds"} over every subsolve of the
+    solve_l0 calls made inside, read from each subsolve's trace, from the
+    continuation's "stage objective rose" warnings and from the calls of
+    inner._curvature."""
+    counts = {"sweeps": 0, "rises": 0, "builds": 0}
     relaxed, logger = outer.solve_relaxed, logging.getLogger("sparselq")
+    build = inner._curvature
 
     def counted(*args, **kwargs):
         try:
@@ -94,6 +98,10 @@ def l0_counts():
         counts["sweeps"] += sweeps_of(sol)
         return sol
 
+    def built(*args, **kwargs):
+        counts["builds"] += 1
+        return build(*args, **kwargs)
+
     class Rises(logging.Handler):
         def emit(self, record):
             counts["rises"] += "stage objective rose" in record.getMessage()
@@ -101,14 +109,14 @@ def l0_counts():
     # the warnings reach this handler alone, not stderr
     saved = logger.level, logger.propagate
     handler = Rises()
-    outer.solve_relaxed = counted
+    outer.solve_relaxed, inner._curvature = counted, built
     logger.addHandler(handler)
     logger.setLevel(logging.WARNING)
     logger.propagate = False
     try:
         yield counts
     finally:
-        outer.solve_relaxed = relaxed
+        outer.solve_relaxed, inner._curvature = relaxed, build
         logger.removeHandler(handler)
         logger.level, logger.propagate = saved
 
@@ -130,6 +138,7 @@ def l0_lines(ex1):
                 sol = exc.solution
         yield (f"{name:<16} {sol.iterations:>7} {counts['sweeps']:>8} "
                f"passes {len(sol.stage_trace)} rises {counts['rises']} "
+               f"builds {counts['builds']} "
                f"J_upper {sol.J_upper:.6f} "
                f"{'certified' if sol.certified else 'NOT certified'} "
                f"{sol.pattern.tolist()}")
