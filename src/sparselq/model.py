@@ -190,7 +190,8 @@ class LiftedProblem:
     curvature, one entry per (sigma1, sigma2) pair, which depends on the
     lift and the pair alone; inner.assemble_dual_data fills it and keeps
     it within inner.CURVATURE_CACHE_BYTES.  Every solve on the lift
-    shares it.
+    shares it; it is no init field, since an entry is keyed by the pair
+    alone, so a copy made by dataclasses.replace starts empty.
     """
 
     plant: ValidatedPlant
@@ -206,7 +207,8 @@ class LiftedProblem:
     gain_cols: np.ndarray = field(repr=False)
     gain_coords: np.ndarray = field(repr=False)
     gram_diag: np.ndarray = field(repr=False)
-    curvature: dict = field(default_factory=dict, repr=False, compare=False)
+    curvature: dict = field(default_factory=dict, init=False, repr=False,
+                            compare=False)
 
     @functools.cached_property
     def _vertex_maps(self):

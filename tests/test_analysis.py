@@ -134,6 +134,17 @@ class TestH2Cost:
         assert J[0] == pytest.approx(0.5)      # Wc = 1/2 at A_cl = -1
         assert J[1] == pytest.approx(0.25)     # Wc = 1/4 at A_cl = -2
 
+    def test_rejects_a_gain_of_the_wrong_shape(self):
+        # K must be m x n, here 2 x 3; numpy's matmul would name no field
+        A, B2, B1, C, D = ex1_matrices()
+        plant = model.PlantData(A=A, B2=B2, B1=B1, C=C, D=D)
+        for K in (np.zeros((3, 2)), np.zeros(6), np.zeros((2, 3, 1)),
+                  [[1.0]]):
+            with pytest.raises(InvalidInput, match=r"K: expected shape"):
+                analysis.h2_cost(plant, K)
+            with pytest.raises(InvalidInput, match=r"K: expected shape"):
+                analysis.simulate_impulse(plant, K, horizon=1.0, dt=0.1)
+
 
 class TestSparsityReport:
     def test_relative_threshold(self):
@@ -172,17 +183,6 @@ class TestRiccatiOracle:
         K, J = riccati_oracle(plant, K0)
         np.testing.assert_allclose(K, K_ref, atol=1e-8)
         assert J == pytest.approx(np.trace(P_ref), rel=1e-10)
-
-    def test_rejects_a_gain_of_the_wrong_shape(self):
-        # K must be m x n, here 2 x 3; numpy's matmul would name no field
-        A, B2, B1, C, D = ex1_matrices()
-        plant = model.PlantData(A=A, B2=B2, B1=B1, C=C, D=D)
-        for K in (np.zeros((3, 2)), np.zeros(6), np.zeros((2, 3, 1)),
-                  [[1.0]]):
-            with pytest.raises(InvalidInput, match=r"K: expected shape"):
-                analysis.h2_cost(plant, K)
-            with pytest.raises(InvalidInput, match=r"K: expected shape"):
-                analysis.simulate_impulse(plant, K, horizon=1.0, dt=0.1)
 
     def test_rejects_destabilizing_start(self):
         plant = scalar_plant(a=1.0)

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import logging
 import math
 
@@ -146,6 +147,14 @@ class TestCurvatureMemo:
             trace = np.delete(np.array(sol.trace, dtype=float), wall, axis=1)
             return sol.W.tobytes(), sol.P.tobytes(), trace.tobytes()
         assert bits(runs[0][0]) == bits(runs[1][0]) == bits(runs[2][0])
+
+    def test_a_copied_lift_starts_with_an_empty_memo(self):
+        # an entry is keyed by the sigma pair alone, so the memo must not
+        # pass to a lift that dataclasses.replace builds from other data
+        lifted = lift(ex1_matrices())
+        outer.solve_relaxed(lifted, outer.regime_l1(5.0))
+        assert lifted.curvature
+        assert dataclasses.replace(lifted).curvature == {}
 
     def test_the_memo_stays_within_its_budget(self, monkeypatch):
         # with the budget at one entry, the memo holds one pair at most,
