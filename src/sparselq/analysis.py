@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidInput, NotHurwitz, SingularW1
+from .errors import (InvalidInput, NotHurwitz, SingularW1, require_nonnegative,
+                     require_positive)
 from .model import (MAX_LYAPUNOV_ORDER, PlantData, ValidatedPlant,
                     validate_plant)
 
@@ -201,9 +202,8 @@ def simulate_impulse(plant, K, horizon, dt):
     polynomial of exp(dt (A - B2 K)), which is formed once.  Returns
     (t, X) where t has length nt and X has shape (l, nt, n).
     """
-    if not (dt > 0 and 0 <= horizon < np.inf):
-        raise InvalidInput(f"need dt > 0 and a finite horizon >= 0, got "
-                           f"dt={dt!r}, horizon={horizon!r}")
+    require_positive(dt, "dt")
+    require_nonnegative(horizon, "horizon")
     nt = np.floor(horizon / dt + 1e-12) + 1
     if nt > MAX_SAMPLES:
         raise InvalidInput(f"horizon / dt gives {nt:.3g} samples per channel, "

@@ -62,7 +62,8 @@ from dataclasses import fields
 import numpy as np
 
 from . import analysis, l0 as l0mod, model, outer, penalties
-from .errors import InvalidInput, NotConverged, SparseLQError
+from .errors import (InvalidInput, NotConverged, SparseLQError, is_number,
+                     require_nonnegative)
 
 log = logging.getLogger("sparselq")
 
@@ -83,11 +84,11 @@ def _converted(convert, value, name):
 
 
 def _number(value, name, kind=float):
-    """value as a float, or as an int for kind int; a bool, a string or,
-    for an int, a fraction is bad input (float() would take "1", int()
-    would take true as 1 and truncate 2.5)."""
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or kind is int and value % 1):
+    """value as a float, or as an int for kind int; what errors.is_number
+    refuses (a bool, a string) or, for an int, a fraction is bad input
+    (float() would take "1", int() would take true as 1 and truncate
+    2.5).  An int may come as an integral float, as "n": 2.0."""
+    if not is_number(value) or kind is int and value % 1:
         what = "an integer" if kind is int else "a number"
         raise InvalidInput(f"{name}: expected {what}, got {value!r}")
     return _converted(kind, value, name)
@@ -234,13 +235,8 @@ def _run_one(lifted, relaxation, gamma, options, continuation):
         return 3, exc.solution
 
 
-def _check_gamma(gamma):
-    if not (np.isfinite(gamma) and gamma >= 0):
-        raise InvalidInput(f"gamma must be finite and >= 0, got {gamma:g}")
-
-
 def cmd_solve(args):
-    _check_gamma(args.gamma)
+    require_nonnegative(args.gamma, "gamma")
     options = _options(args)
     code, sol = _run_one(load_problem(args.problem), args.relaxation,
                          args.gamma, *options)
@@ -275,7 +271,7 @@ def cmd_sweep(args):
     if not gammas:
         raise InvalidInput("empty gamma list")
     for gamma in gammas:
-        _check_gamma(gamma)
+        require_nonnegative(gamma, "gamma")
     options = _options(args)
     payloads = [(args.problem, args.relaxation, g, *options) for g in gammas]
     # Only a pool that cannot start (OSError, NotImplementedError) solves in

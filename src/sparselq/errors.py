@@ -18,6 +18,19 @@ type to one exit code:
                           capped inner solve.
 
 verify exits 4 when it reads the file but rejects the solution.
+
+Scalar inputs pass one rule per kind of value; a numpy scalar passes
+wherever a Python number does, a bool or a string never does:
+
+    is_number            a number: pq_params, JSON numbers, sigma_decay
+    is_integer           an integer: lift_plant's forced-zero indices
+    require_positive     finite and > 0: SolverOptions eps1 and eps2,
+                         ContinuationOptions sigma0, sigma_min and
+                         prox_weight, the prox maps' rho, sigma in
+                         surrogate_weights, dt in simulate_impulse
+    require_nonnegative  finite and >= 0: gamma (Penalty, the prox maps,
+                         the CLI), horizon in simulate_impulse
+    require_count        an integer >= 1: max_outer, max_sweeps
 """
 
 import math
@@ -99,26 +112,35 @@ class NotConverged(SparseLQError):
 # ---------------------------------------------------------- validation
 
 def is_number(value):
-    """Whether value is a real number: a bool is not one here, nor is a
-    string, which float() would take."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+    """Whether value is a real number (numbers.Real, numpy's included): a
+    bool is not one here, nor is a string, which float() would take.  A
+    float answers before the slower abstract-class test."""
+    return isinstance(value, float) or (isinstance(value, numbers.Real)
+                                        and not isinstance(value, bool))
 
 
-def require_positive(options, *names):
-    """Raise InvalidInput unless each named field is a number (see
+def is_integer(value):
+    """Whether value is an integer (numbers.Integral, numpy's included); a
+    bool is not one here."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def require_positive(value, name):
+    """Raise InvalidInput naming name unless value is a number (see
     is_number), finite and > 0."""
-    for name in names:
-        value = getattr(options, name)
-        if not (is_number(value) and value > 0 and math.isfinite(value)):
-            raise InvalidInput(f"{name} must be finite and > 0, "
-                               f"got {value!r}")
+    if not (is_number(value) and 0 < value < math.inf):
+        raise InvalidInput(f"need a finite {name} > 0, got {value!r}")
 
 
-def require_count(options, least, *names):
-    """Raise InvalidInput unless each named field is an integer >= least;
-    a bool is not a count here."""
-    for name in names:
-        value = getattr(options, name)
-        if not (type(value) is int and value >= least):
-            raise InvalidInput(f"{name} must be an integer >= {least}, "
-                               f"got {value!r}")
+def require_nonnegative(value, name):
+    """Raise InvalidInput naming name unless value is a number (see
+    is_number), finite and >= 0."""
+    if not (is_number(value) and 0 <= value < math.inf):
+        raise InvalidInput(f"need a finite {name} >= 0, got {value!r}")
+
+
+def require_count(value, name):
+    """Raise InvalidInput naming name unless value is an integer (see
+    is_integer) >= 1."""
+    if not (is_integer(value) and value >= 1):
+        raise InvalidInput(f"need an integer {name} >= 1, got {value!r}")

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import outer
-from .errors import InvalidInput, NotConverged, require_positive
+from .errors import InvalidInput, NotConverged, is_number, require_positive
 
 log = logging.getLogger("sparselq")
 
@@ -43,8 +43,9 @@ class ContinuationOptions:
     prox_weight: float = 10.0
 
     def __post_init__(self):
-        require_positive(self, "sigma0", "sigma_min", "prox_weight")
-        if not 0 < self.sigma_decay < 1:
+        for name in ("sigma0", "sigma_min", "prox_weight"):
+            require_positive(getattr(self, name), name)
+        if not (is_number(self.sigma_decay) and 0 < self.sigma_decay < 1):
             raise InvalidInput(f"sigma_decay must lie in (0, 1), "
                                f"got {self.sigma_decay!r}")
         if self.sigma0 < self.sigma_min:
@@ -58,8 +59,7 @@ def surrogate_weights(P, sigma):
     Entries live in (0, 1/sigma]; a floor at the smallest positive float
     guards against underflow for |P| >> sigma.
     """
-    if sigma <= 0:
-        raise InvalidInput("sigma must be > 0")
+    require_positive(sigma, "sigma")
     x = np.abs(np.asarray(P, dtype=float))
     return np.maximum(np.exp(-x / sigma) / sigma, np.finfo(float).tiny)
 

@@ -25,13 +25,12 @@ bounds every vertex cost.
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .cones import sym_eigh
-from .errors import InvalidInput
+from .errors import InvalidInput, is_integer
 from . import vectorize
 
 # Largest plant order the package takes: analysis.solve_lyapunov's dense
@@ -142,14 +141,12 @@ def validate_plant(plant):
     CtD = C.T @ D
     if np.max(np.abs(CtD)) > 1e-12 * np.linalg.norm(C) * np.linalg.norm(D):
         raise InvalidInput("C^T D must vanish entrywise")
-    DtD = 0.5 * (D.T @ D + (D.T @ D).T)
-    B1B1t = 0.5 * (B1 @ B1.T + (B1 @ B1.T).T)
+    DtD, B1B1t, CtC = (0.5 * (S + S.T)
+                       for S in (D.T @ D, B1 @ B1.T, C.T @ C))
     for name, S in (("D^T D", DtD), ("B1 B1^T", B1B1t)):
         w = np.linalg.eigvalsh(S)
         if w[0] <= 1e-12 * w[-1]:
             raise InvalidInput(f"{name} must be positive definite")
-
-    CtC = 0.5 * (C.T @ C + (C.T @ C).T)
     return ValidatedPlant(plant=plant, CtC=CtC, DtD=DtD, B1B1t=B1B1t)
 
 
@@ -311,8 +308,9 @@ def lift_plant(vplant, forced_zeros=()):
 
     forced_zeros is an iterable of 0-based (i, j) pairs in the gain index
     set {0..m-1} x {0..n-1}; an entry that is not a pair, a pair outside
-    the set, or one with an index that is not an integer (a bool, a
-    string or a float is not), raises InvalidInput.
+    the set, or one with an index that is not an integer (errors.is_integer:
+    a numpy integer is one, a bool, a string or a float is not), raises
+    InvalidInput.
     """
     plant = vplant.plant
     n, m = plant.n, plant.m
@@ -323,8 +321,7 @@ def lift_plant(vplant, forced_zeros=()):
         raise InvalidInput(f"forced_zeros: {forced_zeros!r} is not a list "
                            f"of pairs") from None
     for z in fz:
-        if not (len(z) == 2 and all(isinstance(k, numbers.Integral)
-                                    and not isinstance(k, bool) for k in z)
+        if not (len(z) == 2 and all(map(is_integer, z))
                 and 0 <= z[0] < m and 0 <= z[1] < n):
             raise InvalidInput(f"forced_zeros: {z!r} is not an integer pair "
                                f"inside the {m} x {n} gain")

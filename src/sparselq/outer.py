@@ -70,8 +70,10 @@ class SolverOptions:
     max_sweeps: int = 10000
 
     def __post_init__(self):
-        require_positive(self, "eps1", "eps2")
-        require_count(self, 1, "max_outer", "max_sweeps")
+        for name in ("eps1", "eps2"):
+            require_positive(getattr(self, name), name)
+        for name in ("max_outer", "max_sweeps"):
+            require_count(getattr(self, name), name)
 
 
 @dataclass

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInput, is_number
+from .errors import (InvalidInput, is_number, require_nonnegative,
+                     require_positive)
 
 PQ_DEFAULT = (1.0, 1.0, -1.0, 1.0)
 
@@ -25,9 +26,10 @@ class Penalty:
     piecewise quadratic of pq_params = (a1, a2, b1, b2) under "pq".
 
     Raises InvalidInput naming the field unless gamma is a finite number
-    >= 0 (a bool or a string is not a number, see errors.is_number),
-    weights (None: unit weights) are finite and > 0 and, under "pq",
-    pq_params are four finite numbers with a1, a2 > 0 and b1 < 0 < b2.
+    >= 0 (errors.require_nonnegative: a numpy scalar is a number, a bool
+    or a string is not), weights (None: unit weights) are finite and > 0
+    and, under "pq", pq_params are four finite numbers with a1, a2 > 0
+    and b1 < 0 < b2.
     """
 
     kind: str
@@ -38,11 +40,8 @@ class Penalty:
     def __post_init__(self):
         if self.kind not in ("l1", "pq"):
             raise InvalidInput(f"unknown penalty kind: {self.kind!r}")
-        gamma = self.gamma
-        if not (is_number(gamma) and math.isfinite(gamma) and gamma >= 0):
-            raise InvalidInput(f"gamma must be a finite number >= 0, got "
-                               f"{gamma!r}")
-        object.__setattr__(self, "gamma", float(gamma))
+        require_nonnegative(self.gamma, "gamma")
+        object.__setattr__(self, "gamma", float(self.gamma))
         if self.weights is not None:
             w = np.asarray(self.weights, dtype=float)
             if not np.all(np.isfinite(w) & (w > 0)):
@@ -108,9 +107,10 @@ def _weights_like(weights, Z):
 
 
 def prox_weighted_l1(Z, gamma, weights, rho):
-    """Entrywise soft threshold at gamma*w_ij/rho; exact zeros inside."""
-    if rho <= 0:
-        raise InvalidInput("rho must be > 0")
+    """Entrywise soft threshold at gamma*w_ij/rho; exact zeros inside.
+    gamma and rho are checked here, the weights by Penalty."""
+    require_nonnegative(gamma, "gamma")
+    require_positive(rho, "rho")
     Z = np.asarray(Z, dtype=float)
     t = gamma * _weights_like(weights, Z) / rho
     return np.sign(Z) * np.maximum(np.abs(Z) - t, 0.0)
@@ -120,10 +120,11 @@ def prox_piecewise_quadratic(Z, gamma, weights, pq_params, rho):
     """Four-branch prox of the piecewise quadratic penalty.
 
     Zero on the dead band [gamma*w*b1/rho, gamma*w*b2/rho]; a shifted
-    shrinkage on either side.
+    shrinkage on either side.  gamma, rho and pq_params are checked
+    here, the weights by Penalty.
     """
-    if rho <= 0:
-        raise InvalidInput("rho must be > 0")
+    require_nonnegative(gamma, "gamma")
+    require_positive(rho, "rho")
     _check_pq(pq_params)
     a1, a2, b1, b2 = pq_params
     Z = np.asarray(Z, dtype=float)

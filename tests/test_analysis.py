@@ -232,6 +232,16 @@ class TestSimulateImpulse:
             analysis.simulate_impulse(scalar_plant(), np.zeros((1, 1)),
                                       horizon=1.0, dt=0.0)
 
+    @pytest.mark.parametrize("dt,horizon,field", [
+        ("0.1", 1.0, "dt"), (True, 1.0, "dt"), (0.1, "1", "horizon"),
+        (0.1, True, "horizon")])
+    def test_rejects_a_step_or_horizon_that_is_not_a_number(self, dt,
+                                                             horizon, field):
+        # a string raised TypeError, and a bool was taken as 1
+        with pytest.raises(InvalidInput, match=field):
+            analysis.simulate_impulse(scalar_plant(), np.zeros((1, 1)),
+                                      horizon=horizon, dt=dt)
+
     @pytest.mark.parametrize("horizon,needle", [
         (np.inf, "finite horizon"),
         (analysis.MAX_SAMPLES * 0.01, "above the limit")])

@@ -11,7 +11,7 @@ import pathlib
 
 import numpy as np
 
-from sparselq import inner, l0, outer
+from sparselq import inner, l0, outer, penalties
 
 TRACER = pathlib.Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
@@ -30,6 +30,29 @@ def test_every_wrapped_name_is_a_callable_of_the_package():
         assert callable(getattr(module, attr, None)), f"{module_name}.{attr}"
     errors = importlib.import_module("sparselq.errors")
     assert isinstance(errors.MaxSweepsExceeded, type)
+
+
+def test_each_penalty_prox_reaches_its_kernel_once(monkeypatch):
+    # penalties.prox_calls counts calls of the two module-level kernels,
+    # which the tracer wraps, so Penalty.prox must reach each one through
+    # the module, once per call
+    calls = []
+
+    def counted(name):
+        kernel = getattr(penalties, name)
+
+        def wrapper(*args):
+            calls.append(name)
+            return kernel(*args)
+        return wrapper
+
+    for name in ("prox_weighted_l1", "prox_piecewise_quadratic"):
+        monkeypatch.setattr(penalties, name, counted(name))
+    Z = np.array([[1.5, -0.2, 0.0], [-3.0, 0.7, 2.0]])
+    penalties.Penalty("l1", 1.0).prox(Z, 2.0)
+    assert calls == ["prox_weighted_l1"]
+    penalties.Penalty("pq", 1.0).prox(Z, 2.0)
+    assert calls == ["prox_weighted_l1", "prox_piecewise_quadratic"]
 
 
 def test_assemble_dual_data_returns_a_pair(ex1_lifted):

@@ -86,7 +86,8 @@ class TestContinuationOptions:
         ("sigma0", float("inf")), ("sigma_min", 0.0), ("sigma_min", -1e-3),
         ("sigma_decay", 0.0), ("sigma_decay", 1.0), ("sigma_decay", 1.5),
         ("sigma_decay", float("nan")), ("prox_weight", 0.0),
-        ("prox_weight", -10.0), ("prox_weight", True), ("sigma0", True)])
+        ("prox_weight", -10.0), ("prox_weight", True), ("sigma0", True),
+        ("sigma_decay", "0.5"), ("sigma_decay", None)])
     def test_rejects_a_field_out_of_range(self, field, value):
         with pytest.raises(ValueError, match=field):
             l0.ContinuationOptions(**{field: value})

@@ -32,6 +32,14 @@ class TestSolverOptions:
     def test_accepts_the_edges(self):
         outer.SolverOptions(eps1=1e-300, max_outer=1, max_sweeps=1)
 
+    @pytest.mark.parametrize("field,value", [
+        ("max_outer", np.int64(5)), ("max_sweeps", np.int32(3)),
+        ("max_outer", np.uint8(1))])
+    def test_accepts_numpy_integers(self, field, value):
+        # a count is an integer by errors.is_integer, as a forced-zero
+        # index is: numpy's integers are integers
+        assert getattr(outer.SolverOptions(**{field: value}), field) == value
+
 
 class TestRegimeConstructors:
     def test_l1(self):

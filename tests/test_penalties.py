@@ -15,6 +15,14 @@ def grid_prox(z, rho, pen, lo=-8.0, hi=8.0, n=400001):
     return x[np.argmin(vals)]
 
 
+# (gamma, rho, the field named) that both prox maps reject
+BAD_GAMMA_OR_RHO = [
+    (-1.0, 1.0, "gamma"), (float("nan"), 1.0, "gamma"),
+    (float("inf"), 1.0, "gamma"), ("1", 1.0, "gamma"),
+    (1.0, float("nan"), "rho"), (1.0, float("inf"), "rho"),
+    (1.0, "1", "rho"), (1.0, True, "rho")]
+
+
 class TestWeightedL1Prox:
     @pytest.mark.parametrize("z,gamma,w,rho", [
         (2.3, 1.0, 1.0, 1.0),
@@ -51,6 +59,14 @@ class TestWeightedL1Prox:
     def test_rho_must_be_positive(self):
         with pytest.raises(InvalidInput, match="rho"):
             penalties.prox_weighted_l1(np.ones(2), 1.0, None, 0.0)
+
+    @pytest.mark.parametrize("gamma,rho,field", BAD_GAMMA_OR_RHO)
+    def test_rejects_a_bad_gamma_or_rho(self, gamma, rho, field):
+        # a negative gamma would widen instead of shrink, a NaN one or a
+        # NaN rho would give NaN, an infinite rho would return Z
+        with pytest.raises(InvalidInput, match=field):
+            penalties.prox_weighted_l1(np.array([[1.0, -2.0]]), gamma, None,
+                                       rho)
 
 
 class TestPiecewiseQuadraticProx:
@@ -104,6 +120,12 @@ class TestPiecewiseQuadraticProx:
             penalties.prox_piecewise_quadratic(np.ones(1), 1.0, None,
                                                self.PQ, -1.0)
 
+    @pytest.mark.parametrize("gamma,rho,field", BAD_GAMMA_OR_RHO)
+    def test_rejects_a_bad_gamma_or_rho(self, gamma, rho, field):
+        with pytest.raises(InvalidInput, match=field):
+            penalties.prox_piecewise_quadratic(np.array([[1.0, -2.0]]),
+                                               gamma, None, self.PQ, rho)
+
 
 class TestExpWeights:
     """The exponential surrogate's weights, l0.surrogate_weights."""
@@ -121,6 +143,13 @@ class TestExpWeights:
     def test_rejects_bad_input(self):
         with pytest.raises(InvalidInput, match="sigma"):
             l0.surrogate_weights(np.ones(1), 0.0)
+
+    @pytest.mark.parametrize("sigma", [float("nan"), float("inf"), "1", True])
+    def test_rejects_a_sigma_that_is_not_finite_and_positive(self, sigma):
+        # NaN gave NaN weights, inf the floor everywhere, True weights
+        # at sigma = 1
+        with pytest.raises(InvalidInput, match="sigma"):
+            l0.surrogate_weights(np.ones(1), sigma)
 
 
 class TestPenaltyConfig:

@@ -9,6 +9,9 @@ docstrings therefore do not count; a string that is not a docstring does.
     python tools/code_lines.py --rev REV    # the files of a git revision
     python tools/code_lines.py --functions  # per top-level function and
                                             # class, largest first
+    python tools/code_lines.py --diff REV   # the change from REV to the
+                                            # tree, per module and per
+                                            # function, nonzero rows only
 """
 
 import argparse
@@ -85,25 +88,51 @@ def sources(rev):
                 text=True, check=True).stdout
 
 
+def counts(rev):
+    """({module: code lines}, {module:name: code lines}) of a revision, or
+    of the working tree for None."""
+    modules, definitions = {}, {}
+    for module, source in sources(rev):
+        modules[module] = code_lines(source)
+        definitions.update((f"{module}:{name}", count)
+                           for name, count in definition_lines(source))
+    return modules, definitions
+
+
+def print_diff(rev):
+    """One "delta  before -> after  name" row per module, then per
+    top-level function and class, whose count differs between rev and
+    the working tree; a row absent on one side counts 0 there."""
+    before, after = counts(rev), counts(None)
+    for old, new in zip(before, after):
+        for name in sorted(old.keys() | new.keys()):
+            a, b = old.get(name, 0), new.get(name, 0)
+            if a != b:
+                print(f"{b - a:+6d}  {a:5d} -> {b:5d}  {name}")
+    a, b = sum(before[0].values()), sum(after[0].values())
+    print(f"{b - a:+6d}  {a:5d} -> {b:5d}  total")
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--rev", help="count a git revision, not the tree")
     parser.add_argument("--functions", action="store_true",
                         help="count each top-level function and class")
+    parser.add_argument("--diff", metavar="REV",
+                        help="print the change from REV to the tree")
     args = parser.parse_args(argv)
+    if args.diff:
+        print_diff(args.diff)
+        return
+    modules, definitions = counts(args.rev)
     if args.functions:
-        rows = [(count, f"{module}:{name}")
-                for module, source in sources(args.rev)
-                for name, count in definition_lines(source)]
-        for count, name in sorted(rows, key=lambda row: -row[0]):
+        for name, count in sorted(definitions.items(),
+                                  key=lambda row: -row[1]):
             print(f"{count:6d}  {name}")
         return
-    total = 0
-    for name, source in sources(args.rev):
-        count = code_lines(source)
-        total += count
+    for name, count in modules.items():
         print(f"{count:6d}  {name}")
-    print(f"{total:6d}  total")
+    print(f"{sum(modules.values()):6d}  total")
 
 
 if __name__ == "__main__":
